@@ -150,6 +150,16 @@ def _check_same(a: Element, b: Element) -> None:
         )
 
 
+def _check_elements(elements, minimum: int = 1) -> list[Element]:
+    """The elements as a list: at least ``minimum`` of them, one algebra."""
+    elems = list(elements)
+    if len(elems) < minimum:
+        raise ValueError(f"need {minimum} or more elements, got {len(elems)}")
+    for e in elems[1:]:
+        _check_same(elems[0], e)
+    return elems
+
+
 def _require_finite(arr: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite entries")

@@ -11,6 +11,7 @@ for that kind: 2 usage, 3 input, 4 verification failure, 5 capacity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -31,13 +32,12 @@ from .jets import (
     symmetrized_step_jet,
 )
 from .trotter import (
+    SCHEMES,
     CapacityError,
     DegenerateDecayError,
     SchemeError,
-    bound_special,
-    bound_thm31,
-    bound_thm33i,
-    bound_thm33ii,
+    SweepRecord,
+    bounds_for,
     empirical_order,
     measured_error,
     plan_min_n,
@@ -51,16 +51,7 @@ EXIT_INPUT = 3
 EXIT_VERIFY = 4
 EXIT_CAPACITY = 5
 
-SWEEP_COLUMNS = (
-    "scheme",
-    "n",
-    "error",
-    "bound_thm31",
-    "bound_thm33i",
-    "bound_thm33ii",
-    "bound_special_i",
-    "bound_special_ii",
-)
+SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRecord))
 BOUND_COLUMNS = SWEEP_COLUMNS[:2] + SWEEP_COLUMNS[3:]
 
 
@@ -128,7 +119,7 @@ def _parse_n_range(text: str) -> list[int]:
 def _parse_schemes(text: str) -> list[str]:
     schemes = [tok for tok in text.split(",") if tok]
     for s in schemes:
-        if s not in ("g", "f", "h"):
+        if s not in SCHEMES:
             raise _usage_error(f"unknown scheme {s!r} (expected g, f or h)")
     if not schemes:
         raise _usage_error("no schemes given")
@@ -140,8 +131,8 @@ def _parse_norms(text: str) -> list[float]:
         norms = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise _usage_error(f"--norms must be comma-separated numbers, got {text!r}") from None
-    if not norms or any(v < 0 for v in norms):
-        raise _usage_error("--norms needs one or more nonnegative numbers")
+    if not norms or not all(math.isfinite(v) and v >= 0 for v in norms):
+        raise _usage_error("--norms needs one or more finite nonnegative numbers")
     return norms
 
 
@@ -289,8 +280,10 @@ def cmd_verify_axioms(args) -> int:
         raise _usage_error("verify-axioms needs --algebra kind:dim")
     desc = _descriptor_arg(args.algebra)
     seed = _resolve_seed(args)
+    if args.trials < 1:
+        raise _usage_error("--trials must be at least 1")
     tol_scale = (args.tol / DEFAULT_TOL) if args.tol is not None else 1.0
-    if tol_scale <= 0:
+    if not tol_scale > 0:
         raise _usage_error("--tol must be positive")
     results = run_axiom_suite(desc, trials=args.trials, seed=seed, tol_scale=tol_scale)
     out = io.StringIO()
@@ -355,20 +348,11 @@ def cmd_bounds(args) -> int:
             raise _usage_error("scheme h has no closed-form bound")
     norms, special, _ = _norms_and_specialness(args)
     ns = _parse_n_range(args.n)
-    rows = []
-    for scheme in schemes:
-        for n in ns:
-            row = {c: None for c in BOUND_COLUMNS}
-            row["scheme"], row["n"] = scheme, n
-            if scheme == "g":
-                row["bound_thm31"] = bound_thm31(norms, n)
-            else:
-                row["bound_thm33i"] = bound_thm33i(norms, n)
-                row["bound_thm33ii"] = bound_thm33ii(norms, n)
-                if special:
-                    row["bound_special_i"] = bound_special(norms, n, "i")
-                    row["bound_special_ii"] = bound_special(norms, n, "ii")
-            rows.append(row)
+    rows = [
+        {"scheme": scheme, "n": n, **bounds_for(scheme, norms, n, special)}
+        for scheme in schemes
+        for n in ns
+    ]
     _emit_table(rows, BOUND_COLUMNS, args)
     return EXIT_OK
 
@@ -380,11 +364,9 @@ def cmd_plan(args) -> int:
     scheme = schemes[0]
     if args.eps is None:
         raise _usage_error("plan needs --eps")
-    if args.eps <= 0:
+    if not args.eps > 0:
         raise _usage_error("--eps must be positive")
     mode = args.mode
-    if scheme == "h" and mode == "bound":
-        raise _usage_error("scheme h has no closed-form bound, use --mode measured")
     norms, special, instance = _norms_and_specialness(args)
     out = io.StringIO()
     if mode == "bound":
@@ -471,7 +453,7 @@ def cmd_jets(args) -> int:
     if degree < 2:
         raise _usage_error("--degree must be at least 2")
     tol = args.tol if args.tol is not None else 1e-12
-    if tol <= 0:
+    if not tol > 0:
         raise _usage_error("--tol must be positive")
     out = io.StringIO()
     label = instance.label or str(args.input)
@@ -519,8 +501,8 @@ def cmd_demo(args) -> int:
     norms = [1.0, 1.0]
     n_min = plan_min_n("g", 1e-4, norms=norms)
     out.write(f"n_min {n_min}\n")
-    out.write(f"bound({n_min}) {_fmt(bound_thm31(norms, n_min))}\n")
-    out.write(f"bound({n_min - 1}) {_fmt(bound_thm31(norms, n_min - 1))}\n")
+    out.write(f"bound({n_min}) {_fmt(tightest_bound('g', norms, n_min))}\n")
+    out.write(f"bound({n_min - 1}) {_fmt(tightest_bound('g', norms, n_min - 1))}\n")
     err = measured_error("g", [sx, sz], n_min)
     out.write(f"measured error at n_min {_fmt(err)}\n")
     _emit(out.getvalue(), args.output)

@@ -75,17 +75,22 @@ def _as_real_list(obj, count: int, what: str, count_category: str = "schema") ->
     return arr
 
 
+def _matrix_element(constructor, m: np.ndarray, failure: str) -> Element:
+    # The payload is square and finite here, so the constructor can only
+    # object to its symmetry.
+    try:
+        return constructor(m, tol=LOAD_SYMMETRY_TOL)
+    except ValueError:
+        _fail("symmetry", f"{failure} within {LOAD_SYMMETRY_TOL}")
+
+
 def _element_from_payload(desc: AlgebraDescriptor, payload, where: str) -> Element:
     d = desc.dim
     # Counts derived from the declared dim report as "mismatch"; shapes the
     # format itself fixes report as "schema".
     if desc.kind == "sym":
         flat = _as_real_list(payload, d * d, where, count_category="mismatch")
-        m = flat.reshape(d, d)
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.T).max() > LOAD_SYMMETRY_TOL * scale:
-            _fail("symmetry", f"{where} is not symmetric within {LOAD_SYMMETRY_TOL}")
-        return sym_element(0.5 * (m + m.T))
+        return _matrix_element(sym_element, flat.reshape(d, d), f"{where} is not symmetric")
     if desc.kind == "herm":
         if not isinstance(payload, list) or len(payload) != d * d:
             _fail("mismatch", f"{where} must list {d * d} [re, im] pairs for dim {d}")
@@ -98,10 +103,7 @@ def _element_from_payload(desc: AlgebraDescriptor, payload, where: str) -> Eleme
         if not np.all(np.isfinite(arr)):
             _fail("schema", f"{where} contains non-finite values")
         m = (arr[:, 0] + 1j * arr[:, 1]).reshape(d, d)
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.conj().T).max() > LOAD_SYMMETRY_TOL * scale:
-            _fail("symmetry", f"{where} is not Hermitian within {LOAD_SYMMETRY_TOL}")
-        return herm_element(0.5 * (m + m.conj().T))
+        return _matrix_element(herm_element, m, f"{where} is not Hermitian")
     if desc.kind == "spin":
         if not isinstance(payload, dict) or set(payload) != {"s", "v"}:
             _fail("schema", f"{where} must be an object with keys s and v")

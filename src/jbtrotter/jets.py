@@ -27,6 +27,7 @@ from functools import reduce
 from .algebras import (
     AlgebraDescriptor,
     Element,
+    _check_elements,
     jb_norm,
     jordan_mul,
     unit,
@@ -118,26 +119,15 @@ def jet_triple(p: Jet, q: Jet, r: Jet) -> Jet:
     )
 
 
-def _check_family(elements, minimum: int) -> list[Element]:
-    elems = list(elements)
-    if len(elems) < minimum:
-        raise ValueError(f"need at least {minimum} elements, got {len(elems)}")
-    d0 = elems[0].descriptor
-    for e in elems[1:]:
-        if e.descriptor != d0:
-            raise ValueError("elements mix algebras")
-    return elems
-
-
 def product_step_jet(elements, degree: int = DEFAULT_DEGREE) -> Jet:
     """Jet of the single scheme-g step exp(tA_1) exp(tA_2) ... left-nested."""
-    elems = _check_family(elements, 2)
+    elems = _check_elements(elements, 2)
     return reduce(jet_jordan_mul, (jet_exp(a, degree) for a in elems))
 
 
 def symmetrized_step_jet(elements, degree: int = DEFAULT_DEGREE) -> Jet:
     """Jet of the single scheme-f step with half-step triple wrappers."""
-    elems = _check_family(elements, 2)
+    elems = _check_elements(elements, 2)
     core = jet_exp(elems[0], degree)
     for a in elems[1:]:
         w = jet_exp(0.5 * a, degree)
@@ -154,7 +144,7 @@ def inverse_sandwich_defect_jet(elements, degree: int = DEFAULT_DEGREE) -> Jet:
     exactly through second order, so coefficients 0 through 2 of the result
     all vanish; the generic leading term sits at degree 3.
     """
-    elems = _check_family(elements, 1)
+    elems = _check_elements(elements)
     total = reduce(lambda a, b: a + b, elems)
     cur = jet_exp(total, degree)
     for a in reversed(elems):

@@ -21,21 +21,23 @@ count) follow the wire names used in sweep output:
 ``bound_special``    sharpened f bounds valid on sym/herm only:
                      variant i drops the 3^(m-1) factor, variant ii the 3^m.
 
-No closed-form bound is known here for scheme h; planners must use the
-measured mode for it.
+``bounds_for`` is the one place that decides which of these applies to a
+scheme.  No closed-form bound is known here for scheme h; planners must
+use the measured mode for it.  A bound whose value leaves the float range
+reads ``inf``, which is still a valid bound since each grows with S.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import reduce, wraps
 
 import numpy as np
 
 from .algebras import (
-    AlgebraDescriptor,
     Element,
+    _check_elements,
     exp_spectral,
     jb_norm,
     jordan_mul,
@@ -78,17 +80,6 @@ class SweepRecord:
     bound_thm33ii: float | None = None
     bound_special_i: float | None = None
     bound_special_ii: float | None = None
-
-
-def _check_elements(elements) -> list[Element]:
-    elems = list(elements)
-    if not elems:
-        raise ValueError("need at least one element")
-    d0 = elems[0].descriptor
-    for e in elems[1:]:
-        if e.descriptor != d0:
-            raise ValueError(f"mixed descriptors {d0} and {e.descriptor}")
-    return elems
 
 
 def _check_n(n: int) -> None:
@@ -150,11 +141,25 @@ def measured_error(scheme: str, elements, n: int) -> float:
 
 def _norm_sum(norms) -> float:
     vals = [float(v) for v in norms]
-    if any(v < 0 for v in vals):
+    if not all(v >= 0 for v in vals):
         raise ValueError("norms must be nonnegative")
     return sum(vals)
 
 
+def _saturating(bound):
+    """Read a bound that overflows the float range as inf."""
+
+    @wraps(bound)
+    def saturated(*args, **kwargs):
+        try:
+            return bound(*args, **kwargs)
+        except OverflowError:
+            return math.inf
+
+    return saturated
+
+
+@_saturating
 def bound_thm31(norms, n: int) -> float:
     """Cubic second-order bound for scheme g."""
     _check_n(n)
@@ -162,6 +167,7 @@ def bound_thm31(norms, n: int) -> float:
     return s**3 * math.exp(s) / (3.0 * n * n)
 
 
+@_saturating
 def bound_thm33i(norms, n: int) -> float:
     """Cubic second-order bound for scheme f; grows like 3^(m-1) in the count."""
     _check_n(n)
@@ -171,6 +177,7 @@ def bound_thm33i(norms, n: int) -> float:
     return (3.0 ** (m - 1) + 1.0) * s**3 * math.exp(s) / (6.0 * n * n)
 
 
+@_saturating
 def bound_thm33ii(norms, n: int) -> float:
     """Quadratic first-order bound for scheme f with an n-dependent exponent."""
     _check_n(n)
@@ -180,6 +187,7 @@ def bound_thm33ii(norms, n: int) -> float:
     return (2.0 * 3.0**m / n) * s * s * math.exp((n + 2.0) * s / n)
 
 
+@_saturating
 def bound_special(norms, n: int, variant: str) -> float:
     """Sharpened f bounds, valid only on the associatively representable
     families (sym and herm).  Variant "i" is cubic in S and second order
@@ -193,17 +201,32 @@ def bound_special(norms, n: int, variant: str) -> float:
     raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
 
 
+def bounds_for(scheme: str, norms, n: int, special: bool) -> dict:
+    """Every closed-form bound that applies to the scheme at step count n,
+    keyed by its ``SweepRecord`` field; the sharpened ones need ``special``.
+    """
+    if scheme == "g":
+        return {"bound_thm31": bound_thm31(norms, n)}
+    if scheme == "f":
+        bounds = {
+            "bound_thm33i": bound_thm33i(norms, n),
+            "bound_thm33ii": bound_thm33ii(norms, n),
+        }
+        if special:
+            bounds["bound_special_i"] = bound_special(norms, n, "i")
+            bounds["bound_special_ii"] = bound_special(norms, n, "ii")
+        return bounds
+    if scheme == "h":
+        return {}
+    raise SchemeError(f"unknown scheme {scheme!r}")
+
+
 def tightest_bound(scheme: str, norms, n: int, special: bool = False) -> float:
     """Smallest applicable closed-form bound at step count n."""
-    if scheme == "g":
-        return bound_thm31(norms, n)
-    if scheme == "f":
-        candidates = [bound_thm33i(norms, n), bound_thm33ii(norms, n)]
-        if special:
-            candidates.append(bound_special(norms, n, "i"))
-            candidates.append(bound_special(norms, n, "ii"))
-        return min(candidates)
-    raise SchemeError(f"no closed-form bound for scheme {scheme!r}")
+    bounds = bounds_for(scheme, norms, n, special)
+    if not bounds:
+        raise SchemeError(f"no closed-form bound for scheme {scheme!r}, use measured mode")
+    return min(bounds.values())
 
 
 # ---------------------------------------------------------------------------
@@ -232,81 +255,37 @@ def plan_min_n(
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     if mode == "bound":
-        if scheme == "h":
-            raise SchemeError("scheme h has no closed-form bound, use measured mode")
         if norms is None:
             if elements is None:
                 raise ValueError("bound mode needs norms or elements")
             elems = _check_elements(elements)
             norms = [jb_norm(a) for a in elems]
             special = elems[0].descriptor.is_special
-        return _plan_bound(scheme, list(norms), eps, special)
+        norms = list(norms)
+        return _min_n(lambda n: tightest_bound(scheme, norms, n, special) <= eps, eps)
     if mode == "measured":
         if elements is None:
             raise ValueError("measured mode needs elements")
-        return _plan_measured(scheme, _check_elements(elements), eps)
+        elems = _check_elements(elements)
+        target = exp_sum(elems)
+        approx = _APPROX[scheme]
+        return _min_n(lambda n: jb_norm(target - approx(elems, n)) <= eps, eps)
     raise ValueError(f"mode must be 'bound' or 'measured', got {mode!r}")
 
 
-def _plan_bound(scheme: str, norms: list, eps: float, special: bool) -> int:
-    def value(n: int) -> float:
-        return tightest_bound(scheme, norms, n, special)
-
-    if value(1) <= eps:
+def _min_n(ok, eps: float) -> int:
+    """Smallest n with ok(n), for a predicate that stays true as n grows:
+    doubling finds a bracket, bisection the threshold inside it."""
+    if ok(1):
         return 1
-    # Closed-form seed from the second-order piece, then walk to the exact
-    # integer threshold; the walk also covers the first-order piece of the
-    # f bounds, whose minimum is still monotone in n.
-    s = _norm_sum(norms)
-    second_order = (
-        bound_thm31(norms, 1) if scheme == "g" else
-        min(bound_thm33i(norms, 1), bound_special(norms, 1, "i") if special else math.inf)
-    )
-    guess = max(1, math.isqrt(max(1, math.ceil(second_order / eps))))
-    lo, hi = 1, None
-    n = guess
-    while True:
-        if n > MAX_PLAN_N:
-            if value(MAX_PLAN_N) > eps:
-                raise CapacityError(
-                    f"target eps={eps!r} needs more than {MAX_PLAN_N} steps"
-                )
-            hi = MAX_PLAN_N
-            break
-        if value(n) <= eps:
-            hi = n
-            break
-        lo = n
-        n *= 2
+    lo, hi = 1, 2
+    while not ok(hi):
+        lo, hi = hi, 2 * hi
+        if hi > MAX_PLAN_N:
+            raise CapacityError(f"target eps={eps!r} needs more than {MAX_PLAN_N} steps")
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if value(mid) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _plan_measured(scheme: str, elems: list, eps: float) -> int:
-    target = exp_sum(elems)
-
-    def err(n: int) -> float:
-        return jb_norm(target - _APPROX[scheme](elems, n))
-
-    if err(1) <= eps:
-        return 1
-    lo, n = 1, 2
-    while err(n) > eps:
-        lo = n
-        n *= 2
-        if n > MAX_PLAN_N:
-            raise CapacityError(
-                f"measured error still above eps={eps!r} at {MAX_PLAN_N} steps"
-            )
-    hi = n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if err(mid) <= eps:
+        if ok(mid):
             hi = mid
         else:
             lo = mid
@@ -331,17 +310,8 @@ def sweep(scheme: str, elements, n_values) -> list[SweepRecord]:
     approx = _APPROX[scheme]
     records = []
     for n in ns:
-        error = jb_norm(target - approx(elems, n))
-        rec = {"scheme": scheme, "n": n, "error": float(error)}
-        if scheme == "g":
-            rec["bound_thm31"] = bound_thm31(norms, n)
-        elif scheme == "f":
-            rec["bound_thm33i"] = bound_thm33i(norms, n)
-            rec["bound_thm33ii"] = bound_thm33ii(norms, n)
-            if special:
-                rec["bound_special_i"] = bound_special(norms, n, "i")
-                rec["bound_special_ii"] = bound_special(norms, n, "ii")
-        records.append(SweepRecord(**rec))
+        error = float(jb_norm(target - approx(elems, n)))
+        records.append(SweepRecord(scheme, n, error, **bounds_for(scheme, norms, n, special)))
     return records
 
 

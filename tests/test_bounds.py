@@ -4,20 +4,25 @@ Spot values are frozen from a 50-digit mpmath evaluation of the same
 formulas; the engine must reproduce them to 1e-12 relative in float64.
 """
 
+import dataclasses
 import math
 
 import pytest
 from mpmath import mp
 
+from jbtrotter.algebras import AlgebraDescriptor, jb_norm, random_element
 from jbtrotter.trotter import (
     MAX_PLAN_N,
     CapacityError,
     SchemeError,
+    SweepRecord,
     bound_special,
     bound_thm31,
     bound_thm33i,
     bound_thm33ii,
+    bounds_for,
     plan_min_n,
+    sweep,
     tightest_bound,
 )
 from conftest import pauli_pair
@@ -132,6 +137,42 @@ def test_tightest_bound_selection():
                                bound_special(norms, 5, "ii"))
     with pytest.raises(SchemeError):
         tightest_bound("h", norms, 5)
+
+    # bounds_for is the table behind both sweep records and tightest_bound
+    sx, sz = pauli_pair()
+    spin = AlgebraDescriptor("spin", 3)
+    bound_fields = [f.name for f in dataclasses.fields(SweepRecord)][3:]
+    for special, elems in (
+        (True, [sx, sz, sx + sz]),
+        (False, [random_element(spin, seed, 0.6) for seed in (1, 2, 3)]),
+    ):
+        triple_norms = [jb_norm(a) for a in elems]
+        for scheme in ("g", "f", "h"):
+            table = bounds_for(scheme, triple_norms, 4, special)
+            rec = sweep(scheme, elems, [4])[0]
+            present = {f: getattr(rec, f) for f in bound_fields if getattr(rec, f) is not None}
+            assert table == present, (scheme, special)
+            if scheme == "h":
+                assert table == {}
+                with pytest.raises(SchemeError, match="measured"):
+                    tightest_bound(scheme, triple_norms, 4, special)
+            else:
+                assert tightest_bound(scheme, triple_norms, 4, special) == min(table.values())
+    with pytest.raises(SchemeError):
+        bounds_for("q", norms, 5, False)
+
+
+def test_bounds_saturate_to_inf():
+    # e^800, e^900 and (1e103)^3 leave the float range; every bound grows
+    # with S, so inf is still a bound.
+    assert bound_thm31([800.0], 1) == math.inf
+    assert bound_thm31([1e103], 1) == math.inf
+    assert bound_thm33ii([300.0], 1) == math.inf
+    assert bound_special([300.0], 1, "ii") == math.inf
+    assert math.isfinite(bound_thm33i([300.0], 1))
+    assert tightest_bound("f", [300.0], 1) == bound_thm33i([300.0], 1)
+    with pytest.raises(CapacityError):
+        plan_min_n("g", 1e-3, norms=[800.0])
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,40 @@ def test_bad_n_range_exits_2(pauli_instance):
         assert res.stderr.startswith("error[usage]:")
 
 
+def test_bad_numeric_arguments_exit_2(pauli_instance):
+    for argv in (
+        ("plan", "--eps", "nan", "--norms", "1"),
+        ("verify-axioms", "--algebra", "sym:2", "--trials", "0"),
+        ("verify-axioms", "--algebra", "sym:2", "--trials", "5", "--tol", "nan"),
+        ("jets", "--input", pauli_instance, "--tol", "nan"),
+        ("bounds", "--norms", "nan"),
+        ("bounds", "--norms", "1,inf"),
+        ("plan", "--eps", "1e-3", "--norms", "nan"),
+        ("plan", "--eps", "1e-3", "--norms", "inf"),
+    ):
+        res = run_cli(*argv)
+        assert res.returncode == 2, argv
+        assert res.stdout == "", argv
+        err_lines = res.stderr.strip().split("\n")
+        assert len(err_lines) == 1 and err_lines[0].startswith("error[usage]:"), argv
+
+
+def test_overflowing_bounds_read_inf():
+    for argv in (
+        ("bounds", "--norms", "800", "--n", "1,2"),
+        ("bounds", "--norms", "300", "--scheme", "f", "--n", "1,2"),
+        ("bounds", "--norms", "1e103", "--n", "1,2"),
+    ):
+        res = run_cli(*argv)
+        assert res.returncode == 0, (argv, res.stderr)
+        assert res.stderr == ""
+        assert "inf" in res.stdout.split("\n")[1].split(","), argv
+    res = run_cli("plan", "--norms", "800", "--eps", "1e-3")
+    assert res.returncode == 5
+    assert len(res.stderr.strip().split("\n")) == 1
+    assert res.stderr.startswith("error[capacity]:")
+
+
 def test_bounds_rejects_scheme_h():
     res = run_cli("bounds", "--norms", "1,1", "--scheme", "h")
     assert res.returncode == 2
