@@ -169,26 +169,23 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
 # constructors
 
 
-def sym_element(matrix, tol: float = CONSTRUCTION_TOL) -> Element:
-    m = np.array(matrix, dtype=float)
+def _matrix_element(kind: str, dtype, symmetry: str, matrix, tol: float) -> Element:
+    m = np.array(matrix, dtype=dtype)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    _require_finite(m, "sym payload")
+    _require_finite(m, f"{kind} payload")
     scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > tol * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    return Element(AlgebraDescriptor("sym", m.shape[0]), 0.5 * (m + m.T))
+    if np.abs(m - m.conj().T).max() > tol * scale:
+        raise ValueError(f"matrix is not {symmetry} within tolerance")
+    return Element(AlgebraDescriptor(kind, m.shape[0]), 0.5 * (m + m.conj().T))
+
+
+def sym_element(matrix, tol: float = CONSTRUCTION_TOL) -> Element:
+    return _matrix_element("sym", float, "symmetric", matrix, tol)
 
 
 def herm_element(matrix, tol: float = CONSTRUCTION_TOL) -> Element:
-    m = np.array(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    _require_finite(m.view(float), "herm payload")
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.conj().T).max() > tol * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return Element(AlgebraDescriptor("herm", m.shape[0]), 0.5 * (m + m.conj().T))
+    return _matrix_element("herm", complex, "Hermitian", matrix, tol)
 
 
 def spin_element(s: float, v) -> Element:
@@ -232,10 +229,8 @@ def zero(descriptor: AlgebraDescriptor) -> Element:
 
 def unit(descriptor: AlgebraDescriptor) -> Element:
     kind, d = descriptor.kind, descriptor.dim
-    if kind == "sym":
-        return Element(descriptor, np.eye(d))
-    if kind == "herm":
-        return Element(descriptor, np.eye(d, dtype=complex))
+    if kind in ("sym", "herm"):
+        return Element(descriptor, np.eye(d, dtype=_payload_dtype(descriptor)))
     if kind == "spin":
         data = np.zeros(d + 1)
         data[0] = 1.0
@@ -278,10 +273,7 @@ def jordan_mul(a: Element, b: Element) -> Element:
     """Jordan product.  Commutative, not associative."""
     _check_same(a, b)
     kind = a.descriptor.kind
-    if kind == "sym":
-        p = a.data @ b.data + b.data @ a.data
-        return Element(a.descriptor, 0.25 * (p + p.T))
-    if kind == "herm":
+    if kind in ("sym", "herm"):
         p = a.data @ b.data + b.data @ a.data
         return Element(a.descriptor, 0.25 * (p + p.conj().T))
     if kind == "spin":
@@ -411,8 +403,6 @@ def exp_spectral(a: Element) -> Element:
     if kind in ("sym", "herm"):
         w, v = np.linalg.eigh(a.data)
         e = (v * np.exp(w)) @ v.conj().T
-        if kind == "sym":
-            return Element(a.descriptor, 0.5 * (e.real + e.real.T))
         return Element(a.descriptor, 0.5 * (e + e.conj().T))
     if kind == "spin":
         s, v = float(a.data[0]), a.data[1:]
@@ -476,11 +466,11 @@ def random_element(descriptor: AlgebraDescriptor, seed: int, target_norm: float 
         raise ValueError("target_norm must be positive")
     rng = np.random.default_rng(seed)
     kind, d = descriptor.kind, descriptor.dim
-    if kind == "sym":
+    if kind in ("sym", "herm"):
+        # Seeded elements depend on the draw order: real part, then imaginary.
         m = rng.standard_normal((d, d))
-        elem = Element(descriptor, 0.5 * (m + m.T))
-    elif kind == "herm":
-        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        if kind == "herm":
+            m = m + 1j * rng.standard_normal((d, d))
         elem = Element(descriptor, 0.5 * (m + m.conj().T))
     elif kind == "spin":
         elem = Element(descriptor, rng.standard_normal(d + 1))

@@ -3,9 +3,12 @@
 Subcommands: verify-axioms, sweep, bounds, plan, jets, demo.  Output is
 deterministic byte for byte given the same inputs and seed: floats are
 serialized with the shortest round-tripping representation and row order
-is fixed by the request.  Every failure path prints a single line to
-stderr of the form ``error[<kind>]: <reason>`` and exits with the code
-for that kind: 2 usage, 3 input, 4 verification failure, 5 capacity.
+is fixed by the request.  JSON output is strict: a non-finite value is
+written as the string "inf", "-inf" or "nan", and null means a bound does
+not apply.  Every failure path prints a single line to stderr of the form
+``error[<kind>]: <reason>`` and exits with the code for that kind: 2
+usage, 3 input (including an instance whose exponential of the sum
+overflows), 4 verification failure, 5 capacity.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .trotter import (
     SCHEMES,
     CapacityError,
     DegenerateDecayError,
+    NonFiniteError,
     SchemeError,
     SweepRecord,
     bounds_for,
@@ -164,111 +168,92 @@ def _emit(text: str, output) -> None:
 
 
 # ---------------------------------------------------------------------------
-# serialization of record tables
+# serialization of row tables
+#
+# A row is a dict from column name to value; a bound that does not apply is
+# absent or None.  ``orders`` maps each scheme to its empirical order text.
 
 
-def _record_cell(rec, column):
-    return getattr(rec, column) if hasattr(rec, column) else rec.get(column)
+def _cell(column, value, missing: str) -> str:
+    if value is None:
+        return missing
+    if column in ("scheme", "n"):
+        return str(value)
+    return _fmt(value)
 
 
-def _records_csv(records, columns, trailer_comments=()) -> str:
+def _json_value(column, value):
+    # Strict JSON has no token for inf or nan, so those become strings.
+    if value is None or column in ("scheme", "n") or math.isfinite(value):
+        return value
+    return _fmt(value)
+
+
+def _records_csv(rows, columns, orders) -> str:
     lines = [",".join(columns)]
-    for rec in records:
-        row = []
-        for col in columns:
-            val = _record_cell(rec, col)
-            if val is None:
-                row.append("")
-            elif col in ("scheme",):
-                row.append(str(val))
-            elif col == "n":
-                row.append(str(int(val)))
-            else:
-                row.append(_fmt(val))
-        lines.append(",".join(row))
-    lines.extend(f"# {comment}" for comment in trailer_comments)
+    lines.extend(",".join(_cell(c, row.get(c), "") for c in columns) for row in rows)
+    lines.extend(f"# empirical_order {s} {v}" for s, v in orders.items())
     return "\n".join(lines) + "\n"
 
 
-def _records_json(records, columns, extra=None) -> str:
-    rows = []
-    for rec in records:
-        row = {}
-        for col in columns:
-            val = _record_cell(rec, col)
-            if col == "scheme":
-                row[col] = str(val)
-            elif col == "n":
-                row[col] = int(val)
-            else:
-                row[col] = None if val is None else float(val)
-        rows.append(row)
-    doc = {"records": rows}
-    if extra:
-        doc.update(extra)
-    return json.dumps(doc, indent=2) + "\n"
+def _records_json(rows, columns, orders) -> str:
+    doc = {"records": [{c: _json_value(c, row.get(c)) for c in columns} for row in rows]}
+    if orders:
+        doc["empirical_order"] = orders
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _records_plotdata(records, columns, order_lines) -> str:
-    # One whitespace table per scheme; absent bounds become nan so the
-    # column layout never shifts.
-    blocks = []
-    schemes = []
-    for rec in records:
-        s = _record_cell(rec, "scheme")
-        if s not in schemes:
-            schemes.append(s)
+def _plotdata_blocks(rows, columns, orders) -> dict:
+    # One whitespace table per scheme, in order of first appearance; absent
+    # bounds become nan so the column layout never shifts.
     value_columns = [c for c in columns if c != "scheme"]
-    for s in schemes:
-        lines = [f"# scheme {s}"]
-        if s in order_lines:
-            lines.append(f"# empirical_order {order_lines[s]}")
-        lines.append("# " + " ".join(value_columns))
-        for rec in records:
-            if _record_cell(rec, "scheme") != s:
-                continue
-            row = []
-            for col in value_columns:
-                val = _record_cell(rec, col)
-                if col == "n":
-                    row.append(str(int(val)))
-                else:
-                    row.append("nan" if val is None else _fmt(val))
-            lines.append(" ".join(row))
-        blocks.append("\n".join(lines) + "\n")
-    return "\n".join(blocks)
+    blocks = {}
+    for row in rows:
+        s = row["scheme"]
+        if s not in blocks:
+            blocks[s] = [f"# scheme {s}"]
+            if s in orders:
+                blocks[s].append(f"# empirical_order {orders[s]}")
+            blocks[s].append("# " + " ".join(value_columns))
+        blocks[s].append(" ".join(_cell(c, row.get(c), "nan") for c in value_columns))
+    return {s: "\n".join(lines) + "\n" for s, lines in blocks.items()}
 
 
-def _emit_table(records, columns, args, order_lines=None) -> None:
-    order_lines = order_lines or {}
-    fmt = args.out
-    if fmt == "csv":
-        comments = [f"empirical_order {s} {v}" for s, v in order_lines.items()]
-        _emit(_records_csv(records, columns, comments), args.output)
-    elif fmt == "json":
-        extra = {"empirical_order": order_lines} if order_lines else None
-        _emit(_records_json(records, columns, extra), args.output)
+def _emit_table(rows, columns, args, orders) -> None:
+    if args.out == "csv":
+        _emit(_records_csv(rows, columns, orders), args.output)
+    elif args.out == "json":
+        _emit(_records_json(rows, columns, orders), args.output)
     else:
-        text = _records_plotdata(records, columns, order_lines)
-        if args.output is None:
-            sys.stdout.write(text)
+        blocks = _plotdata_blocks(rows, columns, orders)
+        if args.output is None or len(blocks) == 1:
+            _emit("\n".join(blocks.values()), args.output)
         else:
-            schemes = []
-            for rec in records:
-                s = _record_cell(rec, "scheme")
-                if s not in schemes:
-                    schemes.append(s)
-            if len(schemes) == 1:
-                _emit(text, args.output)
-            else:
-                root, ext = os.path.splitext(args.output)
-                for s in schemes:
-                    only = [r for r in records if _record_cell(r, "scheme") == s]
-                    sub = {s: order_lines[s]} if s in order_lines else {}
-                    _emit(
-                        _records_plotdata(only, columns, sub),
-                        f"{root}.{s}{ext}",
-                    )
+            root, ext = os.path.splitext(args.output)
+            for s, text in blocks.items():
+                _emit(text, f"{root}.{s}{ext}")
+
+
+def _sweeps(schemes, elements, ns):
+    """Sweep rows of every scheme, in order, and each scheme's empirical order."""
+    rows, orders = [], {}
+    for scheme in schemes:
+        records = sweep(scheme, elements, ns)
+        rows.extend(dataclasses.asdict(r) for r in records)
+        try:
+            orders[scheme] = _fmt(empirical_order(records))
+        except DegenerateDecayError:
+            orders[scheme] = "commuting-or-floor"
+        except ValueError:
+            orders[scheme] = "n/a"
+    return rows, orders
+
+
+def _plan_report(n_min: int, label: str, value_at, out) -> None:
+    out.write(f"n_min {n_min}\n")
+    out.write(f"{label}({n_min}) {_fmt(value_at(n_min))}\n")
+    prev = _fmt(value_at(n_min - 1)) if n_min > 1 else "n/a"
+    out.write(f"{label}({n_min - 1}) {prev}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -309,21 +294,11 @@ def cmd_sweep(args) -> int:
     instance = _sweep_instance(args)
     schemes = _parse_schemes(args.scheme)
     ns = _parse_n_range(args.n)
-    records = []
-    orders = {}
-    for scheme in schemes:
-        try:
-            recs = sweep(scheme, instance.elements, ns)
-        except SchemeError as exc:
-            raise _input_error(str(exc)) from None
-        records.extend(recs)
-        try:
-            orders[scheme] = _fmt(empirical_order(recs))
-        except DegenerateDecayError:
-            orders[scheme] = "commuting-or-floor"
-        except ValueError:
-            orders[scheme] = "n/a"
-    _emit_table(records, SWEEP_COLUMNS, args, orders)
+    try:
+        rows, orders = _sweeps(schemes, instance.elements, ns)
+    except SchemeError as exc:
+        raise _input_error(str(exc)) from None
+    _emit_table(rows, SWEEP_COLUMNS, args, orders)
     return EXIT_OK
 
 
@@ -353,7 +328,7 @@ def cmd_bounds(args) -> int:
         for scheme in schemes
         for n in ns
     ]
-    _emit_table(rows, BOUND_COLUMNS, args)
+    _emit_table(rows, BOUND_COLUMNS, args, {})
     return EXIT_OK
 
 
@@ -368,18 +343,9 @@ def cmd_plan(args) -> int:
         raise _usage_error("--eps must be positive")
     mode = args.mode
     norms, special, instance = _norms_and_specialness(args)
-    out = io.StringIO()
     if mode == "bound":
         n_min = plan_min_n(scheme, args.eps, norms=norms, special=special)
-        out.write(f"scheme {scheme} mode bound eps {_fmt(args.eps)}\n")
-        out.write(f"n_min {n_min}\n")
-        out.write(f"bound({n_min}) {_fmt(tightest_bound(scheme, norms, n_min, special))}\n")
-        prev = (
-            _fmt(tightest_bound(scheme, norms, n_min - 1, special))
-            if n_min > 1
-            else "n/a"
-        )
-        out.write(f"bound({n_min - 1}) {prev}\n")
+        label, value_at = "bound", lambda n: tightest_bound(scheme, norms, n, special)
     else:
         if instance is None:
             raise _usage_error("measured mode needs --input")
@@ -389,15 +355,10 @@ def cmd_plan(args) -> int:
             )
         except SchemeError as exc:
             raise _input_error(str(exc)) from None
-        out.write(f"scheme {scheme} mode measured eps {_fmt(args.eps)}\n")
-        out.write(f"n_min {n_min}\n")
-        out.write(f"error({n_min}) {_fmt(measured_error(scheme, instance.elements, n_min))}\n")
-        prev = (
-            _fmt(measured_error(scheme, instance.elements, n_min - 1))
-            if n_min > 1
-            else "n/a"
-        )
-        out.write(f"error({n_min - 1}) {prev}\n")
+        label, value_at = "error", lambda n: measured_error(scheme, instance.elements, n)
+    out = io.StringIO()
+    out.write(f"scheme {scheme} mode {mode} eps {_fmt(args.eps)}\n")
+    _plan_report(n_min, label, value_at, out)
     _emit(out.getvalue(), args.output)
     return EXIT_OK
 
@@ -462,15 +423,10 @@ def cmd_jets(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _pauli_elements():
-    sx = sym_element([[0.0, 1.0], [1.0, 0.0]])
-    sz = sym_element([[1.0, 0.0], [0.0, -1.0]])
-    return sx, sz
-
-
 def cmd_demo(args) -> int:
     out = io.StringIO()
-    sx, sz = _pauli_elements()
+    sx = sym_element([[0.0, 1.0], [1.0, 0.0]])
+    sz = sym_element([[1.0, 0.0], [0.0, -1.0]])
     out.write(f"jbtrotter demo (version {__version__})\n")
 
     out.write("\n[1] axiom suite on sym:2, 200 trials, seed 0\n")
@@ -480,19 +436,12 @@ def cmd_demo(args) -> int:
 
     out.write("\n[2] sweep of the pauli pair, schemes g and f, n = 1..256\n")
     ns = [2**k for k in range(9)]
-    records = []
-    orders = {}
-    for scheme in ("g", "f"):
-        recs = sweep(scheme, [sx, sz], ns)
-        records.extend(recs)
-        orders[scheme] = _fmt(empirical_order(recs))
-    out.write(_records_csv(records, SWEEP_COLUMNS, [f"empirical_order {s} {v}" for s, v in orders.items()]))
+    rows, orders = _sweeps(("g", "f"), [sx, sz], ns)
+    out.write(_records_csv(rows, SWEEP_COLUMNS, orders))
 
     out.write("\n[3] sweep of the odd triple (sx, sz, sx + sz), scheme h\n")
-    triple = [sx, sz, sx + sz]
-    recs = sweep("h", triple, ns)
-    orders_h = {"h": _fmt(empirical_order(recs))}
-    out.write(_records_csv(recs, SWEEP_COLUMNS, [f"empirical_order h {orders_h['h']}"]))
+    rows, orders = _sweeps(("h",), [sx, sz, sx + sz], ns)
+    out.write(_records_csv(rows, SWEEP_COLUMNS, orders))
 
     out.write("\n[4] jet check of the pauli pair through degree 3\n")
     _jets_report([sx, sz], "pauli-pair", 3, 1e-12, out)
@@ -500,9 +449,7 @@ def cmd_demo(args) -> int:
     out.write("\n[5] step planning for scheme g at eps 1e-4 (norms 1, 1)\n")
     norms = [1.0, 1.0]
     n_min = plan_min_n("g", 1e-4, norms=norms)
-    out.write(f"n_min {n_min}\n")
-    out.write(f"bound({n_min}) {_fmt(tightest_bound('g', norms, n_min))}\n")
-    out.write(f"bound({n_min - 1}) {_fmt(tightest_bound('g', norms, n_min - 1))}\n")
+    _plan_report(n_min, "bound", lambda n: tightest_bound("g", norms, n), out)
     err = measured_error("g", [sx, sz], n_min)
     out.write(f"measured error at n_min {_fmt(err)}\n")
     _emit(out.getvalue(), args.output)
@@ -518,9 +465,8 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common(p, *, output=True):
-        if output:
-            p.add_argument("--output", default=None, help="write to this path instead of stdout")
+    def common(p):
+        p.add_argument("--output", default=None, help="write to this path instead of stdout")
 
     p = sub.add_parser("verify-axioms", help="check the algebra axioms on random pairs")
     p.add_argument("--algebra", help="kind:dim, e.g. sym:6 or albert:3")
@@ -591,6 +537,9 @@ def main(argv=None) -> int:
     except SchemeError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NonFiniteError as exc:
+        print(f"error[input]: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except OSError as exc:
         print(f"error[input]: io: {exc}", file=sys.stderr)
         return EXIT_INPUT

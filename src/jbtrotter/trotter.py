@@ -60,6 +60,10 @@ class CapacityError(RuntimeError):
     """Planner target needs more steps than the supported maximum."""
 
 
+class NonFiniteError(ValueError):
+    """exp of the sum of the elements leaves the float range."""
+
+
 class DegenerateDecayError(ValueError):
     """Errors sit at the floating-point floor, no decay rate to fit.
 
@@ -123,9 +127,16 @@ _APPROX = {"g": approx_g, "f": approx_f, "h": approx_h}
 
 
 def exp_sum(elements) -> Element:
-    """Reference value exp(A_1 + ... + A_m)."""
+    """Reference value exp(A_1 + ... + A_m); ``NonFiniteError`` if it overflows."""
     elems = _check_elements(elements)
-    return exp_spectral(reduce(lambda a, b: a + b, elems))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = exp_spectral(reduce(lambda a, b: a + b, elems))
+    except OverflowError:  # math.exp in the spin and albert closed forms
+        value = None
+    if value is None or not np.isfinite(value.data).all():
+        raise NonFiniteError("exp of the sum of the elements overflows the float range")
+    return value
 
 
 def measured_error(scheme: str, elements, n: int) -> float:

@@ -14,6 +14,8 @@ from jbtrotter.algebras import (
     Element,
     albert_element,
     albert_parts,
+    exp_series,
+    exp_spectral,
     herm_element,
     jb_norm,
     jordan_mul,
@@ -132,6 +134,30 @@ def test_linear_ops_and_scalars():
     assert -(-a) == a
     with pytest.raises(TypeError):
         a * (1.0 + 2.0j)
+
+
+@pytest.mark.parametrize(
+    "desc, dtype",
+    [(AlgebraDescriptor("sym", 3), np.float64), (AlgebraDescriptor("herm", 3), np.complex128)],
+    ids=["sym", "herm"],
+)
+def test_matrix_payload_dtype_is_kept(desc, dtype):
+    # sym and herm share their code paths and differ only in dtype.
+    constructor = sym_element if desc.kind == "sym" else herm_element
+    a = random_element(desc, 3, 0.7)
+    b = random_element(desc, 4, 0.5)
+    results = {
+        "constructor": constructor(np.eye(3)),
+        "unit": unit(desc),
+        "zero": zero(desc),
+        "random_element": a,
+        "add": a + b,
+        "scale": 2.0 * a,
+        "jordan_mul": jordan_mul(a, b),
+        "exp_spectral": exp_spectral(a),
+        "exp_series": exp_series(a),
+    }
+    assert {name: e.data.dtype for name, e in results.items()} == dict.fromkeys(results, dtype)
 
 
 def test_descriptor_mismatch_raises():

@@ -1,6 +1,7 @@
 """CLI behavior through real subprocess runs."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -245,10 +246,38 @@ def test_overflowing_bounds_read_inf():
         assert res.returncode == 0, (argv, res.stderr)
         assert res.stderr == ""
         assert "inf" in res.stdout.split("\n")[1].split(","), argv
+    res = run_cli("bounds", "--norms", "800", "--n", "1,2", "--out", "json")
+    assert res.returncode == 0, res.stderr
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    records = json.loads(res.stdout, parse_constant=reject)["records"]
+    assert [r["bound_thm31"] for r in records] == ["inf", "inf"]
+    assert records[0]["bound_thm33i"] is None
     res = run_cli("plan", "--norms", "800", "--eps", "1e-3")
     assert res.returncode == 5
     assert len(res.stderr.strip().split("\n")) == 1
     assert res.stderr.startswith("error[capacity]:")
+
+
+def test_overflowing_instance_is_one_input_error(tmp_path):
+    path = tmp_path / "overflow.json"
+    path.write_text(
+        json.dumps({"algebra": {"kind": "sym", "dim": 2},
+                    "elements": [[800, 0, 0, 1], [0, 1, 1, 0]]}),
+        encoding="utf-8",
+    )
+    for argv in (
+        ("sweep", "--input", str(path)),
+        ("plan", "--eps", "1e-3", "--mode", "measured", "--input", str(path)),
+    ):
+        res = run_cli(*argv)
+        assert res.returncode == 3, argv
+        assert res.stdout == "", argv
+        err_lines = res.stderr.strip().split("\n")
+        assert len(err_lines) == 1 and err_lines[0].startswith("error[input]:"), argv
+        assert "RuntimeWarning" not in res.stderr, argv
 
 
 def test_bounds_rejects_scheme_h():
@@ -321,6 +350,10 @@ def test_plan_bound_spot_value():
     assert lines[1] == "n_min 96"
     assert lines[2].startswith("bound(96) ")
     assert lines[3].startswith("bound(95) ")
+    # bound(1) = e / 3 is below 1, so one step suffices and there is no n - 1.
+    res = run_cli("plan", "--scheme", "g", "--eps", "1", "--norms", "1")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split("\n")[1:] == ["n_min 1", f"bound(1) {math.exp(1.0) / 3.0!r}", "bound(0) n/a", ""]
 
 
 def test_plan_measured_mode(pauli_instance):
@@ -335,6 +368,15 @@ def test_plan_measured_mode(pauli_instance):
     assert n_min >= 1
     err_at = float(lines[2].split()[1])
     assert err_at <= 1e-3
+    res = run_cli(
+        "plan", "--scheme", "g", "--eps", "10", "--mode", "measured",
+        "--input", pauli_instance,
+    )
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.strip().split("\n")
+    assert lines[1] == "n_min 1"
+    assert float(lines[2].split()[1]) <= 10
+    assert lines[3] == "error(0) n/a"
 
 
 def test_plan_from_instance_marks_special(pauli_instance):

@@ -7,9 +7,11 @@ from jbtrotter.algebras import (
     jb_norm,
     random_element,
     sym_element,
+    unit,
 )
 from jbtrotter.trotter import (
     DegenerateDecayError,
+    NonFiniteError,
     SchemeError,
     SweepRecord,
     approx_f,
@@ -112,6 +114,17 @@ def test_measured_error_decreases():
     errs = [measured_error("g", [a, b], n) for n in (1, 4, 16, 64)]
     assert errs == sorted(errs, reverse=True)
     assert errs[-1] < 1e-3
+
+
+def test_overflowing_exp_sum_raises(descriptor):
+    # Every eigenvalue of the sum is near 800, past the float range of exp.
+    elems = [unit(descriptor) * 800.0, random_element(descriptor, 5, 1.0)]
+    with pytest.raises(NonFiniteError):
+        exp_sum(elems)
+    with pytest.raises(NonFiniteError):
+        measured_error("g", elems, 2)
+    with pytest.raises(NonFiniteError):
+        sweep("f", elems, [1, 2])
 
 
 def test_measured_error_unknown_scheme():
