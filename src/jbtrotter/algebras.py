@@ -42,9 +42,18 @@ CONSTRUCTION_TOL = 1e-12
 # an albert element falls back to the series route.
 DEGENERATE_ROOT_GAP = 1e-6
 
+# Descriptors whose payload would hold more entries than this are refused
+# before anything is allocated (sym:1024 and herm:1024 are the largest
+# square ones).
+MAX_PAYLOAD_ENTRIES = 2**20
+
 
 class DescriptorMismatchError(ValueError):
     """Raised when elements of different algebras are combined."""
+
+
+class CapacityError(RuntimeError):
+    """A request needs more than a supported maximum (payload size, steps)."""
 
 
 @dataclass(frozen=True)
@@ -65,6 +74,11 @@ class AlgebraDescriptor:
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         if self.kind == "albert" and self.dim != 3:
             raise ValueError("albert algebra is fixed at dim 3")
+        entries = math.prod(_payload_shape(self))
+        if entries > MAX_PAYLOAD_ENTRIES:
+            raise CapacityError(
+                f"{self} needs {entries} payload entries, more than {MAX_PAYLOAD_ENTRIES}"
+            )
 
     @property
     def is_special(self) -> bool:
@@ -257,9 +271,23 @@ def _payload_dtype(descriptor: AlgebraDescriptor):
 # products
 
 
+# STRUCTURE as a read-only (8, 64) view: an octonion x times it gives, at
+# column 8 j + k, the coefficient of e_k in x e_j, i.e. the matrix of the
+# left multiplication y -> x y.
+_LEFT_MUL = octonion.STRUCTURE.reshape(8, 64)
+
+
 def _oct_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # (a @ b)[p, q] = sum_c a[p, c] b[c, q] with octonion entry products.
-    return np.einsum("pci,cqj,ijk->pqk", a, b, octonion.STRUCTURE)
+    """(a @ b)[p, q] = sum_c a[p, c] b[c, q] with octonion entry products,
+    for 3x3 payloads stacked over any leading axes.
+
+    One matmul turns every entry a[p, c] into its left-multiplication
+    matrix (exactly: each column picks one signed coefficient), and one
+    batched matmul applies them to the columns of b, summing over (c, j).
+    """
+    lead = a.shape[:-3]
+    left = (a.reshape(-1, 8) @ _LEFT_MUL).reshape(lead + (3, 24, 8))
+    return b.swapaxes(-3, -2).reshape(lead + (1, 3, 24)) @ left
 
 
 def _albert_hermitize(m: np.ndarray) -> np.ndarray:
@@ -280,8 +308,14 @@ def jordan_mul(a: Element, b: Element) -> Element:
         s, v = a.data[0], a.data[1:]
         t, w = b.data[0], b.data[1:]
         return Element(a.descriptor, np.concatenate([[s * t + v @ w], s * w + t * v]))
-    p = _oct_matmul(a.data, b.data) + _oct_matmul(b.data, a.data)
-    return Element(a.descriptor, _albert_hermitize(0.5 * p))
+    if b is a:
+        # 0.5 (X + X) = X exactly, so one octonion matmul gives the same bits.
+        half = _oct_matmul(a.data, a.data)
+    else:
+        # The sum ab + ba, not ab Hermitized alone, keeps the product exactly
+        # commutative: swapping a and b gives the same bits.
+        half = 0.5 * (_oct_matmul(a.data, b.data) + _oct_matmul(b.data, a.data))
+    return Element(a.descriptor, _albert_hermitize(half))
 
 
 def triple_product(a: Element, b: Element, c: Element) -> Element:

@@ -7,8 +7,9 @@ is fixed by the request.  JSON output is strict: a non-finite value is
 written as the string "inf", "-inf" or "nan", and null means a bound does
 not apply.  Every failure path prints a single line to stderr of the form
 ``error[<kind>]: <reason>`` and exits with the code for that kind: 2
-usage, 3 input (including an instance whose exponential of the sum
-overflows), 4 verification failure, 5 capacity.
+usage, 3 input (including an instance whose exponential of the sum or
+of a single element overflows), 4 verification failure, 5 capacity (a
+step count or an algebra payload past its supported maximum).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import os
 import sys
 
 from . import __version__
-from .algebras import jb_norm, parse_descriptor, sym_element
+from .algebras import CapacityError, jb_norm, parse_descriptor, sym_element
 from .axioms import DEFAULT_TOL, run_axiom_suite
 from .instances import InstanceFormatError, ProblemInstance, load_instance
 from .jets import (
@@ -36,7 +37,6 @@ from .jets import (
 )
 from .trotter import (
     SCHEMES,
-    CapacityError,
     DegenerateDecayError,
     NonFiniteError,
     SchemeError,

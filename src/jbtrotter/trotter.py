@@ -36,6 +36,7 @@ from functools import reduce, wraps
 import numpy as np
 
 from .algebras import (
+    CapacityError,
     Element,
     _check_elements,
     exp_spectral,
@@ -56,12 +57,9 @@ class SchemeError(ValueError):
     """Scheme incompatible with the given elements or mode."""
 
 
-class CapacityError(RuntimeError):
-    """Planner target needs more steps than the supported maximum."""
-
-
 class NonFiniteError(ValueError):
-    """exp of the sum of the elements leaves the float range."""
+    """exp of the sum of the elements, or a scheme's product, leaves the
+    float range."""
 
 
 class DegenerateDecayError(ValueError):
@@ -126,24 +124,42 @@ def approx_h(elements, n: int) -> Element:
 _APPROX = {"g": approx_g, "f": approx_f, "h": approx_h}
 
 
-def exp_sum(elements) -> Element:
-    """Reference value exp(A_1 + ... + A_m); ``NonFiniteError`` if it overflows."""
-    elems = _check_elements(elements)
+def _finite(compute, what: str) -> Element:
+    """compute() with numpy overflow warnings silenced; ``NonFiniteError``
+    if its value is not finite."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            value = exp_spectral(reduce(lambda a, b: a + b, elems))
+            value = compute()
     except OverflowError:  # math.exp in the spin and albert closed forms
         value = None
     if value is None or not np.isfinite(value.data).all():
-        raise NonFiniteError("exp of the sum of the elements overflows the float range")
+        raise NonFiniteError(f"{what} overflows the float range")
     return value
+
+
+def exp_sum(elements) -> Element:
+    """Reference value exp(A_1 + ... + A_m); ``NonFiniteError`` if it overflows."""
+    elems = _check_elements(elements)
+    return _finite(
+        lambda: exp_spectral(reduce(lambda a, b: a + b, elems)),
+        "exp of the sum of the elements",
+    )
+
+
+def _error(target: Element, scheme: str, elements, n: int) -> float:
+    # Distance to the reference; a product past the float range (single
+    # elements can overflow exp even when their sum does not) raises.
+    approx = _finite(
+        lambda: _APPROX[scheme](elements, n), f"the scheme {scheme} product at n={n}"
+    )
+    return float(jb_norm(target - approx))
 
 
 def measured_error(scheme: str, elements, n: int) -> float:
     """Algebra-norm distance between the scheme at n and exp of the sum."""
     if scheme not in SCHEMES:
         raise SchemeError(f"unknown scheme {scheme!r}")
-    return jb_norm(exp_sum(elements) - _APPROX[scheme](elements, n))
+    return _error(exp_sum(elements), scheme, elements, n)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +295,7 @@ def plan_min_n(
             raise ValueError("measured mode needs elements")
         elems = _check_elements(elements)
         target = exp_sum(elems)
-        approx = _APPROX[scheme]
-        return _min_n(lambda n: jb_norm(target - approx(elems, n)) <= eps, eps)
+        return _min_n(lambda n: _error(target, scheme, elems, n) <= eps, eps)
     raise ValueError(f"mode must be 'bound' or 'measured', got {mode!r}")
 
 
@@ -318,10 +333,9 @@ def sweep(scheme: str, elements, n_values) -> list[SweepRecord]:
     target = exp_sum(elems)
     norms = [jb_norm(a) for a in elems]
     special = elems[0].descriptor.is_special
-    approx = _APPROX[scheme]
     records = []
     for n in ns:
-        error = float(jb_norm(target - approx(elems, n)))
+        error = _error(target, scheme, elems, n)
         records.append(SweepRecord(scheme, n, error, **bounds_for(scheme, norms, n, special)))
     return records
 

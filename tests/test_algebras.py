@@ -8,8 +8,11 @@ inside it (octonion coordinates 0 and 1 only).
 import numpy as np
 import pytest
 
+from jbtrotter import algebras, octonion
 from jbtrotter.algebras import (
+    MAX_PAYLOAD_ENTRIES,
     AlgebraDescriptor,
+    CapacityError,
     DescriptorMismatchError,
     Element,
     albert_element,
@@ -70,6 +73,17 @@ def test_parse_descriptor_albert_shorthand():
 def test_parse_descriptor_rejects(bad):
     with pytest.raises(ValueError):
         parse_descriptor(bad)
+
+
+def test_descriptor_payload_cap():
+    # Checked on the descriptor alone, so nothing of that size is allocated.
+    assert AlgebraDescriptor("sym", 1024).dim == 1024
+    assert AlgebraDescriptor("spin", MAX_PAYLOAD_ENTRIES - 1).dim == MAX_PAYLOAD_ENTRIES - 1
+    for kind, dim in (("sym", 1025), ("herm", 100000), ("spin", MAX_PAYLOAD_ENTRIES)):
+        with pytest.raises(CapacityError, match=f"{kind}:{dim}"):
+            AlgebraDescriptor(kind, dim)
+    with pytest.raises(CapacityError):
+        parse_descriptor("sym:100000")
 
 
 def test_is_special_flag():
@@ -211,6 +225,40 @@ def test_albert_product_matches_embedded_sym3():
 def test_commutativity_all_families(descriptor):
     a, b = seeded_elements(descriptor, 2, 11)
     assert jb_norm(jordan_mul(a, b) - jordan_mul(b, a)) == 0.0
+
+
+def test_albert_product_matches_entrywise_octonion_reference():
+    # octonion.mul is itself checked against the hand-derived table.
+    for seed in range(8):
+        ea, eb = seeded_elements(AlgebraDescriptor("albert", 3), 2, seed)
+        a, b = ea.data, eb.data
+        want = np.zeros((3, 3, 8))
+        for p in range(3):
+            for q in range(3):
+                for c in range(3):
+                    want[p, q] += octonion.mul(a[p, c], b[c, q]) + octonion.mul(b[p, c], a[c, q])
+        want *= 0.5
+        got = jordan_mul(ea, eb).data
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_albert_kernel_stacks_bit_for_bit():
+    # A stacked octonion matmul gives each pair's bits exactly.
+    desc = AlgebraDescriptor("albert", 3)
+    xs = np.stack([random_element(desc, 40 + k).data for k in range(5)])
+    ys = np.stack([random_element(desc, 80 + k).data for k in range(5)])
+    stacked = algebras._oct_matmul(xs, ys)
+    nested = algebras._oct_matmul(np.stack([xs, ys]), np.stack([ys, xs]))
+    for k in range(5):
+        assert np.array_equal(stacked[k], algebras._oct_matmul(xs[k], ys[k]))
+        assert np.array_equal(nested[0, k], stacked[k])
+        assert np.array_equal(nested[1, k], algebras._oct_matmul(ys[k], xs[k]))
+
+
+def test_albert_square_takes_the_same_bits_as_a_product_of_copies():
+    a = random_element(AlgebraDescriptor("albert", 3), 17)
+    copy = Element(a.descriptor, a.data.copy())
+    assert np.array_equal(jordan_mul(a, a).data, jordan_mul(a, copy).data)
 
 
 def test_unit_is_identity(descriptor):

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from jbtrotter import cli
 from jbtrotter.algebras import AlgebraDescriptor, random_element
 from jbtrotter.instances import ProblemInstance, save_instance
 
@@ -262,22 +263,52 @@ def test_overflowing_bounds_read_inf():
 
 
 def test_overflowing_instance_is_one_input_error(tmp_path):
-    path = tmp_path / "overflow.json"
+    docs = (
+        # exp of the sum overflows
+        {"algebra": {"kind": "sym", "dim": 2}, "elements": [[800, 0, 0, 1], [0, 1, 1, 0]]},
+        # the sums are finite, exp of the single elements overflows
+        {"algebra": {"kind": "sym", "dim": 2}, "elements": [[800, 0, 0, 1], [-800, 1, 1, 0]]},
+        {"algebra": {"kind": "spin", "dim": 1},
+         "elements": [{"s": 800, "v": [1]}, {"s": -800, "v": [0]}]},
+    )
+    for k, doc in enumerate(docs):
+        path = tmp_path / f"overflow{k}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (
+            ("sweep", "--input", str(path)),
+            ("plan", "--eps", "1e-3", "--mode", "measured", "--input", str(path)),
+        ):
+            res = run_cli(*argv)
+            assert res.returncode == 3, argv
+            assert res.stdout == "", argv
+            err_lines = res.stderr.strip().split("\n")
+            assert len(err_lines) == 1 and err_lines[0].startswith("error[input]:"), argv
+            assert "RuntimeWarning" not in res.stderr, argv
+
+
+def test_oversize_algebra_is_a_capacity_error(tmp_path, monkeypatch, capsys):
+    # The cap is checked before any payload exists: reaching the axiom
+    # suite fails the test instead of allocating.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an oversize algebra got past the payload cap")
+
+    monkeypatch.setattr(cli, "run_axiom_suite", unreachable)
+    path = tmp_path / "big.json"
     path.write_text(
-        json.dumps({"algebra": {"kind": "sym", "dim": 2},
-                    "elements": [[800, 0, 0, 1], [0, 1, 1, 0]]}),
+        json.dumps({"algebra": {"kind": "sym", "dim": 100000}, "elements": [[1.0]]}),
         encoding="utf-8",
     )
     for argv in (
+        ("verify-axioms", "--algebra", "sym:100000"),
+        ("verify-axioms", "--algebra", "herm:1025", "--trials", "1"),
+        ("bounds", "--norms", "1,1", "--algebra", "spin:2000000"),
         ("sweep", "--input", str(path)),
-        ("plan", "--eps", "1e-3", "--mode", "measured", "--input", str(path)),
     ):
-        res = run_cli(*argv)
-        assert res.returncode == 3, argv
-        assert res.stdout == "", argv
-        err_lines = res.stderr.strip().split("\n")
-        assert len(err_lines) == 1 and err_lines[0].startswith("error[input]:"), argv
-        assert "RuntimeWarning" not in res.stderr, argv
+        assert cli.main(list(argv)) == 5, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        err_lines = err.strip().split("\n")
+        assert len(err_lines) == 1 and err_lines[0].startswith("error[capacity]:"), argv
 
 
 def test_bounds_rejects_scheme_h():

@@ -20,6 +20,7 @@ from jbtrotter.trotter import (
     empirical_order,
     exp_sum,
     measured_error,
+    plan_min_n,
     sweep,
 )
 from assoc_oracle import (
@@ -125,6 +126,15 @@ def test_overflowing_exp_sum_raises(descriptor):
         measured_error("g", elems, 2)
     with pytest.raises(NonFiniteError):
         sweep("f", elems, [1, 2])
+    # The sum is finite, but exp of the single elements overflows at n = 1.
+    elems = [unit(descriptor) * 800.0, unit(descriptor) * -800.0 + elems[1]]
+    assert np.isfinite(exp_sum(elems).data).all()
+    with pytest.raises(NonFiniteError, match="scheme g product at n=1"):
+        measured_error("g", elems, 1)
+    with pytest.raises(NonFiniteError):
+        sweep("f", elems, [1, 256])
+    with pytest.raises(NonFiniteError):
+        plan_min_n("g", 1e-3, elements=elems, mode="measured")
 
 
 def test_measured_error_unknown_scheme():
