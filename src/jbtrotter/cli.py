@@ -5,11 +5,19 @@ deterministic byte for byte given the same inputs and seed: floats are
 serialized with the shortest round-tripping representation and row order
 is fixed by the request.  JSON output is strict: a non-finite value is
 written as the string "inf", "-inf" or "nan", and null means a bound does
-not apply.  Every failure path prints a single line to stderr of the form
+not apply.
+
+Arguments are checked as they are parsed: --eps and --tol must be finite
+and positive, and --seed (default $JBTROTTER_SEED, else 0) an integer
+>= 0.  --trials above 10^6, --degree above 32, a step count in --n above
+2^30 and an algebra payload above 2^20 entries are capacity errors.
+
+Every failure path prints a single line to stderr of the form
 ``error[<kind>]: <reason>`` and exits with the code for that kind: 2
-usage, 3 input (including an instance whose exponential of the sum or
-of a single element overflows), 4 verification failure, 5 capacity (a
-step count or an algebra payload past its supported maximum).
+usage, 3 input (an unreadable, malformed or rejected instance, or any
+computation that overflows the float range), 4 verification failure, 5
+capacity (a request past one of the limits above, or a plan that needs
+more than 2^30 steps).
 """
 
 from __future__ import annotations
@@ -22,10 +30,12 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .algebras import CapacityError, jb_norm, parse_descriptor, sym_element
 from .axioms import DEFAULT_TOL, run_axiom_suite
-from .instances import InstanceFormatError, ProblemInstance, load_instance
+from .instances import InstanceFormatError, load_instance
 from .jets import (
     DEFAULT_DEGREE,
     inverse_sandwich_defect_jet,
@@ -36,10 +46,9 @@ from .jets import (
     symmetrized_step_jet,
 )
 from .trotter import (
+    MAX_PLAN_N,
     SCHEMES,
     DegenerateDecayError,
-    NonFiniteError,
-    SchemeError,
     SweepRecord,
     bounds_for,
     empirical_order,
@@ -55,68 +64,89 @@ EXIT_INPUT = 3
 EXIT_VERIFY = 4
 EXIT_CAPACITY = 5
 
+# Largest accepted counts; a larger one is a capacity error.  Step counts
+# in --n share the planner's limit, MAX_PLAN_N.
+MAX_TRIALS = 10**6
+MAX_DEGREE = 32
+JETS_TOL = 1e-12
+
 SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRecord))
 BOUND_COLUMNS = SWEEP_COLUMNS[:2] + SWEEP_COLUMNS[3:]
 
 
-class CliError(Exception):
-    def __init__(self, kind: str, message: str, code: int):
-        super().__init__(message)
-        self.kind = kind
-        self.code = code
-
-
-def _usage_error(message: str) -> CliError:
-    return CliError("usage", message, EXIT_USAGE)
-
-
-def _input_error(message: str) -> CliError:
-    return CliError("input", message, EXIT_INPUT)
+class UsageError(Exception):
+    """The command line is wrong; exit 2."""
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse prints two lines by default; errors here must be one line.
     def error(self, message):
-        raise _usage_error(message)
+        raise UsageError(message)
 
 
 def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _parse_n_range(text: str) -> list[int]:
-    """Accept "16", "1,2,4", or geometric "start:stop:xFACTOR"."""
-    def to_int(tok, what):
+# ---------------------------------------------------------------------------
+# argument converters (argparse ``type=``)
+#
+# A malformed value raises ``ArgumentTypeError``, which the parser reports
+# as a usage error naming the option; a value past a limit raises
+# ``CapacityError``, which passes through the parser.
+
+
+def _count(what: str, low: int, high: int | None = None):
+    """Converter to an integer >= low; above high is a capacity error."""
+
+    def convert(text: str) -> int:
         try:
-            value = int(tok)
+            value = int(text)
         except ValueError:
-            raise _usage_error(f"{what} {tok!r} is not an integer") from None
-        if value < 1:
-            raise _usage_error(f"{what} must be >= 1, got {value}")
+            raise argparse.ArgumentTypeError(f"{what} {text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise CapacityError(f"{what} {value} is above the supported maximum {high}")
         return value
 
+    return convert
+
+
+def _positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
+def _parse_n_range(text: str) -> list[int]:
+    """Accept "16", "1,2,4", or geometric "start:stop:xFACTOR"."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3 or not parts[2].startswith("x"):
-            raise _usage_error(f"range {text!r} must look like start:stop:xFACTOR")
-        start = to_int(parts[0], "range start")
-        stop = to_int(parts[1], "range stop")
-        factor = to_int(parts[2][1:], "range factor")
-        if factor < 2:
-            raise _usage_error("range factor must be >= 2")
+            raise argparse.ArgumentTypeError(f"range {text!r} must look like start:stop:xFACTOR")
+        start = _count("range start", 1)(parts[0])
+        stop = _count("range stop", 1)(parts[1])
+        factor = _count("range factor", 2)(parts[2][1:])
         if stop < start:
-            raise _usage_error("range stop must be >= start")
-        out = []
+            raise argparse.ArgumentTypeError("range stop must be >= start")
+        values = []
         n = start
         while n <= stop:
-            out.append(n)
+            values.append(n)
             n *= factor
-        return out
-    values = [to_int(tok, "step count") for tok in text.split(",") if tok]
-    if not values:
-        raise _usage_error(f"no step counts in {text!r}")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise _usage_error("step counts must be strictly increasing")
+    else:
+        values = [_count("step count", 1)(tok) for tok in text.split(",") if tok]
+        if not values:
+            raise argparse.ArgumentTypeError(f"no step counts in {text!r}")
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise argparse.ArgumentTypeError("step counts must be strictly increasing")
+    if values[-1] > MAX_PLAN_N:
+        raise CapacityError(f"step count {values[-1]} is above the supported maximum {MAX_PLAN_N}")
     return values
 
 
@@ -124,9 +154,9 @@ def _parse_schemes(text: str) -> list[str]:
     schemes = [tok for tok in text.split(",") if tok]
     for s in schemes:
         if s not in SCHEMES:
-            raise _usage_error(f"unknown scheme {s!r} (expected g, f or h)")
+            raise argparse.ArgumentTypeError(f"unknown scheme {s!r} (expected g, f or h)")
     if not schemes:
-        raise _usage_error("no schemes given")
+        raise argparse.ArgumentTypeError("no schemes given")
     return schemes
 
 
@@ -134,29 +164,17 @@ def _parse_norms(text: str) -> list[float]:
     try:
         norms = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
-        raise _usage_error(f"--norms must be comma-separated numbers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not comma-separated numbers: {text!r}") from None
     if not norms or not all(math.isfinite(v) and v >= 0 for v in norms):
-        raise _usage_error("--norms needs one or more finite nonnegative numbers")
+        raise argparse.ArgumentTypeError("needs one or more finite nonnegative numbers")
     return norms
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("JBTROTTER_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise _usage_error(f"JBTROTTER_SEED={env!r} is not an integer") from None
 
 
 def _descriptor_arg(text: str):
     try:
         return parse_descriptor(text)
     except ValueError as exc:
-        raise _usage_error(str(exc)) from None
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit(text: str, output) -> None:
@@ -261,18 +279,11 @@ def _plan_report(n_min: int, label: str, value_at, out) -> None:
 
 
 def cmd_verify_axioms(args) -> int:
-    if args.algebra is None:
-        raise _usage_error("verify-axioms needs --algebra kind:dim")
-    desc = _descriptor_arg(args.algebra)
-    seed = _resolve_seed(args)
-    if args.trials < 1:
-        raise _usage_error("--trials must be at least 1")
-    tol_scale = (args.tol / DEFAULT_TOL) if args.tol is not None else 1.0
-    if not tol_scale > 0:
-        raise _usage_error("--tol must be positive")
-    results = run_axiom_suite(desc, trials=args.trials, seed=seed, tol_scale=tol_scale)
+    results = run_axiom_suite(
+        args.algebra, trials=args.trials, seed=args.seed, tol_scale=args.tol / DEFAULT_TOL
+    )
     out = io.StringIO()
-    out.write(f"algebra {desc} trials {args.trials} seed {seed}\n")
+    out.write(f"algebra {args.algebra} trials {args.trials} seed {args.seed}\n")
     for res in results:
         status = "pass" if res.passed else "FAIL"
         out.write(
@@ -284,20 +295,9 @@ def cmd_verify_axioms(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _sweep_instance(args) -> ProblemInstance:
-    if args.input is None:
-        raise _usage_error("this command needs --input PATH")
-    return load_instance(args.input)
-
-
 def cmd_sweep(args) -> int:
-    instance = _sweep_instance(args)
-    schemes = _parse_schemes(args.scheme)
-    ns = _parse_n_range(args.n)
-    try:
-        rows, orders = _sweeps(schemes, instance.elements, ns)
-    except SchemeError as exc:
-        raise _input_error(str(exc)) from None
+    instance = load_instance(args.input)
+    rows, orders = _sweeps(args.scheme, instance.elements, args.n)
     _emit_table(rows, SWEEP_COLUMNS, args, orders)
     return EXIT_OK
 
@@ -308,56 +308,47 @@ def _norms_and_specialness(args):
         norms = [jb_norm(e) for e in instance.elements]
         return norms, instance.algebra.is_special, instance
     if args.norms is None:
-        raise _usage_error("need --norms or --input to fix element norms")
-    norms = _parse_norms(args.norms)
-    special = False
-    if args.algebra is not None:
-        special = _descriptor_arg(args.algebra).is_special
-    return norms, special, None
+        raise UsageError("need --norms or --input to fix element norms")
+    special = args.algebra is not None and args.algebra.is_special
+    return args.norms, special, None
+
+
+def _check_closed_form(schemes) -> None:
+    # Asking for the bound of a scheme that has none is a usage error; any
+    # other SchemeError is the input's fault.
+    for s in schemes:
+        if not bounds_for(s, [], 1, False):
+            raise UsageError(
+                f"scheme {s!r} has no closed-form bound; use sweep or plan --mode measured"
+            )
 
 
 def cmd_bounds(args) -> int:
-    schemes = _parse_schemes(args.scheme)
-    for s in schemes:
-        if s == "h":
-            raise _usage_error("scheme h has no closed-form bound")
+    _check_closed_form(args.scheme)
     norms, special, _ = _norms_and_specialness(args)
-    ns = _parse_n_range(args.n)
     rows = [
         {"scheme": scheme, "n": n, **bounds_for(scheme, norms, n, special)}
-        for scheme in schemes
-        for n in ns
+        for scheme in args.scheme
+        for n in args.n
     ]
     _emit_table(rows, BOUND_COLUMNS, args, {})
     return EXIT_OK
 
 
 def cmd_plan(args) -> int:
-    schemes = _parse_schemes(args.scheme)
-    if len(schemes) != 1:
-        raise _usage_error("plan takes exactly one scheme")
-    scheme = schemes[0]
-    if args.eps is None:
-        raise _usage_error("plan needs --eps")
-    if not args.eps > 0:
-        raise _usage_error("--eps must be positive")
-    mode = args.mode
+    scheme, eps = args.scheme, args.eps
     norms, special, instance = _norms_and_specialness(args)
-    if mode == "bound":
-        n_min = plan_min_n(scheme, args.eps, norms=norms, special=special)
+    if args.mode == "bound":
+        _check_closed_form([scheme])
+        n_min = plan_min_n(scheme, eps, norms=norms, special=special)
         label, value_at = "bound", lambda n: tightest_bound(scheme, norms, n, special)
     else:
         if instance is None:
-            raise _usage_error("measured mode needs --input")
-        try:
-            n_min = plan_min_n(
-                scheme, args.eps, elements=instance.elements, mode="measured"
-            )
-        except SchemeError as exc:
-            raise _input_error(str(exc)) from None
+            raise UsageError("measured mode needs --input")
+        n_min = plan_min_n(scheme, eps, elements=instance.elements, mode="measured")
         label, value_at = "error", lambda n: measured_error(scheme, instance.elements, n)
     out = io.StringIO()
-    out.write(f"scheme {scheme} mode {mode} eps {_fmt(args.eps)}\n")
+    out.write(f"scheme {scheme} mode {args.mode} eps {_fmt(eps)}\n")
     _plan_report(n_min, label, value_at, out)
     _emit(out.getvalue(), args.output)
     return EXIT_OK
@@ -376,9 +367,9 @@ def _jets_report(elements, label, degree, tol, out) -> bool:
     h_jet = symmetrized_step_jet(elements, degree)
     u_jet = inverse_sandwich_defect_jet(elements, degree)
     checks = [
-        ("product-step", d_jet, reference, min(2, degree)),
-        ("symmetrized-step", h_jet, reference, min(2, degree)),
-        ("inverse-sandwich-defect", u_jet, nil, min(1, degree)),
+        ("product-step", d_jet, reference, 2),
+        ("symmetrized-step", h_jet, reference, 2),
+        ("inverse-sandwich-defect", u_jet, nil, 1),
     ]
     out.write(f"instance {label} elements {len(elements)} degree {degree}\n")
     ok = True
@@ -396,9 +387,8 @@ def _jets_report(elements, label, degree, tol, out) -> bool:
             out.write(f"degree-3 gap {name} {_fmt(gap)}\n")
     # The defect jet also vanishes at degree 2 (the half-step wrappers cancel
     # the sum through second order); degree 3 is its leading term.
-    if degree >= 2:
-        mag = jb_norm(u_jet.coefficients[2])
-        out.write(f"degree-2 magnitude inverse-sandwich-defect {_fmt(mag)}\n")
+    mag = jb_norm(u_jet.coefficients[2])
+    out.write(f"degree-2 magnitude inverse-sandwich-defect {_fmt(mag)}\n")
     if degree >= 3:
         mag = jb_norm(u_jet.coefficients[3])
         out.write(f"degree-3 magnitude inverse-sandwich-defect {_fmt(mag)}\n")
@@ -407,18 +397,10 @@ def _jets_report(elements, label, degree, tol, out) -> bool:
 
 
 def cmd_jets(args) -> int:
-    instance = _sweep_instance(args)
-    if len(instance.elements) < 2:
-        raise _input_error("jet checks need an instance with at least 2 elements")
-    degree = args.degree
-    if degree < 2:
-        raise _usage_error("--degree must be at least 2")
-    tol = args.tol if args.tol is not None else 1e-12
-    if not tol > 0:
-        raise _usage_error("--tol must be positive")
+    instance = load_instance(args.input)
     out = io.StringIO()
-    label = instance.label or str(args.input)
-    ok = _jets_report(list(instance.elements), label, degree, tol, out)
+    label = instance.label or args.input
+    ok = _jets_report(list(instance.elements), label, args.degree, args.tol, out)
     _emit(out.getvalue(), args.output)
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -444,7 +426,7 @@ def cmd_demo(args) -> int:
     out.write(_records_csv(rows, SWEEP_COLUMNS, orders))
 
     out.write("\n[4] jet check of the pauli pair through degree 3\n")
-    _jets_report([sx, sz], "pauli-pair", 3, 1e-12, out)
+    _jets_report([sx, sz], "pauli-pair", 3, JETS_TOL, out)
 
     out.write("\n[5] step planning for scheme g at eps 1e-4 (norms 1, 1)\n")
     norms = [1.0, 1.0]
@@ -463,51 +445,68 @@ def cmd_demo(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="jbtrotter", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     def common(p):
         p.add_argument("--output", default=None, help="write to this path instead of stdout")
 
     p = sub.add_parser("verify-axioms", help="check the algebra axioms on random pairs")
-    p.add_argument("--algebra", help="kind:dim, e.g. sym:6 or albert:3")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None, help="identity tolerance (default 1e-10)")
+    p.add_argument(
+        "--algebra", required=True, type=_descriptor_arg, help="kind:dim, e.g. sym:6 or albert:3"
+    )
+    p.add_argument("--trials", type=_count("trial count", 1, MAX_TRIALS), default=1000)
+    p.add_argument(
+        "--seed",
+        type=_count("seed", 0),
+        default=os.environ.get("JBTROTTER_SEED", "0"),
+        help="default: $JBTROTTER_SEED, else 0",
+    )
+    p.add_argument(
+        "--tol", type=_positive, default=DEFAULT_TOL, help="identity tolerance (default 1e-10)"
+    )
     common(p)
     p.set_defaults(func=cmd_verify_axioms)
 
     p = sub.add_parser("sweep", help="measured error and bounds over a range of n")
-    p.add_argument("--input", help="instance JSON path")
-    p.add_argument("--scheme", default="g", help="comma list from g,f,h")
-    p.add_argument("--n", default="1:256:x2", help='"16", "1,2,4" or "start:stop:xF"')
+    p.add_argument("--input", required=True, help="instance JSON path")
+    p.add_argument("--scheme", type=_parse_schemes, default="g", help="comma list from g,f,h")
+    p.add_argument(
+        "--n", type=_parse_n_range, default="1:256:x2", help='"16", "1,2,4" or "start:stop:xF"'
+    )
     p.add_argument("--out", choices=("csv", "json", "plotdata"), default="csv")
     common(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bounds", help="closed-form bound table, no measurement")
-    p.add_argument("--norms", help="comma list of element norms")
+    p.add_argument("--norms", type=_parse_norms, help="comma list of element norms")
     p.add_argument("--input", help="instance JSON path (norms taken from it)")
-    p.add_argument("--algebra", help="kind:dim, marks special families for sharpened bounds")
-    p.add_argument("--scheme", default="g", help="comma list from g,f")
-    p.add_argument("--n", default="1:256:x2")
+    p.add_argument(
+        "--algebra",
+        type=_descriptor_arg,
+        help="kind:dim, marks special families for sharpened bounds",
+    )
+    p.add_argument("--scheme", type=_parse_schemes, default="g", help="comma list from g,f")
+    p.add_argument("--n", type=_parse_n_range, default="1:256:x2")
     p.add_argument("--out", choices=("csv", "json", "plotdata"), default="csv")
     common(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("plan", help="smallest n meeting an error target")
-    p.add_argument("--scheme", default="g")
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--scheme", choices=SCHEMES, default="g")
+    p.add_argument("--eps", type=_positive, required=True)
     p.add_argument("--mode", choices=("bound", "measured"), default="bound")
-    p.add_argument("--norms", help="comma list of element norms (bound mode)")
+    p.add_argument("--norms", type=_parse_norms, help="comma list of element norms (bound mode)")
     p.add_argument("--input", help="instance JSON path")
-    p.add_argument("--algebra", help="kind:dim, marks special families")
+    p.add_argument("--algebra", type=_descriptor_arg, help="kind:dim, marks special families")
     common(p)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("jets", help="Taylor-coefficient checks for one instance")
-    p.add_argument("--input", help="instance JSON path")
-    p.add_argument("--degree", type=int, default=DEFAULT_DEGREE)
-    p.add_argument("--tol", type=float, default=None, help="scaled tolerance (default 1e-12)")
+    p.add_argument("--input", required=True, help="instance JSON path")
+    p.add_argument("--degree", type=_count("degree", 2, MAX_DEGREE), default=DEFAULT_DEGREE)
+    p.add_argument(
+        "--tol", type=_positive, default=JETS_TOL, help="scaled tolerance (default 1e-12)"
+    )
     common(p)
     p.set_defaults(func=cmd_jets)
 
@@ -519,30 +518,29 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; the except clauses are the one table from failures
+    to error kinds and exit codes."""
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "command", None) is None:
-            raise _usage_error("a subcommand is required (try --help)")
-        return args.func(args)
-    except CliError as exc:
-        print(f"error[{exc.kind}]: {exc}", file=sys.stderr)
-        return exc.code
-    except InstanceFormatError as exc:
-        print(f"error[input]: {exc.category}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        args = build_parser().parse_args(argv)
+        # A numpy overflow raises instead of warning and going on with inf.
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
+    except UsageError as exc:
+        kind, reason, code = "usage", str(exc), EXIT_USAGE
     except CapacityError as exc:
-        print(f"error[capacity]: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except SchemeError as exc:
-        print(f"error[usage]: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NonFiniteError as exc:
-        print(f"error[input]: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        kind, reason, code = "capacity", str(exc), EXIT_CAPACITY
+    except InstanceFormatError as exc:
+        kind, reason, code = "input", f"{exc.category}: {exc}", EXIT_INPUT
+    except ValueError as exc:
+        # The parser has checked every argument, so whatever the library
+        # rejects is the input's fault.
+        kind, reason, code = "input", str(exc), EXIT_INPUT
+    except ArithmeticError:
+        kind, reason, code = "input", "a computation leaves the float range", EXIT_INPUT
     except OSError as exc:
-        print(f"error[input]: io: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        kind, reason, code = "input", f"io: {exc}", EXIT_INPUT
+    print(f"error[{kind}]: {reason}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

@@ -55,10 +55,6 @@ class Jet:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    @property
-    def descriptor(self) -> AlgebraDescriptor:
-        return self.coefficients[0].descriptor
-
     def __add__(self, other: "Jet") -> "Jet":
         _check_degrees(self, other)
         return Jet(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
@@ -66,11 +62,6 @@ class Jet:
     def __sub__(self, other: "Jet") -> "Jet":
         _check_degrees(self, other)
         return Jet(tuple(a - b for a, b in zip(self.coefficients, other.coefficients)))
-
-    def __mul__(self, c) -> "Jet":
-        return Jet(tuple(coef * c for coef in self.coefficients))
-
-    __rmul__ = __mul__
 
 
 def _check_degrees(p: Jet, q: Jet) -> None:

@@ -1,12 +1,16 @@
-"""CLI behavior through real subprocess runs."""
+"""CLI behavior through real subprocess runs and in-process ``cli.main``."""
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jbtrotter import cli
 from jbtrotter.algebras import AlgebraDescriptor, random_element
@@ -21,6 +25,8 @@ CSV_HEADER = (
 def run_cli(*argv, env_extra=None, cwd=None):
     env = dict(os.environ)
     env.pop("JBTROTTER_SEED", None)
+    # Any Python warning on stderr would break the one-line error contract.
+    env["PYTHONWARNINGS"] = "error"
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -229,6 +235,9 @@ def test_bad_numeric_arguments_exit_2(pauli_instance):
         ("bounds", "--norms", "1,inf"),
         ("plan", "--eps", "1e-3", "--norms", "nan"),
         ("plan", "--eps", "1e-3", "--norms", "inf"),
+        ("plan", "--eps", "inf", "--norms", "1"),
+        ("verify-axioms", "--algebra", "sym:2", "--trials", "5", "--tol", "inf"),
+        ("verify-axioms", "--algebra", "sym:2", "--trials", "5", "--seed", "-1"),
     ):
         res = run_cli(*argv)
         assert res.returncode == 2, argv
@@ -286,11 +295,12 @@ def test_overflowing_instance_is_one_input_error(tmp_path):
             assert "RuntimeWarning" not in res.stderr, argv
 
 
-def test_oversize_algebra_is_a_capacity_error(tmp_path, monkeypatch, capsys):
-    # The cap is checked before any payload exists: reaching the axiom
-    # suite fails the test instead of allocating.
+def test_oversize_algebra_is_a_capacity_error(tmp_path, monkeypatch, capsys, pauli_instance):
+    # The caps on the payload, the trial count, the jet degree and the step
+    # counts are checked before any work: reaching the axiom suite fails the
+    # test instead of allocating.
     def unreachable(*args, **kwargs):
-        raise AssertionError("an oversize algebra got past the payload cap")
+        raise AssertionError("an oversize request got past its cap")
 
     monkeypatch.setattr(cli, "run_axiom_suite", unreachable)
     path = tmp_path / "big.json"
@@ -303,12 +313,49 @@ def test_oversize_algebra_is_a_capacity_error(tmp_path, monkeypatch, capsys):
         ("verify-axioms", "--algebra", "herm:1025", "--trials", "1"),
         ("bounds", "--norms", "1,1", "--algebra", "spin:2000000"),
         ("sweep", "--input", str(path)),
+        ("verify-axioms", "--algebra", "sym:2", "--trials", "1000001"),
+        ("verify-axioms", "--algebra", "sym:2", "--trials", "1000000000000"),
+        ("jets", "--input", pauli_instance, "--degree", "33"),
+        ("sweep", "--input", pauli_instance, "--n", "1073741825"),
+        ("sweep", "--input", pauli_instance, "--n", "1:99999999999999999999999:x2"),
     ):
         assert cli.main(list(argv)) == 5, argv
         out, err = capsys.readouterr()
         assert out == "", argv
         err_lines = err.strip().split("\n")
         assert len(err_lines) == 1 and err_lines[0].startswith("error[capacity]:"), argv
+
+
+def test_huge_entries_are_one_input_error(tmp_path, capsys):
+    # The norms and jet scales of these leave the float range although no
+    # exp is taken (the sym and spin bounds read inf instead).
+    zero8 = [0.0] * 8
+    docs = {
+        "sym": {"algebra": {"kind": "sym", "dim": 2},
+                "elements": [[1e200, 0, 0, 1], [0, 1, 1, 0]]},
+        "spin": {"algebra": {"kind": "spin", "dim": 1},
+                 "elements": [{"s": 1e110, "v": [1]}, {"s": 0, "v": [1]}]},
+        "albert": {"algebra": {"kind": "albert", "dim": 3}, "elements": [
+            {"diag": [1e200, 0, 0], "x": zero8, "y": zero8, "z": zero8},
+            {"diag": [0, 1, 0], "x": [1.0] + zero8[1:], "y": zero8, "z": zero8},
+        ]},
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (
+        ("jets", "--input", paths["sym"]),
+        ("jets", "--input", paths["spin"]),
+        ("jets", "--input", paths["albert"]),
+        ("bounds", "--input", paths["albert"]),
+        ("plan", "--eps", "1e-3", "--input", paths["albert"]),
+    ):
+        assert cli.main(list(argv)) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        err_lines = err.strip().split("\n")
+        assert len(err_lines) == 1 and err_lines[0].startswith("error[input]:"), argv
 
 
 def test_bounds_rejects_scheme_h():
@@ -463,3 +510,102 @@ def test_version_flag():
     res = run_cli("--version")
     assert res.returncode == 0
     assert res.stdout.strip()
+
+
+# ---------------------------------------------------------------------------
+# the error contract over generated command lines
+
+# Each subcommand's options, and a pool of values per option: valid ones
+# first (the number after the pool), then zero, negative, nan, inf,
+# non-numeric and above-cap tokens, all cheap to run.  --input and --output
+# values name files in the contract_dir fixture.
+CONTRACT_OPTIONS = {
+    "verify-axioms": ("--algebra", "--trials", "--seed", "--tol", "--output"),
+    "sweep": ("--input", "--scheme", "--n", "--out", "--output"),
+    "bounds": ("--norms", "--input", "--algebra", "--scheme", "--n", "--out", "--output"),
+    "plan": ("--scheme", "--eps", "--mode", "--norms", "--input", "--algebra", "--output"),
+    "jets": ("--input", "--degree", "--tol", "--output"),
+    "demo": ("--output",),
+    "frobnicate": ("--input",),
+}
+ZERO8 = [0.0] * 8
+CONTRACT_FILES = {
+    "pair.json": {"algebra": {"kind": "sym", "dim": 2},
+                  "elements": [[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, -1.0]]},
+    "triple.json": {"algebra": {"kind": "spin", "dim": 2}, "elements": [
+        {"s": 0.3, "v": [0.5, 0.0]}, {"s": -0.2, "v": [0.0, 0.4]}, {"s": 0.1, "v": [0.3, 0.3]}]},
+    "albert.json": {"algebra": {"kind": "albert", "dim": 3}, "elements": [
+        {"diag": [0.5, 0.0, -0.5], "x": [0.2] + ZERO8[1:], "y": ZERO8, "z": ZERO8},
+        {"diag": [0.0, 0.3, 0.0], "x": ZERO8, "y": ZERO8[1:] + [0.4], "z": ZERO8}]},
+    "single.json": {"algebra": {"kind": "sym", "dim": 2}, "elements": [[0.0, 1.0, 1.0, 0.0]]},
+    "overflow-sum.json": {"algebra": {"kind": "sym", "dim": 2},
+                          "elements": [[800, 0, 0, 1], [0, 1, 1, 0]]},
+    "overflow-single.json": {"algebra": {"kind": "spin", "dim": 1},
+                             "elements": [{"s": 800, "v": [1]}, {"s": -800, "v": [0]}]},
+    "huge-sym.json": {"algebra": {"kind": "sym", "dim": 2},
+                      "elements": [[1e200, 0, 0, 1], [0, 1, 1, 0]]},
+    "huge-albert.json": {"algebra": {"kind": "albert", "dim": 3}, "elements": [
+        {"diag": [1e200, 0, 0], "x": ZERO8, "y": ZERO8, "z": ZERO8},
+        {"diag": [0, 1, 0], "x": [1.0] + ZERO8[1:], "y": ZERO8, "z": ZERO8}]},
+    "asymmetric.json": {"algebra": {"kind": "sym", "dim": 2}, "elements": [[0, 1, 2, 0]]},
+    "malformed.json": "{oops",
+}
+CONTRACT_VALUES = {
+    "--algebra": (("sym:2", "spin:1", "sym:0", "herm:-1", "x:2", "sym:x", "sym:100000"), 2),
+    "--trials": (("1", "2", "0", "-1", "nan", "inf", "x", "1000001"), 2),
+    "--seed": (("0", "7", "-1", "nan", "x"), 2),
+    "--tol": (("1e-10", "1e-30", "0", "-1", "nan", "inf", "x"), 2),
+    "--eps": (("1e-3", "10", "1e-300", "0", "-1", "nan", "inf", "x"), 3),
+    "--norms": (("1,1", "0", "1e200", "-1", "nan", "inf", "x", ""), 3),
+    "--scheme": (("g", "f", "h", "g,f,h", "", "x"), 4),
+    "--n": (("1,2", "1:8:x2", "0", "-1", "x", "4,2", "1:99999999999999999999999:x2",
+             "1073741825"), 2),
+    "--degree": (("2", "3", "1", "0", "-1", "x", "33"), 2),
+    "--mode": (("bound", "measured", "x"), 2),
+    "--out": (("csv", "json", "plotdata", "x"), 3),
+    "--input": (tuple(CONTRACT_FILES) + ("missing.json",), 3),
+    "--output": (("out.txt", "no-such-dir/out.txt", "."), 1),
+}
+KIND_OF_CODE = {2: "usage", 3: "input", 5: "capacity"}
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    for name, doc in CONTRACT_FILES.items():
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        (root / name).write_text(text, encoding="utf-8")
+    return root
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(CONTRACT_OPTIONS)))
+    argv = [command]
+    for option in CONTRACT_OPTIONS[command]:
+        pool, valid = CONTRACT_VALUES[option]
+        if draw(st.booleans()):
+            # Half the values come from the valid ones, so that most
+            # commands get past the parser.
+            values = pool[:valid] if draw(st.booleans()) else pool
+            argv += [option, draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(argv=command_lines())
+@example(argv=["sweep", "--input", "pair.json", "--n", "1:99999999999999999999999:x2"])
+def test_every_command_line_keeps_the_error_contract(contract_dir, argv):
+    argv = [
+        str(contract_dir / value) if option in ("--input", "--output") else value
+        for option, value in zip([None] + argv[:-1], argv)
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4, 5), argv
+    if code in KIND_OF_CODE:
+        lines = err.getvalue().split("\n")
+        assert lines[1:] == [""] and lines[0].startswith(f"error[{KIND_OF_CODE[code]}]: "), argv
+    else:
+        assert err.getvalue() == "", argv

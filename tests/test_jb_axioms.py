@@ -1,5 +1,7 @@
 """Axiom suite behavior, including proof that the checks can fail."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,22 @@ def test_suite_is_deterministic(descriptor):
     a = run_axiom_suite(descriptor, trials=50, seed=9)
     b = run_axiom_suite(descriptor, trials=50, seed=9)
     assert a == b
+
+
+def test_suite_memory_does_not_grow_with_trials():
+    # Pairs are drawn and checked one at a time: four times the trials must
+    # not mean four times the live elements (sym:16 holds 2 KB per element).
+    descriptor = AlgebraDescriptor("sym", 16)
+    run_axiom_suite(descriptor, trials=1, seed=1)  # one-time numpy setup
+    peaks = []
+    for trials in (10, 40):
+        tracemalloc.start()
+        try:
+            run_axiom_suite(descriptor, trials=trials, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_suite_rejects_nonpositive_trials():
