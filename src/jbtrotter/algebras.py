@@ -11,11 +11,13 @@ kind       payload (``Element.data``)                 Jordan product
 ``albert`` octonion Hermitian ``(3, 3, 8)`` float64   entrywise symmetrized
 =========  =========================================  =========================
 
-``herm`` is treated as a real algebra (scalars are real throughout).  The
-algebra norm is spectral everywhere: largest absolute eigenvalue from
-LAPACK for the matrix families, the closed form ``|s| + |v|`` for spin
-factors, and the largest absolute root of the characteristic cubic for
-the 27-dimensional exceptional family.
+``herm`` is treated as a real algebra (scalars are real throughout).
+What a family is (payload shape and dtype, unit, Jordan product, ascending
+eigenvalues, exponential, sampler) lives in one private object per
+family, which ``_FAMILIES`` maps its kind to; the public functions make
+one lookup and never branch on the kind, so adding a family means one
+class and one table entry.  The algebra norm is the largest absolute
+eigenvalue of that same spectrum, for every family.
 
 Two exponentials are provided on purpose.  ``exp_spectral`` goes through
 eigenvalues (or a closed form), ``exp_series`` runs a scaled-and-squared
@@ -32,8 +34,6 @@ import numpy as np
 
 from . import octonion
 
-KINDS = ("sym", "herm", "spin", "albert")
-
 # Constructors reject payloads whose symmetry defect exceeds this (relative
 # to the largest entry); what is stored is exactly symmetrized.
 CONSTRUCTION_TOL = 1e-12
@@ -46,6 +46,11 @@ DEGENERATE_ROOT_GAP = 1e-6
 # before anything is allocated (sym:1024 and herm:1024 are the largest
 # square ones).
 MAX_PAYLOAD_ENTRIES = 2**20
+
+# Below this tr(a.a), the sum of the squared eigenvalues, the coefficients
+# of the albert characteristic cubic underflow; the roots are then found
+# for a copy scaled by a power of two.
+_TINY_SQUARE_TRACE = 2.0**-600
 
 
 class DescriptorMismatchError(ValueError):
@@ -68,23 +73,27 @@ class AlgebraDescriptor:
     dim: int
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown algebra kind {self.kind!r}")
+        family = self._family
         if not isinstance(self.dim, int) or self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
-        if self.kind == "albert" and self.dim != 3:
-            raise ValueError("albert algebra is fixed at dim 3")
-        entries = math.prod(_payload_shape(self))
+        entries = math.prod(family.shape(self.dim))
         if entries > MAX_PAYLOAD_ENTRIES:
             raise CapacityError(
                 f"{self} needs {entries} payload entries, more than {MAX_PAYLOAD_ENTRIES}"
             )
 
     @property
+    def _family(self):
+        try:
+            return _FAMILIES[self.kind]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown algebra kind {self.kind!r}") from None
+
+    @property
     def is_special(self) -> bool:
         # Families with an associative matrix representation used by the
         # sharpened bounds and the oracle tests.
-        return self.kind in ("sym", "herm")
+        return self._family.special
 
     def __str__(self) -> str:
         return f"{self.kind}:{self.dim}"
@@ -237,38 +246,89 @@ def albert_parts(a: Element) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     return m[[0, 1, 2], [0, 1, 2], 0].copy(), m[1, 2].copy(), m[2, 0].copy(), m[0, 1].copy()
 
 
-def zero(descriptor: AlgebraDescriptor) -> Element:
-    return Element(descriptor, np.zeros(_payload_shape(descriptor), dtype=_payload_dtype(descriptor)))
-
-
-def unit(descriptor: AlgebraDescriptor) -> Element:
-    kind, d = descriptor.kind, descriptor.dim
-    if kind in ("sym", "herm"):
-        return Element(descriptor, np.eye(d, dtype=_payload_dtype(descriptor)))
-    if kind == "spin":
-        data = np.zeros(d + 1)
-        data[0] = 1.0
-        return Element(descriptor, data)
-    m = np.zeros((3, 3, 8))
-    m[0, 0, 0] = m[1, 1, 0] = m[2, 2, 0] = 1.0
-    return Element(descriptor, m)
-
-
-def _payload_shape(descriptor: AlgebraDescriptor):
-    kind, d = descriptor.kind, descriptor.dim
-    if kind in ("sym", "herm"):
-        return (d, d)
-    if kind == "spin":
-        return (d + 1,)
-    return (3, 3, 8)
-
-
-def _payload_dtype(descriptor: AlgebraDescriptor):
-    return complex if descriptor.kind == "herm" else float
-
-
 # ---------------------------------------------------------------------------
-# products
+# families
+#
+# A family object works on payloads (``product``, ``unit``) or on elements
+# (``eigvals``, ``exp``, ``sample``).  Family code reaches ``jordan_mul``,
+# ``exp_series`` and ``octonion.mul`` only through those module names, looked
+# up at call time, so a wrapper installed on a name (a profiler, a call
+# counter) sees every call whichever family makes it.
+
+
+class _MatrixFamily:
+    """sym and herm, ``(d, d)`` of one dtype; ``.conj()`` is a no-op on floats."""
+
+    special = True
+
+    def __init__(self, dtype):
+        self.dtype = dtype
+
+    def shape(self, dim: int) -> tuple:
+        return (dim, dim)
+
+    def unit(self, dim: int) -> np.ndarray:
+        return np.eye(dim, dtype=self.dtype)
+
+    def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        p = x @ y + y @ x
+        return 0.25 * (p + p.conj().T)
+
+    def eigvals(self, a: Element) -> np.ndarray:
+        return np.linalg.eigvalsh(a.data)
+
+    def exp(self, a: Element) -> Element:
+        w, v = np.linalg.eigh(a.data)
+        e = (v * np.exp(w)) @ v.conj().T
+        return Element(a.descriptor, 0.5 * (e + e.conj().T))
+
+    def sample(self, rng, descriptor: AlgebraDescriptor) -> Element:
+        d = descriptor.dim
+        # Seeded elements depend on the draw order: real part, then imaginary.
+        m = rng.standard_normal((d, d))
+        if self.dtype is complex:
+            m = m + 1j * rng.standard_normal((d, d))
+        return Element(descriptor, 0.5 * (m + m.conj().T))
+
+
+class _SpinFamily:
+    """Spin factors: (s, v) stored as ``[s, *v]``."""
+
+    special = False
+    dtype = float
+
+    def shape(self, dim: int) -> tuple:
+        return (dim + 1,)
+
+    def unit(self, dim: int) -> np.ndarray:
+        data = np.zeros(dim + 1)
+        data[0] = 1.0
+        return data
+
+    def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        s, v = x[0], x[1:]
+        t, w = y[0], y[1:]
+        return np.concatenate([[s * t + v @ w], s * w + t * v])
+
+    # |v| is sqrt(v.v), the formula np.linalg.norm uses, without its overhead.
+    def eigvals(self, a: Element) -> np.ndarray:
+        s, v = a.data[0], a.data[1:]
+        r = math.sqrt(v.dot(v))
+        return np.array([s - r, s + r])
+
+    def exp(self, a: Element) -> Element:
+        s, v = float(a.data[0]), a.data[1:]
+        r = math.sqrt(v.dot(v))
+        es = math.exp(s)
+        if r == 0.0:
+            return Element(a.descriptor, np.concatenate([[es], np.zeros_like(v)]))
+        return Element(
+            a.descriptor,
+            np.concatenate([[es * math.cosh(r)], (es * math.sinh(r) / r) * v]),
+        )
+
+    def sample(self, rng, descriptor: AlgebraDescriptor) -> Element:
+        return Element(descriptor, rng.standard_normal(descriptor.dim + 1))
 
 
 # STRUCTURE as a read-only (8, 64) view: an octonion x times it gives, at
@@ -290,32 +350,111 @@ def _oct_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b.swapaxes(-3, -2).reshape(lead + (1, 3, 24)) @ left
 
 
-def _albert_hermitize(m: np.ndarray) -> np.ndarray:
-    # Conjugate transpose: swap matrix indices, conjugate each entry.
-    ct = m.transpose(1, 0, 2).copy()
-    ct[..., 1:] = -ct[..., 1:]
-    return 0.5 * (m + ct)
+def _real_cubic_roots(t: float, s: float, n: float) -> np.ndarray:
+    """Ascending roots of x^3 - t x^2 + s x - n, all known to be real."""
+    p = s - t * t / 3.0
+    q = t * s / 3.0 - 2.0 * t**3 / 27.0 - n
+    third = t / 3.0
+    # For genuinely real-rooted cubics p <= 0; tiny positive p is roundoff
+    # from a near-triple root.
+    if p > -1e-300:
+        return np.full(3, third + float(np.cbrt(-q)))
+    m = 2.0 * math.sqrt(-p / 3.0)
+    c = min(1.0, max(-1.0, 3.0 * q / (p * m)))
+    phi = math.acos(c) / 3.0
+    ys = m * np.cos(phi - 2.0 * math.pi * np.arange(3) / 3.0)
+    return np.sort(ys + third)
+
+
+class _AlbertFamily:
+    """The exceptional family: 3x3 octonion Hermitian matrices, dim fixed at 3."""
+
+    special = False
+    dtype = float
+
+    def shape(self, dim: int) -> tuple:
+        if dim != 3:
+            raise ValueError("albert algebra is fixed at dim 3")
+        return (3, 3, 8)
+
+    def unit(self, dim: int) -> np.ndarray:
+        m = np.zeros((3, 3, 8))
+        m[0, 0, 0] = m[1, 1, 0] = m[2, 2, 0] = 1.0
+        return m
+
+    def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # The sum xy + yx, not xy Hermitized alone, keeps the product exactly
+        # commutative: swapping x and y gives the same bits.  A square makes
+        # one octonion matmul, since 0.5 (X + X) = X exactly.
+        half = _oct_matmul(x, x) if y is x else 0.5 * (_oct_matmul(x, y) + _oct_matmul(y, x))
+        # Hermitian part: swap matrix indices, conjugate each entry.
+        ct = half.transpose(1, 0, 2).copy()
+        ct[..., 1:] = -ct[..., 1:]
+        return 0.5 * (half + ct)
+
+    def eigvals(self, a: Element) -> np.ndarray:
+        # Roots of the characteristic cubic x^3 - t x^2 + s x - det.
+        m, sq = a.data, jordan_mul(a, a).data
+        t = float(m[0, 0, 0] + m[1, 1, 0] + m[2, 2, 0])
+        square_trace = float(sq[0, 0, 0] + sq[1, 1, 0] + sq[2, 2, 0])
+        if square_trace < _TINY_SQUARE_TRACE:
+            top = float(np.abs(m).max())
+            if top > 0.0:
+                # ldexp scales up exactly, subnormal entries included.
+                shift = math.frexp(top)[1]
+                scaled = Element(a.descriptor, np.ldexp(m, -shift))
+                return np.ldexp(self.eigvals(scaled), shift)
+        # The cubic norm form of the exceptional Jordan algebra.
+        d, x, y, z = albert_parts(a)
+        cross = octonion.real_part(octonion.mul(octonion.mul(x, y), z))
+        det = float(d[0] * d[1] * d[2] - d[0] * octonion.norm_form(x)
+                    - d[1] * octonion.norm_form(y) - d[2] * octonion.norm_form(z) + 2.0 * cross)
+        return _real_cubic_roots(t, 0.5 * (t * t - square_trace), det)
+
+    def exp(self, a: Element) -> Element:
+        roots = self.eigvals(a)
+        if float(np.diff(roots).min()) < DEGENERATE_ROOT_GAP:
+            return exp_series(a)
+        l0, l1, l2 = (float(r) for r in roots)
+        f0, f1, f2 = math.exp(l0), math.exp(l1), math.exp(l2)
+        d01 = (f1 - f0) / (l1 - l0)
+        d12 = (f2 - f1) / (l2 - l1)
+        d012 = (d12 - d01) / (l2 - l0)
+        one = unit(a.descriptor)
+        # Newton form of the quadratic interpolating exp at the three roots;
+        # evaluating in this basis stays stable when a pair of roots sits just
+        # above the fallback gap.
+        x0 = a - l0 * one
+        x1 = a - l1 * one
+        return f0 * one + d01 * x0 + d012 * jordan_mul(x0, x1)
+
+    def sample(self, rng, descriptor: AlgebraDescriptor) -> Element:
+        diag = rng.standard_normal(3)
+        x, y, z = rng.standard_normal((3, 8))
+        return albert_element(diag, x, y, z)
+
+
+_FAMILIES = {"sym": _MatrixFamily(float), "herm": _MatrixFamily(complex),
+             "spin": _SpinFamily(), "albert": _AlbertFamily()}
+
+
+def zero(descriptor: AlgebraDescriptor) -> Element:
+    family = descriptor._family
+    return Element(descriptor, np.zeros(family.shape(descriptor.dim), dtype=family.dtype))
+
+
+def unit(descriptor: AlgebraDescriptor) -> Element:
+    return Element(descriptor, descriptor._family.unit(descriptor.dim))
+
+
+# ---------------------------------------------------------------------------
+# products
 
 
 def jordan_mul(a: Element, b: Element) -> Element:
     """Jordan product.  Commutative, not associative."""
     _check_same(a, b)
-    kind = a.descriptor.kind
-    if kind in ("sym", "herm"):
-        p = a.data @ b.data + b.data @ a.data
-        return Element(a.descriptor, 0.25 * (p + p.conj().T))
-    if kind == "spin":
-        s, v = a.data[0], a.data[1:]
-        t, w = b.data[0], b.data[1:]
-        return Element(a.descriptor, np.concatenate([[s * t + v @ w], s * w + t * v]))
-    if b is a:
-        # 0.5 (X + X) = X exactly, so one octonion matmul gives the same bits.
-        half = _oct_matmul(a.data, a.data)
-    else:
-        # The sum ab + ba, not ab Hermitized alone, keeps the product exactly
-        # commutative: swapping a and b gives the same bits.
-        half = 0.5 * (_oct_matmul(a.data, b.data) + _oct_matmul(b.data, a.data))
-    return Element(a.descriptor, _albert_hermitize(half))
+    return Element(a.descriptor, a.descriptor._family.product(a.data, b.data))
 
 
 def triple_product(a: Element, b: Element, c: Element) -> Element:
@@ -359,72 +498,17 @@ def jordan_power(a: Element, n: int) -> Element:
 # spectra and norms
 
 
-def _real_cubic_roots(t: float, s: float, n: float) -> np.ndarray:
-    """Ascending roots of x^3 - t x^2 + s x - n, all known to be real."""
-    p = s - t * t / 3.0
-    q = t * s / 3.0 - 2.0 * t**3 / 27.0 - n
-    third = t / 3.0
-    # For genuinely real-rooted cubics p <= 0; tiny positive p is roundoff
-    # from a near-triple root.
-    if p >= 0.0 or p > -1e-300:
-        y = float(np.cbrt(-q))
-        return np.sort(np.array([third + y] * 3))
-    m = 2.0 * math.sqrt(-p / 3.0)
-    c = 3.0 * q / (p * m)
-    c = min(1.0, max(-1.0, c))
-    phi = math.acos(c) / 3.0
-    ys = m * np.cos(phi - 2.0 * math.pi * np.arange(3) / 3.0)
-    return np.sort(ys + third)
-
-
-def _albert_trace(m: np.ndarray) -> float:
-    return float(m[0, 0, 0] + m[1, 1, 0] + m[2, 2, 0])
-
-
-def _albert_det(a: Element) -> float:
-    # Cubic norm form of the exceptional Jordan algebra.
-    d, x, y, z = albert_parts(a)
-    aa, bb, cc = d
-    cross = octonion.real_part(octonion.mul(octonion.mul(x, y), z))
-    return float(
-        aa * bb * cc
-        - aa * octonion.norm_form(x)
-        - bb * octonion.norm_form(y)
-        - cc * octonion.norm_form(z)
-        + 2.0 * cross
-    )
-
-
-def _albert_eigvals(a: Element) -> np.ndarray:
-    t = _albert_trace(a.data)
-    sq = jordan_mul(a, a)
-    s = 0.5 * (t * t - _albert_trace(sq.data))
-    return _real_cubic_roots(t, s, _albert_det(a))
-
-
 def spectrum(a: Element) -> Spectrum:
     """Eigenvalues, ascending.  Two values for spin, three for albert."""
-    kind = a.descriptor.kind
-    if kind in ("sym", "herm"):
-        vals = np.linalg.eigvalsh(a.data)
-    elif kind == "spin":
-        s, r = a.data[0], float(np.linalg.norm(a.data[1:]))
-        vals = np.array([s - r, s + r])
-    else:
-        vals = _albert_eigvals(a)
-    return Spectrum(np.sort(vals))
+    return Spectrum(a.descriptor._family.eigvals(a))
 
 
 def jb_norm(a: Element) -> float:
     """Algebra norm: largest absolute eigenvalue."""
-    kind = a.descriptor.kind
-    if kind == "spin":
-        return abs(float(a.data[0])) + float(np.linalg.norm(a.data[1:]))
-    if kind in ("sym", "herm"):
-        vals = np.linalg.eigvalsh(a.data)
-    else:
-        vals = _albert_eigvals(a)
-    return float(np.abs(vals).max()) if vals.size else 0.0
+    vals = a.descriptor._family.eigvals(a)
+    # Ascending, so the largest absolute value sits at one end; abs turns
+    # the -0.0 of a zero spectrum into 0.0.
+    return abs(max(vals.item(-1), -vals.item(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -433,40 +517,7 @@ def jb_norm(a: Element) -> float:
 
 def exp_spectral(a: Element) -> Element:
     """Exponential through eigenvalues (closed form where available)."""
-    kind = a.descriptor.kind
-    if kind in ("sym", "herm"):
-        w, v = np.linalg.eigh(a.data)
-        e = (v * np.exp(w)) @ v.conj().T
-        return Element(a.descriptor, 0.5 * (e + e.conj().T))
-    if kind == "spin":
-        s, v = float(a.data[0]), a.data[1:]
-        r = float(np.linalg.norm(v))
-        es = math.exp(s)
-        if r == 0.0:
-            return Element(a.descriptor, np.concatenate([[es], np.zeros_like(v)]))
-        return Element(
-            a.descriptor,
-            np.concatenate([[es * math.cosh(r)], (es * math.sinh(r) / r) * v]),
-        )
-    return _albert_exp(a)
-
-
-def _albert_exp(a: Element) -> Element:
-    roots = _albert_eigvals(a)
-    if float(np.diff(roots).min()) < DEGENERATE_ROOT_GAP:
-        return exp_series(a)
-    l0, l1, l2 = (float(r) for r in roots)
-    f0, f1, f2 = math.exp(l0), math.exp(l1), math.exp(l2)
-    d01 = (f1 - f0) / (l1 - l0)
-    d12 = (f2 - f1) / (l2 - l1)
-    d012 = (d12 - d01) / (l2 - l0)
-    one = unit(a.descriptor)
-    # Newton form of the quadratic interpolating exp at the three roots;
-    # evaluating in this basis stays stable when a pair of roots sits just
-    # above the fallback gap.
-    x0 = a - l0 * one
-    x1 = a - l1 * one
-    return f0 * one + d01 * x0 + d012 * jordan_mul(x0, x1)
+    return a.descriptor._family.exp(a)
 
 
 def exp_series(a: Element) -> Element:
@@ -498,20 +549,7 @@ def random_element(descriptor: AlgebraDescriptor, seed: int, target_norm: float 
     """Seeded Gaussian element rescaled to the requested algebra norm."""
     if not target_norm > 0.0:
         raise ValueError("target_norm must be positive")
-    rng = np.random.default_rng(seed)
-    kind, d = descriptor.kind, descriptor.dim
-    if kind in ("sym", "herm"):
-        # Seeded elements depend on the draw order: real part, then imaginary.
-        m = rng.standard_normal((d, d))
-        if kind == "herm":
-            m = m + 1j * rng.standard_normal((d, d))
-        elem = Element(descriptor, 0.5 * (m + m.conj().T))
-    elif kind == "spin":
-        elem = Element(descriptor, rng.standard_normal(d + 1))
-    else:
-        diag = rng.standard_normal(3)
-        x, y, z = rng.standard_normal((3, 8))
-        elem = albert_element(diag, x, y, z)
+    elem = descriptor._family.sample(np.random.default_rng(seed), descriptor)
     nrm = jb_norm(elem)
     if nrm == 0.0:
         raise RuntimeError("degenerate zero draw")

@@ -9,7 +9,8 @@ not apply.
 
 Arguments are checked as they are parsed: --eps and --tol must be finite
 and positive, and --seed (default $JBTROTTER_SEED, else 0) an integer
->= 0.  --trials above 10^6, --degree above 32, a step count in --n above
+>= 0.  An instance given with --input fixes the norms and the algebra, so
+bounds and plan refuse --norms or --algebra next to it.  --trials above 10^6, --degree above 32, a step count in --n above
 2^30 and an algebra payload above 2^20 entries are capacity errors.
 
 Every failure path prints a single line to stderr of the form
@@ -279,9 +280,7 @@ def _plan_report(n_min: int, label: str, value_at, out) -> None:
 
 
 def cmd_verify_axioms(args) -> int:
-    results = run_axiom_suite(
-        args.algebra, trials=args.trials, seed=args.seed, tol_scale=args.tol / DEFAULT_TOL
-    )
+    results = run_axiom_suite(args.algebra, trials=args.trials, seed=args.seed, tol=args.tol)
     out = io.StringIO()
     out.write(f"algebra {args.algebra} trials {args.trials} seed {args.seed}\n")
     for res in results:
@@ -304,6 +303,12 @@ def cmd_sweep(args) -> int:
 
 def _norms_and_specialness(args):
     if args.input is not None:
+        for option, value in (("--norms", args.norms), ("--algebra", args.algebra)):
+            if value is not None:
+                raise UsageError(
+                    f"{option} cannot be combined with --input: the instance fixes the "
+                    "norms and the algebra"
+                )
         instance = load_instance(args.input)
         norms = [jb_norm(e) for e in instance.elements]
         return norms, instance.algebra.is_special, instance

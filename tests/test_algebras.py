@@ -150,28 +150,39 @@ def test_linear_ops_and_scalars():
         a * (1.0 + 2.0j)
 
 
-@pytest.mark.parametrize(
-    "desc, dtype",
-    [(AlgebraDescriptor("sym", 3), np.float64), (AlgebraDescriptor("herm", 3), np.complex128)],
-    ids=["sym", "herm"],
-)
-def test_matrix_payload_dtype_is_kept(desc, dtype):
-    # sym and herm share their code paths and differ only in dtype.
-    constructor = sym_element if desc.kind == "sym" else herm_element
-    a = random_element(desc, 3, 0.7)
-    b = random_element(desc, 4, 0.5)
+PAYLOADS = {"sym": ((6, 6), np.float64), "herm": ((4, 4), np.complex128),
+            "spin": ((9,), np.float64), "albert": ((3, 3, 8), np.float64)}
+
+
+def test_payload_shape_and_dtype_are_kept(descriptor):
+    # Every operation of a family returns that family's payload layout; sym
+    # and herm share their code and differ only in dtype.
+    d = descriptor.dim
+    constructed = {
+        "sym": lambda: sym_element(np.eye(d)),
+        "herm": lambda: herm_element(np.eye(d)),
+        "spin": lambda: spin_element(1.0, np.zeros(d)),
+        "albert": lambda: albert_element(np.ones(3), *np.zeros((3, 8))),
+    }[descriptor.kind]()
+    a = random_element(descriptor, 3, 0.7)
+    b = random_element(descriptor, 4, 0.5)
     results = {
-        "constructor": constructor(np.eye(3)),
-        "unit": unit(desc),
-        "zero": zero(desc),
+        "constructor": constructed,
+        "unit": unit(descriptor),
+        "zero": zero(descriptor),
         "random_element": a,
         "add": a + b,
         "scale": 2.0 * a,
         "jordan_mul": jordan_mul(a, b),
+        "jordan_square": jordan_mul(a, a),
+        "quad_map": quad_map(a, b),
         "exp_spectral": exp_spectral(a),
         "exp_series": exp_series(a),
     }
-    assert {name: e.data.dtype for name, e in results.items()} == dict.fromkeys(results, dtype)
+    want = PAYLOADS[descriptor.kind]
+    assert {name: (e.data.shape, e.data.dtype) for name, e in results.items()} == dict.fromkeys(
+        results, want)
+    assert constructed == unit(descriptor)
 
 
 def test_descriptor_mismatch_raises():
@@ -361,7 +372,29 @@ def test_spectrum_albert_matches_embedded_herm3():
 def test_jb_norm_is_max_abs_eigenvalue(descriptor):
     a = random_element(descriptor, 53, 2.0)
     eigs = spectrum(a).eigenvalues
-    assert jb_norm(a) == pytest.approx(float(np.abs(eigs).max()), rel=1e-12)
+    # One eigenvalue routine serves both, so they agree exactly.
+    assert jb_norm(a) == float(np.abs(eigs).max())
+
+
+@pytest.mark.parametrize("eps", [1e-140, 1e-155, 1e-300, 1e-320], ids=str)
+def test_tiny_albert_spectrum(eps):
+    # Spreads this small once underflowed in the characteristic cubic.
+    z = np.zeros(8)
+    a = albert_element([eps, 0.0, -eps], z, z, z)
+    assert jb_norm(a) == pytest.approx(eps, rel=1e-14)
+    eigs = spectrum(a).eigenvalues
+    assert np.abs(eigs - [-eps, 0.0, eps]).max() <= 1e-14 * eps
+
+
+def test_tiny_albert_spectrum_is_the_scaled_spectrum():
+    # A power-of-two scaling commutes with every rounding, so an element
+    # with its largest entry in [0.5, 1) and a copy scaled by 2^-700 have
+    # spectra that differ by exactly that factor.
+    a = random_element(AlgebraDescriptor("albert", 3), 61)
+    a = Element(a.descriptor, np.ldexp(a.data, -np.frexp(np.abs(a.data).max())[1]))
+    tiny = Element(a.descriptor, np.ldexp(a.data, -700))
+    assert np.array_equal(spectrum(tiny).eigenvalues, np.ldexp(spectrum(a).eigenvalues, -700))
+    assert jb_norm(tiny) == np.ldexp(jb_norm(a), -700)
 
 
 def test_jb_norm_homogeneous_and_subadditive(descriptor):

@@ -246,6 +246,24 @@ def test_bad_numeric_arguments_exit_2(pauli_instance):
         assert len(err_lines) == 1 and err_lines[0].startswith("error[usage]:"), argv
 
 
+def test_input_with_norms_or_algebra_exits_2(pauli_instance):
+    # --input fixes the norms and the algebra; a second source is refused,
+    # not silently dropped.
+    for argv in (
+        ("bounds", "--input", pauli_instance, "--norms", "5"),
+        ("bounds", "--input", pauli_instance, "--algebra", "sym:2"),
+        ("plan", "--eps", "1e-3", "--input", pauli_instance, "--norms", "1,1"),
+        ("plan", "--eps", "1e-3", "--mode", "measured", "--input", pauli_instance,
+         "--algebra", "sym:2"),
+    ):
+        res = run_cli(*argv)
+        assert res.returncode == 2, argv
+        assert res.stdout == "", argv
+        err_lines = res.stderr.strip().split("\n")
+        assert len(err_lines) == 1 and err_lines[0].startswith("error[usage]:"), argv
+        assert "--input" in err_lines[0], argv
+
+
 def test_overflowing_bounds_read_inf():
     for argv in (
         ("bounds", "--norms", "800", "--n", "1,2"),
@@ -396,6 +414,17 @@ def test_verify_axioms_fail_exit_code():
     assert "result FAIL" in res.stdout
 
 
+def test_verify_axioms_prints_the_largest_tolerance_finite():
+    res = run_cli("verify-axioms", "--algebra", "sym:2", "--trials", "3", "--tol", "1e308")
+    assert res.returncode == 0, res.stderr
+    tols = {line.split()[0]: float(line.split()[-1])
+            for line in res.stdout.split("\n")[1:-2]}
+    assert len(tols) == 5
+    # Commutativity gets 1e-4 of the tolerance, every other check all of it.
+    assert tols.pop("commutativity") == 1e308 / 1e4 == pytest.approx(1e304, rel=1e-15)
+    assert set(tols.values()) == {1e308}
+
+
 def test_verify_axioms_seed_resolution():
     by_flag = run_cli("verify-axioms", "--algebra", "sym:3", "--trials", "20",
                       "--seed", "7")
@@ -496,6 +525,25 @@ def test_jets_report(pauli_instance):
     assert "inverse-sandwich-defect" in res.stdout
     assert "degree-3 magnitude inverse-sandwich-defect" in res.stdout
     assert res.stdout.rstrip().endswith("result pass")
+
+
+def test_tiny_albert_instance_runs(tmp_path):
+    # Eigenvalue spreads of 1e-140 once underflowed inside the cubic solver.
+    zero8 = [0.0] * 8
+    doc = {"algebra": {"kind": "albert", "dim": 3}, "elements": [
+        {"diag": [1e-140, 0.0, -1e-140], "x": zero8, "y": zero8, "z": zero8},
+        {"diag": [0.0, 1e-140, 0.0], "x": [1e-140] + zero8[1:], "y": zero8, "z": zero8},
+    ]}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (
+        ("sweep", "--input", str(path), "--n", "1,2"),
+        ("bounds", "--input", str(path), "--n", "1,2"),
+        ("jets", "--input", str(path)),
+    ):
+        res = run_cli(*argv)
+        assert res.returncode == 0, (argv, res.stderr)
+        assert res.stderr == "", argv
 
 
 def test_jets_needs_two_elements(tmp_path):

@@ -63,7 +63,7 @@ def test_suite_rejects_nonpositive_trials():
 
 def test_tolerances_scale():
     results = run_axiom_suite(
-        AlgebraDescriptor("sym", 4), trials=20, seed=1, tol_scale=2.5
+        AlgebraDescriptor("sym", 4), trials=20, seed=1, tol=2.5e-10
     )
     for r in results:
         base = COMMUTATIVITY_TOL if r.name == "commutativity" else DEFAULT_TOL
