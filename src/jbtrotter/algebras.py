@@ -47,10 +47,13 @@ DEGENERATE_ROOT_GAP = 1e-6
 # square ones).
 MAX_PAYLOAD_ENTRIES = 2**20
 
-# Below this tr(a.a), the sum of the squared eigenvalues, the coefficients
-# of the albert characteristic cubic underflow; the roots are then found
-# for a copy scaled by a power of two.
-_TINY_SQUARE_TRACE = 2.0**-600
+# An albert element whose largest payload entry lies outside
+# [2^-300, 2^300), i.e. whose ``math.frexp`` exponent is not in this range,
+# has its eigenvalues found for a copy scaled by a power of two: far enough
+# beyond it the Jordan square and the cubic's coefficients (products of
+# three entries) leave the normal float range.  Unscaled spectra stay
+# exactly power-of-two homogeneous out to 2^-339 and 2^339.
+_ALBERT_EXPONENT_RANGE = range(-299, 301)
 
 
 class DescriptorMismatchError(ValueError):
@@ -362,8 +365,23 @@ def _real_cubic_roots(t: float, s: float, n: float) -> np.ndarray:
     m = 2.0 * math.sqrt(-p / 3.0)
     c = min(1.0, max(-1.0, 3.0 * q / (p * m)))
     phi = math.acos(c) / 3.0
-    ys = m * np.cos(phi - 2.0 * math.pi * np.arange(3) / 3.0)
-    return np.sort(ys + third)
+    return np.array(sorted(m * math.cos(phi - 2.0 * math.pi * k / 3.0) + third for k in range(3)))
+
+
+# In a flattened (3, 3, 8) payload every 32nd entry is a real diagonal
+# entry; rows 5, 6 and 1 of its (9, 8) view are the off-diagonal octonions
+# x, y and z.
+_DIAG = slice(None, None, 32)
+_XYZ_ROWS = np.array([5, 6, 1])
+
+# Octonion conjugation as a factor on the last axis (multiplying by -1 is
+# exact), and the albert unit payload; both read-only.
+_CONJ_SIGN = np.array([1.0] + [-1.0] * 7)
+_CONJ_SIGN.setflags(write=False)
+
+_ALBERT_ONE = np.zeros((3, 3, 8))
+_ALBERT_ONE.reshape(72)[_DIAG] = 1.0
+_ALBERT_ONE.setflags(write=False)
 
 
 class _AlbertFamily:
@@ -378,9 +396,7 @@ class _AlbertFamily:
         return (3, 3, 8)
 
     def unit(self, dim: int) -> np.ndarray:
-        m = np.zeros((3, 3, 8))
-        m[0, 0, 0] = m[1, 1, 0] = m[2, 2, 0] = 1.0
-        return m
+        return _ALBERT_ONE
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # The sum xy + yx, not xy Hermitized alone, keeps the product exactly
@@ -388,45 +404,44 @@ class _AlbertFamily:
         # one octonion matmul, since 0.5 (X + X) = X exactly.
         half = _oct_matmul(x, x) if y is x else 0.5 * (_oct_matmul(x, y) + _oct_matmul(y, x))
         # Hermitian part: swap matrix indices, conjugate each entry.
-        ct = half.transpose(1, 0, 2).copy()
-        ct[..., 1:] = -ct[..., 1:]
-        return 0.5 * (half + ct)
+        return 0.5 * (half + half.transpose(1, 0, 2) * _CONJ_SIGN)
 
     def eigvals(self, a: Element) -> np.ndarray:
-        # Roots of the characteristic cubic x^3 - t x^2 + s x - det.
-        m, sq = a.data, jordan_mul(a, a).data
-        t = float(m[0, 0, 0] + m[1, 1, 0] + m[2, 2, 0])
-        square_trace = float(sq[0, 0, 0] + sq[1, 1, 0] + sq[2, 2, 0])
-        if square_trace < _TINY_SQUARE_TRACE:
-            top = float(np.abs(m).max())
-            if top > 0.0:
-                # ldexp scales up exactly, subnormal entries included.
-                shift = math.frexp(top)[1]
-                scaled = Element(a.descriptor, np.ldexp(m, -shift))
-                return np.ldexp(self.eigvals(scaled), shift)
-        # The cubic norm form of the exceptional Jordan algebra.
-        d, x, y, z = albert_parts(a)
-        cross = octonion.real_part(octonion.mul(octonion.mul(x, y), z))
-        det = float(d[0] * d[1] * d[2] - d[0] * octonion.norm_form(x)
-                    - d[1] * octonion.norm_form(y) - d[2] * octonion.norm_form(z) + 2.0 * cross)
-        return _real_cubic_roots(t, 0.5 * (t * t - square_trace), det)
+        m = a.data
+        shift = math.frexp(float(np.abs(m).max()))[1]
+        if shift not in _ALBERT_EXPONENT_RANGE:
+            # ldexp scales exactly both ways, subnormal entries included, and
+            # leaves the largest entry in [1/2, 1).
+            scaled = Element(a.descriptor, np.ldexp(m, -shift))
+            return np.ldexp(self.eigvals(scaled), shift)
+        # Roots of the characteristic cubic x^3 - t x^2 + s x - det, where
+        # det is the cubic norm form of the exceptional Jordan algebra.
+        d0, d1, d2 = m.ravel()[_DIAG].tolist()
+        s0, s1, s2 = jordan_mul(a, a).data.ravel()[_DIAG].tolist()
+        t = d0 + d1 + d2
+        off = m.reshape(9, 8)[_XYZ_ROWS]
+        x, y, z = off
+        nx, ny, nz = octonion.norm_form(off).tolist()
+        cross = float(octonion.real_part(octonion.mul(octonion.mul(x, y), z)))
+        det = d0 * d1 * d2 - d0 * nx - d1 * ny - d2 * nz + 2.0 * cross
+        return _real_cubic_roots(t, 0.5 * (t * t - (s0 + s1 + s2)), det)
 
     def exp(self, a: Element) -> Element:
-        roots = self.eigvals(a)
-        if float(np.diff(roots).min()) < DEGENERATE_ROOT_GAP:
+        l0, l1, l2 = self.eigvals(a).tolist()
+        if min(l1 - l0, l2 - l1) < DEGENERATE_ROOT_GAP:
             return exp_series(a)
-        l0, l1, l2 = (float(r) for r in roots)
         f0, f1, f2 = math.exp(l0), math.exp(l1), math.exp(l2)
         d01 = (f1 - f0) / (l1 - l0)
         d12 = (f2 - f1) / (l2 - l1)
         d012 = (d12 - d01) / (l2 - l0)
-        one = unit(a.descriptor)
         # Newton form of the quadratic interpolating exp at the three roots;
         # evaluating in this basis stays stable when a pair of roots sits just
-        # above the fallback gap.
-        x0 = a - l0 * one
-        x1 = a - l1 * one
-        return f0 * one + d01 * x0 + d012 * jordan_mul(x0, x1)
+        # above the fallback gap.  Built on payloads: the one Jordan product
+        # is the only step that needs elements.
+        x0 = a.data - _ALBERT_ONE * l0
+        x1 = a.data - _ALBERT_ONE * l1
+        x01 = jordan_mul(Element(a.descriptor, x0), Element(a.descriptor, x1)).data
+        return Element(a.descriptor, _ALBERT_ONE * f0 + x0 * d01 + x01 * d012)
 
     def sample(self, rng, descriptor: AlgebraDescriptor) -> Element:
         diag = rng.standard_normal(3)

@@ -388,13 +388,34 @@ def test_tiny_albert_spectrum(eps):
 
 def test_tiny_albert_spectrum_is_the_scaled_spectrum():
     # A power-of-two scaling commutes with every rounding, so an element
-    # with its largest entry in [0.5, 1) and a copy scaled by 2^-700 have
-    # spectra that differ by exactly that factor.
+    # with its largest entry in [0.5, 1) and copies scaled by 2^-700 and
+    # 2^700 (solved through a rescaled copy) or by 2^-300 and 2^299 (solved
+    # as they are, at the edges of that range) have spectra that differ by
+    # exactly that factor.
     a = random_element(AlgebraDescriptor("albert", 3), 61)
     a = Element(a.descriptor, np.ldexp(a.data, -np.frexp(np.abs(a.data).max())[1]))
-    tiny = Element(a.descriptor, np.ldexp(a.data, -700))
-    assert np.array_equal(spectrum(tiny).eigenvalues, np.ldexp(spectrum(a).eigenvalues, -700))
-    assert jb_norm(tiny) == np.ldexp(jb_norm(a), -700)
+    for shift in (-700, -300, 299, 700):
+        scaled = Element(a.descriptor, np.ldexp(a.data, shift))
+        assert np.array_equal(spectrum(scaled).eigenvalues,
+                              np.ldexp(spectrum(a).eigenvalues, shift)), shift
+        assert jb_norm(scaled) == np.ldexp(jb_norm(a), shift), shift
+    # Entries this large once overflowed the cubic's coefficients.
+    z = np.zeros(8)
+    assert jb_norm(albert_element([1e200, 0.0, 0.0], z, z, z)) == 1e200
+
+
+def test_real_cubic_roots():
+    # (x - 1)(x - 2)(x - 3); double roots whose rounded coefficients put
+    # the cosine's argument at 1 + 4e-16 and -1 - 7e-16, so that acos would
+    # raise without the clamp to [-1, 1]; a triple root, whose depressed
+    # cubic has p = 0; a negative trace.
+    for roots in ([1.0, 2.0, 3.0], [0.1, 0.1, 0.5], [-0.3, 0.4, 0.4], [2.0, 2.0, 2.0],
+                  [-5.0, -3.0, -0.5]):
+        r0, r1, r2 = roots
+        got = algebras._real_cubic_roots(
+            r0 + r1 + r2, r0 * r1 + r1 * r2 + r0 * r2, r0 * r1 * r2)
+        assert list(got) == sorted(got), roots
+        assert np.abs(got - roots).max() <= 1e-14 * max(1.0, np.abs(roots).max()), roots
 
 
 def test_jb_norm_homogeneous_and_subadditive(descriptor):

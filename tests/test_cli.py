@@ -366,14 +366,25 @@ def test_huge_entries_are_one_input_error(tmp_path, capsys):
         ("jets", "--input", paths["sym"]),
         ("jets", "--input", paths["spin"]),
         ("jets", "--input", paths["albert"]),
-        ("bounds", "--input", paths["albert"]),
-        ("plan", "--eps", "1e-3", "--input", paths["albert"]),
     ):
         assert cli.main(list(argv)) == 3, argv
         out, err = capsys.readouterr()
         assert out == "", argv
         err_lines = err.strip().split("\n")
         assert len(err_lines) == 1 and err_lines[0].startswith("error[input]:"), argv
+    # Norm-only commands see a norm of 1e200 in both families: inf bounds,
+    # and a step count beyond the planner's capacity.
+    results = {}
+    for kind in ("sym", "albert"):
+        for command in (("bounds",), ("plan", "--eps", "1e-3")):
+            code = cli.main([*command, "--input", paths[kind]])
+            results[kind, command[0]] = code, capsys.readouterr()
+    assert results["albert", "bounds"] == results["sym", "bounds"]
+    assert results["albert", "plan"] == results["sym", "plan"]
+    code, (out, err) = results["albert", "bounds"]
+    assert code == 0 and err == "" and out.count(",inf,") == 9
+    code, (out, err) = results["albert", "plan"]
+    assert code == 5 and out == "" and err.startswith("error[capacity]:")
 
 
 def test_bounds_rejects_scheme_h():
