@@ -15,9 +15,10 @@ kind       payload (``Element.data``)                 Jordan product
 What a family is (payload shape and dtype, unit, Jordan product, ascending
 eigenvalues, exponential, sampler) lives in one private object per
 family, which ``_FAMILIES`` maps its kind to; the public functions make
-one lookup and never branch on the kind, so adding a family means one
-class and one table entry.  The algebra norm is the largest absolute
-eigenvalue of that same spectrum, for every family.
+one lookup and never branch on the kind.  Adding a family means one class
+and one table entry here, plus its payload layout in the instance file
+reader and writer (``instances``).  The algebra norm is the largest
+absolute eigenvalue of that same spectrum, for every family.
 
 Two exponentials are provided on purpose.  ``exp_spectral`` goes through
 eigenvalues (or a closed form), ``exp_series`` runs a scaled-and-squared
@@ -154,13 +155,6 @@ class Element:
 
     def __repr__(self) -> str:
         return f"Element({self.descriptor}, shape={self.data.shape})"
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues in ascending order."""
-
-    eigenvalues: np.ndarray
 
 
 def _real_scalar(c) -> float:
@@ -415,16 +409,23 @@ class _AlbertFamily:
             scaled = Element(a.descriptor, np.ldexp(m, -shift))
             return np.ldexp(self.eigvals(scaled), shift)
         # Roots of the characteristic cubic x^3 - t x^2 + s x - det, where
-        # det is the cubic norm form of the exceptional Jordan algebra.
+        # det is the cubic norm form of the exceptional Jordan algebra, for
+        # b = a - mu 1 with mu the mean of the diagonal; mu is added back to
+        # the roots.  Near a triple root the cubic's coefficients are
+        # roundoff, and the cube root of roundoff in t^3 would move the roots
+        # by about 1e-5 relative; after the shift it is roundoff in b.
         d0, d1, d2 = m.ravel()[_DIAG].tolist()
-        s0, s1, s2 = jordan_mul(a, a).data.ravel()[_DIAG].tolist()
+        mu = (d0 + d1 + d2) / 3.0
+        d0, d1, d2 = d0 - mu, d1 - mu, d2 - mu
+        b = Element(a.descriptor, m - _ALBERT_ONE * mu)
+        s0, s1, s2 = jordan_mul(b, b).data.ravel()[_DIAG].tolist()
         t = d0 + d1 + d2
         off = m.reshape(9, 8)[_XYZ_ROWS]
         x, y, z = off
         nx, ny, nz = octonion.norm_form(off).tolist()
         cross = float(octonion.real_part(octonion.mul(octonion.mul(x, y), z)))
         det = d0 * d1 * d2 - d0 * nx - d1 * ny - d2 * nz + 2.0 * cross
-        return _real_cubic_roots(t, 0.5 * (t * t - (s0 + s1 + s2)), det)
+        return _real_cubic_roots(t, 0.5 * (t * t - (s0 + s1 + s2)), det) + mu
 
     def exp(self, a: Element) -> Element:
         l0, l1, l2 = self.eigvals(a).tolist()
@@ -513,9 +514,9 @@ def jordan_power(a: Element, n: int) -> Element:
 # spectra and norms
 
 
-def spectrum(a: Element) -> Spectrum:
+def spectrum(a: Element) -> np.ndarray:
     """Eigenvalues, ascending.  Two values for spin, three for albert."""
-    return Spectrum(a.descriptor._family.eigvals(a))
+    return a.descriptor._family.eigvals(a)
 
 
 def jb_norm(a: Element) -> float:

@@ -15,10 +15,11 @@ Element payloads by kind:
 * spin: {"s": real, "v": [dim reals]}
 * albert: {"diag": [3 reals], "x": [8 reals], "y": [8 reals], "z": [8 reals]}
 
-Matrix payloads may carry up to 1e-9 of symmetry defect (they are exactly
-symmetrized on load); anything worse is rejected.  Serialization uses the
-shortest round-tripping float form, so save -> load -> save is
-byte-stable.
+Every numeric field must read as finite floats of its shape, and a single
+number must be a JSON number.  Matrix payloads may carry up to 1e-9 of
+symmetry defect (they are exactly symmetrized on load); anything worse is
+rejected.  Serialization writes the shortest round-tripping float form,
+so save -> load -> save is byte-stable.
 """
 
 from __future__ import annotations
@@ -61,16 +62,20 @@ def _fail(category: str, message: str):
     raise InstanceFormatError(category, message)
 
 
-def _as_real_list(obj, count: int, what: str, count_category: str = "schema") -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != count:
-        _fail(count_category, f"{what} must be a list of {count} numbers")
+def _reals(obj, shape: tuple, what: str, count_category: str = "schema") -> np.ndarray:
+    """``obj`` as finite floats of ``shape``; a wrong list length is ``count_category``."""
+    if shape and (not isinstance(obj, list) or len(obj) != shape[0]):
+        _fail(count_category, f"{what} must be a list of {shape[0]} entries")
+    # numpy would read the string "1" and JSON true as numbers.
+    if isinstance(obj, (bool, str)):
+        _fail("schema", f"{what} must be a number")
     try:
         arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError):
-        _fail("schema", f"{what} contains non-numeric entries")
-    if arr.shape != (count,):
-        _fail("schema", f"{what} must be flat with {count} entries")
-    if not np.all(np.isfinite(arr)):
+    except (TypeError, ValueError, OverflowError):
+        _fail("schema", f"{what} must hold numbers in the float range")
+    if arr.shape != shape:
+        _fail("schema", f"{what} must have shape {shape}")
+    if not np.isfinite(arr).all():
         _fail("schema", f"{what} contains non-finite values")
     return arr
 
@@ -84,42 +89,33 @@ def _matrix_element(constructor, m: np.ndarray, failure: str) -> Element:
         _fail("symmetry", f"{failure} within {LOAD_SYMMETRY_TOL}")
 
 
+# Object payloads: each key with its shape, where None stands for (dim,),
+# in the order the constructor takes them and the writer writes them.
+_OBJECT_FIELDS = {
+    "spin": (spin_element, {"s": (), "v": None}),
+    "albert": (albert_element, {"diag": (3,), "x": (8,), "y": (8,), "z": (8,)}),
+}
+
+
 def _element_from_payload(desc: AlgebraDescriptor, payload, where: str) -> Element:
     d = desc.dim
     # Counts derived from the declared dim report as "mismatch"; shapes the
     # format itself fixes report as "schema".
     if desc.kind == "sym":
-        flat = _as_real_list(payload, d * d, where, count_category="mismatch")
-        return _matrix_element(sym_element, flat.reshape(d, d), f"{where} is not symmetric")
+        m = _reals(payload, (d * d,), where, "mismatch").reshape(d, d)
+        return _matrix_element(sym_element, m, f"{where} is not symmetric")
     if desc.kind == "herm":
-        if not isinstance(payload, list) or len(payload) != d * d:
-            _fail("mismatch", f"{where} must list {d * d} [re, im] pairs for dim {d}")
-        try:
-            arr = np.array(payload, dtype=float)
-        except (TypeError, ValueError):
-            _fail("schema", f"{where} contains non-numeric entries")
-        if arr.shape != (d * d, 2):
-            _fail("schema", f"{where} entries must be [re, im] pairs")
-        if not np.all(np.isfinite(arr)):
-            _fail("schema", f"{where} contains non-finite values")
-        m = (arr[:, 0] + 1j * arr[:, 1]).reshape(d, d)
+        pairs = _reals(payload, (d * d, 2), f"{where} [re, im] pairs", "mismatch")
+        m = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(d, d)
         return _matrix_element(herm_element, m, f"{where} is not Hermitian")
-    if desc.kind == "spin":
-        if not isinstance(payload, dict) or set(payload) != {"s", "v"}:
-            _fail("schema", f"{where} must be an object with keys s and v")
-        if not isinstance(payload["s"], (int, float)) or isinstance(payload["s"], bool):
-            _fail("schema", f"{where} scalar part must be a number")
-        if not np.isfinite(payload["s"]):
-            _fail("schema", f"{where} scalar part must be finite")
-        v = _as_real_list(payload["v"], d, f"{where} spin part", count_category="mismatch")
-        return spin_element(float(payload["s"]), v)
-    if not isinstance(payload, dict) or set(payload) != {"diag", "x", "y", "z"}:
-        _fail("schema", f"{where} must be an object with keys diag, x, y, z")
-    diag = _as_real_list(payload["diag"], 3, f"{where} diag")
-    x = _as_real_list(payload["x"], 8, f"{where} x")
-    y = _as_real_list(payload["y"], 8, f"{where} y")
-    z = _as_real_list(payload["z"], 8, f"{where} z")
-    return albert_element(diag, x, y, z)
+    constructor, fields = _OBJECT_FIELDS[desc.kind]
+    if not isinstance(payload, dict) or set(payload) != set(fields):
+        _fail("schema", f"{where} must be an object with keys {', '.join(fields)}")
+    return constructor(*(
+        _reals(payload[key], (d,), f"{where} {key}", "mismatch") if shape is None
+        else _reals(payload[key], shape, f"{where} {key}")
+        for key, shape in fields.items()
+    ))
 
 
 def instance_from_dict(doc) -> ProblemInstance:
@@ -165,18 +161,13 @@ def load_instance(path) -> ProblemInstance:
 def _payload_to_jsonable(elem: Element):
     kind = elem.descriptor.kind
     if kind == "sym":
-        return [float(v) for v in elem.data.reshape(-1)]
+        return elem.data.reshape(-1).tolist()
     if kind == "herm":
-        return [[float(v.real), float(v.imag)] for v in elem.data.reshape(-1)]
+        return [[c.real, c.imag] for c in elem.data.reshape(-1).tolist()]
     if kind == "spin":
-        return {"s": float(elem.data[0]), "v": [float(v) for v in elem.data[1:]]}
-    diag, x, y, z = albert_parts(elem)
-    return {
-        "diag": [float(v) for v in diag],
-        "x": [float(v) for v in x],
-        "y": [float(v) for v in y],
-        "z": [float(v) for v in z],
-    }
+        s, *v = elem.data.tolist()
+        return {"s": s, "v": v}
+    return dict(zip(_OBJECT_FIELDS[kind][1], (part.tolist() for part in albert_parts(elem))))
 
 
 def instance_to_dict(instance: ProblemInstance) -> dict:

@@ -83,8 +83,3 @@ def norm_form(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     return (x * x).sum(axis=-1)
 
-
-def embed_scalar(r: float) -> np.ndarray:
-    out = np.zeros(DIM)
-    out[0] = r
-    return out

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import jbtrotter
 from jbtrotter.algebras import (
     AlgebraDescriptor,
     Element,
@@ -25,6 +29,21 @@ STANDARD_DESCRIPTORS = (
 SPECIAL_MATRIX_DESCRIPTORS = tuple(
     d for d in STANDARD_DESCRIPTORS if d.kind in ("sym", "herm")
 )
+
+
+# The directory holding the jbtrotter package the tests import; CLI
+# subprocesses get it on PYTHONPATH, so they run the same code without an
+# install and without PYTHONPATH set by the caller.
+PACKAGE_ROOT = str(Path(jbtrotter.__file__).resolve().parent.parent)
+
+
+def cli_env() -> dict:
+    """Environment for a ``python -m jbtrotter`` subprocess: no seed variable,
+    the tested package first on PYTHONPATH."""
+    env = dict(os.environ)
+    env.pop("JBTROTTER_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (PACKAGE_ROOT, env.get("PYTHONPATH"))))
+    return env
 
 
 def seeded_elements(descriptor, m, base_seed, target_norm=1.0):

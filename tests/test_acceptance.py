@@ -8,7 +8,6 @@ inline; nothing here is scaled down for speed.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -57,7 +56,7 @@ from assoc_oracle import (
     spectral_norm,
     to_matrix,
 )
-from conftest import STANDARD_DESCRIPTORS, pauli_pair
+from conftest import STANDARD_DESCRIPTORS, cli_env, pauli_pair
 
 FAMILIES = STANDARD_DESCRIPTORS  # sym:6, herm:4, spin:8, albert:3
 DOUBLING_N = [1, 2, 4, 8, 16, 32, 64, 128, 256]
@@ -315,13 +314,11 @@ def test_criterion_09_frozen_spot_values():
 
 
 def _run_cli(*argv, tmp=None):
-    env = dict(os.environ)
-    env.pop("JBTROTTER_SEED", None)
     return subprocess.run(
         [sys.executable, "-m", "jbtrotter", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=cli_env(),
         timeout=300,
     )
 

@@ -3,7 +3,6 @@
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 from jbtrotter import cli
 from jbtrotter.algebras import AlgebraDescriptor, random_element
 from jbtrotter.instances import ProblemInstance, save_instance
+from conftest import cli_env
 
 CSV_HEADER = (
     "scheme,n,error,bound_thm31,bound_thm33i,bound_thm33ii,"
@@ -23,8 +23,7 @@ CSV_HEADER = (
 
 
 def run_cli(*argv, env_extra=None, cwd=None):
-    env = dict(os.environ)
-    env.pop("JBTROTTER_SEED", None)
+    env = cli_env()
     # Any Python warning on stderr would break the one-line error contract.
     env["PYTHONWARNINGS"] = "error"
     if env_extra:

@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from jbtrotter.algebras import AlgebraDescriptor, random_element
+from jbtrotter.algebras import (
+    AlgebraDescriptor,
+    albert_element,
+    herm_element,
+    random_element,
+    spin_element,
+    sym_element,
+)
 from jbtrotter.instances import (
     InstanceFormatError,
     ProblemInstance,
@@ -45,12 +52,153 @@ def test_save_is_byte_stable(tmp_path, descriptor):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# One fixed element per family, written out by hand; the expected text is
+# what the writer has always produced for it.
+def _fixed_element(kind):
+    if kind == "sym":
+        return sym_element([[1.5, -0.1], [-0.1, 1e-300]])
+    if kind == "herm":
+        return herm_element([[2.0, 0.25 - 1j / 3], [0.25 + 1j / 3, -0.0]])
+    if kind == "spin":
+        return spin_element(0.1, [-2.5, 1 / 3])
+    return albert_element([1.0, -0.5, 0.1], [0.0, 0.3, 0, 0, 0, 0, 0, -1e-7],
+                          [2.0] + [0.0] * 7, [0.0] * 6 + [1 / 3, 0.0])
+
+
+FIXED_TEXT = {
+    "sym": """\
+{
+  "algebra": {
+    "kind": "sym",
+    "dim": 2
+  },
+  "label": "sym",
+  "elements": [
+    [
+      1.5,
+      -0.1,
+      -0.1,
+      1e-300
+    ]
+  ]
+}
+""",
+    "herm": """\
+{
+  "algebra": {
+    "kind": "herm",
+    "dim": 2
+  },
+  "label": "herm",
+  "elements": [
+    [
+      [
+        2.0,
+        0.0
+      ],
+      [
+        0.25,
+        -0.3333333333333333
+      ],
+      [
+        0.25,
+        0.3333333333333333
+      ],
+      [
+        -0.0,
+        0.0
+      ]
+    ]
+  ]
+}
+""",
+    "spin": """\
+{
+  "algebra": {
+    "kind": "spin",
+    "dim": 2
+  },
+  "label": "spin",
+  "elements": [
+    {
+      "s": 0.1,
+      "v": [
+        -2.5,
+        0.3333333333333333
+      ]
+    }
+  ]
+}
+""",
+    "albert": """\
+{
+  "algebra": {
+    "kind": "albert",
+    "dim": 3
+  },
+  "label": "albert",
+  "elements": [
+    {
+      "diag": [
+        1.0,
+        -0.5,
+        0.1
+      ],
+      "x": [
+        0.0,
+        0.3,
+        0.0,
+        0.0,
+        0.0,
+        0.0,
+        0.0,
+        -1e-07
+      ],
+      "y": [
+        2.0,
+        0.0,
+        0.0,
+        0.0,
+        0.0,
+        0.0,
+        0.0,
+        0.0
+      ],
+      "z": [
+        0.0,
+        0.0,
+        0.0,
+        0.0,
+        0.0,
+        0.0,
+        0.3333333333333333,
+        0.0
+      ]
+    }
+  ]
+}
+""",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIXED_TEXT))
+def test_save_writes_the_fixed_text(tmp_path, kind):
+    elem = _fixed_element(kind)
+    path = tmp_path / "fixed.json"
+    save_instance(ProblemInstance(elem.descriptor, (elem,), kind), path)
+    assert path.read_text(encoding="utf-8") == FIXED_TEXT[kind]
+
+
 def test_dict_round_trip():
     inst = make_instance(AlgebraDescriptor("herm", 3))
     doc = instance_to_dict(inst)
     json.dumps(doc)  # must already be plain JSON types
     back = instance_from_dict(doc)
     assert back.elements == inst.elements
+
+
+def _doc(kind, dim, payload):
+    return {"algebra": {"kind": kind, "dim": dim}, "elements": [payload]}
 
 
 def _category(fn):
@@ -73,6 +221,8 @@ def test_schema_category_for_missing_keys():
     assert _category(lambda: instance_from_dict({"algebra": {"kind": "sym", "dim": 2}})) == "schema"
     assert _category(lambda: instance_from_dict([1, 2])) == "schema"
     assert _category(lambda: instance_from_dict({"algebra": 5, "elements": [[0.0]]})) == "schema"
+    for payload in ([0.0, 0.0, 0.0], {"s": 0.0}, {"s": 0.0, "v": [0.0, 0.0], "w": 1}):
+        assert _category(lambda: instance_from_dict(_doc("spin", 2, payload))) == "schema"
 
 
 def test_schema_category_for_bad_algebra():
@@ -85,12 +235,24 @@ def test_schema_category_for_bad_algebra():
 
 
 def test_schema_category_for_nonnumeric_and_nonfinite():
-    doc = {"algebra": {"kind": "sym", "dim": 2},
-           "elements": [[0.0, "x", 0.0, 0.0]]}
-    assert _category(lambda: instance_from_dict(doc)) == "schema"
-    doc = {"algebra": {"kind": "spin", "dim": 2},
-           "elements": [{"s": float("inf"), "v": [0.0, 0.0]}]}
-    assert _category(lambda: instance_from_dict(doc)) == "schema"
+    docs = [
+        _doc("sym", 2, [0.0, "x", 0.0, 0.0]),
+        _doc("sym", 2, [[0.0], [0.0], [0.0], [0.0]]),
+        _doc("spin", 2, {"s": float("inf"), "v": [0.0, 0.0]}),
+        _doc("spin", 2, {"s": "1", "v": [0.0, 0.0]}),
+        _doc("spin", 2, {"s": True, "v": [0.0, 0.0]}),
+        _doc("herm", 1, [["a", 0.0]]),
+        _doc("herm", 1, [[0.0, float("inf")]]),
+        # Integers beyond the float range, which JSON allows.
+        _doc("sym", 1, [10**400]),
+        _doc("spin", 1, {"s": 10**400, "v": [0.0]}),
+    ]
+    # JSON's NaN and Infinity tokens, as json.load reads them.
+    for token in ("NaN", "Infinity", "-Infinity"):
+        docs.append(_doc("sym", 2, json.loads(f"[0.0, {token}, 0.0, 0.0]")))
+        docs.append(_doc("spin", 2, {"s": 0.0, "v": json.loads(f"[{token}, 0.0]")}))
+    for doc in docs:
+        assert _category(lambda: instance_from_dict(doc)) == "schema", doc
 
 
 def test_schema_category_for_empty_elements():

@@ -111,10 +111,6 @@ def test_real_part_symmetric_in_product():
     assert abs(float(a) - float(b)) < 1e-12
 
 
-def test_embed_scalar():
-    assert np.array_equal(octonion.embed_scalar(2.5), 2.5 * octonion.ONE)
-
-
 def test_structure_tensor_is_locked():
     with pytest.raises((ValueError, RuntimeError)):
         octonion.STRUCTURE[0, 0, 0] = 5.0
