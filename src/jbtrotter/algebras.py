@@ -56,6 +56,10 @@ MAX_PAYLOAD_ENTRIES = 2**20
 # exactly power-of-two homogeneous out to 2^-339 and 2^339.
 _ALBERT_EXPONENT_RANGE = range(-299, 301)
 
+# A matrix with an entry above this is symmetrized at half size, since the
+# sum of an entry and its mirror image would leave the float range.
+_HALF_MAX = float(np.finfo(float).max) / 2
+
 
 class DescriptorMismatchError(ValueError):
     """Raised when elements of different algebras are combined."""
@@ -189,6 +193,10 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
 # constructors
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.conj().T)
+
+
 def _matrix_element(kind: str, dtype, symmetry: str, matrix, tol: float) -> Element:
     m = np.array(matrix, dtype=dtype)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -197,7 +205,8 @@ def _matrix_element(kind: str, dtype, symmetry: str, matrix, tol: float) -> Elem
     scale = max(1.0, float(np.abs(m).max()))
     if np.abs(m - m.conj().T).max() > tol * scale:
         raise ValueError(f"matrix is not {symmetry} within tolerance")
-    return Element(AlgebraDescriptor(kind, m.shape[0]), 0.5 * (m + m.conj().T))
+    h = 2.0 * _hermitian_part(0.5 * m) if scale > _HALF_MAX else _hermitian_part(m)
+    return Element(AlgebraDescriptor(kind, m.shape[0]), h)
 
 
 def sym_element(matrix, tol: float = CONSTRUCTION_TOL) -> Element:
@@ -277,7 +286,7 @@ class _MatrixFamily:
     def exp(self, a: Element) -> Element:
         w, v = np.linalg.eigh(a.data)
         e = (v * np.exp(w)) @ v.conj().T
-        return Element(a.descriptor, 0.5 * (e + e.conj().T))
+        return Element(a.descriptor, _hermitian_part(e))
 
     def sample(self, rng, descriptor: AlgebraDescriptor) -> Element:
         d = descriptor.dim
@@ -285,7 +294,7 @@ class _MatrixFamily:
         m = rng.standard_normal((d, d))
         if self.dtype is complex:
             m = m + 1j * rng.standard_normal((d, d))
-        return Element(descriptor, 0.5 * (m + m.conj().T))
+        return Element(descriptor, _hermitian_part(m))
 
 
 class _SpinFamily:

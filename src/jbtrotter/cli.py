@@ -10,8 +10,10 @@ not apply.
 Arguments are checked as they are parsed: --eps and --tol must be finite
 and positive, and --seed (default $JBTROTTER_SEED, else 0) an integer
 >= 0.  An instance given with --input fixes the norms and the algebra, so
-bounds and plan refuse --norms or --algebra next to it.  --trials above 10^6, --degree above 32, a step count in --n above
-2^30 and an algebra payload above 2^20 entries are capacity errors.
+bounds and plan refuse --norms or --algebra next to it.  --trials above
+10^6, --degree above 32, a step count in --n above 2^30 and an algebra
+payload above 2^20 entries are capacity errors.  Every subcommand takes
+--output, a file to write in place of stdout.
 
 Every failure path prints a single line to stderr of the form
 ``error[<kind>]: <reason>`` and exits with the code for that kind: 2
@@ -238,15 +240,15 @@ def _plotdata_blocks(rows, columns, orders) -> dict:
     return {s: "\n".join(lines) + "\n" for s, lines in blocks.items()}
 
 
-def _emit_table(rows, columns, args, orders) -> None:
+def _write_table(rows, columns, args, orders, out) -> None:
     if args.out == "csv":
-        _emit(_records_csv(rows, columns, orders), args.output)
+        out.write(_records_csv(rows, columns, orders))
     elif args.out == "json":
-        _emit(_records_json(rows, columns, orders), args.output)
+        out.write(_records_json(rows, columns, orders))
     else:
         blocks = _plotdata_blocks(rows, columns, orders)
         if args.output is None or len(blocks) == 1:
-            _emit("\n".join(blocks.values()), args.output)
+            out.write("\n".join(blocks.values()))
         else:
             root, ext = os.path.splitext(args.output)
             for s, text in blocks.items():
@@ -279,9 +281,8 @@ def _plan_report(n_min: int, label: str, value_at, out) -> None:
 # subcommands
 
 
-def cmd_verify_axioms(args) -> int:
+def cmd_verify_axioms(args, out) -> int:
     results = run_axiom_suite(args.algebra, trials=args.trials, seed=args.seed, tol=args.tol)
-    out = io.StringIO()
     out.write(f"algebra {args.algebra} trials {args.trials} seed {args.seed}\n")
     for res in results:
         status = "pass" if res.passed else "FAIL"
@@ -290,32 +291,37 @@ def cmd_verify_axioms(args) -> int:
         )
     ok = all(r.passed for r in results)
     out.write("result pass\n" if ok else "result FAIL\n")
-    _emit(out.getvalue(), args.output)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, out) -> int:
     instance = load_instance(args.input)
     rows, orders = _sweeps(args.scheme, instance.elements, args.n)
-    _emit_table(rows, SWEEP_COLUMNS, args, orders)
+    _write_table(rows, SWEEP_COLUMNS, args, orders, out)
     return EXIT_OK
 
 
+def _given_instance(args):
+    """The --input instance of bounds or plan, or None; an instance fixes
+    the norms and the algebra, so --norms and --algebra cannot join it."""
+    if args.input is None:
+        return None
+    for option, value in (("--norms", args.norms), ("--algebra", args.algebra)):
+        if value is not None:
+            raise UsageError(
+                f"{option} cannot be combined with --input: the instance fixes the "
+                "norms and the algebra"
+            )
+    return load_instance(args.input)
+
+
 def _norms_and_specialness(args):
-    if args.input is not None:
-        for option, value in (("--norms", args.norms), ("--algebra", args.algebra)):
-            if value is not None:
-                raise UsageError(
-                    f"{option} cannot be combined with --input: the instance fixes the "
-                    "norms and the algebra"
-                )
-        instance = load_instance(args.input)
-        norms = [jb_norm(e) for e in instance.elements]
-        return norms, instance.algebra.is_special, instance
+    instance = _given_instance(args)
+    if instance is not None:
+        return [jb_norm(e) for e in instance.elements], instance.algebra.is_special
     if args.norms is None:
         raise UsageError("need --norms or --input to fix element norms")
-    special = args.algebra is not None and args.algebra.is_special
-    return args.norms, special, None
+    return args.norms, args.algebra is not None and args.algebra.is_special
 
 
 def _check_closed_form(schemes) -> None:
@@ -328,34 +334,33 @@ def _check_closed_form(schemes) -> None:
             )
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args, out) -> int:
     _check_closed_form(args.scheme)
-    norms, special, _ = _norms_and_specialness(args)
+    norms, special = _norms_and_specialness(args)
     rows = [
         {"scheme": scheme, "n": n, **bounds_for(scheme, norms, n, special)}
         for scheme in args.scheme
         for n in args.n
     ]
-    _emit_table(rows, BOUND_COLUMNS, args, {})
+    _write_table(rows, BOUND_COLUMNS, args, {}, out)
     return EXIT_OK
 
 
-def cmd_plan(args) -> int:
+def cmd_plan(args, out) -> int:
     scheme, eps = args.scheme, args.eps
-    norms, special, instance = _norms_and_specialness(args)
     if args.mode == "bound":
+        norms, special = _norms_and_specialness(args)
         _check_closed_form([scheme])
         n_min = plan_min_n(scheme, eps, norms=norms, special=special)
         label, value_at = "bound", lambda n: tightest_bound(scheme, norms, n, special)
     else:
+        instance = _given_instance(args)
         if instance is None:
             raise UsageError("measured mode needs --input")
         n_min = plan_min_n(scheme, eps, elements=instance.elements, mode="measured")
         label, value_at = "error", lambda n: measured_error(scheme, instance.elements, n)
-    out = io.StringIO()
     out.write(f"scheme {scheme} mode {args.mode} eps {_fmt(eps)}\n")
     _plan_report(n_min, label, value_at, out)
-    _emit(out.getvalue(), args.output)
     return EXIT_OK
 
 
@@ -401,17 +406,14 @@ def _jets_report(elements, label, degree, tol, out) -> bool:
     return ok
 
 
-def cmd_jets(args) -> int:
+def cmd_jets(args, out) -> int:
     instance = load_instance(args.input)
-    out = io.StringIO()
     label = instance.label or args.input
     ok = _jets_report(list(instance.elements), label, args.degree, args.tol, out)
-    _emit(out.getvalue(), args.output)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_demo(args) -> int:
-    out = io.StringIO()
+def cmd_demo(args, out) -> int:
     sx = sym_element([[0.0, 1.0], [1.0, 0.0]])
     sz = sym_element([[1.0, 0.0], [0.0, -1.0]])
     out.write(f"jbtrotter demo (version {__version__})\n")
@@ -439,7 +441,6 @@ def cmd_demo(args) -> int:
     _plan_report(n_min, "bound", lambda n: tightest_bound("g", norms, n), out)
     err = measured_error("g", [sx, sz], n_min)
     out.write(f"measured error at n_min {_fmt(err)}\n")
-    _emit(out.getvalue(), args.output)
     return EXIT_OK
 
 
@@ -452,10 +453,21 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    def common(p):
-        p.add_argument("--output", default=None, help="write to this path instead of stdout")
+    # Options shared by several subcommands, each declared once as a parent.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None, help="write to this path instead of stdout")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--scheme", type=_parse_schemes, default="g", help="comma list from g,f,h")
+    table.add_argument(
+        "--n", type=_parse_n_range, default="1:256:x2", help='"16", "1,2,4" or "start:stop:xF"'
+    )
+    table.add_argument("--out", choices=("csv", "json", "plotdata"), default="csv")
+    norms = argparse.ArgumentParser(add_help=False)
+    norms.add_argument("--norms", type=_parse_norms, help="comma list of element norms")
+    norms.add_argument("--input", help="instance JSON path (fixes the norms and the algebra)")
+    norms.add_argument("--algebra", type=_descriptor_arg, help="kind:dim, marks special families")
 
-    p = sub.add_parser("verify-axioms", help="check the algebra axioms on random pairs")
+    p = sub.add_parser("verify-axioms", parents=[output], help="check the axioms on random pairs")
     p.add_argument(
         "--algebra", required=True, type=_descriptor_arg, help="kind:dim, e.g. sym:6 or albert:3"
     )
@@ -469,67 +481,48 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--tol", type=_positive, default=DEFAULT_TOL, help="identity tolerance (default 1e-10)"
     )
-    common(p)
     p.set_defaults(func=cmd_verify_axioms)
 
-    p = sub.add_parser("sweep", help="measured error and bounds over a range of n")
+    p = sub.add_parser("sweep", parents=[output, table], help="measured error and bounds over n")
     p.add_argument("--input", required=True, help="instance JSON path")
-    p.add_argument("--scheme", type=_parse_schemes, default="g", help="comma list from g,f,h")
-    p.add_argument(
-        "--n", type=_parse_n_range, default="1:256:x2", help='"16", "1,2,4" or "start:stop:xF"'
-    )
-    p.add_argument("--out", choices=("csv", "json", "plotdata"), default="csv")
-    common(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bounds", help="closed-form bound table, no measurement")
-    p.add_argument("--norms", type=_parse_norms, help="comma list of element norms")
-    p.add_argument("--input", help="instance JSON path (norms taken from it)")
-    p.add_argument(
-        "--algebra",
-        type=_descriptor_arg,
-        help="kind:dim, marks special families for sharpened bounds",
-    )
-    p.add_argument("--scheme", type=_parse_schemes, default="g", help="comma list from g,f")
-    p.add_argument("--n", type=_parse_n_range, default="1:256:x2")
-    p.add_argument("--out", choices=("csv", "json", "plotdata"), default="csv")
-    common(p)
+    p = sub.add_parser("bounds", parents=[output, table, norms], help="closed-form bound table")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("plan", help="smallest n meeting an error target")
+    p = sub.add_parser("plan", parents=[output, norms], help="smallest n meeting an error target")
     p.add_argument("--scheme", choices=SCHEMES, default="g")
     p.add_argument("--eps", type=_positive, required=True)
     p.add_argument("--mode", choices=("bound", "measured"), default="bound")
-    p.add_argument("--norms", type=_parse_norms, help="comma list of element norms (bound mode)")
-    p.add_argument("--input", help="instance JSON path")
-    p.add_argument("--algebra", type=_descriptor_arg, help="kind:dim, marks special families")
-    common(p)
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("jets", help="Taylor-coefficient checks for one instance")
+    p = sub.add_parser("jets", parents=[output], help="Taylor-coefficient checks for one instance")
     p.add_argument("--input", required=True, help="instance JSON path")
     p.add_argument("--degree", type=_count("degree", 2, MAX_DEGREE), default=DEFAULT_DEGREE)
     p.add_argument(
         "--tol", type=_positive, default=JETS_TOL, help="scaled tolerance (default 1e-12)"
     )
-    common(p)
     p.set_defaults(func=cmd_jets)
 
-    p = sub.add_parser("demo", help="run the built-in walkthrough")
-    common(p)
+    p = sub.add_parser("demo", parents=[output], help="run the built-in walkthrough")
     p.set_defaults(func=cmd_demo)
 
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command; the except clauses are the one table from failures
-    to error kinds and exit codes."""
+    """Run one command and write its output once; the except clauses are
+    the one table from failures to error kinds and exit codes."""
     try:
         args = build_parser().parse_args(argv)
+        out = io.StringIO()
         # A numpy overflow raises instead of warning and going on with inf.
         with np.errstate(over="raise", invalid="raise"):
-            return args.func(args)
+            code = args.func(args, out)
+        # Empty only when plotdata went to one file per scheme.
+        if out.getvalue():
+            _emit(out.getvalue(), args.output)
+        return code
     except UsageError as exc:
         kind, reason, code = "usage", str(exc), EXIT_USAGE
     except CapacityError as exc:

@@ -66,15 +66,16 @@ def _reals(obj, shape: tuple, what: str, count_category: str = "schema") -> np.n
     """``obj`` as finite floats of ``shape``; a wrong list length is ``count_category``."""
     if shape and (not isinstance(obj, list) or len(obj) != shape[0]):
         _fail(count_category, f"{what} must be a list of {shape[0]} entries")
-    # numpy would read the string "1" and JSON true as numbers.
-    if isinstance(obj, (bool, str)):
-        _fail("schema", f"{what} must be a number")
     try:
         arr = np.array(obj, dtype=float)
     except (TypeError, ValueError, OverflowError):
         _fail("schema", f"{what} must hold numbers in the float range")
     if arr.shape != shape:
         _fail("schema", f"{what} must have shape {shape}")
+    # numpy reads the string "1" and JSON true as numbers; with the shape
+    # known, every leaf is one cell of an object array.
+    if any(isinstance(x, (bool, str)) for x in np.array(obj, dtype=object).flat):
+        _fail("schema", f"{what} must hold numbers, not strings or booleans")
     if not np.isfinite(arr).all():
         _fail("schema", f"{what} contains non-finite values")
     return arr

@@ -272,10 +272,11 @@ def plan_min_n(
     """Smallest step count with guaranteed (bound mode) or measured error
     at most eps.
 
-    Bound mode needs per-element norms (taken from ``elements`` when not
-    given) and satisfies bound(n) <= eps < bound(n - 1).  Measured mode
-    needs the elements themselves and uses doubling plus bisection on the
-    measured error, which is assumed monotone along the search.
+    Bound mode needs ``norms``, the per-element norms, and ``special``
+    for the sharpened sym/herm bounds; it satisfies bound(n) <= eps <
+    bound(n - 1).  Measured mode needs the elements themselves and uses
+    doubling plus bisection on the measured error, which is assumed
+    monotone along the search.
     """
     if scheme not in SCHEMES:
         raise SchemeError(f"unknown scheme {scheme!r}")
@@ -283,11 +284,7 @@ def plan_min_n(
         raise ValueError("eps must be positive")
     if mode == "bound":
         if norms is None:
-            if elements is None:
-                raise ValueError("bound mode needs norms or elements")
-            elems = _check_elements(elements)
-            norms = [jb_norm(a) for a in elems]
-            special = elems[0].descriptor.is_special
+            raise ValueError("bound mode needs norms")
         norms = list(norms)
         return _min_n(lambda n: tightest_bound(scheme, norms, n, special) <= eps, eps)
     if mode == "measured":

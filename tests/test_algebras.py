@@ -111,6 +111,14 @@ def test_herm_constructor_validates():
     assert ok.descriptor == AlgebraDescriptor("herm", 2)
 
 
+def test_matrix_constructors_keep_entries_near_the_float_maximum():
+    # Symmetrizing must not pass through m + m^T, which overflows here.
+    a = sym_element([[1.0, 1e308], [1e308, 1.0]])
+    assert a.data[0, 1] == a.data[1, 0] == 1e308
+    b = herm_element([[1.0, 1e308 + 1e308j], [1e308 - 1e308j, 1.0]])
+    assert b.data[0, 1] == 1e308 + 1e308j and b.data[1, 0] == 1e308 - 1e308j
+
+
 def test_spin_constructor():
     e = spin_element(2.0, [1.0, 0.0, -1.0])
     assert e.descriptor == AlgebraDescriptor("spin", 3)

@@ -203,13 +203,6 @@ def test_plan_bound_mode_special_flag_tightens():
     assert bound_special(norms, special, "i") <= 1e-5
 
 
-def test_plan_bound_mode_from_elements():
-    a, b = pauli_pair()
-    by_elements = plan_min_n("g", 1e-3, elements=[a, b])
-    by_norms = plan_min_n("g", 1e-3, norms=[1.0, 1.0])
-    assert by_elements == by_norms
-
-
 def test_plan_trivial_when_bound_already_small():
     assert plan_min_n("g", 10.0, norms=[0.1]) == 1
 
@@ -229,7 +222,7 @@ def test_plan_rejects_bad_arguments():
     with pytest.raises(ValueError):
         plan_min_n("g", 0.0, norms=[1.0])
     with pytest.raises(ValueError):
-        plan_min_n("g", 1e-3)  # neither norms nor elements
+        plan_min_n("g", 1e-3)  # bound mode without norms
     with pytest.raises(ValueError):
         plan_min_n("g", 1e-3, norms=[1.0], mode="exact")
 

@@ -136,14 +136,28 @@ def test_sweep_plotdata_multi_scheme_files(tmp_path, pauli_instance):
     assert res.stdout == ""
     assert (tmp_path / "curves.g.txt").exists()
     assert (tmp_path / "curves.f.txt").exists()
+    assert not out.exists()
 
 
-def test_sweep_output_file_matches_stdout(tmp_path, pauli_instance):
-    args = ("sweep", "--input", pauli_instance, "--scheme", "g", "--n", "1,2")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify-axioms", "--algebra", "sym:2", "--trials", "3"),
+        ("sweep", "--input", "PAULI", "--scheme", "g", "--n", "1,2"),
+        ("bounds", "--norms", "1,1", "--n", "1,2"),
+        ("plan", "--eps", "1e-3", "--input", "PAULI"),
+        ("jets", "--input", "PAULI", "--degree", "3"),
+        ("demo",),
+    ],
+    ids=lambda args: args[0],
+)
+def test_output_file_matches_stdout(tmp_path, pauli_instance, args):
+    args = [pauli_instance if a == "PAULI" else a for a in args]
     direct = run_cli(*args)
-    out = tmp_path / "table.csv"
+    out = tmp_path / "output.txt"
     res = run_cli(*args, "--output", str(out))
-    assert res.returncode == 0
+    assert direct.returncode == res.returncode == 0, res.stderr
+    assert direct.stdout and res.stdout == ""
     assert out.read_text(encoding="utf-8") == direct.stdout
 
 

@@ -243,6 +243,13 @@ def test_schema_category_for_nonnumeric_and_nonfinite():
         _doc("spin", 2, {"s": True, "v": [0.0, 0.0]}),
         _doc("herm", 1, [["a", 0.0]]),
         _doc("herm", 1, [[0.0, float("inf")]]),
+        # Strings and booleans that numpy would read as numbers.
+        _doc("sym", 2, ["1", "0", "0", "1"]),
+        _doc("sym", 2, [True, 0, 0, 1]),
+        _doc("herm", 1, [["1", 0]]),
+        _doc("spin", 1, {"s": 0.0, "v": ["1"]}),
+        _doc("spin", 1, {"s": 0.0, "v": [True]}),
+        _doc("albert", 3, {"diag": [1, "0", 0], "x": [0] * 8, "y": [0] * 8, "z": [0] * 8}),
         # Integers beyond the float range, which JSON allows.
         _doc("sym", 1, [10**400]),
         _doc("spin", 1, {"s": 10**400, "v": [0.0]}),
@@ -331,3 +338,6 @@ def test_loaded_values_match_exactly(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     inst = load_instance(path)
     assert np.array_equal(inst.elements[0].data, [0.125, 1.5, -2.25])
+    # An integer literal beyond 2^64 inside a list is still a JSON number.
+    inst = instance_from_dict(_doc("sym", 1, [2**70]))
+    assert inst.elements[0].data[0, 0] == 2.0**70
