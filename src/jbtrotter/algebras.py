@@ -56,8 +56,9 @@ MAX_PAYLOAD_ENTRIES = 2**20
 # exactly power-of-two homogeneous out to 2^-339 and 2^339.
 _ALBERT_EXPONENT_RANGE = range(-299, 301)
 
-# A matrix with an entry above this is symmetrized at half size, since the
-# sum of an entry and its mirror image would leave the float range.
+# A matrix with an entry above this is checked and symmetrized at half
+# size, since the difference or the sum of an entry and its mirror image
+# would leave the float range.
 _HALF_MAX = float(np.finfo(float).max) / 2
 
 
@@ -203,10 +204,12 @@ def _matrix_element(kind: str, dtype, symmetry: str, matrix, tol: float) -> Elem
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     _require_finite(m, f"{kind} payload")
     scale = max(1.0, float(np.abs(m).max()))
+    if scale > _HALF_MAX:  # check and symmetrize m / 2, then double it
+        half = _matrix_element(kind, dtype, symmetry, 0.5 * m, tol)
+        return Element(half.descriptor, 2.0 * half.data)
     if np.abs(m - m.conj().T).max() > tol * scale:
         raise ValueError(f"matrix is not {symmetry} within tolerance")
-    h = 2.0 * _hermitian_part(0.5 * m) if scale > _HALF_MAX else _hermitian_part(m)
-    return Element(AlgebraDescriptor(kind, m.shape[0]), h)
+    return Element(AlgebraDescriptor(kind, m.shape[0]), _hermitian_part(m))
 
 
 def sym_element(matrix, tol: float = CONSTRUCTION_TOL) -> Element:

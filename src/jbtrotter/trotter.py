@@ -18,8 +18,8 @@ count) follow the wire names used in sweep output:
 ``bound_thm31``      S^3 e^S / (3 n^2)            scheme g
 ``bound_thm33i``     (3^(m-1) + 1) S^3 e^S / (6 n^2)   scheme f
 ``bound_thm33ii``    2 * 3^m S^2 e^((n+2)S/n) / n      scheme f
-``bound_special``    sharpened f bounds valid on sym/herm only:
-                     variant i drops the 3^(m-1) factor, variant ii the 3^m.
+``bound_special``    sharpened f bounds valid on sym/herm only: variant i
+                     is the thm31 formula, variant ii is thm33ii / 3^m.
 
 ``bounds_for`` is the one place that decides which of these applies to a
 scheme.  No closed-form bound is known here for scheme h; planners must
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce, wraps
+from functools import reduce
 
 import numpy as np
 
@@ -166,65 +166,51 @@ def measured_error(scheme: str, elements, n: int) -> float:
 # closed-form bounds
 
 
-def _norm_sum(norms) -> float:
-    vals = [float(v) for v in norms]
-    if not all(v >= 0 for v in vals):
-        raise ValueError("norms must be nonnegative")
-    return sum(vals)
+def _bound(norms, n: int, formula) -> float:
+    """formula(S, m) of the norms' sum S and count m, inf past the float range."""
+    _check_n(n)
+    try:
+        vals = [float(v) for v in norms]
+        if not all(v >= 0 for v in vals):
+            raise ValueError("norms must be nonnegative")
+        return formula(sum(vals), len(vals))
+    except OverflowError:
+        return math.inf
 
 
-def _saturating(bound):
-    """Read a bound that overflows the float range as inf."""
-
-    @wraps(bound)
-    def saturated(*args, **kwargs):
-        try:
-            return bound(*args, **kwargs)
-        except OverflowError:
-            return math.inf
-
-    return saturated
+def _cubic(norms, n: int, count, divisor: float) -> float:
+    """count(m) S^3 e^S / (divisor n^2), second order in n."""
+    return _bound(norms, n, lambda s, m: count(m) * s**3 * math.exp(s) / (divisor * n * n))
 
 
-@_saturating
+def _quadratic(norms, n: int, count) -> float:
+    """count(m) S^2 e^((n+2)S/n) / n, first order in n."""
+    return _bound(norms, n, lambda s, m: (count(m) / n) * s * s * math.exp((n + 2.0) * s / n))
+
+
 def bound_thm31(norms, n: int) -> float:
     """Cubic second-order bound for scheme g."""
-    _check_n(n)
-    s = _norm_sum(norms)
-    return s**3 * math.exp(s) / (3.0 * n * n)
+    return _cubic(norms, n, lambda m: 1.0, 3.0)
 
 
-@_saturating
 def bound_thm33i(norms, n: int) -> float:
     """Cubic second-order bound for scheme f; grows like 3^(m-1) in the count."""
-    _check_n(n)
-    vals = [float(v) for v in norms]
-    s = _norm_sum(vals)
-    m = len(vals)
-    return (3.0 ** (m - 1) + 1.0) * s**3 * math.exp(s) / (6.0 * n * n)
+    return _cubic(norms, n, lambda m: 3.0 ** (m - 1) + 1.0, 6.0)
 
 
-@_saturating
 def bound_thm33ii(norms, n: int) -> float:
     """Quadratic first-order bound for scheme f with an n-dependent exponent."""
-    _check_n(n)
-    vals = [float(v) for v in norms]
-    s = _norm_sum(vals)
-    m = len(vals)
-    return (2.0 * 3.0**m / n) * s * s * math.exp((n + 2.0) * s / n)
+    return _quadratic(norms, n, lambda m: 2.0 * 3.0**m)
 
 
-@_saturating
 def bound_special(norms, n: int, variant: str) -> float:
     """Sharpened f bounds, valid only on the associatively representable
-    families (sym and herm).  Variant "i" is cubic in S and second order
-    in n, variant "ii" quadratic in S and first order."""
-    _check_n(n)
-    s = _norm_sum(norms)
+    families (sym and herm).  Variant "i" is the thm31 formula, cubic in S
+    and second order in n; variant "ii" is thm33ii without the 3^m."""
     if variant == "i":
-        return s**3 * math.exp(s) / (3.0 * n * n)
+        return _cubic(norms, n, lambda m: 1.0, 3.0)
     if variant == "ii":
-        return (2.0 / n) * s * s * math.exp((n + 2.0) * s / n)
+        return _quadratic(norms, n, lambda m: 2.0)
     raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
 
 
@@ -341,13 +327,14 @@ def empirical_order(records) -> float:
     """Least-squares decay exponent of error against n.
 
     Expects one scheme and at least four doubling n values whose errors
-    sit above the floating-point floor (1e-13); raises
-    ``DegenerateDecayError`` otherwise, which usually flags a commuting
+    sit above the floating-point floor (1e-13).  Fewer than four records
+    raise ``ValueError``; records that the floor leaves short of four
+    raise ``DegenerateDecayError``, which usually flags a commuting
     instance rather than a bug.
     """
     recs = sorted(records, key=lambda r: r.n)
-    if not recs:
-        raise ValueError("no records")
+    if len(recs) < 4:
+        raise ValueError(f"need at least 4 records, got {len(recs)}")
     schemes = {r.scheme for r in recs}
     if len(schemes) != 1:
         raise ValueError(f"records mix schemes {sorted(schemes)}")

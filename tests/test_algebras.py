@@ -99,6 +99,8 @@ def test_sym_constructor_validates():
     with pytest.raises(ValueError):
         sym_element([[0.0, 1.0], [0.5, 0.0]])  # not symmetric
     with pytest.raises(ValueError):
+        sym_element([[0.0, 1e308], [-1e308, 0.0]])  # m - m^T leaves the float range
+    with pytest.raises(ValueError):
         sym_element(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         sym_element([[np.nan, 0.0], [0.0, 0.0]])

@@ -125,6 +125,10 @@ def test_special_variants_drop_the_count_factor():
     assert bound_special(norms, 9, "ii") == pytest.approx(
         bound_thm33ii(norms, 9) / 3.0**3, rel=1e-14
     )
+    # variant i is the thm31 formula itself
+    for grid in NORM_GRIDS:
+        for n in (1, 9, 4096):
+            assert bound_special(grid, n, "i") == bound_thm31(grid, n)
 
 
 def test_tightest_bound_selection():
@@ -171,6 +175,13 @@ def test_bounds_saturate_to_inf():
     assert bound_special([300.0], 1, "ii") == math.inf
     assert math.isfinite(bound_thm33i([300.0], 1))
     assert tightest_bound("f", [300.0], 1) == bound_thm33i([300.0], 1)
+    # 3^699 leaves the float range though S = 0.7 is small; only the
+    # bounds with a count factor saturate.
+    many = [1e-3] * 700
+    assert bound_thm33i(many, 1) == bound_thm33ii(many, 1) == math.inf
+    for value in (bound_thm31(many, 1), bound_special(many, 1, "i"),
+                  bound_special(many, 1, "ii")):
+        assert math.isfinite(value)
     with pytest.raises(CapacityError):
         plan_min_n("g", 1e-3, norms=[800.0])
 

@@ -274,6 +274,13 @@ def test_symmetry_category():
     doc = {"algebra": {"kind": "herm", "dim": 2},
            "elements": [[[0.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 0.0]]]}
     assert _category(lambda: instance_from_dict(doc)) == "symmetry"
+    # mirror entries of opposite sign near the float maximum
+    doc = {"algebra": {"kind": "sym", "dim": 2},
+           "elements": [[0.0, 1e308, -1e308, 0.0]]}
+    assert _category(lambda: instance_from_dict(doc)) == "symmetry"
+    doc = {"algebra": {"kind": "herm", "dim": 2},
+           "elements": [[[0.0, 0.0], [1e308, 0.0], [-1e308, 0.0], [0.0, 0.0]]]}
+    assert _category(lambda: instance_from_dict(doc)) == "symmetry"
 
 
 def test_symmetry_tolerance_boundary():

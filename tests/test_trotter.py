@@ -231,3 +231,11 @@ def test_empirical_order_flags_floor_level_errors():
     recs = [SweepRecord(scheme="g", n=n, error=1e-16) for n in (32, 64, 128, 256)]
     with pytest.raises(DegenerateDecayError):
         empirical_order(recs)
+
+
+def test_empirical_order_needs_four_records():
+    # errors far above the floor: too few records is not a commuting instance
+    recs = _fake_records(2.0, ns=(32, 64, 128))
+    with pytest.raises(ValueError) as info:
+        empirical_order(recs)
+    assert not isinstance(info.value, DegenerateDecayError)
