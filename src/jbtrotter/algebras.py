@@ -5,8 +5,10 @@ Four families sit behind one immutable ``Element`` type:
 =========  =========================================  =========================
 kind       payload (``Element.data``)                 Jordan product
 =========  =========================================  =========================
-``sym``    real symmetric ``(d, d)`` float64          ``(AB + BA) / 2``
-``herm``   complex Hermitian ``(d, d)`` complex128    ``(AB + BA) / 2``
+``sym``    real symmetric ``(d, d)`` float64          Hermitian part of ``AB``
+                                                      (= ``(AB + BA) / 2``)
+``herm``   complex Hermitian ``(d, d)`` complex128    Hermitian part of ``AB``
+                                                      (= ``(AB + BA) / 2``)
 ``spin``   ``(k + 1,)`` float64, entry 0 scalar part  ``(st + <v,w>, sw + tv)``
 ``albert`` octonion Hermitian ``(3, 3, 8)`` float64   entrywise symmetrized
 =========  =========================================  =========================
@@ -55,6 +57,10 @@ MAX_PAYLOAD_ENTRIES = 2**20
 # three entries) leave the normal float range.  Unscaled spectra stay
 # exactly power-of-two homogeneous out to 2^-339 and 2^339.
 _ALBERT_EXPONENT_RANGE = range(-299, 301)
+
+# Below this v.v (|v| under about 2^-450, where the largest square nears
+# the subnormal range) the length of a spin part is found for a scaled copy.
+_SPIN_SQUARE_MIN = 2.0**-900
 
 # A matrix with an entry above this is checked and symmetrized at half
 # size, since the difference or the sum of an entry and its mirror image
@@ -169,7 +175,9 @@ def _real_scalar(c) -> float:
 
 
 def _check_same(a: Element, b: Element) -> None:
-    if a.descriptor != b.descriptor:
+    # Elements of one computation share one descriptor object, so the
+    # identity test settles most calls before the dataclass comparison.
+    if a.descriptor is not b.descriptor and a.descriptor != b.descriptor:
         raise DescriptorMismatchError(
             f"cannot combine elements of {a.descriptor} and {b.descriptor}"
         )
@@ -280,8 +288,13 @@ class _MatrixFamily:
         return np.eye(dim, dtype=self.dtype)
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        p = x @ y + y @ x
-        return 0.25 * (p + p.conj().T)
+        # For Hermitian x and y, (xy)^H = yx, so the Hermitian part of xy is
+        # (xy + yx) / 2 from one matmul.  On sym the transpose of dgemm's xy
+        # is yx bit for bit, so x.y and y.x agree exactly.  On herm at
+        # d = 3, 5, 6, 7, 9, 10 and 11 (of d <= 12) zgemm (OpenBLAS 0.3.31)
+        # rounds (xy)^H and yx differently: x.y and y.x can then differ in
+        # the last bit, up to 2.7e-16 relative in the algebra norm.
+        return _hermitian_part(x @ y)
 
     def eigvals(self, a: Element) -> np.ndarray:
         return np.linalg.eigvalsh(a.data)
@@ -300,6 +313,20 @@ class _MatrixFamily:
         return Element(descriptor, _hermitian_part(m))
 
 
+def _spin_radius(v: np.ndarray) -> float:
+    """|v| as sqrt(v.v), the formula np.linalg.norm uses, without its
+    overhead.  When v.v leaves [2^-900, inf), where it has overflowed or
+    lost digits to underflow, |v| is taken for a copy scaled by a power of
+    two, which ldexp applies exactly both ways.  ``np.vdot`` gives the bits
+    of ``v.dot(v)`` without its floating-point warning on overflow."""
+    q = np.vdot(v, v)
+    if _SPIN_SQUARE_MIN <= q < math.inf:
+        return math.sqrt(q)
+    shift = math.frexp(float(np.abs(v).max()))[1]
+    w = np.ldexp(v, -shift)
+    return math.ldexp(math.sqrt(np.vdot(w, w)), shift)
+
+
 class _SpinFamily:
     """Spin factors: (s, v) stored as ``[s, *v]``."""
 
@@ -315,26 +342,30 @@ class _SpinFamily:
         return data
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        s, v = x[0], x[1:]
-        t, w = y[0], y[1:]
-        return np.concatenate([[s * t + v @ w], s * w + t * v])
+        # One output array: t x, its tail plus s w in place, and entry 0
+        # overwritten by the scalar part.  Adding s y whole would form 2 s t
+        # in entry 0, which can overflow where s t does not.  Both sums are
+        # symmetric in x and y, so the product is exactly commutative.
+        s, t = x[0], y[0]
+        out = t * x
+        tail = out[1:]
+        tail += s * y[1:]
+        out[0] = s * t + x[1:] @ y[1:]
+        return out
 
-    # |v| is sqrt(v.v), the formula np.linalg.norm uses, without its overhead.
     def eigvals(self, a: Element) -> np.ndarray:
-        s, v = a.data[0], a.data[1:]
-        r = math.sqrt(v.dot(v))
+        s, r = a.data[0], _spin_radius(a.data[1:])
         return np.array([s - r, s + r])
 
     def exp(self, a: Element) -> Element:
         s, v = float(a.data[0]), a.data[1:]
-        r = math.sqrt(v.dot(v))
+        r = _spin_radius(v)
         es = math.exp(s)
-        if r == 0.0:
-            return Element(a.descriptor, np.concatenate([[es], np.zeros_like(v)]))
-        return Element(
-            a.descriptor,
-            np.concatenate([[es * math.cosh(r)], (es * math.sinh(r) / r) * v]),
-        )
+        out = np.zeros_like(a.data)
+        if r != 0.0:
+            np.multiply(v, es * math.sinh(r) / r, out=out[1:])
+        out[0] = es * math.cosh(r)
+        return Element(a.descriptor, out)
 
     def sample(self, rng, descriptor: AlgebraDescriptor) -> Element:
         return Element(descriptor, rng.standard_normal(descriptor.dim + 1))

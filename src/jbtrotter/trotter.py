@@ -124,13 +124,24 @@ def approx_h(elements, n: int) -> Element:
 _APPROX = {"g": approx_g, "f": approx_f, "h": approx_h}
 
 
+def _quiet():
+    """The warning scope of one public computation: numpy's overflow and
+    invalid-value warnings stay off inside it, since ``_finite`` checks
+    every scheme product and ``_error`` every error for a value past the
+    float range."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _finite(compute, what: str) -> Element:
-    """compute() with numpy overflow warnings silenced; ``NonFiniteError``
-    if its value is not finite."""
+    """compute(), or ``NonFiniteError`` if its value is not finite.
+
+    Runs inside the caller's ``_quiet()`` scope (``exp_sum``, ``sweep``,
+    ``measured_error`` and the measured ``plan_min_n`` each enter one), so
+    numpy stays silent while an overflowing product is computed.
+    """
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = compute()
-    except OverflowError:  # math.exp in the spin and albert closed forms
+        value = compute()
+    except OverflowError:  # math.exp, sinh, cosh in the spin and albert closed forms
         value = None
     if value is None or not np.isfinite(value.data).all():
         raise NonFiniteError(f"{what} overflows the float range")
@@ -140,26 +151,32 @@ def _finite(compute, what: str) -> Element:
 def exp_sum(elements) -> Element:
     """Reference value exp(A_1 + ... + A_m); ``NonFiniteError`` if it overflows."""
     elems = _check_elements(elements)
-    return _finite(
-        lambda: exp_spectral(reduce(lambda a, b: a + b, elems)),
-        "exp of the sum of the elements",
-    )
+    with _quiet():
+        return _finite(
+            lambda: exp_spectral(reduce(lambda a, b: a + b, elems)),
+            "exp of the sum of the elements",
+        )
 
 
 def _error(target: Element, scheme: str, elements, n: int) -> float:
-    # Distance to the reference; a product past the float range (single
-    # elements can overflow exp even when their sum does not) raises.
+    # Distance to the reference, inside the caller's _quiet() scope; a
+    # product past the float range (single elements can overflow exp even
+    # when their sum does not) or an error past it raises.
     approx = _finite(
         lambda: _APPROX[scheme](elements, n), f"the scheme {scheme} product at n={n}"
     )
-    return float(jb_norm(target - approx))
+    error = float(jb_norm(target - approx))
+    if not math.isfinite(error):
+        raise NonFiniteError(f"the scheme {scheme} error at n={n} overflows the float range")
+    return error
 
 
 def measured_error(scheme: str, elements, n: int) -> float:
     """Algebra-norm distance between the scheme at n and exp of the sum."""
     if scheme not in SCHEMES:
         raise SchemeError(f"unknown scheme {scheme!r}")
-    return _error(exp_sum(elements), scheme, elements, n)
+    with _quiet():
+        return _error(exp_sum(elements), scheme, elements, n)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +294,9 @@ def plan_min_n(
         if elements is None:
             raise ValueError("measured mode needs elements")
         elems = _check_elements(elements)
-        target = exp_sum(elems)
-        return _min_n(lambda n: _error(target, scheme, elems, n) <= eps, eps)
+        with _quiet():
+            target = exp_sum(elems)
+            return _min_n(lambda n: _error(target, scheme, elems, n) <= eps, eps)
     raise ValueError(f"mode must be 'bound' or 'measured', got {mode!r}")
 
 
@@ -306,20 +324,26 @@ def _min_n(ok, eps: float) -> int:
 
 
 def sweep(scheme: str, elements, n_values) -> list[SweepRecord]:
-    """Measured error plus applicable bounds for each n, in given order."""
+    """Measured error plus applicable bounds for each n, in given order.
+
+    numpy's overflow warnings are silenced once for the whole sweep, not
+    per product; a scheme product or an error past the float range raises
+    ``NonFiniteError`` instead of becoming a record.
+    """
     if scheme not in SCHEMES:
         raise SchemeError(f"unknown scheme {scheme!r}")
     elems = _check_elements(elements)
     ns = [int(n) for n in n_values]
     for n in ns:
         _check_n(n)
-    target = exp_sum(elems)
-    norms = [jb_norm(a) for a in elems]
     special = elems[0].descriptor.is_special
     records = []
-    for n in ns:
-        error = _error(target, scheme, elems, n)
-        records.append(SweepRecord(scheme, n, error, **bounds_for(scheme, norms, n, special)))
+    with _quiet():
+        target = exp_sum(elems)
+        norms = [jb_norm(a) for a in elems]
+        for n in ns:
+            error = _error(target, scheme, elems, n)
+            records.append(SweepRecord(scheme, n, error, **bounds_for(scheme, norms, n, special)))
     return records
 
 

@@ -248,6 +248,37 @@ def test_commutativity_all_families(descriptor):
     assert jb_norm(jordan_mul(a, b) - jordan_mul(b, a)) == 0.0
 
 
+@pytest.mark.parametrize("d", range(1, 10))
+def test_matrix_product_matches_the_symmetrized_product_at_every_small_size(d):
+    # The product is the Hermitian part of one matmul.  On sym the transpose
+    # of xy is yx bit for bit at every size; on herm zgemm rounds (xy)^H and
+    # yx differently at some sizes, so there the product is only close.
+    rng = np.random.default_rng(100 + d)
+    for _ in range(20):
+        m = rng.standard_normal((2, d, d))
+        x, y = sym_element(m[0] + m[0].T), sym_element(m[1] + m[1].T)
+        got = jordan_mul(x, y).data
+        assert np.array_equal(got, (x.data @ y.data + y.data @ x.data) / 2)
+        assert np.array_equal(got, jordan_mul(y, x).data)
+        m = m + 1j * rng.standard_normal((2, d, d))
+        x, y = herm_element(m[0] + m[0].conj().T), herm_element(m[1] + m[1].conj().T)
+        got = jordan_mul(x, y).data
+        want = (x.data @ y.data + y.data @ x.data) / 2
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        assert np.array_equal(got, got.conj().T)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 33])
+def test_spin_product_is_the_closed_form_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    for _ in range(50):
+        x, y = (spin_element(p[0], p[1:]) for p in rng.standard_normal((2, k + 1)))
+        (s, v), (t, w) = (x.data[0], x.data[1:]), (y.data[0], y.data[1:])
+        want = np.concatenate([[s * t + v @ w], s * w + t * v])
+        assert np.array_equal(jordan_mul(x, y).data, want)
+        assert np.array_equal(jordan_mul(y, x).data, want)
+
+
 def test_albert_product_matches_entrywise_octonion_reference():
     # octonion.mul is itself checked against the hand-derived table.
     for seed in range(8):
@@ -427,6 +458,19 @@ def test_tiny_albert_spectrum_is_the_scaled_spectrum():
     # Entries this large once overflowed the cubic's coefficients.
     z = np.zeros(8)
     assert jb_norm(albert_element([1e200, 0.0, 0.0], z, z, z)) == 1e200
+
+
+@pytest.mark.parametrize("v", [1e200, 1e-200, 1e-320], ids=str)
+def test_spin_spectrum_of_huge_and_tiny_spin_parts(v):
+    # v.v overflows above about 1.3e154 and underflows below about 1e-162.
+    a = spin_element(0.0, [v, 0.0])
+    assert jb_norm(a) == v
+    assert np.array_equal(spectrum(a), [-v, v])
+    if v < 1.0:
+        # sinh|v| / |v| rounds to 1, so exp(a) = (cosh|v|, v) keeps v whole.
+        assert np.array_equal(exp_spectral(a).data, [1.0, v, 0.0])
+    # A zero spin part, whose frexp exponent is 0.
+    assert jb_norm(spin_element(-2.0, [0.0, 0.0])) == 2.0
 
 
 def test_real_cubic_roots():

@@ -374,6 +374,9 @@ def test_huge_entries_are_one_input_error(tmp_path, capsys):
             {"diag": [1e200, 0, 0], "x": zero8, "y": zero8, "z": zero8},
             {"diag": [0, 1, 0], "x": [1.0] + zero8[1:], "y": zero8, "z": zero8},
         ]},
+        # v.v overflows, |v| does not
+        "spin-v": {"algebra": {"kind": "spin", "dim": 2},
+                   "elements": [{"s": 0, "v": [1e200, 0]}, {"s": 0, "v": [0, 1]}]},
     }
     paths = {}
     for name, doc in docs.items():
@@ -389,15 +392,16 @@ def test_huge_entries_are_one_input_error(tmp_path, capsys):
         assert out == "", argv
         err_lines = err.strip().split("\n")
         assert len(err_lines) == 1 and err_lines[0].startswith("error[input]:"), argv
-    # Norm-only commands see a norm of 1e200 in both families: inf bounds,
+    # Norm-only commands see a norm of 1e200 in every family: inf bounds,
     # and a step count beyond the planner's capacity.
     results = {}
-    for kind in ("sym", "albert"):
+    for kind in ("sym", "albert", "spin-v"):
         for command in (("bounds",), ("plan", "--eps", "1e-3")):
             code = cli.main([*command, "--input", paths[kind]])
             results[kind, command[0]] = code, capsys.readouterr()
-    assert results["albert", "bounds"] == results["sym", "bounds"]
-    assert results["albert", "plan"] == results["sym", "plan"]
+    for kind in ("albert", "spin-v"):
+        assert results[kind, "bounds"] == results["sym", "bounds"], kind
+        assert results[kind, "plan"] == results["sym", "plan"], kind
     code, (out, err) = results["albert", "bounds"]
     assert code == 0 and err == "" and out.count(",inf,") == 9
     code, (out, err) = results["albert", "plan"]

@@ -6,6 +6,7 @@ import pytest
 from jbtrotter.algebras import (
     jb_norm,
     random_element,
+    spin_element,
     sym_element,
     unit,
 )
@@ -135,6 +136,35 @@ def test_overflowing_exp_sum_raises(descriptor):
         sweep("f", elems, [1, 256])
     with pytest.raises(NonFiniteError):
         plan_min_n("g", 1e-3, elements=elems, mode="measured")
+
+
+@pytest.mark.parametrize("outer", ["default", "raise"])
+def test_numpy_warning_state_is_restored(outer):
+    # Each call silences numpy's overflow warnings in one scope of its own
+    # and leaves the caller's setting as it found it, on return and on
+    # NonFiniteError alike.
+    calls = (
+        lambda elems: sweep("g", elems, [1, 2]),
+        lambda elems: measured_error("f", elems, 1),
+        lambda elems: plan_min_n("g", 1e-3, elements=elems, mode="measured"),
+    )
+    overflowing = (
+        # exp of the sum overflows
+        [sym_element([[800.0, 0.0], [0.0, 1.0]]), sym_element([[0.0, 1.0], [1.0, 0.0]])],
+        # the sums are finite, exp of the single elements overflows
+        [sym_element([[800.0, 0.0], [0.0, 1.0]]), sym_element([[-800.0, 1.0], [1.0, 0.0]])],
+        [spin_element(800.0, [1.0]), spin_element(-800.0, [0.0])],
+    )
+    state = {"over": "raise", "invalid": "raise"} if outer == "raise" else {}
+    with np.errstate(**state):
+        before = np.geterr()
+        for call in calls:
+            call(pauli_pair())
+            assert np.geterr() == before
+            for elems in overflowing:
+                with pytest.raises(NonFiniteError):
+                    call(elems)
+                assert np.geterr() == before
 
 
 def test_measured_error_unknown_scheme():
