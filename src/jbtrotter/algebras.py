@@ -237,30 +237,39 @@ def spin_element(s: float, v) -> Element:
     return Element(AlgebraDescriptor("spin", vec.size), data)
 
 
-def albert_element(diag, x, y, z) -> Element:
-    """Octonion Hermitian 3x3 from real diagonal and entries x, y, z.
+# The albert payload layout, stated once.  In a flattened (3, 3, 8)
+# payload every 32nd entry is a real diagonal entry (the other diagonal
+# coefficients are 0).  Rows 5, 6 and 1 of its (9, 8) view are the
+# off-diagonal octonions x, y and z at (1, 2), (2, 0) and (0, 1); rows 7, 2
+# and 3, their mirror positions, hold their conjugates.
+_DIAG = slice(None, None, 32)
+_XYZ_ROWS = np.array([5, 6, 1])
+_CONJ_ROWS = np.array([7, 2, 3])
 
-    Layout: x sits at (1, 2), y at (2, 0), z at (0, 1); the transposed
-    positions hold the conjugates and the diagonal is real.
-    """
+_ALBERT_ONE = np.zeros((3, 3, 8))
+_ALBERT_ONE.reshape(72)[_DIAG] = 1.0
+_ALBERT_ONE.setflags(write=False)
+
+
+def albert_element(diag, x, y, z) -> Element:
+    """Octonion Hermitian 3x3 from real diagonal and entries x, y, z
+    (x at (1, 2), y at (2, 0), z at (0, 1), conjugates mirrored)."""
     d = np.array(diag, dtype=float).reshape(-1)
     parts = [np.array(p, dtype=float).reshape(-1) for p in (x, y, z)]
     if d.size != 3 or any(p.size != 8 for p in parts):
         raise ValueError("albert element needs 3 diagonal reals and three length-8 entries")
-    ox, oy, oz = parts
     m = np.zeros((3, 3, 8))
-    m[0, 0, 0], m[1, 1, 0], m[2, 2, 0] = d
-    m[1, 2], m[2, 1] = ox, octonion.conj(ox)
-    m[2, 0], m[0, 2] = oy, octonion.conj(oy)
-    m[0, 1], m[1, 0] = oz, octonion.conj(oz)
+    m.reshape(72)[_DIAG] = d
+    rows = m.reshape(9, 8)
+    rows[_XYZ_ROWS] = parts
+    rows[_CONJ_ROWS] = octonion.conj(rows[_XYZ_ROWS])
     _require_finite(m, "albert payload")
     return Element(AlgebraDescriptor("albert", 3), m)
 
 
 def albert_parts(a: Element) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of ``albert_element``: (diag, x, y, z)."""
-    m = a.data
-    return m[[0, 1, 2], [0, 1, 2], 0].copy(), m[1, 2].copy(), m[2, 0].copy(), m[0, 1].copy()
+    """Inverse of ``albert_element``: (diag, x, y, z), new arrays."""
+    return (a.data.ravel()[_DIAG].copy(), *a.data.reshape(9, 8)[_XYZ_ROWS])
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +277,11 @@ def albert_parts(a: Element) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 #
 # A family object works on payloads (``product``, ``unit``) or on elements
 # (``eigvals``, ``exp``, ``sample``).  Family code reaches ``jordan_mul``,
-# ``exp_series`` and ``octonion.mul`` only through those module names, looked
-# up at call time, so a wrapper installed on a name (a profiler, a call
-# counter) sees every call whichever family makes it.
+# ``exp_series`` and the octonion layer only through module names looked up
+# at call time, so a wrapper installed on a name (a profiler, a call
+# counter) sees every call whichever family makes it.  ``octonion.mul`` is
+# the one traced octonion name; ``octonion.matmul``, ``conj``,
+# ``norm_form`` and ``real_part`` never call it.
 
 
 class _MatrixFamily:
@@ -371,25 +382,6 @@ class _SpinFamily:
         return Element(descriptor, rng.standard_normal(descriptor.dim + 1))
 
 
-# STRUCTURE as a read-only (8, 64) view: an octonion x times it gives, at
-# column 8 j + k, the coefficient of e_k in x e_j, i.e. the matrix of the
-# left multiplication y -> x y.
-_LEFT_MUL = octonion.STRUCTURE.reshape(8, 64)
-
-
-def _oct_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a @ b)[p, q] = sum_c a[p, c] b[c, q] with octonion entry products,
-    for 3x3 payloads stacked over any leading axes.
-
-    One matmul turns every entry a[p, c] into its left-multiplication
-    matrix (exactly: each column picks one signed coefficient), and one
-    batched matmul applies them to the columns of b, summing over (c, j).
-    """
-    lead = a.shape[:-3]
-    left = (a.reshape(-1, 8) @ _LEFT_MUL).reshape(lead + (3, 24, 8))
-    return b.swapaxes(-3, -2).reshape(lead + (1, 3, 24)) @ left
-
-
 def _real_cubic_roots(t: float, s: float, n: float) -> np.ndarray:
     """Ascending roots of x^3 - t x^2 + s x - n, all known to be real."""
     p = s - t * t / 3.0
@@ -403,22 +395,6 @@ def _real_cubic_roots(t: float, s: float, n: float) -> np.ndarray:
     c = min(1.0, max(-1.0, 3.0 * q / (p * m)))
     phi = math.acos(c) / 3.0
     return np.array(sorted(m * math.cos(phi - 2.0 * math.pi * k / 3.0) + third for k in range(3)))
-
-
-# In a flattened (3, 3, 8) payload every 32nd entry is a real diagonal
-# entry; rows 5, 6 and 1 of its (9, 8) view are the off-diagonal octonions
-# x, y and z.
-_DIAG = slice(None, None, 32)
-_XYZ_ROWS = np.array([5, 6, 1])
-
-# Octonion conjugation as a factor on the last axis (multiplying by -1 is
-# exact), and the albert unit payload; both read-only.
-_CONJ_SIGN = np.array([1.0] + [-1.0] * 7)
-_CONJ_SIGN.setflags(write=False)
-
-_ALBERT_ONE = np.zeros((3, 3, 8))
-_ALBERT_ONE.reshape(72)[_DIAG] = 1.0
-_ALBERT_ONE.setflags(write=False)
 
 
 class _AlbertFamily:
@@ -439,9 +415,10 @@ class _AlbertFamily:
         # The sum xy + yx, not xy Hermitized alone, keeps the product exactly
         # commutative: swapping x and y gives the same bits.  A square makes
         # one octonion matmul, since 0.5 (X + X) = X exactly.
-        half = _oct_matmul(x, x) if y is x else 0.5 * (_oct_matmul(x, y) + _oct_matmul(y, x))
+        mm = octonion.matmul
+        half = mm(x, x) if y is x else 0.5 * (mm(x, y) + mm(y, x))
         # Hermitian part: swap matrix indices, conjugate each entry.
-        return 0.5 * (half + half.transpose(1, 0, 2) * _CONJ_SIGN)
+        return 0.5 * (half + octonion.conj(half.transpose(1, 0, 2)))
 
     def eigvals(self, a: Element) -> np.ndarray:
         m = a.data

@@ -8,12 +8,13 @@ written as the string "inf", "-inf" or "nan", and null means a bound does
 not apply.
 
 Arguments are checked as they are parsed: --eps and --tol must be finite
-and positive, and --seed (default $JBTROTTER_SEED, else 0) an integer
->= 0.  An instance given with --input fixes the norms and the algebra, so
-bounds and plan refuse --norms or --algebra next to it.  --trials above
-10^6, --degree above 32, a step count in --n above 2^30 and an algebra
-payload above 2^20 entries are capacity errors.  Every subcommand takes
---output, a file to write in place of stdout.
+and positive, --seed (default $JBTROTTER_SEED, else 0) an integer >= 0,
+the step counts in --n strictly increasing and the schemes in --scheme
+distinct.  An instance given with --input fixes the norms and the
+algebra, so bounds and plan refuse --norms or --algebra next to it.
+--trials above 10^6, --degree above 32, a step count in --n above 2^30 and
+an algebra payload above 2^20 entries are capacity errors.  Every
+subcommand takes --output, a file to write in place of stdout.
 
 Every failure path prints a single line to stderr of the form
 ``error[<kind>]: <reason>`` and exits with the code for that kind: 2
@@ -160,6 +161,8 @@ def _parse_schemes(text: str) -> list[str]:
             raise argparse.ArgumentTypeError(f"unknown scheme {s!r} (expected g, f or h)")
     if not schemes:
         raise argparse.ArgumentTypeError("no schemes given")
+    if len(set(schemes)) < len(schemes):
+        raise argparse.ArgumentTypeError(f"a scheme is repeated in {text!r}")
     return schemes
 
 

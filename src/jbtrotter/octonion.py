@@ -7,13 +7,15 @@ imaginary units.  Multiplication follows the Cayley-Dickson doubling
 
 applied twice above the complex numbers.  No multiplication table is
 typed in by hand; a dense structure tensor is derived once at import by
-running the doubling recursion on the basis vectors.  ``mul`` contracts
-against that tensor, so it accepts stacked operands (any leading shape
-with a trailing axis of length 8) and stays inside numpy.
+running the doubling recursion on the basis vectors.  ``mul`` and
+``matmul`` apply left-multiplication matrices read from that tensor, so
+they accept stacked operands (any leading shape in front of the trailing
+octonion axis of length 8) and stay inside numpy; nothing else reads it.
 
-Conjugation negates every coefficient except the real part, the norm
-form is the plain Euclidean square.  Octonions are alternative but not
-associative; the composition identity norm(xy) = norm(x) norm(y) holds.
+Conjugation multiplies by a sign vector that negates every coefficient
+except the real part, the norm form is the plain Euclidean square.
+Octonions are alternative but not associative; the composition identity
+norm(xy) = norm(x) norm(y) holds.
 """
 
 from __future__ import annotations
@@ -22,11 +24,14 @@ import numpy as np
 
 DIM = 8
 
+BASIS = np.eye(DIM)
+BASIS.setflags(write=False)
+ONE = BASIS[0]  # a view of read-only BASIS, so read-only too
 
-def _cd_conj(x: np.ndarray) -> np.ndarray:
-    out = -x
-    out[..., 0] = x[..., 0]
-    return out
+# Conjugation as a factor on the last axis (multiplying by -1 is exact); its
+# first h entries conjugate the length-h halves of the doubling recursion.
+_CONJ_SIGN = np.array([1.0] + [-1.0] * (DIM - 1))
+_CONJ_SIGN.setflags(write=False)
 
 
 def _cd_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -37,42 +42,43 @@ def _cd_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     h = n // 2
     a, b = x[:h], x[h:]
     c, d = y[:h], y[h:]
-    return np.concatenate([
-        _cd_mul(a, c) - _cd_mul(_cd_conj(d), b),
-        _cd_mul(d, a) + _cd_mul(b, _cd_conj(c)),
-    ])
-
-
-def _build_structure_tensor() -> np.ndarray:
-    basis = np.eye(DIM)
-    t = np.zeros((DIM, DIM, DIM))
-    for i in range(DIM):
-        for j in range(DIM):
-            t[i, j] = _cd_mul(basis[i], basis[j])
-    return t
+    sign = _CONJ_SIGN[:h]
+    return np.concatenate([_cd_mul(a, c) - _cd_mul(sign * d, b),
+                           _cd_mul(d, a) + _cd_mul(b, sign * c)])
 
 
 # STRUCTURE[i, j, k]: coefficient of e_k in the product e_i e_j.
-STRUCTURE = _build_structure_tensor()
+STRUCTURE = np.array([[_cd_mul(ei, ej) for ej in BASIS] for ei in BASIS])
 STRUCTURE.setflags(write=False)
 
-ONE = np.zeros(DIM)
-ONE[0] = 1.0
-ONE.setflags(write=False)
-
-BASIS = np.eye(DIM)
-BASIS.setflags(write=False)
+# STRUCTURE as a read-only (8, 64) view: an octonion x times it gives, at
+# column 8 j + k, the coefficient of e_k in x e_j, i.e. the matrix of the
+# left multiplication y -> x y.  Each column holds one entry +-1, so the
+# matrix is exact.
+_LEFT_MUL = STRUCTURE.reshape(DIM, DIM * DIM)
 
 
 def mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Octonion product, broadcast over leading axes."""
-    return np.einsum("...i,...j,ijk->...k", x, y, STRUCTURE)
+    """Octonion product, broadcast over leading axes: y times the
+    left-multiplication matrix of x."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    left = (x @ _LEFT_MUL).reshape(x.shape[:-1] + (DIM, DIM))
+    return (y[..., None, :] @ left)[..., 0, :]
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a @ b)[p, q] = sum_c a[p, c] b[c, q] for 3x3 octonion matrices,
+    payloads (..., 3, 3, 8) with the same leading axes: every a[p, c]
+    becomes its left-multiplication matrix, and one batched matmul applies
+    them to the columns of b, summing over (c, j)."""
+    lead = a.shape[:-3]
+    left = (a.reshape(-1, 8) @ _LEFT_MUL).reshape(lead + (3, 24, 8))
+    return b.swapaxes(-3, -2).reshape(lead + (1, 3, 24)) @ left
 
 
 def conj(x: np.ndarray) -> np.ndarray:
-    out = np.array(x, dtype=float)
-    out[..., 1:] = -out[..., 1:]
-    return out
+    """Conjugate, a new array: the imaginary coefficients negated."""
+    return np.multiply(x, _CONJ_SIGN)
 
 
 def real_part(x: np.ndarray) -> np.ndarray:
@@ -82,4 +88,3 @@ def real_part(x: np.ndarray) -> np.ndarray:
 def norm_form(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     return (x * x).sum(axis=-1)
-

@@ -299,12 +299,12 @@ def test_albert_kernel_stacks_bit_for_bit():
     desc = AlgebraDescriptor("albert", 3)
     xs = np.stack([random_element(desc, 40 + k).data for k in range(5)])
     ys = np.stack([random_element(desc, 80 + k).data for k in range(5)])
-    stacked = algebras._oct_matmul(xs, ys)
-    nested = algebras._oct_matmul(np.stack([xs, ys]), np.stack([ys, xs]))
+    stacked = octonion.matmul(xs, ys)
+    nested = octonion.matmul(np.stack([xs, ys]), np.stack([ys, xs]))
     for k in range(5):
-        assert np.array_equal(stacked[k], algebras._oct_matmul(xs[k], ys[k]))
+        assert np.array_equal(stacked[k], octonion.matmul(xs[k], ys[k]))
         assert np.array_equal(nested[0, k], stacked[k])
-        assert np.array_equal(nested[1, k], algebras._oct_matmul(ys[k], xs[k]))
+        assert np.array_equal(nested[1, k], octonion.matmul(ys[k], xs[k]))
 
 
 def test_albert_square_takes_the_same_bits_as_a_product_of_copies():

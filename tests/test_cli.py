@@ -314,6 +314,9 @@ def test_overflowing_instance_is_one_input_error(tmp_path):
         {"algebra": {"kind": "sym", "dim": 2}, "elements": [[800, 0, 0, 1], [-800, 1, 1, 0]]},
         {"algebra": {"kind": "spin", "dim": 1},
          "elements": [{"s": 800, "v": [1]}, {"s": -800, "v": [0]}]},
+        # exp of the sum and the g product are finite, the error is not
+        {"algebra": {"kind": "spin", "dim": 2},
+         "elements": [{"s": 0, "v": [355.29, 0]}, {"s": 0, "v": [0, 355.29]}]},
     )
     for k, doc in enumerate(docs):
         path = tmp_path / f"overflow{k}.json"
@@ -406,6 +409,22 @@ def test_huge_entries_are_one_input_error(tmp_path, capsys):
     assert code == 0 and err == "" and out.count(",inf,") == 9
     code, (out, err) = results["albert", "plan"]
     assert code == 5 and out == "" and err.startswith("error[capacity]:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--scheme", "g,g", "--n", "1,2"),
+    ("sweep", "--scheme", "g,f,g", "--n", "1,2"),
+    ("bounds", "--norms", "1,1", "--scheme", "f,f"),
+])
+def test_repeated_scheme_is_a_usage_error(pauli_instance, argv):
+    if argv[0] == "sweep":
+        argv += ("--input", str(pauli_instance))
+    res = run_cli(*argv)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.split("\n")
+    assert lines[1:] == [""] and lines[0].startswith("error[usage]: "), res.stderr
+    assert "repeated" in lines[0]
 
 
 def test_bounds_rejects_scheme_h():
@@ -637,7 +656,7 @@ CONTRACT_VALUES = {
     "--tol": (("1e-10", "1e-30", "0", "-1", "nan", "inf", "x"), 2),
     "--eps": (("1e-3", "10", "1e-300", "0", "-1", "nan", "inf", "x"), 3),
     "--norms": (("1,1", "0", "1e200", "-1", "nan", "inf", "x", ""), 3),
-    "--scheme": (("g", "f", "h", "g,f,h", "", "x"), 4),
+    "--scheme": (("g", "f", "h", "g,f,h", "", "x", "g,g"), 4),
     "--n": (("1,2", "1:8:x2", "0", "-1", "x", "4,2", "1:99999999999999999999999:x2",
              "1073741825"), 2),
     "--degree": (("2", "3", "1", "0", "-1", "x", "33"), 2),

@@ -1,4 +1,5 @@
-"""Octonion layer: tensor product vs an independent hand-written table."""
+"""Octonion layer: the kernels behind mul and matmul vs an independent
+hand-written table."""
 
 import numpy as np
 import pytest
@@ -40,6 +41,40 @@ def test_mul_broadcasts_over_leading_axes():
     batched = octonion.mul(xs, ys)
     for k in range(5):
         assert np.allclose(batched[k], octonion.mul(xs[k], ys[k]))
+
+
+@pytest.mark.parametrize("xshape, yshape", [((5, 8), (8,)), ((8,), (5, 8)), ((2, 1, 8), (3, 8))])
+def test_mul_broadcasts_mixed_leading_shapes_bit_for_bit(xshape, yshape):
+    xs, ys = RNG.standard_normal(xshape), RNG.standard_normal(yshape)
+    batched = octonion.mul(xs, ys)
+    bx, by = np.broadcast_arrays(xs, ys)
+    assert batched.shape == bx.shape
+    for idx in np.ndindex(bx.shape[:-1]):
+        assert batched[idx].tobytes() == octonion.mul(bx[idx], by[idx]).tobytes(), idx
+
+
+def test_matmul_matches_table_entry_by_entry():
+    # Full (3, 3, 8) payloads: every coordinate filled, no Hermitian
+    # structure, so each entry product goes through the whole table.
+    for _ in range(20):
+        a, b = RNG.standard_normal((2, 3, 3, 8))
+        got = octonion.matmul(a, b)
+        for p in range(3):
+            for q in range(3):
+                want = sum(oct_mul_table(a[p, c], b[c, q]) for c in range(3))
+                assert np.abs(got[p, q] - want).max() <= 1e-14 * np.abs(want).max(), (p, q)
+
+
+def test_conj_negates_the_imaginary_part_into_a_new_array():
+    x = RNG.standard_normal((4, 8))
+    x[0, :3] = [0.0, -0.0, 0.0]
+    before = x.copy()
+    want = x.copy()
+    want[..., 1:] = -want[..., 1:]
+    got = octonion.conj(x)
+    assert not np.shares_memory(got, x)
+    assert got.tobytes() == want.tobytes()
+    assert x.tobytes() == before.tobytes()
 
 
 def test_unit_element():

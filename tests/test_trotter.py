@@ -138,6 +138,16 @@ def test_overflowing_exp_sum_raises(descriptor):
         plan_min_n("g", 1e-3, elements=elems, mode="measured")
 
 
+def test_error_past_the_float_range_raises():
+    # exp of the sum and the g product at n = 1 are finite, but the norm
+    # s + |v| of the product, about 2.4e308, and so the error, is not.
+    elems = [spin_element(0.0, [355.29, 0.0]), spin_element(0.0, [0.0, 355.29])]
+    assert np.isfinite(exp_sum(elems).data).all()
+    assert np.isfinite(approx_g(elems, 1).data).all()
+    with pytest.raises(NonFiniteError, match="scheme g error at n=1"):
+        sweep("g", elems, [1])
+
+
 @pytest.mark.parametrize("outer", ["default", "raise"])
 def test_numpy_warning_state_is_restored(outer):
     # Each call silences numpy's overflow warnings in one scope of its own
