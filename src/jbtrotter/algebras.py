@@ -50,18 +50,6 @@ DEGENERATE_ROOT_GAP = 1e-6
 # square ones).
 MAX_PAYLOAD_ENTRIES = 2**20
 
-# An albert element whose largest payload entry lies outside
-# [2^-300, 2^300), i.e. whose ``math.frexp`` exponent is not in this range,
-# has its eigenvalues found for a copy scaled by a power of two: far enough
-# beyond it the Jordan square and the cubic's coefficients (products of
-# three entries) leave the normal float range.  Unscaled spectra stay
-# exactly power-of-two homogeneous out to 2^-339 and 2^339.
-_ALBERT_EXPONENT_RANGE = range(-299, 301)
-
-# Below this v.v (|v| under about 2^-450, where the largest square nears
-# the subnormal range) the length of a spin part is found for a scaled copy.
-_SPIN_SQUARE_MIN = 2.0**-900
-
 # A matrix with an entry above this is checked and symmetrized at half
 # size, since the difference or the sum of an entry and its mirror image
 # would leave the float range.
@@ -308,7 +296,13 @@ class _MatrixFamily:
         return _hermitian_part(x @ y)
 
     def eigvals(self, a: Element) -> np.ndarray:
-        return np.linalg.eigvalsh(a.data)
+        x = a.data
+        # LAPACK can return finite eigenvalues for a payload holding a NaN.
+        # The payload's dot product with zeros, one pass that cannot
+        # overflow, is 0 when every entry is finite and NaN otherwise.
+        if np.vdot(x, np.zeros(x.shape, x.dtype)) != 0:
+            return np.full(a.descriptor.dim, math.nan)
+        return np.linalg.eigvalsh(x)
 
     def exp(self, a: Element) -> Element:
         w, v = np.linalg.eigh(a.data)
@@ -324,22 +318,12 @@ class _MatrixFamily:
         return Element(descriptor, _hermitian_part(m))
 
 
-def _spin_radius(v: np.ndarray) -> float:
-    """|v| as sqrt(v.v), the formula np.linalg.norm uses, without its
-    overhead.  When v.v leaves [2^-900, inf), where it has overflowed or
-    lost digits to underflow, |v| is taken for a copy scaled by a power of
-    two, which ldexp applies exactly both ways.  ``np.vdot`` gives the bits
-    of ``v.dot(v)`` without its floating-point warning on overflow."""
-    q = np.vdot(v, v)
-    if _SPIN_SQUARE_MIN <= q < math.inf:
-        return math.sqrt(q)
-    shift = math.frexp(float(np.abs(v).max()))[1]
-    w = np.ldexp(v, -shift)
-    return math.ldexp(math.sqrt(np.vdot(w, w)), shift)
-
-
 class _SpinFamily:
-    """Spin factors: (s, v) stored as ``[s, *v]``."""
+    """Spin factors: (s, v) stored as ``[s, *v]``.
+
+    The length |v| comes from ``math.hypot``, which neither overflows nor
+    underflows on its way and is correctly rounded in all but rare cases.
+    """
 
     special = False
     dtype = float
@@ -365,12 +349,12 @@ class _SpinFamily:
         return out
 
     def eigvals(self, a: Element) -> np.ndarray:
-        s, r = a.data[0], _spin_radius(a.data[1:])
+        s, r = a.data[0], math.hypot(*a.data[1:].tolist())
         return np.array([s - r, s + r])
 
     def exp(self, a: Element) -> Element:
         s, v = float(a.data[0]), a.data[1:]
-        r = _spin_radius(v)
+        r = math.hypot(*v.tolist())
         es = math.exp(s)
         out = np.zeros_like(a.data)
         if r != 0.0:
@@ -421,13 +405,14 @@ class _AlbertFamily:
         return 0.5 * (half + octonion.conj(half.transpose(1, 0, 2)))
 
     def eigvals(self, a: Element) -> np.ndarray:
-        m = a.data
-        shift = math.frexp(float(np.abs(m).max()))[1]
-        if shift not in _ALBERT_EXPONENT_RANGE:
-            # ldexp scales exactly both ways, subnormal entries included, and
-            # leaves the largest entry in [1/2, 1).
-            scaled = Element(a.descriptor, np.ldexp(m, -shift))
-            return np.ldexp(self.eigvals(scaled), shift)
+        # Solved at unit scale: for the payload times 2^-shift, whose largest
+        # entry lies in [1/2, 1), so the Jordan square and the cubic's
+        # coefficients (products of three entries) stay in the float range.
+        # ldexp scales exactly both ways, so the spectrum is exactly
+        # power-of-two homogeneous wherever the scaled payload and the roots
+        # scaled back stay normal.
+        shift = math.frexp(float(np.abs(a.data).max()))[1]
+        m = np.ldexp(a.data, -shift)
         # Roots of the characteristic cubic x^3 - t x^2 + s x - det, where
         # det is the cubic norm form of the exceptional Jordan algebra, for
         # b = a - mu 1 with mu the mean of the diagonal; mu is added back to
@@ -445,7 +430,7 @@ class _AlbertFamily:
         nx, ny, nz = octonion.norm_form(off).tolist()
         cross = float(octonion.real_part(octonion.mul(octonion.mul(x, y), z)))
         det = d0 * d1 * d2 - d0 * nx - d1 * ny - d2 * nz + 2.0 * cross
-        return _real_cubic_roots(t, 0.5 * (t * t - (s0 + s1 + s2)), det) + mu
+        return np.ldexp(_real_cubic_roots(t, 0.5 * (t * t - (s0 + s1 + s2)), det) + mu, shift)
 
     def exp(self, a: Element) -> Element:
         l0, l1, l2 = self.eigvals(a).tolist()
@@ -539,12 +524,22 @@ def spectrum(a: Element) -> np.ndarray:
     return a.descriptor._family.eigvals(a)
 
 
+def _nan_max(a: float, b: float) -> float:
+    """The larger of a and b, NaN counting as larger than any number (the
+    builtin ``max`` keeps its first argument when the second is NaN)."""
+    return b if b != b else max(a, b)
+
+
 def jb_norm(a: Element) -> float:
-    """Algebra norm: largest absolute eigenvalue."""
+    """Algebra norm: largest absolute eigenvalue.
+
+    An element with a NaN or an infinite payload entry never gets a finite
+    norm: it gets NaN or inf.
+    """
     vals = a.descriptor._family.eigvals(a)
     # Ascending, so the largest absolute value sits at one end; abs turns
     # the -0.0 of a zero spectrum into 0.0.
-    return abs(max(vals.item(-1), -vals.item(0)))
+    return abs(_nan_max(vals.item(-1), -vals.item(0)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import AlgebraDescriptor, Element, jb_norm, jordan_mul, random_element
+from .algebras import AlgebraDescriptor, Element, _nan_max, jb_norm, jordan_mul, random_element
 
 DEFAULT_TOL = 1e-10
 # Commutativity holds up to roundoff, so its limit is the tolerance / 1e4.
@@ -90,7 +90,8 @@ def run_axiom_suite(
         a = random_element(descriptor, int(seeds[i, 0]), float(norms[i, 0]))
         b = random_element(descriptor, int(seeds[i, 1]), float(norms[i, 1]))
         values = [check(a, b) for _, check, _ in checks]
-        worst = values if worst is None else [max(w, v) for w, v in zip(worst, values)]
+        # NaN is the worst value, so a check that ever gives NaN fails.
+        worst = values if worst is None else [_nan_max(w, v) for w, v in zip(worst, values)]
     results = []
     for (name, _, divisor), w in zip(checks, worst):
         limit = tol / divisor

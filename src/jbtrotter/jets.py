@@ -28,6 +28,7 @@ from .algebras import (
     AlgebraDescriptor,
     Element,
     _check_elements,
+    _nan_max,
     jb_norm,
     jordan_mul,
     unit,
@@ -153,11 +154,12 @@ def evaluate_jet(p: Jet, t: float) -> Element:
 
 
 def residual(p: Jet, reference: Jet, through_degree: int) -> float:
-    """Largest coefficient-norm gap between two jets through a degree."""
+    """Largest coefficient-norm gap between two jets through a degree; NaN
+    if any gap is NaN."""
     _check_degrees(p, reference)
     if not 0 <= through_degree <= p.degree:
         raise ValueError(f"degree {through_degree} outside jet degree {p.degree}")
-    return max(
+    return reduce(_nan_max, (
         jb_norm(p.coefficients[k] - reference.coefficients[k])
         for k in range(through_degree + 1)
-    )
+    ))

@@ -1,0 +1,172 @@
+"""A fixed corpus of command lines, run in process through ``cli.main``.
+
+    python3 tests/cli_corpus.py > corpus.txt
+
+Instances from fixed seeds are written to a temporary directory, which is
+also the working directory of every command, so paths print as
+basenames.  The corpus holds successful commands (every subcommand, all
+four families, csv/json/plotdata, --output files, bound and measured
+plan) and the error-path instance files of the CLI error-contract test.
+Each command prints one line: its argv, its exit code, and the sha256 of
+its stdout, its stderr and each file it wrote.  The output does not
+depend on PYTHONHASHSEED, and diffing the output of two checkouts shows
+which commands changed.  The exit code is 1 if a command meant to succeed
+did not.  (No test_ prefix: pytest does not collect this file.)
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from jbtrotter import cli  # noqa: E402
+from test_cli import CONTRACT_FILES  # noqa: E402
+
+FAMILIES = (("sym", 3), ("herm", 3), ("spin", 4), ("spin", 33), ("albert", 3))
+
+# (kind, dim, element count, entry scale): one instance each.
+INSTANCES = [
+    (kind, dim, m, scale)
+    for kind, dim in FAMILIES
+    for m in (2, 3)
+    for scale in (1e-120, 0.1, 0.5)
+]
+
+
+def _payload(kind: str, dim: int, rng, scale: float):
+    """A Gaussian payload in the instance file layout, entries times scale.
+    Drawn without the library, so two checkouts read the same inputs."""
+    if kind in ("sym", "herm"):
+        m = scale * rng.standard_normal((dim, dim))
+        if kind == "herm":
+            m = m + 1j * scale * rng.standard_normal((dim, dim))
+        entries = (m + m.conj().T).ravel().tolist()
+        return entries if kind == "sym" else [[z.real, z.imag] for z in entries]
+    v = (scale * rng.standard_normal(dim + 1 if kind == "spin" else 27)).tolist()
+    if kind == "spin":
+        return {"s": v[0], "v": v[1:]}
+    return {"diag": v[:3], "x": v[3:11], "y": v[11:19], "z": v[19:]}
+
+
+def write_instances(root: Path) -> list[str]:
+    names = []
+    for i, (kind, dim, m, scale) in enumerate(INSTANCES):
+        rng = np.random.default_rng(i)
+        doc = {"algebra": {"kind": kind, "dim": dim}, "label": f"corpus-{i}",
+               "elements": [_payload(kind, dim, rng, scale) for _ in range(m)]}
+        names.append(f"{kind}{dim}-m{m}-scale{scale}.json")
+        (root / names[-1]).write_text(json.dumps(doc), encoding="utf-8")
+    for name, doc in CONTRACT_FILES.items():
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        (root / name).write_text(text, encoding="utf-8")
+    return names
+
+
+def successful_commands(instances: list[str]) -> list[list[str]]:
+    cmds = [["demo"], ["demo", "--output", "demo.txt"]]
+    for algebra in (f"{kind}:{dim}" for kind, dim in FAMILIES):
+        cmds.append(["verify-axioms", "--algebra", algebra, "--trials", "50"])
+        cmds.append(["verify-axioms", "--algebra", algebra, "--trials", "10", "--seed", "7",
+                     "--output", "axioms.txt"])
+        cmds.append(["bounds", "--norms", "0.5,1.5", "--algebra", algebra, "--scheme", "g,f"])
+        cmds.append(["plan", "--norms", "1,0.5,0.25", "--algebra", algebra, "--scheme", "f",
+                     "--eps", "1e-6"])
+    cmds.append(["bounds", "--norms", "1,2,3", "--n", "1,3,9,27", "--out", "json"])
+    cmds.append(["bounds", "--norms", "0.1,0.2", "--out", "plotdata", "--scheme", "f,g",
+                 "--output", "bounds.dat"])
+    cmds.append(["plan", "--norms", "1,1", "--eps", "1e-4"])
+    for name, (_, _, m, scale) in zip(instances, INSTANCES):
+        # Scheme h needs an odd element count.
+        schemes = "g,f,h" if m % 2 else "g,f"
+        cmds += [
+            ["sweep", "--input", name, "--scheme", schemes, "--n", "1:256:x2"],
+            ["sweep", "--input", name, "--scheme", "f", "--n", "1,3,10", "--out", "json"],
+            ["sweep", "--input", name, "--scheme", schemes, "--n", "2:32:x4", "--out", "plotdata"],
+            ["sweep", "--input", name, "--scheme", "g,f", "--n", "1,2,4", "--out", "plotdata",
+             "--output", "sweep.dat"],
+            ["sweep", "--input", name, "--n", "8", "--out", "json", "--output", "sweep.json"],
+            ["jets", "--input", name],
+            ["jets", "--input", name, "--degree", "4", "--output", "jets.txt"],
+            ["bounds", "--input", name, "--scheme", "g,f", "--n", "1:256:x4"],
+            ["plan", "--input", name, "--scheme", "f", "--eps", "1e-5"],
+            ["plan", "--input", name, "--mode", "measured", "--scheme", "g",
+             "--eps", "1e-2" if scale < 0.5 else "1e-1"],
+            ["plan", "--input", name, "--mode", "measured", "--scheme", "f", "--eps", "1e-4",
+             "--output", "plan.txt"],
+        ]
+    return cmds
+
+
+def error_commands() -> list[list[str]]:
+    cmds = []
+    for name in sorted(CONTRACT_FILES) + ["missing.json"]:
+        cmds += [
+            ["sweep", "--input", name, "--scheme", "g,f,h", "--n", "1,2,4"],
+            ["jets", "--input", name],
+            ["bounds", "--input", name, "--n", "1,2"],
+            ["plan", "--input", name, "--eps", "1e-3"],
+            ["plan", "--input", name, "--mode", "measured", "--eps", "1e-1"],
+        ]
+    return cmds
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(argv: list[str], root: Path, inputs: set[str]):
+    """Exit code, stdout, stderr and the files written, as {name: bytes};
+    the written files are removed."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    written = {}
+    for name in sorted(set(os.listdir(root)) - inputs):
+        written[name] = (root / name).read_bytes()
+        (root / name).unlink()
+    return code, out.getvalue(), err.getvalue(), written
+
+
+def main() -> int:
+    # The default --seed of verify-axioms comes from the environment.
+    os.environ.pop("JBTROTTER_SEED", None)
+    start = time.perf_counter()
+    failed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        instances = write_instances(root)
+        inputs = set(os.listdir(root))
+        cwd = os.getcwd()
+        os.chdir(root)
+        try:
+            corpus = [(argv, True) for argv in successful_commands(instances)]
+            corpus += [(argv, False) for argv in error_commands()]
+            for argv, must_succeed in corpus:
+                code, out, err, written = run(argv, root, inputs)
+                files = " ".join(f"{name}={_sha(data)}" for name, data in written.items())
+                print(f"{' '.join(argv)} | exit {code} | stdout {_sha(out.encode())}"
+                      f" | stderr {_sha(err.encode())} | files {files or '-'}")
+                if must_succeed and code != 0:
+                    failed.append(argv)
+        finally:
+            os.chdir(cwd)
+    print(f"{len(corpus)} commands, {len(failed)} expected successes failed, "
+          f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
+    for argv in failed:
+        print(f"failed: {' '.join(argv)}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,6 +5,8 @@ exceptional family against the complex 3x3 Hermitian subalgebra sitting
 inside it (octonion coordinates 0 and 1 only).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -443,14 +445,13 @@ def test_tiny_albert_spectrum(eps):
 
 
 def test_tiny_albert_spectrum_is_the_scaled_spectrum():
-    # A power-of-two scaling commutes with every rounding, so an element
-    # with its largest entry in [0.5, 1) and copies scaled by 2^-700 and
-    # 2^700 (solved through a rescaled copy) or by 2^-300 and 2^299 (solved
-    # as they are, at the edges of that range) have spectra that differ by
+    # Every albert spectrum is solved for a copy scaled to unit size, and a
+    # power-of-two scaling is exact, so an element with its largest entry
+    # in [0.5, 1) and its copies scaled by 2^k have spectra that differ by
     # exactly that factor.
     a = random_element(AlgebraDescriptor("albert", 3), 61)
     a = Element(a.descriptor, np.ldexp(a.data, -np.frexp(np.abs(a.data).max())[1]))
-    for shift in (-700, -300, 299, 700):
+    for shift in (-700, -301, -300, 299, 300, 301, 700):
         scaled = Element(a.descriptor, np.ldexp(a.data, shift))
         assert np.array_equal(spectrum(scaled),
                               np.ldexp(spectrum(a), shift)), shift
@@ -460,17 +461,71 @@ def test_tiny_albert_spectrum_is_the_scaled_spectrum():
     assert jb_norm(albert_element([1e200, 0.0, 0.0], z, z, z)) == 1e200
 
 
-@pytest.mark.parametrize("v", [1e200, 1e-200, 1e-320], ids=str)
-def test_spin_spectrum_of_huge_and_tiny_spin_parts(v):
-    # v.v overflows above about 1.3e154 and underflows below about 1e-162.
-    a = spin_element(0.0, [v, 0.0])
-    assert jb_norm(a) == v
-    assert np.array_equal(spectrum(a), [-v, v])
-    if v < 1.0:
+# Spin parts v of exactly representable length |v|, by test id.  v.v
+# overflows above about 1.3e154 and underflows below about 1e-162.
+EXACT_SPIN_PARTS = {
+    "1e+200": ([1e200, 0.0], 1e200),
+    "1e-200": ([1e-200, 0.0], 1e-200),
+    "1e-320": ([1e-320, 0.0], 1e-320),
+    "3-4-times-2^600": ([3 * 2.0**600, 4 * 2.0**600], 5 * 2.0**600),
+    "3-4-times-2^-1000": ([3 * 2.0**-1000, 4 * 2.0**-1000], 5 * 2.0**-1000),
+    # Subnormal: 6072, 8096 and 10120 times the smallest positive float.
+    "3e-320-4e-320": ([3e-320, 4e-320], 5e-320),
+}
+
+
+@pytest.mark.parametrize("v, length", EXACT_SPIN_PARTS.values(), ids=EXACT_SPIN_PARTS)
+def test_spin_spectrum_of_huge_and_tiny_spin_parts(v, length):
+    a = spin_element(0.0, v)
+    assert jb_norm(a) == length
+    assert np.array_equal(spectrum(a), [-length, length])
+    if length < 1.0:
         # sinh|v| / |v| rounds to 1, so exp(a) = (cosh|v|, v) keeps v whole.
-        assert np.array_equal(exp_spectral(a).data, [1.0, v, 0.0])
+        assert np.array_equal(exp_spectral(a).data, [1.0, *v])
     # A zero spin part, whose frexp exponent is 0.
     assert jb_norm(spin_element(-2.0, [0.0, 0.0])) == 2.0
+
+
+def test_spin_norm_is_within_one_ulp_of_the_length():
+    # |v| against 50-digit mpmath on 2,100 seeded spin parts of 1 to 257
+    # entries, magnitudes 1e-5 to 1e5.  sqrt(v.v) in floats misses by up to
+    # 1.4 ulp on such draws.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for k in (1, 2, 3, 8, 33, 257):
+            for _ in range(350):
+                v = rng.standard_normal(k) * 10.0 ** rng.uniform(-5.0, 5.0)
+                exact = mpmath.sqrt(mpmath.fsum(mpmath.mpf(x) ** 2 for x in v.tolist()))
+                got = jb_norm(spin_element(0.0, v))
+                ulps = abs(mpmath.mpf(got) - exact) / math.ulp(float(exact))
+                worst = max(worst, float(ulps))
+    assert worst <= 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=str)
+def test_non_finite_element_has_no_finite_norm(descriptor, bad):
+    # A NaN or an infinity anywhere in the payload (mirrored on sym and
+    # herm) leaves the norm NaN or inf.
+    data = unit(descriptor).data
+    with np.errstate(all="ignore"):
+        for pos in range(data.size):
+            x = data.copy()
+            x.flat[pos] = bad
+            if descriptor.kind in ("sym", "herm"):
+                x = x + x.T.conj() - np.diag(np.diag(x))
+            norm = jb_norm(Element(descriptor, x))
+            assert not math.isfinite(norm), pos
+
+
+def test_nan_hidden_from_eigvalsh_gives_a_nan_norm():
+    # eigvalsh returns [0, -0, 1], [nan, nan, 2] and [0, -0] for these.
+    nan = math.nan
+    for kind, m in (("sym", np.diag([nan, 1.0, 1.0])),
+                    ("sym", np.array([[1.0, nan, 0.0], [nan, 1.0, 0.0], [0.0, 0.0, 2.0]])),
+                    ("herm", np.diag([nan, 2.0]).astype(complex))):
+        assert math.isnan(jb_norm(Element(AlgebraDescriptor(kind, len(m)), m))), m
 
 
 def test_real_cubic_roots():

@@ -1,12 +1,16 @@
 """Axiom suite behavior, including proof that the checks can fail."""
 
+import functools
+import io
 import tracemalloc
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jbtrotter import cli
 from jbtrotter.algebras import (
     AlgebraDescriptor,
     Element,
@@ -111,6 +115,42 @@ def test_fault_injection_norm_axioms():
     by_name = {r.name: r for r in results}
     assert by_name["commutativity"].passed
     assert not by_name["norm-square"].passed
+
+
+def _product_turning_nan(after: int):
+    """The Jordan product, with an all-NaN payload from call after + 1 on."""
+    calls = 0
+
+    def product(a: Element, b: Element) -> Element:
+        nonlocal calls
+        calls += 1
+        ab = jordan_mul(a, b)
+        return Element(ab.descriptor, np.full_like(ab.data, np.nan)) if calls > after else ab
+
+    return product
+
+
+def test_nan_residual_fails_every_check(monkeypatch):
+    # The first three trials (eleven products each) are clean; from then on
+    # every residual is NaN, which the builtin max would pass over.
+    results = run_axiom_suite(
+        AlgebraDescriptor("spin", 3), trials=20, seed=0, product=_product_turning_nan(40)
+    )
+    assert tuple(r.name for r in results) == EXPECTED_CHECKS
+    for r in results:
+        assert not r.passed and np.isnan(r.worst), r
+    # The command line reports such a check as failed, with worst nan.
+    monkeypatch.setattr(
+        cli, "run_axiom_suite",
+        functools.partial(run_axiom_suite, product=_product_turning_nan(40)),
+    )
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["verify-axioms", "--algebra", "spin:3", "--trials", "20"])
+    assert code == cli.EXIT_VERIFY
+    lines = out.getvalue().splitlines()
+    assert lines[-1] == "result FAIL"
+    assert all(" FAIL  worst nan  tol " in line for line in lines[1:-1]), lines
 
 
 # property-based spot checks on two cheap families

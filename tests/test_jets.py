@@ -190,6 +190,18 @@ def test_commuting_elements_make_step_jets_exact():
     assert residual(u, jet_zero(a.descriptor, 4), 4) < 1e-15
 
 
+def test_nan_gap_makes_a_nan_residual():
+    # The degree-2 coefficients hold (1e200)^2, which overflows; their gap
+    # is NaN.  The builtin max would pass over it and report 0.0.
+    a = sym_element([[1e200, 0.0], [0.0, 1.0]])
+    b = sym_element([[0.0, 1.0], [1.0, 0.0]])
+    with np.errstate(all="ignore"):
+        p, ref = product_step_jet([a, b], 3), jet_exp(a + b, 3)
+        assert math.isnan(jb_norm(p.coefficients[2] - ref.coefficients[2]))
+        assert math.isnan(residual(p, ref, 2))
+    assert residual(p, ref, 1) == 0.0
+
+
 def test_defect_wrapping_order_is_innermost_last():
     # with distinct elements the innermost wrapper must carry the last one;
     # reversing the list changes the degree-3 coefficient
