@@ -26,12 +26,22 @@ Two exponentials are provided on purpose.  ``exp_spectral`` goes through
 eigenvalues (or a closed form), ``exp_series`` runs a scaled-and-squared
 truncated power series using only the Jordan product.  They share no
 code path, so each serves as a cross-check oracle for the other.
+
+``exp_spectral(a, d)`` is exp(a / d) for a positive integer step divisor
+d, the form the product schemes need at every step count.  On sym and
+herm it decomposes ``a`` once, with ``np.linalg.eigh``, and keeps the
+decomposition on the element for as long as the element lives, so
+exp(a / d) for any further d costs no second decomposition; a sweep of m
+elements over any number of step counts makes m + 1 of them (one for the
+exponential of the sum, which is the element itself when m = 1).  Spin and albert compute exp of ``a / d``
+directly, as ``exp_spectral(a / d)`` does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,8 +51,9 @@ from . import octonion
 # to the largest entry); what is stored is exactly symmetrized.
 CONSTRUCTION_TOL = 1e-12
 
-# Below this gap between characteristic roots the spectral exponential of
-# an albert element falls back to the series route.
+# At or below this gap between characteristic roots, relative to the
+# element's norm, the spectral exponential of an albert element falls back
+# to the series route.
 DEGENERATE_ROOT_GAP = 1e-6
 
 # Descriptors whose payload would hold more entries than this are refused
@@ -155,6 +166,14 @@ class Element:
     def __repr__(self) -> str:
         return f"Element({self.descriptor}, shape={self.data.shape})"
 
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, V) with data = V diag(w) V^H, sym and herm only; computed on
+        first use and kept in the instance dict (the frozen dataclass bars
+        attribute assignment, not that dict), so it lives and dies with the
+        element."""
+        return np.linalg.eigh(self.data)
+
 
 def _real_scalar(c) -> float:
     if isinstance(c, complex) or (isinstance(c, np.generic) and np.iscomplexobj(c)):
@@ -179,6 +198,12 @@ def _check_elements(elements, minimum: int = 1) -> list[Element]:
     for e in elems[1:]:
         _check_same(elems[0], e)
     return elems
+
+
+def _check_count(value, what: str) -> None:
+    # bool is an int subclass, but True is no count.
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
@@ -304,9 +329,13 @@ class _MatrixFamily:
             return np.full(a.descriptor.dim, math.nan)
         return np.linalg.eigvalsh(x)
 
-    def exp(self, a: Element) -> Element:
-        w, v = np.linalg.eigh(a.data)
-        e = (v * np.exp(w)) @ v.conj().T
+    def exp(self, a: Element, d: int) -> Element:
+        # exp(a / d) = V diag(e^(w / d)) V^H from the decomposition of a
+        # itself, which differs from that of a / d in roundoff.  For a
+        # power-of-two d both a / d and w / d are exact, and at ordinary
+        # scales eigh(a / d) then returns w / d and V bit for bit.
+        w, v = a._eigh
+        e = (v * np.exp(w / d)) @ v.conj().T
         return Element(a.descriptor, _hermitian_part(e))
 
     def sample(self, rng, descriptor: AlgebraDescriptor) -> Element:
@@ -352,8 +381,9 @@ class _SpinFamily:
         s, r = a.data[0], math.hypot(*a.data[1:].tolist())
         return np.array([s - r, s + r])
 
-    def exp(self, a: Element) -> Element:
-        s, v = float(a.data[0]), a.data[1:]
+    def exp(self, a: Element, d: int) -> Element:
+        x = a.data / d
+        s, v = float(x[0]), x[1:]
         r = math.hypot(*v.tolist())
         es = math.exp(s)
         out = np.zeros_like(a.data)
@@ -432,18 +462,26 @@ class _AlbertFamily:
         det = d0 * d1 * d2 - d0 * nx - d1 * ny - d2 * nz + 2.0 * cross
         return np.ldexp(_real_cubic_roots(t, 0.5 * (t * t - (s0 + s1 + s2)), det) + mu, shift)
 
-    def exp(self, a: Element) -> Element:
+    def exp(self, a: Element, d: int) -> Element:
+        if d != 1:
+            a = a / d
         l0, l1, l2 = self.eigvals(a).tolist()
-        if min(l1 - l0, l2 - l1) < DEGENERATE_ROOT_GAP:
+        # The gap test is relative to the norm max(-l0, l2), so it makes the
+        # same decision at every scale; "<=" sends the zero element and
+        # multiples of the unit, whose gaps are exactly 0, to the series.
+        if min(l1 - l0, l2 - l1) <= DEGENERATE_ROOT_GAP * max(-l0, l2):
             return exp_series(a)
-        f0, f1, f2 = math.exp(l0), math.exp(l1), math.exp(l2)
-        d01 = (f1 - f0) / (l1 - l0)
-        d12 = (f2 - f1) / (l2 - l1)
-        d012 = (d12 - d01) / (l2 - l0)
+        f0, f1 = math.exp(l0), math.exp(l1)
         # Newton form of the quadratic interpolating exp at the three roots;
         # evaluating in this basis stays stable when a pair of roots sits just
-        # above the fallback gap.  Built on payloads: the one Jordan product
-        # is the only step that needs elements.
+        # above the fallback gap.  The first divided differences take expm1
+        # of the gap, (f1 - f0) / (l1 - l0) = f0 expm1(l1 - l0) / (l1 - l0),
+        # so a gap small against the roots loses no digits to the
+        # subtraction f1 - f0.  Built on payloads: the one Jordan product is
+        # the only step that needs elements.
+        d01 = f0 * math.expm1(l1 - l0) / (l1 - l0)
+        d12 = f1 * math.expm1(l2 - l1) / (l2 - l1)
+        d012 = (d12 - d01) / (l2 - l0)
         x0 = a.data - _ALBERT_ONE * l0
         x1 = a.data - _ALBERT_ONE * l1
         x01 = jordan_mul(Element(a.descriptor, x0), Element(a.descriptor, x1)).data
@@ -546,9 +584,15 @@ def jb_norm(a: Element) -> float:
 # exponentials
 
 
-def exp_spectral(a: Element) -> Element:
-    """Exponential through eigenvalues (closed form where available)."""
-    return a.descriptor._family.exp(a)
+def exp_spectral(a: Element, d: int = 1) -> Element:
+    """exp(a / d) through eigenvalues (closed form where available), for a
+    positive integer step divisor d.
+
+    On sym and herm the eigendecomposition of ``a`` is computed once and
+    kept on ``a`` for its lifetime, so further divisors reuse it.
+    """
+    _check_count(d, "divisor d")
+    return a.descriptor._family.exp(a, d)
 
 
 def exp_series(a: Element) -> Element:

@@ -12,6 +12,9 @@ Three schemes, named by their tag in the CLI:
        exp(A_2k / n) on the left and exp(A_2k+1 / n) on the right.  All
        factors use the full step 1 / n.
 
+Each factor exp(A_j / n) or exp(A_j / 2n) is ``exp_spectral(A_j, n)`` or
+``exp_spectral(A_j, 2 * n)``, so one decomposition of A_j serves every n.
+
 Closed-form error bounds (S = sum of the algebra norms, m = element
 count) follow the wire names used in sweep output:
 
@@ -38,6 +41,7 @@ import numpy as np
 from .algebras import (
     CapacityError,
     Element,
+    _check_count,
     _check_elements,
     exp_spectral,
     jb_norm,
@@ -85,15 +89,14 @@ class SweepRecord:
 
 
 def _check_n(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"step count n must be a positive integer, got {n!r}")
+    _check_count(n, "step count n")
 
 
 def approx_g(elements, n: int) -> Element:
     """Left-nested product scheme at step count n."""
     elems = _check_elements(elements)
     _check_n(n)
-    factors = [exp_spectral(a / n) for a in elems]
+    factors = [exp_spectral(a, n) for a in elems]
     step = reduce(jordan_mul, factors)
     return jordan_power(step, n)
 
@@ -102,9 +105,9 @@ def approx_f(elements, n: int) -> Element:
     """Symmetrized scheme: half-step triple-product wrappers, then power n."""
     elems = _check_elements(elements)
     _check_n(n)
-    core = exp_spectral(elems[0] / n)
+    core = exp_spectral(elems[0], n)
     for a in elems[1:]:
-        core = quad_map(exp_spectral(a / (2 * n)), core)
+        core = quad_map(exp_spectral(a, 2 * n), core)
     return jordan_power(core, n)
 
 
@@ -114,7 +117,7 @@ def approx_h(elements, n: int) -> Element:
     _check_n(n)
     if len(elems) < 3 or len(elems) % 2 == 0:
         raise SchemeError(f"scheme h needs an odd element count >= 3, got {len(elems)}")
-    factors = [exp_spectral(a / n) for a in elems]
+    factors = [exp_spectral(a, n) for a in elems]
     core = triple_product(factors[1], factors[0], factors[2])
     for k in range(3, len(factors), 2):
         core = triple_product(factors[k], core, factors[k + 1])
@@ -156,6 +159,15 @@ def exp_sum(elements) -> Element:
             lambda: exp_spectral(reduce(lambda a, b: a + b, elems)),
             "exp of the sum of the elements",
         )
+
+
+def _private(elements) -> list[Element]:
+    """Shallow copies of the checked elements, sharing their payloads.
+
+    ``exp_spectral`` keeps the sym/herm eigendecomposition on the element
+    it was given; on these copies it is freed when the caller drops them.
+    """
+    return [Element(a.descriptor, a.data) for a in _check_elements(elements)]
 
 
 def _error(target: Element, scheme: str, elements, n: int) -> float:
@@ -279,7 +291,8 @@ def plan_min_n(
     for the sharpened sym/herm bounds; it satisfies bound(n) <= eps <
     bound(n - 1).  Measured mode needs the elements themselves and uses
     doubling plus bisection on the measured error, which is assumed
-    monotone along the search.
+    monotone along the search; like ``sweep`` it decomposes each sym/herm
+    element once for the whole search, on private copies.
     """
     if scheme not in SCHEMES:
         raise SchemeError(f"unknown scheme {scheme!r}")
@@ -293,7 +306,7 @@ def plan_min_n(
     if mode == "measured":
         if elements is None:
             raise ValueError("measured mode needs elements")
-        elems = _check_elements(elements)
+        elems = _private(elements)
         with _quiet():
             target = exp_sum(elems)
             return _min_n(lambda n: _error(target, scheme, elems, n) <= eps, eps)
@@ -326,13 +339,20 @@ def _min_n(ok, eps: float) -> int:
 def sweep(scheme: str, elements, n_values) -> list[SweepRecord]:
     """Measured error plus applicable bounds for each n, in given order.
 
+    On sym and herm a sweep of m elements makes m + 1 eigendecompositions
+    whatever the number of step counts: one per element, reused by
+    ``exp_spectral(a, d)`` at every n, and one for exp of the sum (none
+    when m = 1: the sum is then the element itself).  They
+    are kept on private copies of the elements and freed when the sweep
+    returns, so the caller's elements keep none.
+
     numpy's overflow warnings are silenced once for the whole sweep, not
     per product; a scheme product or an error past the float range raises
     ``NonFiniteError`` instead of becoming a record.
     """
     if scheme not in SCHEMES:
         raise SchemeError(f"unknown scheme {scheme!r}")
-    elems = _check_elements(elements)
+    elems = _private(elements)
     ns = [int(n) for n in n_values]
     for n in ns:
         _check_n(n)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from jbtrotter import algebras
 from jbtrotter.algebras import (
     DEGENERATE_ROOT_GAP,
+    AlgebraDescriptor,
     albert_element,
     exp_series,
     exp_spectral,
@@ -89,11 +91,69 @@ def _albert_with_root_gap(gap: float):
     return embed_herm3(q @ m @ q.conj().T)
 
 
+def _count_series(monkeypatch) -> list:
+    # Family code reaches exp_series through the module name at call time.
+    calls = []
+    series = algebras.exp_series
+    monkeypatch.setattr(algebras, "exp_series", lambda a: calls.append(a) or series(a))
+    return calls
+
+
 @pytest.mark.parametrize("gap", [1e-3, 1e-5, 2e-6, 1.01e-6, 0.99e-6, 5e-7, 1e-8])
-def test_exp_albert_near_degenerate_straddles_fallback(gap):
-    # gaps on both sides of DEGENERATE_ROOT_GAP must agree with the series
-    a = _albert_with_root_gap(gap)
-    assert rel_gap(exp_spectral(a), exp_series(a)) < 1e-11
+def test_exp_albert_near_degenerate_straddles_fallback(gap, monkeypatch):
+    # gaps on both sides of DEGENERATE_ROOT_GAP must agree with the series,
+    # and the fallback decision is relative to the norm: the same at every
+    # scale for gaps clearly on one side of the threshold
+    calls = _count_series(monkeypatch)
+    for scale in (1.0, 1e-3, 1e-7):
+        a = _albert_with_root_gap(gap) * scale
+        calls.clear()
+        got = exp_spectral(a)
+        if not 0.5 < gap / DEGENERATE_ROOT_GAP < 2.0:
+            assert len(calls) == (gap < DEGENERATE_ROOT_GAP), scale
+        assert rel_gap(got, exp_series(a)) < 1e-11, scale
+
+
+@pytest.mark.parametrize("norm", [1e-12, 1e-9, 1e-7])
+def test_small_albert_elements_keep_the_closed_form(norm, monkeypatch):
+    # Roots well apart relative to the norm take the Newton form however
+    # small the element is.
+    calls = _count_series(monkeypatch)
+    desc = AlgebraDescriptor("albert", 3)
+    for seed in range(20):
+        a = random_element(desc, seed, norm)
+        got = exp_spectral(a)
+        assert rel_gap(got, exp_series(a)) < 1e-15
+    assert calls == []
+
+
+def test_albert_zero_and_unit_multiples_take_the_series(monkeypatch):
+    # Their root gaps are exactly 0, at or below any relative threshold.
+    calls = _count_series(monkeypatch)
+    one = unit(AlgebraDescriptor("albert", 3))
+    for a in (zero(one.descriptor), one, one * -3.0, one * 1e-9):
+        assert rel_gap(exp_spectral(a), exp_series(a)) < 1e-15
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 256, 1000])
+def test_exp_spectral_divisor_matches_dividing_first(descriptor, d):
+    # sym/herm reuse the decomposition of a, which differs from that of
+    # a / d in roundoff; spin and albert divide first, bit for bit.
+    for seed in range(5):
+        a = random_element(descriptor, 500 + seed, 1.5)
+        got, want = exp_spectral(a, d), exp_spectral(a / d)
+        if descriptor.is_special:
+            assert rel_gap(got, want) <= 1e-14
+        else:
+            assert np.array_equal(got.data, want.data)
+        assert np.array_equal(exp_spectral(a).data, exp_spectral(a, 1).data)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 1.5, True])
+def test_exp_spectral_rejects_bad_divisors(descriptor, bad):
+    with pytest.raises(ValueError, match="divisor d must be a positive integer"):
+        exp_spectral(random_element(descriptor, 1), bad)
 
 
 def test_fallback_threshold_is_in_tested_range():

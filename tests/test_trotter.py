@@ -93,8 +93,8 @@ def test_h_rejects_even_or_short_inputs():
 
 def test_step_count_validation():
     a, b = pauli_pair()
-    for bad in (0, -1, 2.5):
-        with pytest.raises(ValueError):
+    for bad in (0, -1, 2.5, True):
+        with pytest.raises(ValueError, match="step count n"):
             approx_g([a, b], bad)
 
 
@@ -234,6 +234,28 @@ def test_sweep_rejects_bad_scheme_and_n():
         sweep("x", [a, b], [1])
     with pytest.raises(ValueError):
         sweep("g", [a, b], [0])
+
+
+@pytest.mark.parametrize("scheme, m", [("g", 1), ("g", 3), ("f", 1), ("f", 3), ("h", 3)])
+def test_sweep_and_measured_plan_decompose_each_element_once(matrix_descriptor, scheme, m,
+                                                             monkeypatch):
+    # One eigh per element for every step count, plus one for exp of the
+    # sum unless the sum is the single element; the caller's elements keep
+    # no decomposition, so a second sweep costs as much as the first.
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda x: calls.append(x) or eigh(x))
+    elems = seeded_elements(matrix_descriptor, m, 41, 1.5 / m)
+    want = m + 1 if m > 1 else 1
+    for _ in range(2):
+        calls.clear()
+        sweep(scheme, elems, [1, 2, 3, 4, 8, 16, 32, 64, 256])
+        assert len(calls) == want
+    assert not any("_eigh" in vars(a) for a in elems)
+    calls.clear()
+    plan_min_n(scheme, 1e-6, elements=elems, mode="measured")
+    assert len(calls) == want
+    assert not any("_eigh" in vars(a) for a in elems)
 
 
 # ---------------------------------------------------------------------------
