@@ -471,16 +471,18 @@ class _AlbertFamily:
         # multiples of the unit, whose gaps are exactly 0, to the series.
         if min(l1 - l0, l2 - l1) <= DEGENERATE_ROOT_GAP * max(-l0, l2):
             return exp_series(a)
-        f0, f1 = math.exp(l0), math.exp(l1)
+        f0, f1, f2 = math.exp(l0), math.exp(l1), math.exp(l2)
         # Newton form of the quadratic interpolating exp at the three roots;
         # evaluating in this basis stays stable when a pair of roots sits just
-        # above the fallback gap.  The first divided differences take expm1
-        # of the gap, (f1 - f0) / (l1 - l0) = f0 expm1(l1 - l0) / (l1 - l0),
-        # so a gap small against the roots loses no digits to the
-        # subtraction f1 - f0.  Built on payloads: the one Jordan product is
-        # the only step that needs elements.
-        d01 = f0 * math.expm1(l1 - l0) / (l1 - l0)
-        d12 = f1 * math.expm1(l2 - l1) / (l2 - l1)
+        # above the fallback gap.  Each first divided difference is taken from
+        # its upper endpoint, (f1 - f0) / (l1 - l0) = -f1 expm1(l0 - l1) /
+        # (l1 - l0): a gap small against the roots loses no digits to the
+        # subtraction f1 - f0, and the expm1 argument is never positive, so
+        # it neither overflows on a wide spectrum whose exponential is finite
+        # nor is lost with an underflowing f0.  Built on payloads: the one
+        # Jordan product is the only step that needs elements.
+        d01 = -f1 * math.expm1(l0 - l1) / (l1 - l0)
+        d12 = -f2 * math.expm1(l1 - l2) / (l2 - l1)
         d012 = (d12 - d01) / (l2 - l0)
         x0 = a.data - _ALBERT_ONE * l0
         x1 = a.data - _ALBERT_ONE * l1

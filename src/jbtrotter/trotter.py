@@ -88,14 +88,10 @@ class SweepRecord:
     bound_special_ii: float | None = None
 
 
-def _check_n(n: int) -> None:
-    _check_count(n, "step count n")
-
-
 def approx_g(elements, n: int) -> Element:
     """Left-nested product scheme at step count n."""
     elems = _check_elements(elements)
-    _check_n(n)
+    _check_count(n, "step count n")
     factors = [exp_spectral(a, n) for a in elems]
     step = reduce(jordan_mul, factors)
     return jordan_power(step, n)
@@ -104,7 +100,7 @@ def approx_g(elements, n: int) -> Element:
 def approx_f(elements, n: int) -> Element:
     """Symmetrized scheme: half-step triple-product wrappers, then power n."""
     elems = _check_elements(elements)
-    _check_n(n)
+    _check_count(n, "step count n")
     core = exp_spectral(elems[0], n)
     for a in elems[1:]:
         core = quad_map(exp_spectral(a, 2 * n), core)
@@ -114,7 +110,7 @@ def approx_f(elements, n: int) -> Element:
 def approx_h(elements, n: int) -> Element:
     """Odd-count triple-product chain at full step 1/n."""
     elems = _check_elements(elements)
-    _check_n(n)
+    _check_count(n, "step count n")
     if len(elems) < 3 or len(elems) % 2 == 0:
         raise SchemeError(f"scheme h needs an odd element count >= 3, got {len(elems)}")
     factors = [exp_spectral(a, n) for a in elems]
@@ -197,7 +193,7 @@ def measured_error(scheme: str, elements, n: int) -> float:
 
 def _bound(norms, n: int, formula) -> float:
     """formula(S, m) of the norms' sum S and count m, inf past the float range."""
-    _check_n(n)
+    _check_count(n, "step count n")
     try:
         vals = [float(v) for v in norms]
         if not all(v >= 0 for v in vals):
@@ -355,7 +351,7 @@ def sweep(scheme: str, elements, n_values) -> list[SweepRecord]:
     elems = _private(elements)
     ns = [int(n) for n in n_values]
     for n in ns:
-        _check_n(n)
+        _check_count(n, "step count n")
     special = elems[0].descriptor.is_special
     records = []
     with _quiet():

@@ -136,6 +136,17 @@ def test_albert_zero_and_unit_multiples_take_the_series(monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("diag", [(-400.0, 350.0, 351.0), (-750.0, -45.0, -44.0)])
+def test_wide_albert_spectrum_keeps_every_eigenvalue(diag):
+    # A spread past the float range of exp(l1 - l0), with the exponential
+    # itself finite, and a lowest root whose exponential underflows: the
+    # divided differences must neither overflow nor drop the upper roots.
+    z = np.zeros(8)
+    got = exp_spectral(albert_element(np.array(diag), z, z, z))
+    want = albert_element(np.exp(np.array(diag)), z, z, z)
+    np.testing.assert_allclose(got.data, want.data, rtol=1e-10, atol=0)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 256, 1000])
 def test_exp_spectral_divisor_matches_dividing_first(descriptor, d):
     # sym/herm reuse the decomposition of a, which differs from that of

@@ -18,6 +18,7 @@ from jbtrotter.trotter import (
     approx_f,
     approx_g,
     approx_h,
+    bound_thm31,
     empirical_order,
     exp_sum,
     measured_error,
@@ -96,6 +97,8 @@ def test_step_count_validation():
     for bad in (0, -1, 2.5, True):
         with pytest.raises(ValueError, match="step count n"):
             approx_g([a, b], bad)
+        with pytest.raises(ValueError, match="step count n"):
+            bound_thm31([1.0, 2.0], bad)
 
 
 def test_mixed_descriptors_rejected():
