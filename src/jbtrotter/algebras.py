@@ -61,11 +61,6 @@ DEGENERATE_ROOT_GAP = 1e-6
 # square ones).
 MAX_PAYLOAD_ENTRIES = 2**20
 
-# A matrix with an entry above this is checked and symmetrized at half
-# size, since the difference or the sum of an entry and its mirror image
-# would leave the float range.
-_HALF_MAX = float(np.finfo(float).max) / 2
-
 
 class DescriptorMismatchError(ValueError):
     """Raised when elements of different algebras are combined."""
@@ -216,7 +211,11 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    # (m + m^H) / 2 as a sum of halves, which is finite wherever m is;
+    # halving is exact in the normal range, so wherever m + m^H does not
+    # overflow the bits are those of 0.5 * (m + m^H).
+    h = 0.5 * m
+    return h + h.conj().T
 
 
 def _matrix_element(kind: str, dtype, symmetry: str, matrix, tol: float) -> Element:
@@ -224,13 +223,14 @@ def _matrix_element(kind: str, dtype, symmetry: str, matrix, tol: float) -> Elem
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     _require_finite(m, f"{kind} payload")
-    scale = max(1.0, float(np.abs(m).max()))
-    if scale > _HALF_MAX:  # check and symmetrize m / 2, then double it
-        half = _matrix_element(kind, dtype, symmetry, 0.5 * m, tol)
-        return Element(half.descriptor, 2.0 * half.data)
-    if np.abs(m - m.conj().T).max() > tol * scale:
+    # The symmetry defect and the scale are measured on the halves, which
+    # neither a difference nor a complex modulus can take past the float
+    # maximum; the stored payload is their sum, as in _hermitian_part.
+    h = 0.5 * m
+    mirror = h.conj().T
+    if np.abs(h - mirror).max() > tol * max(0.5, float(np.abs(h).max())):
         raise ValueError(f"matrix is not {symmetry} within tolerance")
-    return Element(AlgebraDescriptor(kind, m.shape[0]), _hermitian_part(m))
+    return Element(AlgebraDescriptor(kind, m.shape[0]), h + mirror)
 
 
 def sym_element(matrix, tol: float = CONSTRUCTION_TOL) -> Element:
@@ -426,13 +426,15 @@ class _AlbertFamily:
         return _ALBERT_ONE
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # The sum xy + yx, not xy Hermitized alone, keeps the product exactly
-        # commutative: swapping x and y gives the same bits.  A square makes
-        # one octonion matmul, since 0.5 (X + X) = X exactly.
+        # The Hermitian part of (xy + yx) / 2 by the rule of _hermitian_part:
+        # each term is scaled before the first sum, so both sums are finite
+        # wherever the matmuls are.  The sum xy + yx, not xy Hermitized
+        # alone, keeps the product exactly commutative (swapping x and y
+        # gives the same bits); a square takes one octonion matmul.
         mm = octonion.matmul
-        half = mm(x, x) if y is x else 0.5 * (mm(x, y) + mm(y, x))
-        # Hermitian part: swap matrix indices, conjugate each entry.
-        return 0.5 * (half + octonion.conj(half.transpose(1, 0, 2)))
+        h = 0.5 * mm(x, x) if y is x else 0.25 * mm(x, y) + 0.25 * mm(y, x)
+        # h^H: swap matrix indices, conjugate each entry.
+        return h + octonion.conj(h.transpose(1, 0, 2))
 
     def eigvals(self, a: Element) -> np.ndarray:
         # Solved at unit scale: for the payload times 2^-shift, whose largest
@@ -607,7 +609,7 @@ def exp_series(a: Element) -> Element:
     """
     nrm = jb_norm(a)
     s = 0 if nrm == 0.0 else max(0, math.ceil(math.log2(nrm)) + 2)
-    b = a / float(2**s)
+    b = a * math.ldexp(1.0, -s)
     acc = unit(a.descriptor)
     term = unit(a.descriptor)
     for k in range(1, 21):

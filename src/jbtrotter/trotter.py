@@ -349,7 +349,7 @@ def sweep(scheme: str, elements, n_values) -> list[SweepRecord]:
     if scheme not in SCHEMES:
         raise SchemeError(f"unknown scheme {scheme!r}")
     elems = _private(elements)
-    ns = [int(n) for n in n_values]
+    ns = list(n_values)
     for n in ns:
         _check_count(n, "step count n")
     special = elems[0].descriptor.is_special

@@ -8,7 +8,7 @@ and this module reach the same quantities along genuinely different routes.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 from scipy.linalg import expm
@@ -29,6 +29,34 @@ def to_matrix(e: Element) -> np.ndarray:
     if e.descriptor.kind not in ("sym", "herm"):
         raise ValueError("matrix oracle covers sym and herm only")
     return np.array(e.data)
+
+
+# Jordan-Wigner: 2k anticommuting Hermitian involutions on k qubits.
+_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
+_PAULI_Z = np.diag([1.0, -1.0])
+
+
+def _clifford_generators(count: int) -> list[np.ndarray]:
+    """``count`` pairwise anticommuting Hermitian matrices squaring to 1."""
+    qubits = (count + 1) // 2
+    gens = []
+    for q in range(qubits):
+        for pauli in (_PAULI_X, _PAULI_Y):
+            factors = [_PAULI_Z] * q + [pauli] + [np.eye(2)] * (qubits - q - 1)
+            gens.append(reduce(np.kron, factors).astype(complex))
+    return gens[:count]
+
+
+def spin_to_matrix(e: Element) -> np.ndarray:
+    """(s, v) as s 1 + sum_i v_i gamma_i, an associative embedding of the
+    spin factor: the symmetrized product of two images is the image of
+    their Jordan product."""
+    if e.descriptor.kind != "spin":
+        raise ValueError("Clifford embedding covers spin factors only")
+    s, v = e.data[0], e.data[1:]
+    gens = _clifford_generators(v.size)
+    return s * np.eye(gens[0].shape[0]) + sum(c * g for c, g in zip(v, gens))
 
 
 def spectral_norm(m) -> float:
@@ -147,3 +175,43 @@ def extract_herm3(e: Element) -> np.ndarray:
     m[0, 1] = complex(z[0], z[1])
     m[1, 0] = m[0, 1].conjugate()
     return m
+
+
+# The albert algebra as R^27: the real diagonal, then the octonions x, y, z
+# at (1, 2), (2, 0) and (0, 1).
+def _albert_coords(payload) -> np.ndarray:
+    m = np.asarray(payload)
+    return np.concatenate([[m[0, 0, 0], m[1, 1, 0], m[2, 2, 0]], m[1, 2], m[2, 0], m[0, 1]])
+
+
+def _albert_payload(coords) -> np.ndarray:
+    c = np.asarray(coords, dtype=float)
+    return albert_element(c[:3], c[3:11], c[11:19], c[19:]).data
+
+
+def _albert_jprod_table(x, y) -> np.ndarray:
+    """Symmetrized 3x3 octonion matmul through the tabulated product."""
+    out = np.zeros((3, 3, 8))
+    for p in range(3):
+        for q in range(3):
+            for c in range(3):
+                out[p, q] += oct_mul_table(x[p, c], y[c, q]) + oct_mul_table(y[p, c], x[c, q])
+    return 0.5 * out
+
+
+@cache
+def _albert_structure() -> np.ndarray:
+    """T[i, :, j]: the coordinates of e_i o e_j over the 27 coordinate units."""
+    basis = [_albert_payload(u) for u in np.eye(27)]
+    table = np.array([[_albert_coords(_albert_jprod_table(bi, bj)) for bj in basis]
+                      for bi in basis])
+    return table.transpose(0, 2, 1)
+
+
+def albert_exp_oracle(a: Element) -> Element:
+    """exp(a) = expm(L_a) 1, with L_a the 27x27 matrix of x -> a o x:
+    a^k = L_a^k 1 by power associativity."""
+    left_mul = np.tensordot(_albert_coords(a.data), _albert_structure(), axes=1)
+    one = np.zeros(27)
+    one[:3] = 1.0
+    return Element(a.descriptor, _albert_payload(expm(left_mul) @ one))

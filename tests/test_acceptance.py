@@ -1,9 +1,12 @@
 """Acceptance gate: ten end-to-end criteria, one test each.
 
-Every test prints a single "criterion NN pass: ..." line (visible under
-pytest -s or on failure) and the pytest -v listing itself gives the
-per-criterion pass/fail verdict.  Grids and tolerances are spelled out
-inline; nothing here is scaled down for speed.
+Every criterion test prints a single "criterion NN pass: ..." line
+(visible under pytest -s or on failure) and the pytest -v listing itself
+gives the per-criterion pass/fail verdict.  Grids and tolerances are
+spelled out inline; nothing here is scaled down for speed.  Next to
+criterion 05, two oracle tests reach the families it cannot: spin
+factors through Clifford matrices, albert through its 27x27
+left-multiplication matrices.
 """
 
 import json
@@ -23,6 +26,7 @@ from jbtrotter.algebras import (
     exp_spectral,
     jb_norm,
     random_element,
+    unit,
 )
 from jbtrotter.axioms import run_axiom_suite
 from jbtrotter.jets import (
@@ -48,12 +52,14 @@ from jbtrotter.trotter import (
     tightest_bound,
 )
 from assoc_oracle import (
+    albert_exp_oracle,
     embed_herm3,
     oracle_exp_sum,
     oracle_f,
     oracle_g,
     oracle_h,
     spectral_norm,
+    spin_to_matrix,
     to_matrix,
 )
 from conftest import STANDARD_DESCRIPTORS, cli_env, pauli_pair
@@ -204,6 +210,54 @@ def test_criterion_05_oracle_equivalence():
         "criterion 05 pass: 200 seeded sym/herm cases, approximants and "
         f"exponentials vs plain matrix route, worst relative gap {worst:.3e}"
     )
+
+
+def test_spin_schemes_match_clifford_matrices():
+    # spin:8 sits in the 16x16 Clifford matrices, where the schemes are
+    # plain matrix products of scipy exponentials.
+    desc = AlgebraDescriptor("spin", 8)
+    worst = 0.0
+    for i in range(50):
+        rng = np.random.default_rng([55, i])
+        elems = [
+            random_element(desc, int(rng.integers(0, 2**62)), float(rng.uniform(0.1, 4.0)))
+            for _ in range(3)
+        ]
+        mats = [spin_to_matrix(e) for e in elems]
+        for n in (1, 3, 16):
+            for approx, oracle in ((approx_g, oracle_g), (approx_f, oracle_f),
+                                   (approx_h, oracle_h)):
+                want = oracle(mats, n)
+                got = spin_to_matrix(approx(elems, n))
+                gap = spectral_norm(got - want) / spectral_norm(want)
+                worst = max(worst, gap)
+                assert gap <= 1e-13, (i, n, approx.__name__, gap)
+    print(f"spin Clifford oracle: 50 triples, g/f/h at n = 1, 3, 16, worst rel {worst:.3e}")
+
+
+def test_albert_exp_matches_left_multiplication_matrix():
+    # exp(a) = expm(L_a) 1 with L_a built from the hand-tabulated octonion
+    # product: an oracle for the spectral route that shares no arithmetic
+    # with it, on random spectra and on roots at and across the series
+    # fallback, criterion 07's straddling gaps among them.
+    desc = AlgebraDescriptor("albert", 3)
+    rng = np.random.default_rng(57)
+    cases = [
+        random_element(desc, int(rng.integers(0, 2**62)), float(rng.uniform(0.1, 4.0)))
+        for _ in range(200)
+    ]
+    gaps = (0.0, 1e-12, 1e-9, 1e-8, 1e-6, 1e-5, 1e-4, 1e-2)
+    cases += [_albert_with_root_gap(gap, 800 + k) for k, gap in enumerate(gaps)]
+    cases += [_albert_with_root_gap(float(gap), 700 + k)
+              for k, gap in enumerate(np.geomspace(1e-8, 1e-4, 48))]
+    cases += [unit(desc) * 0.7, unit(desc) * 0.0]
+    worst = 0.0
+    for k, a in enumerate(cases):
+        want = albert_exp_oracle(a)
+        gap = jb_norm(exp_spectral(a) - want) / jb_norm(want)
+        worst = max(worst, gap)
+        assert gap <= 1e-12, (k, gap)
+    print(f"albert left-multiplication oracle: {len(cases)} exponentials, worst rel {worst:.3e}")
 
 
 def test_criterion_06_jet_claims():

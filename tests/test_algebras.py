@@ -123,6 +123,40 @@ def test_matrix_constructors_keep_entries_near_the_float_maximum():
     assert b.data[0, 1] == 1e308 + 1e308j and b.data[1, 0] == 1e308 - 1e308j
 
 
+def test_herm_constructor_refuses_a_defect_whose_modulus_passes_the_float_maximum():
+    # |1.5e308 + 1.5e308j| is past the float maximum; the defect is measured
+    # on halves, so the refusal keeps its category and raises no warning.
+    with pytest.raises(ValueError, match="not Hermitian"):
+        herm_element([[0.0, 1.5e308 + 1.5e308j], [0.0, 0.0]])
+
+
+def _near_maximum_diagonal(kind, top):
+    if kind == "albert":
+        zero8 = np.zeros(8)
+        return albert_element([top, 1.0, 1.0], zero8, zero8, zero8)
+    make = sym_element if kind == "sym" else herm_element
+    return make(np.diag([top, 1.0]))
+
+
+@pytest.mark.parametrize("kind", ["sym", "herm", "albert"])
+def test_products_whose_value_fits_do_not_overflow(kind):
+    # 1.2e154^2 = 1.44e308 and 1.2e154 * 1.1e154 = 1.32e308 both lie in
+    # (max / 2, max]: the Hermitian part must not pass through twice them.
+    x = _near_maximum_diagonal(kind, 1.2e154)
+    y = _near_maximum_diagonal(kind, 1.1e154)
+    for got, top in ((jordan_mul(x, x), 1.2e154 * 1.2e154),
+                     (jordan_mul(x, y), 1.2e154 * 1.1e154),
+                     (jordan_mul(y, x), 1.2e154 * 1.1e154)):
+        assert np.array_equal(got.data, _near_maximum_diagonal(kind, top).data)
+        assert jb_norm(got) == pytest.approx(top, rel=1e-15)
+
+
+def test_power_whose_value_fits_does_not_overflow():
+    got = jordan_power(sym_element(np.diag([5e102, 1.0])), 3)
+    assert got.data[0, 0] == pytest.approx(1.25e308, rel=1e-15)
+    assert math.isfinite(jb_norm(got))
+
+
 def test_spin_constructor():
     e = spin_element(2.0, [1.0, 0.0, -1.0])
     assert e.descriptor == AlgebraDescriptor("spin", 3)

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -409,6 +410,28 @@ def test_huge_entries_are_one_input_error(tmp_path, capsys):
     assert code == 0 and err == "" and out.count(",inf,") == 9
     code, (out, err) = results["albert", "plan"]
     assert code == 5 and out == "" and err.startswith("error[capacity]:")
+
+
+def test_overflowing_jet_coefficients_are_one_input_error(tmp_path, capsys):
+    # Norms and jet scales of 1e90 entries are finite; the degree-4 jet
+    # coefficients are not.  numpy warnings are not errors here, as in a
+    # plain run, so only the CLI's own raise scope can stop the report.
+    docs = {
+        "sym": {"algebra": {"kind": "sym", "dim": 2},
+                "elements": [[1e90, 1e90, 1e90, 1e90], [1e90, 0, 0, -1e90]]},
+        "spin": {"algebra": {"kind": "spin", "dim": 2},
+                 "elements": [{"s": 1e90, "v": [1e90, 0]}, {"s": 0, "v": [0, 1e90]}]},
+    }
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = cli.main(["jets", "--input", str(path), "--degree", "4"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == "", name
+        err_lines = err.strip().split("\n")
+        assert len(err_lines) == 1 and err_lines[0].startswith("error[input]:"), name
 
 
 @pytest.mark.parametrize("argv", [

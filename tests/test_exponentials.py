@@ -167,6 +167,15 @@ def test_exp_spectral_rejects_bad_divisors(descriptor, bad):
         exp_spectral(random_element(descriptor, 1), bad)
 
 
+@pytest.mark.parametrize("c", [-1e300, -1e308])
+def test_exp_of_a_huge_negative_unit_multiple_is_zero(descriptor, c):
+    # exp_series halves the argument about 2^1026 times at -1e308; the
+    # scale factor must stay a float and the exponential is exactly 0.
+    a = unit(descriptor) * c
+    for got in (exp_series(a), exp_spectral(a)):
+        assert np.array_equal(got.data, zero(descriptor).data)
+
+
 def test_fallback_threshold_is_in_tested_range():
     assert 5e-7 < DEGENERATE_ROOT_GAP < 1e-3
 

@@ -235,8 +235,10 @@ def test_sweep_rejects_bad_scheme_and_n():
     a, b = pauli_pair()
     with pytest.raises(SchemeError):
         sweep("x", [a, b], [1])
-    with pytest.raises(ValueError):
-        sweep("g", [a, b], [0])
+    # Each step count is checked as given, as approx_* and bound_* check it.
+    for bad in (0, 2.5, True, "3", np.int64(4)):
+        with pytest.raises(ValueError, match="step count n must be a positive integer"):
+            sweep("g", [a, b], [bad])
 
 
 @pytest.mark.parametrize("scheme, m", [("g", 1), ("g", 3), ("f", 1), ("f", 3), ("h", 3)])
