@@ -542,7 +542,8 @@ def jordan_power(a: Element, n: int) -> Element:
     Powers of a single element associate, so the splitting order does not
     matter beyond roundoff.
     """
-    if not isinstance(n, int) or n < 0:
+    # bool is an int subclass, but True is no exponent.
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"exponent must be a nonnegative integer, got {n!r}")
     if n == 0:
         return unit(a.descriptor)
@@ -626,8 +627,8 @@ def exp_series(a: Element) -> Element:
 
 def random_element(descriptor: AlgebraDescriptor, seed: int, target_norm: float = 1.0) -> Element:
     """Seeded Gaussian element rescaled to the requested algebra norm."""
-    if not target_norm > 0.0:
-        raise ValueError("target_norm must be positive")
+    if not (math.isfinite(target_norm) and target_norm > 0.0):
+        raise ValueError(f"target_norm must be finite and positive, got {target_norm!r}")
     elem = descriptor._family.sample(np.random.default_rng(seed), descriptor)
     nrm = jb_norm(elem)
     if nrm == 0.0:

@@ -22,12 +22,16 @@ usage, 3 input (an unreadable, malformed or rejected instance, or any
 computation that overflows the float range), 4 verification failure, 5
 capacity (a request past one of the limits above, or a plan that needs
 more than 2^30 steps).
+
+main(argv) may be called many times in one process: it builds its parser
+on the first call and reads $JBTROTTER_SEED on every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -284,9 +288,18 @@ def _plan_report(n_min: int, label: str, value_at, out) -> None:
 # subcommands
 
 
+def _env_seed() -> int:
+    # Read on every call: the parser, and so its defaults, outlive one command.
+    try:
+        return _count("seed", 0)(os.environ.get("JBTROTTER_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"argument --seed: {exc}") from None
+
+
 def cmd_verify_axioms(args, out) -> int:
-    results = run_axiom_suite(args.algebra, trials=args.trials, seed=args.seed, tol=args.tol)
-    out.write(f"algebra {args.algebra} trials {args.trials} seed {args.seed}\n")
+    seed = _env_seed() if args.seed is None else args.seed
+    results = run_axiom_suite(args.algebra, trials=args.trials, seed=seed, tol=args.tol)
+    out.write(f"algebra {args.algebra} trials {args.trials} seed {seed}\n")
     for res in results:
         status = "pass" if res.passed else "FAIL"
         out.write(
@@ -476,10 +489,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--trials", type=_count("trial count", 1, MAX_TRIALS), default=1000)
     p.add_argument(
-        "--seed",
-        type=_count("seed", 0),
-        default=os.environ.get("JBTROTTER_SEED", "0"),
-        help="default: $JBTROTTER_SEED, else 0",
+        "--seed", type=_count("seed", 0), default=None, help="default: $JBTROTTER_SEED, else 0"
     )
     p.add_argument(
         "--tol", type=_positive, default=DEFAULT_TOL, help="identity tolerance (default 1e-10)"
@@ -513,11 +523,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Run one command and write its output once; the except clauses are
     the one table from failures to error kinds and exit codes."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         out = io.StringIO()
         # A numpy overflow raises instead of warning and going on with inf.
         with np.errstate(over="raise", invalid="raise"):

@@ -154,8 +154,12 @@ def load_instance(path) -> ProblemInstance:
             doc = json.load(fh)
     except OSError as exc:
         _fail("parse", f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        _fail("parse", f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         _fail("parse", f"invalid JSON in {path}: {exc.msg} at line {exc.lineno}")
+    except RecursionError:
+        _fail("parse", f"cannot parse {path}: arrays or objects nested too deeply")
     return instance_from_dict(doc)
 
 

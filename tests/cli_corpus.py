@@ -10,8 +10,12 @@ plan) and the error-path instance files of the CLI error-contract test.
 Each command prints one line: its argv, its exit code, and the sha256 of
 its stdout, its stderr and each file it wrote.  The output does not
 depend on PYTHONHASHSEED, and diffing the output of two checkouts shows
-which commands changed.  The exit code is 1 if a command meant to succeed
-did not.  (No test_ prefix: pytest does not collect this file.)
+which commands changed.  The whole list runs twice in the same process
+(which shares one parser and the library's memos), and each line prints
+once, from the first pass.  The exit code is 1 if a command meant to
+succeed did not, or if any line of the second pass differs from the
+first; stderr names those commands.  (No test_ prefix: pytest does not
+collect this file.)
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from jbtrotter import cli  # noqa: E402
-from test_cli import CONTRACT_FILES  # noqa: E402
+from test_cli import CONTRACT_FILES, contract_bytes  # noqa: E402
 
 FAMILIES = (("sym", 3), ("herm", 3), ("spin", 4), ("spin", 33), ("albert", 3))
 
@@ -68,8 +72,7 @@ def write_instances(root: Path) -> list[str]:
         names.append(f"{kind}{dim}-m{m}-scale{scale}.json")
         (root / names[-1]).write_text(json.dumps(doc), encoding="utf-8")
     for name, doc in CONTRACT_FILES.items():
-        text = doc if isinstance(doc, str) else json.dumps(doc)
-        (root / name).write_text(text, encoding="utf-8")
+        (root / name).write_bytes(contract_bytes(doc))
     return names
 
 
@@ -138,11 +141,18 @@ def run(argv: list[str], root: Path, inputs: set[str]):
     return code, out.getvalue(), err.getvalue(), written
 
 
+def line(argv: list[str], root: Path, inputs: set[str]) -> tuple[int, str]:
+    """Exit code and corpus line of one command."""
+    code, out, err, written = run(argv, root, inputs)
+    files = " ".join(f"{name}={_sha(data)}" for name, data in written.items())
+    return code, (f"{' '.join(argv)} | exit {code} | stdout {_sha(out.encode())}"
+                  f" | stderr {_sha(err.encode())} | files {files or '-'}")
+
+
 def main() -> int:
     # The default --seed of verify-axioms comes from the environment.
     os.environ.pop("JBTROTTER_SEED", None)
     start = time.perf_counter()
-    failed = []
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         instances = write_instances(root)
@@ -152,20 +162,23 @@ def main() -> int:
         try:
             corpus = [(argv, True) for argv in successful_commands(instances)]
             corpus += [(argv, False) for argv in error_commands()]
-            for argv, must_succeed in corpus:
-                code, out, err, written = run(argv, root, inputs)
-                files = " ".join(f"{name}={_sha(data)}" for name, data in written.items())
-                print(f"{' '.join(argv)} | exit {code} | stdout {_sha(out.encode())}"
-                      f" | stderr {_sha(err.encode())} | files {files or '-'}")
-                if must_succeed and code != 0:
-                    failed.append(argv)
+            first = [line(argv, root, inputs) for argv, _ in corpus]
+            second = [line(argv, root, inputs) for argv, _ in corpus]
         finally:
             os.chdir(cwd)
+    for _, text in first:
+        print(text)
+    failed = [argv for (argv, must_succeed), (code, _) in zip(corpus, first)
+              if must_succeed and code != 0]
+    unstable = [argv for (argv, _), a, b in zip(corpus, first, second) if a != b]
     print(f"{len(corpus)} commands, {len(failed)} expected successes failed, "
+          f"{len(unstable)} changed in the second pass, "
           f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
     for argv in failed:
         print(f"failed: {' '.join(argv)}", file=sys.stderr)
-    return 1 if failed else 0
+    for argv in unstable:
+        print(f"changed in the second pass: {' '.join(argv)}", file=sys.stderr)
+    return 1 if failed or unstable else 0
 
 
 if __name__ == "__main__":

@@ -396,6 +396,15 @@ def test_jordan_power_matches_matrix_power():
             assert np.allclose(got, want, atol=1e-9 * max(1.0, np.abs(want).max()))
 
 
+def test_jordan_power_refuses_a_bool_exponent():
+    a = rand_sym()
+    for n in (True, False, -1, 2.0):
+        with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+            jordan_power(a, n)
+    assert jordan_power(a, 0) == unit(a.descriptor)
+    assert jordan_power(a, 1) == a
+
+
 def test_power_associativity(descriptor):
     # A^i o A^j = A^(i+j) must hold even where the algebra is not special
     a = random_element(descriptor, 37, 0.9)
@@ -602,3 +611,9 @@ def test_random_element_hits_target_norm(descriptor):
     for target in (0.25, 1.0, 3.0):
         a = random_element(descriptor, 17, target)
         assert jb_norm(a) == pytest.approx(target, rel=1e-12)
+
+
+def test_random_element_refuses_a_non_finite_target_norm(descriptor):
+    for target in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="target_norm must be finite and positive"):
+            random_element(descriptor, 1, target)

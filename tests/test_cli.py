@@ -516,7 +516,40 @@ def test_verify_axioms_bad_env_seed():
     res = run_cli("verify-axioms", "--algebra", "sym:3",
                   env_extra={"JBTROTTER_SEED": "pi"})
     assert res.returncode == 2
-    assert res.stderr.startswith("error[usage]:")
+    assert res.stderr == "error[usage]: argument --seed: seed 'pi' is not an integer\n"
+
+
+def test_in_process_calls_share_one_parser(monkeypatch, pauli_instance):
+    # Each call prints what a fresh process prints, from one parser built
+    # after the cache is cleared, while the seed variable changes between calls.
+    build, builds = cli.build_parser, []
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    axioms = ("verify-axioms", "--algebra", "sym:3", "--trials", "20")
+    steps = [((axioms[0], "--algebra", "sym:0"), None), (axioms, "pi")]
+    steps += [(axioms, env) for env in ("7", "3")]
+    steps += [(axioms + ("--seed", "5"), env) for env in ("7", "3")]
+    steps += [(("sweep", "--input", pauli_instance, "--n", "1,2,4"), None), (("--version",), None)]
+    for argv, env in steps:
+        if env is None:
+            monkeypatch.delenv("JBTROTTER_SEED", raising=False)
+        else:
+            monkeypatch.setenv("JBTROTTER_SEED", env)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        fresh = run_cli(*argv, env_extra=None if env is None else {"JBTROTTER_SEED": env})
+        assert (code, out.getvalue(), err.getvalue()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), (argv, env)
+    assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +704,10 @@ CONTRACT_FILES = {
         {"diag": [0, 1, 0], "x": [1.0] + ZERO8[1:], "y": ZERO8, "z": ZERO8}]},
     "asymmetric.json": {"algebra": {"kind": "sym", "dim": 2}, "elements": [[0, 1, 2, 0]]},
     "malformed.json": "{oops",
+    # Deeper than the JSON reader can recurse, and a sym:2 instance in UTF-16.
+    "deep.json": b"[" * 100_000,
+    "utf16.json": json.dumps({"algebra": {"kind": "sym", "dim": 2},
+                              "elements": [[0.0, 1.0, 1.0, 0.0]]}).encode("utf-16"),
 }
 CONTRACT_VALUES = {
     "--algebra": (("sym:2", "spin:1", "sym:0", "herm:-1", "x:2", "sym:x", "sym:100000"), 2),
@@ -691,12 +728,19 @@ CONTRACT_VALUES = {
 KIND_OF_CODE = {2: "usage", 3: "input", 5: "capacity"}
 
 
+def contract_bytes(doc) -> bytes:
+    """A CONTRACT_FILES value as file contents: bytes as they are, a str as
+    UTF-8 text, anything else as JSON."""
+    if isinstance(doc, bytes):
+        return doc
+    return (doc if isinstance(doc, str) else json.dumps(doc)).encode("utf-8")
+
+
 @pytest.fixture(scope="module")
 def contract_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("contract")
     for name, doc in CONTRACT_FILES.items():
-        text = doc if isinstance(doc, str) else json.dumps(doc)
-        (root / name).write_text(text, encoding="utf-8")
+        (root / name).write_bytes(contract_bytes(doc))
     return root
 
 
@@ -731,3 +775,15 @@ def test_every_command_line_keeps_the_error_contract(contract_dir, argv):
         assert lines[1:] == [""] and lines[0].startswith(f"error[{KIND_OF_CODE[code]}]: "), argv
     else:
         assert err.getvalue() == "", argv
+
+
+@pytest.mark.parametrize("name", ["deep.json", "utf16.json"])
+def test_unparsable_files_are_parse_errors(contract_dir, name):
+    path = str(contract_dir / name)
+    for argv in (["sweep"], ["jets"], ["bounds"], ["plan", "--eps", "1e-3"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv + ["--input", path])
+        assert (code, out.getvalue()) == (3, ""), argv
+        lines = err.getvalue().split("\n")
+        assert lines[1:] == [""] and lines[0].startswith("error[input]: parse: "), argv
