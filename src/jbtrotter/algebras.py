@@ -29,12 +29,9 @@ code path, so each serves as a cross-check oracle for the other.
 
 ``exp_spectral(a, d)`` is exp(a / d) for a positive integer step divisor
 d, the form the product schemes need at every step count.  On sym and
-herm it decomposes ``a`` once, with ``np.linalg.eigh``, and keeps the
-decomposition on the element for as long as the element lives, so
-exp(a / d) for any further d costs no second decomposition; a sweep of m
-elements over any number of step counts makes m + 1 of them (one for the
-exponential of the sum, which is the element itself when m = 1).  Spin and albert compute exp of ``a / d``
-directly, as ``exp_spectral(a / d)`` does.
+herm one ``np.linalg.eigh`` of ``a`` serves every d; ``trotter._measure``
+says how many a measurement makes and how long they live.  Spin and
+albert compute exp of ``a / d`` directly, as ``exp_spectral(a / d)`` does.
 """
 
 from __future__ import annotations
@@ -593,8 +590,8 @@ def exp_spectral(a: Element, d: int = 1) -> Element:
     """exp(a / d) through eigenvalues (closed form where available), for a
     positive integer step divisor d.
 
-    On sym and herm the eigendecomposition of ``a`` is computed once and
-    kept on ``a`` for its lifetime, so further divisors reuse it.
+    On sym and herm one eigendecomposition of ``a`` serves every d (see
+    ``trotter._measure`` for how long it lives).
     """
     _check_count(d, "divisor d")
     return a.descriptor._family.exp(a, d)
@@ -633,4 +630,11 @@ def random_element(descriptor: AlgebraDescriptor, seed: int, target_norm: float 
     nrm = jb_norm(elem)
     if nrm == 0.0:
         raise RuntimeError("degenerate zero draw")
-    return elem * (target_norm / nrm)
+    scale = target_norm / nrm
+    # The one-step factor overflows for a huge target and a draw of norm
+    # below 1; the draw then goes to unit norm first.
+    with np.errstate(over="ignore"):
+        elem = elem * scale if math.isfinite(scale) else (elem / nrm) * target_norm
+    if not np.isfinite(elem.data).all():
+        raise ValueError(f"target_norm {target_norm!r} puts the draw past the float range")
+    return elem

@@ -13,7 +13,10 @@ Three schemes, named by their tag in the CLI:
        factors use the full step 1 / n.
 
 Each factor exp(A_j / n) or exp(A_j / 2n) is ``exp_spectral(A_j, n)`` or
-``exp_spectral(A_j, 2 * n)``, so one decomposition of A_j serves every n.
+``exp_spectral(A_j, 2 * n)``.  ``sweep``, ``measured_error`` and the
+measured ``plan_min_n`` share one measuring path, ``_measure``, whose
+docstring says how many decompositions a measurement makes and how long
+they live.
 
 Closed-form error bounds (S = sum of the algebra norms, m = element
 count) follow the wire names used in sweep output:
@@ -125,66 +128,78 @@ _APPROX = {"g": approx_g, "f": approx_f, "h": approx_h}
 
 def _quiet():
     """The warning scope of one public computation: numpy's overflow and
-    invalid-value warnings stay off inside it, since ``_finite`` checks
-    every scheme product and ``_error`` every error for a value past the
-    float range."""
+    invalid-value warnings stay off inside it, since what leaves it (exp
+    of the sum, a measured error) is checked for a value past the float
+    range instead."""
     return np.errstate(over="ignore", invalid="ignore")
-
-
-def _finite(compute, what: str) -> Element:
-    """compute(), or ``NonFiniteError`` if its value is not finite.
-
-    Runs inside the caller's ``_quiet()`` scope (``exp_sum``, ``sweep``,
-    ``measured_error`` and the measured ``plan_min_n`` each enter one), so
-    numpy stays silent while an overflowing product is computed.
-    """
-    try:
-        value = compute()
-    except OverflowError:  # math.exp, sinh, cosh in the spin and albert closed forms
-        value = None
-    if value is None or not np.isfinite(value.data).all():
-        raise NonFiniteError(f"{what} overflows the float range")
-    return value
 
 
 def exp_sum(elements) -> Element:
     """Reference value exp(A_1 + ... + A_m); ``NonFiniteError`` if it overflows."""
     elems = _check_elements(elements)
     with _quiet():
-        return _finite(
-            lambda: exp_spectral(reduce(lambda a, b: a + b, elems)),
-            "exp of the sum of the elements",
-        )
+        try:
+            value = exp_spectral(reduce(lambda a, b: a + b, elems))
+        except OverflowError:  # math.exp, sinh, cosh in the spin and albert closed forms
+            value = None
+        if value is None or not np.isfinite(value.data).all():
+            raise NonFiniteError("exp of the sum of the elements overflows the float range")
+    return value
 
 
-def _private(elements) -> list[Element]:
-    """Shallow copies of the checked elements, sharing their payloads.
+def _measure(scheme: str, elements, ns=()):
+    """The one measuring path: private copies of the elements, and
+    error_at(n) = ||exp(A_1 + ... + A_m) - scheme at n|| for the caller
+    to run inside its ``_quiet()`` scope.  Scheme, elements and each n in
+    ``ns`` are checked before exp of the sum, which is computed once.
 
-    ``exp_spectral`` keeps the sym/herm eigendecomposition on the element
-    it was given; on these copies it is freed when the caller drops them.
+    On sym and herm a measurement of m elements over any number of step
+    counts makes m + 1 ``eigh`` calls (1 when m = 1, the sum being the
+    element): ``exp_spectral`` keeps each on the copy it decomposed, and
+    the copies, which share the caller's payloads, take them along when
+    they die; the caller's elements never keep one.
+
+    The error is the only value checked; a product past the float range
+    still raises, since
+    - a factor exp(A_j / n) past it holds a NaN or an infinity, or raises
+      ``OverflowError`` (math.exp, sinh, cosh in the spin and albert
+      closed forms), which counts as an overflowing product;
+    - only Jordan products, sums and real multiples lead from the factors
+      to the error, and each keeps a NaN or an infinity: in every family
+      some entry of x o y is a sum with the term x_i c for each entry x_i
+      of x, the Hermitian part included, and neither inf c nor nan c is
+      finite for any c, nor is a sum with such a term;
+    - ``jb_norm`` of a payload holding a NaN or an infinity is NaN or inf.
+    The product is scanned only after a non-finite error, to say whether
+    it or just the error left the float range.
     """
-    return [Element(a.descriptor, a.data) for a in _check_elements(elements)]
+    if scheme not in SCHEMES:
+        raise SchemeError(f"unknown scheme {scheme!r}")
+    elems = [Element(a.descriptor, a.data) for a in _check_elements(elements)]
+    for n in ns:
+        _check_count(n, "step count n")
+    target = exp_sum(elems)
 
+    def error_at(n: int) -> float:
+        try:
+            product = _APPROX[scheme](elems, n)
+        except OverflowError:
+            product = None
+        else:
+            error = float(jb_norm(target - product))
+            if math.isfinite(error):
+                return error
+        what = "product" if product is None or not np.isfinite(product.data).all() else "error"
+        raise NonFiniteError(f"the scheme {scheme} {what} at n={n} overflows the float range")
 
-def _error(target: Element, scheme: str, elements, n: int) -> float:
-    # Distance to the reference, inside the caller's _quiet() scope; a
-    # product past the float range (single elements can overflow exp even
-    # when their sum does not) or an error past it raises.
-    approx = _finite(
-        lambda: _APPROX[scheme](elements, n), f"the scheme {scheme} product at n={n}"
-    )
-    error = float(jb_norm(target - approx))
-    if not math.isfinite(error):
-        raise NonFiniteError(f"the scheme {scheme} error at n={n} overflows the float range")
-    return error
+    return elems, error_at
 
 
 def measured_error(scheme: str, elements, n: int) -> float:
     """Algebra-norm distance between the scheme at n and exp of the sum."""
-    if scheme not in SCHEMES:
-        raise SchemeError(f"unknown scheme {scheme!r}")
     with _quiet():
-        return _error(exp_sum(elements), scheme, elements, n)
+        _, error_at = _measure(scheme, elements, [n])
+        return error_at(n)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +302,7 @@ def plan_min_n(
     for the sharpened sym/herm bounds; it satisfies bound(n) <= eps <
     bound(n - 1).  Measured mode needs the elements themselves and uses
     doubling plus bisection on the measured error, which is assumed
-    monotone along the search; like ``sweep`` it decomposes each sym/herm
-    element once for the whole search, on private copies.
+    monotone along the search; decompositions as in ``_measure``.
     """
     if scheme not in SCHEMES:
         raise SchemeError(f"unknown scheme {scheme!r}")
@@ -302,10 +316,9 @@ def plan_min_n(
     if mode == "measured":
         if elements is None:
             raise ValueError("measured mode needs elements")
-        elems = _private(elements)
         with _quiet():
-            target = exp_sum(elems)
-            return _min_n(lambda n: _error(target, scheme, elems, n) <= eps, eps)
+            _, error_at = _measure(scheme, elements)
+            return _min_n(lambda n: error_at(n) <= eps, eps)
     raise ValueError(f"mode must be 'bound' or 'measured', got {mode!r}")
 
 
@@ -335,32 +348,18 @@ def _min_n(ok, eps: float) -> int:
 def sweep(scheme: str, elements, n_values) -> list[SweepRecord]:
     """Measured error plus applicable bounds for each n, in given order.
 
-    On sym and herm a sweep of m elements makes m + 1 eigendecompositions
-    whatever the number of step counts: one per element, reused by
-    ``exp_spectral(a, d)`` at every n, and one for exp of the sum (none
-    when m = 1: the sum is then the element itself).  They
-    are kept on private copies of the elements and freed when the sweep
-    returns, so the caller's elements keep none.
-
     numpy's overflow warnings are silenced once for the whole sweep, not
     per product; a scheme product or an error past the float range raises
-    ``NonFiniteError`` instead of becoming a record.
+    ``NonFiniteError`` instead of becoming a record.  Decompositions as in
+    ``_measure``.
     """
-    if scheme not in SCHEMES:
-        raise SchemeError(f"unknown scheme {scheme!r}")
-    elems = _private(elements)
     ns = list(n_values)
-    for n in ns:
-        _check_count(n, "step count n")
-    special = elems[0].descriptor.is_special
-    records = []
     with _quiet():
-        target = exp_sum(elems)
+        elems, error_at = _measure(scheme, elements, ns)
+        special = elems[0].descriptor.is_special
         norms = [jb_norm(a) for a in elems]
-        for n in ns:
-            error = _error(target, scheme, elems, n)
-            records.append(SweepRecord(scheme, n, error, **bounds_for(scheme, norms, n, special)))
-    return records
+        return [SweepRecord(scheme, n, error_at(n), **bounds_for(scheme, norms, n, special))
+                for n in ns]
 
 
 def empirical_order(records) -> float:

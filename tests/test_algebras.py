@@ -6,6 +6,7 @@ inside it (octonion coordinates 0 and 1 only).
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -562,6 +563,29 @@ def test_non_finite_element_has_no_finite_norm(descriptor, bad):
             assert not math.isfinite(norm), pos
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=str)
+def test_non_finite_entry_survives_every_step_to_the_error(descriptor, bad):
+    # The measuring path checks the error alone, not the scheme product:
+    # a NaN or an infinity anywhere in a payload (mirrored on sym and herm)
+    # stays in every Jordan product with a finite element, triple product,
+    # power, sum and real multiple, and so in the norm of the result.
+    b, c = seeded_elements(descriptor, 2, 61)
+    data = unit(descriptor).data
+    with np.errstate(all="ignore"):
+        for pos in range(data.size):
+            x = data.copy()
+            x.flat[pos] = bad
+            if descriptor.kind in ("sym", "herm"):
+                x = x + x.T.conj() - np.diag(np.diag(x))
+            a = Element(descriptor, x)
+            for y in (jordan_mul(a, b), jordan_mul(b, a), quad_map(a, b), quad_map(b, a),
+                      triple_product(a, b, c), triple_product(b, a, c),
+                      triple_product(b, c, a), jordan_power(a, 3), a + b, b - a,
+                      0.0 * a, -2.5 * a):
+                assert not np.isfinite(y.data).all(), pos
+                assert not math.isfinite(jb_norm(y)), pos
+
+
 def test_nan_hidden_from_eigvalsh_gives_a_nan_norm():
     # eigvalsh returns [0, -0, 1], [nan, nan, 2] and [0, -0] for these.
     nan = math.nan
@@ -611,6 +635,27 @@ def test_random_element_hits_target_norm(descriptor):
     for target in (0.25, 1.0, 3.0):
         a = random_element(descriptor, 17, target)
         assert jb_norm(a) == pytest.approx(target, rel=1e-12)
+
+
+@pytest.mark.parametrize("text", ["spin:1", "sym:1", "sym:3", "herm:2"])
+def test_random_element_stays_finite_at_a_huge_target_norm(text):
+    # target_norm / norm of the draw overflows for these seeds, whose draws
+    # have norm below 1; an ordinary target keeps the one-step rescale.
+    desc = parse_descriptor(text)
+    for seed in range(50):
+        a = random_element(desc, seed, 1.7e308)
+        assert np.isfinite(a.data).all(), seed
+        assert jb_norm(a) == pytest.approx(1.7e308, rel=1e-14), seed
+        draw = desc._family.sample(np.random.default_rng(seed), desc)
+        assert random_element(desc, seed, 0.8) == draw * (0.8 / jb_norm(draw)), seed
+    # At the float maximum a draw either stays finite or is refused.
+    for seed in range(50):
+        try:
+            a = random_element(desc, seed, sys.float_info.max)
+        except ValueError as exc:
+            assert "past the float range" in str(exc)
+        else:
+            assert np.isfinite(a.data).all(), seed
 
 
 def test_random_element_refuses_a_non_finite_target_norm(descriptor):

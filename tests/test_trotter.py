@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jbtrotter.algebras import (
+    AlgebraDescriptor,
     jb_norm,
     random_element,
     spin_element,
@@ -180,6 +181,22 @@ def test_numpy_warning_state_is_restored(outer):
                 assert np.geterr() == before
 
 
+def test_arguments_are_checked_before_exp_of_the_sum():
+    # exp of the sum 801 * 1 overflows, yet every measuring call reports a
+    # bad scheme or step count first.
+    elems = [unit(AlgebraDescriptor("sym", 2)) * 800.0, unit(AlgebraDescriptor("sym", 2))]
+    with pytest.raises(NonFiniteError, match="exp of the sum"):
+        exp_sum(elems)
+    for call in (lambda s, n: measured_error(s, elems, n), lambda s, n: sweep(s, elems, [1, n])):
+        with pytest.raises(SchemeError, match="unknown scheme 'q'"):
+            call("q", 1)
+        for bad in (0, True):
+            with pytest.raises(ValueError, match="step count n must be a positive integer"):
+                call("g", bad)
+    with pytest.raises(SchemeError, match="unknown scheme 'q'"):
+        plan_min_n("q", 1e-3, elements=elems, mode="measured")
+
+
 def test_measured_error_unknown_scheme():
     a, b = pauli_pair()
     with pytest.raises(SchemeError):
@@ -260,6 +277,11 @@ def test_sweep_and_measured_plan_decompose_each_element_once(matrix_descriptor, 
     calls.clear()
     plan_min_n(scheme, 1e-6, elements=elems, mode="measured")
     assert len(calls) == want
+    assert not any("_eigh" in vars(a) for a in elems)
+    for n in (1, 16):
+        calls.clear()
+        measured_error(scheme, elems, n)
+        assert len(calls) == want
     assert not any("_eigh" in vars(a) for a in elems)
 
 
