@@ -32,6 +32,10 @@ d, the form the product schemes need at every step count.  On sym and
 herm one ``np.linalg.eigh`` of ``a`` serves every d; ``trotter._measure``
 says how many a measurement makes and how long they live.  Spin and
 albert compute exp of ``a / d`` directly, as ``exp_spectral(a / d)`` does.
+
+An element keeps its spectrum once ``spectrum`` or ``jb_norm`` has taken
+it, and a sym or herm element the ``eigh`` of ``exp_spectral``; README,
+"Library use", states the rule.
 """
 
 from __future__ import annotations
@@ -268,13 +272,19 @@ def albert_element(diag, x, y, z) -> Element:
     parts = [np.array(p, dtype=float).reshape(-1) for p in (x, y, z)]
     if d.size != 3 or any(p.size != 8 for p in parts):
         raise ValueError("albert element needs 3 diagonal reals and three length-8 entries")
-    m = np.zeros((3, 3, 8))
-    m.reshape(72)[_DIAG] = d
-    rows = m.reshape(9, 8)
-    rows[_XYZ_ROWS] = parts
-    rows[_CONJ_ROWS] = octonion.conj(rows[_XYZ_ROWS])
+    m = _albert_payload(d, parts)
     _require_finite(m, "albert payload")
     return Element(AlgebraDescriptor("albert", 3), m)
+
+
+def _albert_payload(diag, xyz) -> np.ndarray:
+    """The (3, 3, 8) payload of 3 diagonal reals and the octonions x, y, z."""
+    m = np.zeros((3, 3, 8))
+    m.reshape(72)[_DIAG] = diag
+    rows = m.reshape(9, 8)
+    rows[_XYZ_ROWS] = xyz
+    rows[_CONJ_ROWS] = octonion.conj(rows[_XYZ_ROWS])
+    return m
 
 
 def albert_parts(a: Element) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -462,8 +472,9 @@ class _AlbertFamily:
         return np.ldexp(_real_cubic_roots(t, 0.5 * (t * t - (s0 + s1 + s2)), det) + mu, shift)
 
     def exp(self, a: Element, d: int) -> Element:
-        if d != 1:
-            a = a / d
+        # Always on the new element a / d (exact at d = 1), whose spectrum
+        # is not kept: the caller's element neither reads nor gets a memo.
+        a = a / d
         l0, l1, l2 = self.eigvals(a).tolist()
         # The gap test is relative to the norm max(-l0, l2), so it makes the
         # same decision at every scale; "<=" sends the zero element and
@@ -489,9 +500,9 @@ class _AlbertFamily:
         return Element(a.descriptor, _ALBERT_ONE * f0 + x0 * d01 + x01 * d012)
 
     def sample(self, rng, descriptor: AlgebraDescriptor) -> Element:
+        # Diagonal first, then x, y, z: the draw order fixes seeded elements.
         diag = rng.standard_normal(3)
-        x, y, z = rng.standard_normal((3, 8))
-        return albert_element(diag, x, y, z)
+        return Element(descriptor, _albert_payload(diag, rng.standard_normal((3, 8))))
 
 
 _FAMILIES = {"sym": _MatrixFamily(float), "herm": _MatrixFamily(complex),
@@ -559,9 +570,25 @@ def jordan_power(a: Element, n: int) -> Element:
 # spectra and norms
 
 
+def _eigvals(a: Element) -> np.ndarray:
+    """The ascending spectrum, computed on first use and kept in the
+    instance dict as ``Element._eigh`` is; callers must not write into it.
+    A plain dict lookup: ``functools.cached_property`` takes a lock on every
+    first use, and most elements have their norm taken only once."""
+    memo = a.__dict__
+    vals = memo.get("_spectrum")
+    if vals is None:
+        vals = memo["_spectrum"] = a.descriptor._family.eigvals(a)
+    return vals
+
+
 def spectrum(a: Element) -> np.ndarray:
-    """Eigenvalues, ascending.  Two values for spin, three for albert."""
-    return a.descriptor._family.eigvals(a)
+    """Eigenvalues, ascending.  Two values for spin, three for albert.
+
+    The element keeps its spectrum (README, "Library use"); the array
+    returned is a copy.
+    """
+    return _eigvals(a).copy()
 
 
 def _nan_max(a: float, b: float) -> float:
@@ -574,9 +601,10 @@ def jb_norm(a: Element) -> float:
     """Algebra norm: largest absolute eigenvalue.
 
     An element with a NaN or an infinite payload entry never gets a finite
-    norm: it gets NaN or inf.
+    norm: it gets NaN or inf.  The element keeps its spectrum (README,
+    "Library use").
     """
-    vals = a.descriptor._family.eigvals(a)
+    vals = _eigvals(a)
     # Ascending, so the largest absolute value sits at one end; abs turns
     # the -0.0 of a zero spectrum into 0.0.
     return abs(_nan_max(vals.item(-1), -vals.item(0)))

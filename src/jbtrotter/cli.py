@@ -58,6 +58,7 @@ from .trotter import (
     SCHEMES,
     DegenerateDecayError,
     SweepRecord,
+    _plan_measured,
     bounds_for,
     empirical_order,
     measured_error,
@@ -373,8 +374,8 @@ def cmd_plan(args, out) -> int:
         instance = _given_instance(args)
         if instance is None:
             raise UsageError("measured mode needs --input")
-        n_min = plan_min_n(scheme, eps, elements=instance.elements, mode="measured")
-        label, value_at = "error", lambda n: measured_error(scheme, instance.elements, n)
+        n_min, errors = _plan_measured(scheme, eps, instance.elements)
+        label, value_at = "error", errors.__getitem__
     out.write(f"scheme {scheme} mode {args.mode} eps {_fmt(eps)}\n")
     _plan_report(n_min, label, value_at, out)
     return EXIT_OK

@@ -157,7 +157,8 @@ def _measure(scheme: str, elements, ns=()):
     counts makes m + 1 ``eigh`` calls (1 when m = 1, the sum being the
     element): ``exp_spectral`` keeps each on the copy it decomposed, and
     the copies, which share the caller's payloads, take them along when
-    they die; the caller's elements never keep one.
+    they die, with any spectrum a norm kept on them; the caller's elements
+    keep neither.
 
     The error is the only value checked; a product past the float range
     still raises, since
@@ -316,15 +317,30 @@ def plan_min_n(
     if mode == "measured":
         if elements is None:
             raise ValueError("measured mode needs elements")
-        with _quiet():
-            _, error_at = _measure(scheme, elements)
-            return _min_n(lambda n: error_at(n) <= eps, eps)
+        return _plan_measured(scheme, eps, elements)[0]
     raise ValueError(f"mode must be 'bound' or 'measured', got {mode!r}")
+
+
+def _plan_measured(scheme: str, eps: float, elements) -> tuple[int, dict]:
+    """The measured plan n_min and the errors its search measured, keyed
+    by step count.  They hold n_min and, when n_min > 1, n_min - 1: the
+    search ends with both evaluated, so a report needs no second
+    measurement."""
+    errors = {}
+    with _quiet():
+        _, error_at = _measure(scheme, elements)
+
+        def ok(n: int) -> bool:
+            errors[n] = error = error_at(n)
+            return error <= eps
+
+        return _min_n(ok, eps), errors
 
 
 def _min_n(ok, eps: float) -> int:
     """Smallest n with ok(n), for a predicate that stays true as n grows:
-    doubling finds a bracket, bisection the threshold inside it."""
+    doubling finds a bracket, bisection the threshold inside it.  ok(n)
+    and, for n > 1, ok(n - 1) are among the calls made."""
     if ok(1):
         return 1
     lo, hi = 1, 2

@@ -559,8 +559,10 @@ def test_non_finite_element_has_no_finite_norm(descriptor, bad):
             x.flat[pos] = bad
             if descriptor.kind in ("sym", "herm"):
                 x = x + x.T.conj() - np.diag(np.diag(x))
-            norm = jb_norm(Element(descriptor, x))
-            assert not math.isfinite(norm), pos
+            a = Element(descriptor, x)
+            # The second norm reads the kept spectrum.
+            for _ in range(2):
+                assert not math.isfinite(jb_norm(a)), pos
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=str)
@@ -584,6 +586,39 @@ def test_non_finite_entry_survives_every_step_to_the_error(descriptor, bad):
                       0.0 * a, -2.5 * a):
                 assert not np.isfinite(y.data).all(), pos
                 assert not math.isfinite(jb_norm(y)), pos
+
+
+def test_kept_spectrum_and_norm_equal_those_of_a_fresh_copy(descriptor):
+    # An element keeps its spectrum once a norm or a spectrum is taken; what
+    # it gives later is what a new element on the same payload computes.
+    for a in (*seeded_elements(descriptor, 3, 67, 1.3), unit(descriptor) * 2.5,
+              zero(descriptor)):
+        first_norm, first = jb_norm(a), spectrum(a)
+        assert "_spectrum" in vars(a)
+        for _ in range(2):
+            fresh = Element(a.descriptor, a.data)
+            assert jb_norm(a) == first_norm == jb_norm(fresh)
+            np.testing.assert_array_equal(spectrum(a), first)
+            np.testing.assert_array_equal(spectrum(a), spectrum(Element(a.descriptor, a.data)))
+
+
+def test_writing_into_a_spectrum_leaves_the_kept_one(descriptor):
+    a = seeded_elements(descriptor, 1, 71)[0]
+    vals = spectrum(a)
+    norm, want = jb_norm(a), vals.copy()
+    vals[:] = 1e300
+    np.testing.assert_array_equal(spectrum(a), want)
+    assert jb_norm(a) == norm
+
+
+def test_albert_exponential_leaves_the_caller_no_spectrum():
+    # exp works on a / d at every d, d = 1 included, and the series route
+    # (here for the multiple of the unit) takes its norm on that new element.
+    desc = AlgebraDescriptor("albert", 3)
+    for a in (random_element(desc, 73, 1.2), unit(desc) * 0.7):
+        for d in (1, 2, 3):
+            exp_spectral(a, d)
+            assert "_spectrum" not in vars(a), (a, d)
 
 
 def test_nan_hidden_from_eigvalsh_gives_a_nan_norm():
@@ -656,6 +691,21 @@ def test_random_element_stays_finite_at_a_huge_target_norm(text):
             assert "past the float range" in str(exc)
         else:
             assert np.isfinite(a.data).all(), seed
+
+
+def test_albert_draw_is_the_constructor_route_on_the_given_descriptor():
+    # The sampler writes the payload itself: the same bits as albert_element
+    # on the same draws (diagonal, then x, y, z), on the descriptor it is given.
+    desc = AlgebraDescriptor("albert", 3)
+    family = desc._family
+    for seed in range(200):
+        got = family.sample(np.random.default_rng(seed), desc)
+        rng = np.random.default_rng(seed)
+        diag = rng.standard_normal(3)
+        want = albert_element(diag, *rng.standard_normal((3, 8)))
+        assert got.descriptor is desc
+        assert got.data.tobytes() == want.data.tobytes(), seed
+        assert not got.data.flags.writeable
 
 
 def test_random_element_refuses_a_non_finite_target_norm(descriptor):

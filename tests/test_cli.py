@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jbtrotter import cli
+from jbtrotter import cli, trotter
 from jbtrotter.algebras import AlgebraDescriptor, random_element
-from jbtrotter.instances import ProblemInstance, save_instance
+from jbtrotter.instances import ProblemInstance, load_instance, save_instance
 from conftest import cli_env
 
 CSV_HEADER = (
@@ -591,6 +591,30 @@ def test_plan_measured_mode(pauli_instance):
     assert lines[1] == "n_min 1"
     assert float(lines[2].split()[1]) <= 10
     assert lines[3] == "error(0) n/a"
+
+
+def test_measured_plan_reports_from_one_measurement(pauli_instance, spin_triple_instance,
+                                                    monkeypatch, capsys):
+    # The report's errors at n_min and n_min - 1 come from the search's own
+    # measurement: one exp of the sum per command, and the same bits as a
+    # measurement of each step count on its own.
+    exp_sums = []
+    exp_sum = trotter.exp_sum
+    monkeypatch.setattr(trotter, "exp_sum", lambda e: exp_sums.append(1) or exp_sum(e))
+    for path, scheme, eps in ((pauli_instance, "g", "1e-3"), (pauli_instance, "f", "1e-6"),
+                              (pauli_instance, "g", "10"), (spin_triple_instance, "h", "1e-4")):
+        exp_sums.clear()
+        assert cli.main(["plan", "--scheme", scheme, "--eps", eps, "--mode", "measured",
+                         "--input", path]) == 0
+        assert len(exp_sums) == 1, (scheme, eps)
+        lines = capsys.readouterr().out.split("\n")
+        elems = load_instance(path).elements
+        n_min = trotter.plan_min_n(scheme, float(eps), elements=elems, mode="measured")
+        prev = (repr(trotter.measured_error(scheme, elems, n_min - 1)) if n_min > 1
+                else "n/a")
+        assert lines[1:] == [f"n_min {n_min}",
+                             f"error({n_min}) {trotter.measured_error(scheme, elems, n_min)!r}",
+                             f"error({n_min - 1}) {prev}", ""], (scheme, eps)
 
 
 def test_plan_from_instance_marks_special(pauli_instance):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jbtrotter import cli
+from jbtrotter import algebras, cli
 from jbtrotter.algebras import (
     AlgebraDescriptor,
     Element,
@@ -42,6 +42,25 @@ def test_suite_is_deterministic(descriptor):
     a = run_axiom_suite(descriptor, trials=50, seed=9)
     b = run_axiom_suite(descriptor, trials=50, seed=9)
     assert a == b
+
+
+def test_suite_takes_one_spectrum_per_element(monkeypatch):
+    # A pair's five checks take 17 norms of 10 elements (a and b, the two
+    # residuals, a.b, two squares of a, their sum with b.b, and each draw in
+    # random_element); each element keeps its spectrum, so the suite
+    # computes 10 spectra per pair.
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: calls.append(x) or eigvalsh(x))
+    run_axiom_suite(AlgebraDescriptor("sym", 2), trials=3, seed=0)
+    assert len(calls) == 10 * 3
+
+    albert = algebras._FAMILIES["albert"]
+    eigvals = type(albert).eigvals
+    calls.clear()
+    monkeypatch.setattr(type(albert), "eigvals", lambda fam, a: calls.append(a) or eigvals(fam, a))
+    run_axiom_suite(AlgebraDescriptor("albert", 3), trials=2, seed=0)
+    assert len(calls) == 10 * 2
 
 
 def test_suite_memory_does_not_grow_with_trials():
