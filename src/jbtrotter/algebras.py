@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -125,12 +124,21 @@ def parse_descriptor(text: str) -> AlgebraDescriptor:
 
 @dataclass(frozen=True, eq=False)
 class Element:
-    """Immutable element of one of the concrete families."""
+    """Immutable element of one of the concrete families.
+
+    The payload is read-only and no other array can write it: a payload
+    whose memory belongs to another object, such as a view of another
+    array, is copied first, so what the element keeps (``_kept``) cannot
+    go stale.  An owned payload is taken as it is, so
+    ``Element(a.descriptor, a.data)`` shares it.
+    """
 
     descriptor: AlgebraDescriptor
     data: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.data.base is not None:
+            object.__setattr__(self, "data", self.data.copy())
         self.data.setflags(write=False)
 
     # Linear-space operations live on the type; the Jordan product is a
@@ -162,13 +170,18 @@ class Element:
     def __repr__(self) -> str:
         return f"Element({self.descriptor}, shape={self.data.shape})"
 
-    @cached_property
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, V) with data = V diag(w) V^H, sym and herm only; computed on
-        first use and kept in the instance dict (the frozen dataclass bars
-        attribute assignment, not that dict), so it lives and dies with the
-        element."""
-        return np.linalg.eigh(self.data)
+
+def _kept(a: Element, key: str, compute):
+    """compute(a), computed on first use and kept in a's instance dict
+    under key (the frozen dataclass bars attribute assignment, not that
+    dict), so it lives and dies with the element; callers must not write
+    into it.  A plain dict lookup: ``functools.cached_property`` takes a
+    lock on every first use, and most elements are asked only once."""
+    memo = a.__dict__
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute(a)
+    return value
 
 
 def _real_scalar(c) -> float:
@@ -304,6 +317,12 @@ def albert_parts(a: Element) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 # ``norm_form`` and ``real_part`` never call it.
 
 
+def _eigh(a: Element):
+    """(w, V) with data = V diag(w) V^H, sym and herm only; ``np.linalg.eigh``
+    is looked up on each call, so a wrapper installed on it sees them all."""
+    return np.linalg.eigh(a.data)
+
+
 class _MatrixFamily:
     """sym and herm, ``(d, d)`` of one dtype; ``.conj()`` is a no-op on floats."""
 
@@ -341,7 +360,7 @@ class _MatrixFamily:
         # itself, which differs from that of a / d in roundoff.  For a
         # power-of-two d both a / d and w / d are exact, and at ordinary
         # scales eigh(a / d) then returns w / d and V bit for bit.
-        w, v = a._eigh
+        w, v = _kept(a, "_eigh", _eigh)
         e = (v * np.exp(w / d)) @ v.conj().T
         return Element(a.descriptor, _hermitian_part(e))
 
@@ -570,25 +589,13 @@ def jordan_power(a: Element, n: int) -> Element:
 # spectra and norms
 
 
-def _eigvals(a: Element) -> np.ndarray:
-    """The ascending spectrum, computed on first use and kept in the
-    instance dict as ``Element._eigh`` is; callers must not write into it.
-    A plain dict lookup: ``functools.cached_property`` takes a lock on every
-    first use, and most elements have their norm taken only once."""
-    memo = a.__dict__
-    vals = memo.get("_spectrum")
-    if vals is None:
-        vals = memo["_spectrum"] = a.descriptor._family.eigvals(a)
-    return vals
-
-
 def spectrum(a: Element) -> np.ndarray:
     """Eigenvalues, ascending.  Two values for spin, three for albert.
 
     The element keeps its spectrum (README, "Library use"); the array
     returned is a copy.
     """
-    return _eigvals(a).copy()
+    return _kept(a, "_spectrum", a.descriptor._family.eigvals).copy()
 
 
 def _nan_max(a: float, b: float) -> float:
@@ -604,7 +611,7 @@ def jb_norm(a: Element) -> float:
     norm: it gets NaN or inf.  The element keeps its spectrum (README,
     "Library use").
     """
-    vals = _eigvals(a)
+    vals = _kept(a, "_spectrum", a.descriptor._family.eigvals)
     # Ascending, so the largest absolute value sits at one end; abs turns
     # the -0.0 of a zero spectrum into 0.0.
     return abs(_nan_max(vals.item(-1), -vals.item(0)))

@@ -366,8 +366,8 @@ def cmd_bounds(args, out) -> int:
 def cmd_plan(args, out) -> int:
     scheme, eps = args.scheme, args.eps
     if args.mode == "bound":
-        norms, special = _norms_and_specialness(args)
         _check_closed_form([scheme])
+        norms, special = _norms_and_specialness(args)
         n_min = plan_min_n(scheme, eps, norms=norms, special=special)
         label, value_at = "bound", lambda n: tightest_bound(scheme, norms, n, special)
     else:
@@ -466,7 +466,10 @@ def cmd_demo(args, out) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="jbtrotter", description=__doc__)
+    # --help shows the module docstring up to its paragraph on Python use,
+    # without the reST literal markup.
+    cli_text = (__doc__ or "").partition("\n\nmain(argv)")[0].replace("``", "")
+    parser = _Parser(prog="jbtrotter", description=cli_text)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 

@@ -621,6 +621,24 @@ def test_albert_exponential_leaves_the_caller_no_spectrum():
             assert "_spectrum" not in vars(a), (a, d)
 
 
+def test_a_view_payload_is_copied_so_no_other_array_writes_it():
+    x = np.eye(2)
+    e = Element(AlgebraDescriptor("sym", 2), x[:])
+    assert jb_norm(e) == 1.0
+    x[0, 0] = 5.0
+    np.testing.assert_array_equal(e.data, np.eye(2))
+    assert jb_norm(e) == jb_norm(Element(e.descriptor, e.data)) == 1.0
+    assert not e.data.flags.writeable
+
+
+def test_an_element_on_a_library_payload_shares_it(descriptor):
+    # Private copies such as trotter._measure's make no payload copy.
+    a, b = seeded_elements(descriptor, 2, 79)
+    for x in (a, a + b, -a, 2.0 * a, a / 3.0, jordan_mul(a, b), quad_map(a, b),
+              exp_spectral(a, 2), exp_series(a), unit(descriptor), zero(descriptor)):
+        assert Element(x.descriptor, x.data).data is x.data
+
+
 def test_nan_hidden_from_eigvalsh_gives_a_nan_norm():
     # eigvalsh returns [0, -0, 1], [nan, nan, 2] and [0, -0] for these.
     nan = math.nan

@@ -102,6 +102,18 @@ def test_sweep_csv_shape(pauli_instance):
     assert res.stdout.strip().split("\n")[-1] == "# empirical_order g n/a"
 
 
+def test_commuting_pair_has_no_order_to_fit(tmp_path):
+    # sx and 2 sx commute, so every error is roundoff at the floor.
+    path = tmp_path / "commuting.json"
+    doc = {"algebra": {"kind": "sym", "dim": 2},
+           "elements": [[0.0, 1.0, 1.0, 0.0], [0.0, 2.0, 2.0, 0.0]]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["sweep", "--input", str(path), "--n", "1:16:x2"]) == 0
+    assert out.getvalue().split("\n")[-2] == "# empirical_order g commuting-or-floor"
+
+
 def test_sweep_json_round_trips(pauli_instance):
     res = run_cli(
         "sweep", "--input", pauli_instance, "--scheme", "f", "--n", "2,4,8,16",
@@ -456,10 +468,13 @@ def test_bounds_rejects_scheme_h():
     assert res.stderr.startswith("error[usage]:")
 
 
-def test_plan_scheme_h_bound_mode_exits_2():
-    res = run_cli("plan", "--scheme", "h", "--eps", "1e-3", "--norms", "1,1,1")
-    assert res.returncode == 2
-    assert "measured" in res.stderr
+def test_plan_scheme_h_bound_mode_exits_2(tmp_path):
+    # As in bounds, the scheme is refused before an --input file is read.
+    for norms in (("--norms", "1,1,1"), ("--input", str(tmp_path / "missing.json"))):
+        res = run_cli("plan", "--scheme", "h", "--eps", "1e-3", *norms)
+        assert res.returncode == 2, norms
+        assert res.stderr.startswith("error[usage]: scheme 'h' has no closed-form bound"), norms
+        assert "measured" in res.stderr
 
 
 def test_plan_capacity_exit_code():
@@ -550,6 +565,18 @@ def test_in_process_calls_share_one_parser(monkeypatch, pauli_instance):
         assert (code, out.getvalue(), err.getvalue()) == (
             fresh.returncode, fresh.stdout, fresh.stderr), (argv, env)
     assert len(builds) == 1
+
+
+def test_help_states_the_exit_codes_but_not_the_python_api(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "error[<kind>]: <reason>" in text and "``" not in text
+    for code in ("2 usage", "3 input", "4 verification failure", "5 capacity"):
+        assert code in text, code
+    assert "main(argv)" not in text and "many times in one process" not in text
+    assert "many times in one process" in cli.__doc__
 
 
 # ---------------------------------------------------------------------------

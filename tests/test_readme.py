@@ -1,0 +1,39 @@
+"""README's examples run as written, so the documented API and instance
+file format cannot drift from the code."""
+
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+
+from jbtrotter.algebras import AlgebraDescriptor, spin_element
+from jbtrotter.instances import instance_from_dict
+from jbtrotter.trotter import SweepRecord
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _block(section: str, language: str) -> str:
+    """The first fenced block in ``language`` after the heading ``section``."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"\n{section}\n")
+    match = re.compile(rf"^```{language}\n(.*?)^```$", re.M | re.S).search(text, start)
+    return match.group(1)
+
+
+def test_library_use_example_runs():
+    scope = {}
+    exec(compile(_block("## Library use", "python"), "README.md", "exec"), scope)
+    assert 0.0 < scope["err"] < 1.0
+    assert [r.n for r in scope["records"]] == [1, 2, 4, 8, 16, 32]
+    assert all(isinstance(r, SweepRecord) and r.scheme == "f" for r in scope["records"])
+    assert isinstance(scope["n_needed"], int) and scope["n_needed"] >= 1
+
+
+def test_instance_file_example_loads():
+    instance = instance_from_dict(json.loads(_block("### Instance files", "json")))
+    assert instance.algebra == AlgebraDescriptor("spin", 4)
+    assert instance.label == "example"
+    (element,) = instance.elements
+    np.testing.assert_array_equal(element.data, spin_element(0.5, [0.1, 0.2, 0.3, 0.4]).data)

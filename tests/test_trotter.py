@@ -193,8 +193,12 @@ def test_arguments_are_checked_before_exp_of_the_sum():
         for bad in (0, True):
             with pytest.raises(ValueError, match="step count n must be a positive integer"):
                 call("g", bad)
+        with pytest.raises(SchemeError, match="scheme h needs an odd element count >= 3, got 2"):
+            call("h", 1)
     with pytest.raises(SchemeError, match="unknown scheme 'q'"):
         plan_min_n("q", 1e-3, elements=elems, mode="measured")
+    with pytest.raises(SchemeError, match="scheme h needs an odd element count >= 3, got 2"):
+        plan_min_n("h", 1e-3, elements=elems, mode="measured")
 
 
 def test_measured_error_unknown_scheme():
