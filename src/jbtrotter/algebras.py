@@ -126,11 +126,12 @@ def parse_descriptor(text: str) -> AlgebraDescriptor:
 class Element:
     """Immutable element of one of the concrete families.
 
-    The payload is read-only and no other array can write it: a payload
-    whose memory belongs to another object, such as a view of another
-    array, is copied first, so what the element keeps (``_kept``) cannot
-    go stale.  An owned payload is taken as it is, so
-    ``Element(a.descriptor, a.data)`` shares it.
+    The payload is read-only.  A payload whose memory belongs to another
+    object, such as a view of another array, is copied first.  An array
+    that owns its memory is handed over as it is, so
+    ``Element(a.descriptor, a.data)`` shares it; turning its writes back on
+    and writing it voids what the element keeps (``_kept``).  The public
+    constructors copy their input.
     """
 
     descriptor: AlgebraDescriptor

@@ -28,6 +28,7 @@ from .algebras import (
     AlgebraDescriptor,
     Element,
     _check_elements,
+    _check_same,
     _nan_max,
     jb_norm,
     jordan_mul,
@@ -47,10 +48,8 @@ class Jet:
     def __post_init__(self) -> None:
         if not self.coefficients:
             raise ValueError("a jet needs at least the degree-0 coefficient")
-        d0 = self.coefficients[0].descriptor
         for c in self.coefficients[1:]:
-            if c.descriptor != d0:
-                raise ValueError("jet coefficients mix algebras")
+            _check_same(self.coefficients[0], c)
 
     @property
     def degree(self) -> int:
@@ -102,13 +101,15 @@ def jet_jordan_mul(p: Jet, q: Jet) -> Jet:
     return Jet(tuple(out))
 
 
-def jet_triple(p: Jet, q: Jet, r: Jet) -> Jet:
-    """Jet of the triple product {p q r} = (pq)r + (qr)p - (pr)q."""
-    return (
-        jet_jordan_mul(jet_jordan_mul(p, q), r)
-        + jet_jordan_mul(jet_jordan_mul(q, r), p)
-        - jet_jordan_mul(jet_jordan_mul(p, r), q)
-    )
+def jet_quad_map(w: Jet, x: Jet) -> Jet:
+    """Jet of the quadratic map U_w(x) = 2 (w∘x)∘w − (w∘w)∘x.
+
+    This is the triple product {w x w} = (w∘x)∘w + (x∘w)∘w − (w∘w)∘x with
+    its two equal terms merged, which the commutativity of the Jordan
+    product allows for every jet: four Cauchy products instead of six.
+    """
+    wxw = jet_jordan_mul(jet_jordan_mul(w, x), w)
+    return wxw + wxw - jet_jordan_mul(jet_jordan_mul(w, w), x)
 
 
 def product_step_jet(elements, degree: int = DEFAULT_DEGREE) -> Jet:
@@ -118,12 +119,12 @@ def product_step_jet(elements, degree: int = DEFAULT_DEGREE) -> Jet:
 
 
 def symmetrized_step_jet(elements, degree: int = DEFAULT_DEGREE) -> Jet:
-    """Jet of the single scheme-f step with half-step triple wrappers."""
+    """Jet of the single scheme-f step with half-step quadratic-map wrappers."""
     elems = _check_elements(elements, 2)
     core = jet_exp(elems[0], degree)
     for a in elems[1:]:
         w = jet_exp(0.5 * a, degree)
-        core = jet_triple(w, core, w)
+        core = jet_quad_map(w, core)
     return core
 
 
@@ -141,7 +142,7 @@ def inverse_sandwich_defect_jet(elements, degree: int = DEFAULT_DEGREE) -> Jet:
     cur = jet_exp(total, degree)
     for a in reversed(elems):
         w = jet_exp(-0.5 * a, degree)
-        cur = jet_triple(w, cur, w)
+        cur = jet_quad_map(w, cur)
     return cur - jet_unit(elems[0].descriptor, degree)
 
 

@@ -631,6 +631,31 @@ def test_a_view_payload_is_copied_so_no_other_array_writes_it():
     assert not e.data.flags.writeable
 
 
+def test_public_constructors_copy_their_input():
+    octs = np.arange(24.0).reshape(3, 8) / 50.0
+    for build, inputs in (
+        (sym_element, (np.array([[1.0, 0.5], [0.5, -2.0]]),)),
+        (herm_element, (np.array([[1.0, 0.5j], [-0.5j, -2.0]]),)),
+        (spin_element, (0.3, np.array([0.4, -1.2]))),
+        (albert_element, (np.array([1.0, -0.5, 0.2]), *octs.copy())),
+    ):
+        e = build(*inputs)
+        data, norm = e.data.copy(), jb_norm(e)
+        for x in inputs:
+            if isinstance(x, np.ndarray):
+                x[...] = 5.0
+        np.testing.assert_array_equal(e.data, data)
+        assert jb_norm(e) == norm == jb_norm(Element(e.descriptor, data)), build.__name__
+
+
+def test_element_equality_and_repr():
+    e = sym_element(np.eye(2))
+    assert (e == 3) is False and e != 3
+    assert e == sym_element(np.eye(2)) and e != zero(e.descriptor)
+    assert repr(e) == "Element(sym:2, shape=(2, 2))"
+    assert repr(unit(AlgebraDescriptor("albert", 3))) == "Element(albert:3, shape=(3, 3, 8))"
+
+
 def test_an_element_on_a_library_payload_shares_it(descriptor):
     # Private copies such as trotter._measure's make no payload copy.
     a, b = seeded_elements(descriptor, 2, 79)

@@ -276,6 +276,26 @@ def test_bad_numeric_arguments_exit_2(pauli_instance):
         assert len(err_lines) == 1 and err_lines[0].startswith("error[usage]:"), argv
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (("plan", "--eps", "abc", "--norms", "1"), "argument --eps: 'abc' is not a number"),
+    (("verify-axioms", "--algebra", "sym:2", "--tol", "abc"),
+     "argument --tol: 'abc' is not a number"),
+    (("sweep", "--n", "8:4:x2"), "argument --n: range stop must be >= start"),
+    (("sweep", "--n", ","), "argument --n: no step counts in ','"),
+    (("sweep", "--scheme", "x"), "argument --scheme: unknown scheme 'x' (expected g, f or h)"),
+    (("bounds", "--norms", "1,a"), "argument --norms: not comma-separated numbers: '1,a'"),
+    (("plan", "--mode", "measured", "--norms", "1", "--eps", "1e-3"),
+     "measured mode needs --input"),
+])
+def test_rejected_arguments_name_their_reason(pauli_instance, argv, reason):
+    if argv[0] == "sweep":
+        argv += ("--input", pauli_instance)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(argv))
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error[usage]: {reason}\n")
+
+
 def test_input_with_norms_or_algebra_exits_2(pauli_instance):
     # --input fixes the norms and the algebra; a second source is refused,
     # not silently dropped.

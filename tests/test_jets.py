@@ -11,7 +11,10 @@ import math
 import numpy as np
 import pytest
 
+from jbtrotter import jets
 from jbtrotter.algebras import (
+    AlgebraDescriptor,
+    DescriptorMismatchError,
     jb_norm,
     jordan_mul,
     jordan_power,
@@ -26,7 +29,7 @@ from jbtrotter.jets import (
     inverse_sandwich_defect_jet,
     jet_exp,
     jet_jordan_mul,
-    jet_triple,
+    jet_quad_map,
     jet_unit,
     jet_zero,
     product_step_jet,
@@ -89,25 +92,54 @@ def test_jet_mul_matches_curve_product(descriptor):
         assert gap < 5.0 * t**4
 
 
-def test_jet_triple_consistent_with_definition(descriptor):
-    a, b, c = seeded_elements(descriptor, 3, 43)
-    p, q, r = (jet_exp(x, 2) for x in (a, b, c))
-    lhs = jet_triple(p, q, r)
-    rhs = (
-        jet_jordan_mul(jet_jordan_mul(p, q), r)
-        + jet_jordan_mul(jet_jordan_mul(q, r), p)
-        - jet_jordan_mul(jet_jordan_mul(p, r), q)
-    )
-    for k in range(3):
-        assert jb_norm(lhs.coefficients[k] - rhs.coefficients[k]) == 0.0
+def _unit_norm_jet(descriptor, seed, degree=3):
+    # arbitrary coefficients, no exponential structure
+    return Jet(tuple(random_element(descriptor, seed + k, 1.0) for k in range(degree + 1)))
+
+
+@pytest.mark.parametrize("exponential", [True, False], ids=["exp", "arbitrary"])
+def test_jet_quad_map_matches_the_triple_product_definition(descriptor, exponential):
+    # U_w(x) = {w x w} = (w∘x)∘w + (x∘w)∘w − (w∘w)∘x, for any jets w and x
+    for seed in range(0, 200, 10):
+        if exponential:
+            a, b = seeded_elements(descriptor, 2, 43 + seed)
+            w, x = jet_exp(a, 3), jet_exp(b, 3)
+        else:
+            w, x = _unit_norm_jet(descriptor, 7000 + seed), _unit_norm_jet(descriptor, 9000 + seed)
+        want = (
+            jet_jordan_mul(jet_jordan_mul(w, x), w)
+            + jet_jordan_mul(jet_jordan_mul(x, w), w)
+            - jet_jordan_mul(jet_jordan_mul(w, w), x)
+        )
+        assert residual(jet_quad_map(w, x), want, 3) <= 1e-13, seed
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_each_wrapper_makes_four_cauchy_products(monkeypatch, m):
+    # One quadratic-map wrapper per wrapped element: m - 1 in the
+    # symmetrized step, m in the defect curve; exp jets make no jet product.
+    calls = []
+    real = jets.jet_jordan_mul
+
+    def counting(p, q):
+        calls.append(1)
+        return real(p, q)
+
+    monkeypatch.setattr(jets, "jet_jordan_mul", counting)
+    elems = seeded_elements(AlgebraDescriptor("sym", 3), m, 71)
+    jets.symmetrized_step_jet(elems, 3)
+    assert len(calls) == 4 * (m - 1)
+    calls.clear()
+    jets.inverse_sandwich_defect_jet(elems, 3)
+    assert len(calls) == 4 * m
 
 
 def test_jet_validation():
     a, b = pauli_pair()
     c = sym_element(np.eye(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree-0 coefficient"):
         Jet(())
-    with pytest.raises(ValueError):
+    with pytest.raises(DescriptorMismatchError, match="cannot combine elements of sym:2 and sym:3"):
         Jet((a, c))  # mixed algebras
     with pytest.raises(ValueError):
         jet_jordan_mul(jet_exp(a, 2), jet_exp(b, 3))  # degree mismatch
