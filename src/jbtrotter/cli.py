@@ -59,11 +59,11 @@ from .trotter import (
     DegenerateDecayError,
     SweepRecord,
     _plan_measured,
+    _sweep_schemes,
     bounds_for,
     empirical_order,
     measured_error,
     plan_min_n,
-    sweep,
     tightest_bound,
 )
 
@@ -264,10 +264,10 @@ def _write_table(rows, columns, args, orders, out) -> None:
 
 
 def _sweeps(schemes, elements, ns):
-    """Sweep rows of every scheme, in order, and each scheme's empirical order."""
+    """Sweep rows of every scheme, in order, and each scheme's empirical
+    order, from one measurement of the elements."""
     rows, orders = [], {}
-    for scheme in schemes:
-        records = sweep(scheme, elements, ns)
+    for scheme, records in zip(schemes, _sweep_schemes(schemes, elements, ns)):
         rows.extend(dataclasses.asdict(r) for r in records)
         try:
             orders[scheme] = _fmt(empirical_order(records))

@@ -13,10 +13,13 @@ Three schemes, named by their tag in the CLI:
        factors use the full step 1 / n.
 
 Each factor exp(A_j / n) or exp(A_j / 2n) is ``exp_spectral(A_j, n)`` or
-``exp_spectral(A_j, 2 * n)``.  ``sweep``, ``measured_error`` and the
-measured ``plan_min_n`` share one measuring path, ``_measure``, whose
-docstring says how many decompositions a measurement makes and how long
-they live.
+``exp_spectral(A_j, 2 * n)``.  Every measurement goes through one path,
+``_measure``: ``_sweep_schemes`` measures a list of schemes over a list of
+step counts, ``sweep`` is its one-scheme case and ``measured_error`` its
+one-scheme, one-n case, and the measured ``plan_min_n`` drives
+``_measure`` itself.  Each call computes exp of the sum once, and on sym
+and herm makes m + 1 ``eigh`` calls, however many schemes and step counts
+it covers; ``_measure``'s docstring says how long they live.
 
 Closed-form error bounds (S = sum of the algebra norms, m = element
 count) follow the wire names used in sweep output:
@@ -152,22 +155,24 @@ def exp_sum(elements) -> Element:
     return value
 
 
-def _measure(scheme: str, elements, ns=()):
+def _measure(schemes, elements, ns=()):
     """The one measuring path: private copies of the elements, and
-    error_at(n) = ||exp(A_1 + ... + A_m) - scheme at n|| for the caller
-    to run inside its ``_quiet()`` scope.  The scheme, the elements (for
-    scheme h their odd count, as ``approx_h`` checks it) and each n in
-    ``ns`` are checked before exp of the sum, which is computed once.
+    error_at(scheme, n) = ||exp(A_1 + ... + A_m) - scheme at n|| for the
+    caller to run inside its ``_quiet()`` scope.  Every scheme in
+    ``schemes``, the elements (for scheme h their odd count, as
+    ``approx_h`` checks it) and each n in ``ns`` are checked before exp
+    of the sum, which is computed once for all the schemes.
 
-    On sym and herm a measurement of m elements over any number of step
-    counts makes m + 1 ``eigh`` calls (1 when m = 1, the sum being the
-    element): ``exp_spectral`` keeps each on the copy it decomposed, and
-    the copies, which share the caller's payloads, take them along when
-    they die, with any spectrum a norm kept on them; the caller's elements
-    keep neither.  The copies are there for memory: measuring on the
-    caller's elements, which then keep every decomposition, raised the
-    grid-matrix benchmark's peak RSS from 59.8 to 64.7 MB (+8 %) in
-    12 s runs at seed 11 (``bench/run.py``, 2-core Xeon, Python 3.11).
+    On sym and herm a measurement of m elements over any number of schemes
+    and step counts makes m + 1 ``eigh`` calls (1 when m = 1, the sum
+    being the element): ``exp_spectral`` keeps each on the copy it
+    decomposed, and the copies, which share the caller's payloads, take
+    them along when they die, with any spectrum a norm kept on them; the
+    caller's elements keep neither.  The copies are there for memory:
+    measuring on the caller's elements, which then keep every
+    decomposition, raised the grid-matrix benchmark's peak RSS from 59.8
+    to 64.7 MB (+8 %) in 12 s runs at seed 11 (``bench/run.py``, 2-core
+    Xeon, Python 3.11).
 
     The error is the only value checked; a product past the float range
     still raises, since
@@ -183,16 +188,17 @@ def _measure(scheme: str, elements, ns=()):
     The product is scanned only after a non-finite error, to say whether
     it or just the error left the float range.
     """
-    if scheme not in SCHEMES:
-        raise SchemeError(f"unknown scheme {scheme!r}")
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            raise SchemeError(f"unknown scheme {scheme!r}")
     elems = [Element(a.descriptor, a.data) for a in _check_elements(elements)]
-    if scheme == "h":
+    if "h" in schemes:
         _check_h_count(len(elems))
     for n in ns:
         _check_count(n, "step count n")
     target = exp_sum(elems)
 
-    def error_at(n: int) -> float:
+    def error_at(scheme: str, n: int) -> float:
         try:
             product = _APPROX[scheme](elems, n)
         except OverflowError:
@@ -209,9 +215,7 @@ def _measure(scheme: str, elements, ns=()):
 
 def measured_error(scheme: str, elements, n: int) -> float:
     """Algebra-norm distance between the scheme at n and exp of the sum."""
-    with _quiet():
-        _, error_at = _measure(scheme, elements, [n])
-        return error_at(n)
+    return sweep(scheme, elements, [n])[0].error
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +343,10 @@ def _plan_measured(scheme: str, eps: float, elements) -> tuple[int, dict]:
     measurement."""
     errors = {}
     with _quiet():
-        _, error_at = _measure(scheme, elements)
+        _, error_at = _measure([scheme], elements)
 
         def ok(n: int) -> bool:
-            errors[n] = error = error_at(n)
+            errors[n] = error = error_at(scheme, n)
             return error <= eps
 
         return _min_n(ok, eps), errors
@@ -372,21 +376,30 @@ def _min_n(ok, eps: float) -> int:
 # sweeps
 
 
-def sweep(scheme: str, elements, n_values) -> list[SweepRecord]:
-    """Measured error plus applicable bounds for each n, in given order.
+def _sweep_schemes(schemes, elements, n_values) -> list[list[SweepRecord]]:
+    """The records of each scheme in turn, each over every n in given
+    order, from one ``_measure``: one exp of the sum and one set of norms
+    serve every scheme.
 
     numpy's overflow warnings are silenced once for the whole sweep, not
     per product; a scheme product or an error past the float range raises
-    ``NonFiniteError`` instead of becoming a record.  Decompositions as in
-    ``_measure``.
+    ``NonFiniteError`` instead of becoming a record.  Schemes form the
+    outer loop, so the first such error is the one a sweep of each scheme
+    in turn would raise.
     """
     ns = list(n_values)
     with _quiet():
-        elems, error_at = _measure(scheme, elements, ns)
+        elems, error_at = _measure(schemes, elements, ns)
         special = elems[0].descriptor.is_special
         norms = [jb_norm(a) for a in elems]
-        return [SweepRecord(scheme, n, error_at(n), **bounds_for(scheme, norms, n, special))
-                for n in ns]
+        return [[SweepRecord(s, n, error_at(s, n), **bounds_for(s, norms, n, special))
+                 for n in ns] for s in schemes]
+
+
+def sweep(scheme: str, elements, n_values) -> list[SweepRecord]:
+    """Measured error plus applicable bounds for each n, in given order;
+    the one-scheme case of ``_sweep_schemes``."""
+    return _sweep_schemes([scheme], elements, n_values)[0]
 
 
 def empirical_order(records) -> float:

@@ -8,6 +8,7 @@ import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -201,6 +202,87 @@ def test_sweep_h_runs_on_odd_instance(spin_triple_instance):
     rows = [l for l in res.stdout.strip().split("\n")[1:] if not l.startswith("#")]
     # no closed-form h bound: all bound cells blank
     assert all(r.split(",")[3:] == [""] * 5 for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# one measurement per sweep command
+
+
+def _family_instance(directory, descriptor, m):
+    path = directory / f"{descriptor.kind}-m{m}.json"
+    elems = tuple(random_element(descriptor, 700 + 13 * j, 0.7) for j in range(m))
+    save_instance(ProblemInstance(descriptor, elems, f"{descriptor}-m{m}"), path)
+    return str(path)
+
+
+def _run_in_process(capsys, *argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_multi_scheme_sweep_measures_once(matrix_descriptor, tmp_path, monkeypatch, capsys):
+    # One exp of the sum and m + 1 = 4 eigh calls serve all three schemes;
+    # a sweep per scheme would make 3 and 12.
+    path = _family_instance(tmp_path, matrix_descriptor, 3)
+    exp_sums, eighs = [], []
+    exp_sum, eigh = trotter.exp_sum, np.linalg.eigh
+    monkeypatch.setattr(trotter, "exp_sum", lambda e: exp_sums.append(1) or exp_sum(e))
+    monkeypatch.setattr(np.linalg, "eigh", lambda x: eighs.append(1) or eigh(x))
+    code, _, err = _run_in_process(capsys, "sweep", "--input", path, "--scheme", "g,f,h",
+                                   "--n", "1:256:x2")
+    assert code == 0, err
+    assert (len(exp_sums), len(eighs)) == (1, 4)
+
+
+def test_multi_scheme_sweep_rows_are_each_schemes_sweep(descriptor, tmp_path, capsys):
+    path = _family_instance(tmp_path, descriptor, 3)
+    ns = [1, 2, 4, 8, 16]
+    code, out, err = _run_in_process(capsys, "sweep", "--input", path, "--scheme", "g,f,h",
+                                     "--n", ",".join(map(str, ns)), "--out", "json")
+    assert code == 0, err
+    rows = json.loads(out)["records"]
+    elems = load_instance(path).elements
+    want = [r for s in "gfh" for r in trotter.sweep(s, elems, ns)]
+    assert len(rows) == len(want)
+    for row, rec in zip(rows, want):
+        for column in cli.SWEEP_COLUMNS:
+            assert repr(row[column]) == repr(getattr(rec, column)), (rec.scheme, rec.n, column)
+
+
+# The second pair's exp of the sum overflows; the count rule is still the
+# error reported.
+@pytest.mark.parametrize("name", ["pair.json", "overflow-sum.json"])
+def test_h_count_is_checked_before_any_exponential(name, tmp_path, monkeypatch, capsys):
+    path = tmp_path / name
+    path.write_text(json.dumps(CONTRACT_FILES[name]), encoding="utf-8")
+    exp_sums = []
+    exp_sum = trotter.exp_sum
+    monkeypatch.setattr(trotter, "exp_sum", lambda e: exp_sums.append(1) or exp_sum(e))
+    code, out, err = _run_in_process(capsys, "sweep", "--input", str(path),
+                                     "--scheme", "g,f,h", "--n", "1,2,4")
+    assert (code, out) == (3, "")
+    assert err == "error[input]: scheme h needs an odd element count >= 3, got 2\n"
+    assert exp_sums == []
+
+
+def test_bounds_and_sweep_print_the_same_bound_bits(descriptor, tmp_path, capsys):
+    # Both take the norms with jb_norm: bounds on the loaded elements, sweep
+    # on its private copies of them.
+    path = _family_instance(tmp_path, descriptor, 2)
+    tables = []
+    for command in ("bounds", "sweep"):
+        code, out, err = _run_in_process(capsys, command, "--input", path, "--scheme", "g,f",
+                                         "--n", "1:1024:x4")
+        assert code == 0, err
+        lines = [line for line in out.split("\n") if line and not line.startswith("#")]
+        header = lines[0].split(",")
+        tables.append([{c: v for c, v in zip(header, line.split(",")) if c.startswith("bound")}
+                       for line in lines[1:]])
+    bounds, swept = tables
+    assert len(bounds) == 2 * 6
+    assert bounds == swept
+    assert all(any(row.values()) for row in bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from assoc_oracle import (
     oracle_h,
     to_matrix,
 )
-from conftest import pauli_pair, rel_gap, rel_gap_mat, seeded_elements
+from conftest import STANDARD_DESCRIPTORS, pauli_pair, rel_gap, rel_gap_mat, seeded_elements
 
 
 def test_single_element_g_is_exact(descriptor):
@@ -234,9 +234,9 @@ def test_sweep_f_special_family_has_all_bounds():
     assert r.bound_thm31 is None
 
 
+@pytest.mark.parametrize("descriptor", [d for d in STANDARD_DESCRIPTORS if not d.is_special],
+                         ids=str)
 def test_sweep_f_nonspecial_family_skips_special_bounds(descriptor):
-    if descriptor.is_special:
-        pytest.skip("covered by the special-family case")
     elems = seeded_elements(descriptor, 2, 83)
     (r,) = sweep("f", elems, [2])
     assert r.bound_thm33i is not None and r.bound_thm33ii is not None
