@@ -83,8 +83,7 @@ class AlgebraDescriptor:
 
     def __post_init__(self) -> None:
         family = self._family
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
+        _check_count(self.dim, "dim")
         entries = math.prod(family.shape(self.dim))
         if entries > MAX_PAYLOAD_ENTRIES:
             raise CapacityError(
@@ -210,10 +209,12 @@ def _check_elements(elements, minimum: int = 1) -> list[Element]:
     return elems
 
 
-def _check_count(value, what: str) -> None:
-    # bool is an int subclass, but True is no count.
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+def _check_count(value, what: str, low: int = 1) -> None:
+    """The library's one integer-argument check: value is an int >= low,
+    for low 0 or 1.  bool is an int subclass, but True is no count."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        kind = "positive" if low else "nonnegative"
+        raise ValueError(f"{what} must be a {kind} integer, got {value!r}")
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
@@ -258,8 +259,6 @@ def herm_element(matrix, tol: float = CONSTRUCTION_TOL) -> Element:
 
 def spin_element(s: float, v) -> Element:
     vec = np.array(v, dtype=float).reshape(-1)
-    if vec.size < 1:
-        raise ValueError("spin part must have length >= 1")
     data = np.concatenate([[float(s)], vec])
     _require_finite(data, "spin payload")
     return Element(AlgebraDescriptor("spin", vec.size), data)
@@ -570,9 +569,7 @@ def jordan_power(a: Element, n: int) -> Element:
     Powers of a single element associate, so the splitting order does not
     matter beyond roundoff.
     """
-    # bool is an int subclass, but True is no exponent.
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"exponent must be a nonnegative integer, got {n!r}")
+    _check_count(n, "exponent", 0)
     if n == 0:
         return unit(a.descriptor)
     result = None

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import AlgebraDescriptor, Element, _nan_max, jb_norm, jordan_mul, random_element
+from .algebras import (AlgebraDescriptor, Element, _check_count, _nan_max, jb_norm,
+                       jordan_mul, random_element)
 
 DEFAULT_TOL = 1e-10
 # Commutativity holds up to roundoff, so its limit is the tolerance / 1e4.
@@ -78,8 +79,7 @@ def run_axiom_suite(
     ``tol`` is the limit of every check but commutativity, whose limit is
     ``tol / 1e4``.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_count(trials, "trials")
     rng = np.random.default_rng(seed)
     norms = rng.uniform(0.25, 2.0, size=(trials, 2))
     seeds = rng.integers(0, 2**62, size=(trials, 2))

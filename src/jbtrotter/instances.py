@@ -128,9 +128,6 @@ def instance_from_dict(doc) -> ProblemInstance:
     alg = doc["algebra"]
     if not isinstance(alg, dict) or set(alg) != {"kind", "dim"}:
         _fail("schema", "algebra must be an object with keys kind and dim")
-    # JSON true would pass as the int 1; the descriptor checks the rest.
-    if isinstance(alg["dim"], bool):
-        _fail("schema", "algebra dim must be a positive integer")
     try:
         desc = AlgebraDescriptor(alg["kind"], alg["dim"])
     except ValueError as exc:

@@ -27,6 +27,7 @@ from functools import reduce
 from .algebras import (
     AlgebraDescriptor,
     Element,
+    _check_count,
     _check_elements,
     _check_same,
     _nan_max,
@@ -70,18 +71,19 @@ def _check_degrees(p: Jet, q: Jet) -> None:
 
 
 def jet_unit(descriptor: AlgebraDescriptor, degree: int = DEFAULT_DEGREE) -> Jet:
-    one = unit(descriptor)
-    nil = zero(descriptor)
-    return Jet((one,) + (nil,) * degree)
+    """The constant jet 1: the zero jet with the unit at degree 0."""
+    return Jet((unit(descriptor),) + jet_zero(descriptor, degree).coefficients[1:])
 
 
 def jet_zero(descriptor: AlgebraDescriptor, degree: int = DEFAULT_DEGREE) -> Jet:
+    _check_count(degree, "degree", 0)
     nil = zero(descriptor)
     return Jet((nil,) * (degree + 1))
 
 
 def jet_exp(a: Element, degree: int = DEFAULT_DEGREE) -> Jet:
     """Jet of t -> exp(t a): coefficients a^k / k! (Jordan powers)."""
+    _check_count(degree, "degree", 0)
     coefs = [unit(a.descriptor)]
     for k in range(1, degree + 1):
         coefs.append(jordan_mul(coefs[-1], a) / float(k))
@@ -158,7 +160,8 @@ def residual(p: Jet, reference: Jet, through_degree: int) -> float:
     """Largest coefficient-norm gap between two jets through a degree; NaN
     if any gap is NaN."""
     _check_degrees(p, reference)
-    if not 0 <= through_degree <= p.degree:
+    _check_count(through_degree, "through_degree", 0)
+    if through_degree > p.degree:
         raise ValueError(f"degree {through_degree} outside jet degree {p.degree}")
     return reduce(_nan_max, (
         jb_norm(p.coefficients[k] - reference.coefficients[k])

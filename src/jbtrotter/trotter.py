@@ -214,8 +214,11 @@ def _measure(schemes, elements, ns=()):
 
 
 def measured_error(scheme: str, elements, n: int) -> float:
-    """Algebra-norm distance between the scheme at n and exp of the sum."""
-    return sweep(scheme, elements, [n])[0].error
+    """Algebra-norm distance between the scheme at n and exp of the sum:
+    the error_at of one ``_measure``, with no norms of the elements and no
+    bounds."""
+    with _quiet():
+        return _measure([scheme], elements, [n])[1](scheme, n)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +276,9 @@ def bound_special(norms, n: int, variant: str) -> float:
 def bounds_for(scheme: str, norms, n: int, special: bool) -> dict:
     """Every closed-form bound that applies to the scheme at step count n,
     keyed by its ``SweepRecord`` field; the sharpened ones need ``special``.
+    The norms are read once, so a one-shot iterable serves every bound.
     """
+    norms = list(norms)
     if scheme == "g":
         return {"bound_thm31": bound_thm31(norms, n)}
     if scheme == "f":

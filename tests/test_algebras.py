@@ -6,12 +6,14 @@ inside it (octonion coordinates 0 and 1 only).
 """
 
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
 
 from jbtrotter import algebras, octonion
+from jbtrotter.axioms import run_axiom_suite
 from jbtrotter.algebras import (
     MAX_PAYLOAD_ENTRIES,
     AlgebraDescriptor,
@@ -44,7 +46,9 @@ from assoc_oracle import (
     jtriple,
     to_matrix,
 )
-from conftest import STANDARD_DESCRIPTORS, rel_gap, seeded_elements
+from jbtrotter.jets import jet_exp, jet_unit, jet_zero, product_step_jet, residual
+from jbtrotter.trotter import approx_f, approx_g, approx_h, sweep
+from conftest import STANDARD_DESCRIPTORS, pauli_pair, rel_gap, seeded_elements
 
 RNG = np.random.default_rng(7)
 
@@ -404,6 +408,40 @@ def test_jordan_power_refuses_a_bool_exponent():
             jordan_power(a, n)
     assert jordan_power(a, 0) == unit(a.descriptor)
     assert jordan_power(a, 1) == a
+
+
+_A, _B = pauli_pair()
+_JET = jet_unit(_A.descriptor, 3)
+
+
+# (argument, call, low) for every integer-count argument of the library:
+# call(value) passes value as that argument, low is its least legal value.
+@pytest.mark.parametrize("what, call, low", [
+    pytest.param("step count n", lambda v: approx_g([_A, _B], v), 1, id="approx_g"),
+    pytest.param("step count n", lambda v: approx_f([_A, _B], v), 1, id="approx_f"),
+    pytest.param("step count n", lambda v: approx_h([_A, _B, _A], v), 1, id="approx_h"),
+    pytest.param("step count n", lambda v: sweep("g", [_A, _B], [v]), 1, id="sweep"),
+    pytest.param("divisor d", lambda v: exp_spectral(_A, v), 1, id="exp_spectral"),
+    pytest.param("exponent", lambda v: jordan_power(_A, v), 0, id="jordan_power"),
+    pytest.param("dim", lambda v: AlgebraDescriptor("sym", v), 1, id="AlgebraDescriptor"),
+    pytest.param("trials", lambda v: run_axiom_suite(_A.descriptor, trials=v), 1,
+                 id="run_axiom_suite"),
+    pytest.param("degree", lambda v: jet_exp(_A, v), 0, id="jet_exp"),
+    pytest.param("degree", lambda v: jet_unit(_A.descriptor, v), 0, id="jet_unit"),
+    pytest.param("degree", lambda v: jet_zero(_A.descriptor, v), 0, id="jet_zero"),
+    pytest.param("degree", lambda v: product_step_jet([_A, _B], v), 0, id="product_step_jet"),
+    pytest.param("through_degree", lambda v: residual(_JET, _JET, v), 0, id="residual"),
+])
+def test_every_count_argument_follows_the_one_count_rule(what, call, low):
+    # One rule for every count: a Python int at or above the argument's
+    # least value.  Bools, floats, strings, numpy integers and one below the
+    # least value raise a ValueError that names the argument.
+    kind = "positive" if low else "nonnegative"
+    for bad in (True, 2.5, "3", np.int64(2), low - 1):
+        message = f"{what} must be a {kind} integer, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(bad)
+    call(low)
 
 
 def test_power_associativity(descriptor):

@@ -166,6 +166,18 @@ def test_tightest_bound_selection():
         bounds_for("q", norms, 5, False)
 
 
+def test_bounds_read_a_one_shot_iterable_of_norms_once():
+    # Every bound of a scheme sees all the norms, not what an earlier bound
+    # left of an iterator.
+    norms = [1.0, 2.0]
+    for scheme in ("g", "f"):
+        for special in (False, True):
+            assert bounds_for(scheme, iter(norms), 4, special) == bounds_for(
+                scheme, norms, 4, special)
+    assert tightest_bound("f", iter(norms), 4) == tightest_bound("f", norms, 4)
+    assert tightest_bound("f", (v for v in norms), 4) == pytest.approx(22.596, rel=1e-4)
+
+
 def test_bounds_saturate_to_inf():
     # e^800, e^900 and (1e103)^3 leave the float range; every bound grows
     # with S, so inf is still a bound.

@@ -11,6 +11,7 @@ from jbtrotter.algebras import (
     sym_element,
     unit,
 )
+from jbtrotter import trotter
 from jbtrotter.trotter import (
     DegenerateDecayError,
     NonFiniteError,
@@ -250,6 +251,21 @@ def test_sweep_h_has_no_bounds(descriptor):
     for value in (r.bound_thm31, r.bound_thm33i, r.bound_thm33ii,
                   r.bound_special_i, r.bound_special_ii):
         assert value is None
+
+
+def test_measured_error_takes_one_norm_and_no_bounds(monkeypatch):
+    # The error's norm is the one norm taken; the norms of the elements
+    # and the bounds are a sweep's, not a measured error's.
+    a, b = pauli_pair()
+    want = sweep("f", [a, b], [4])[0].error
+    norms, bounds = [], []
+    jb = trotter.jb_norm
+    monkeypatch.setattr(trotter, "jb_norm", lambda x: norms.append(x) or jb(x))
+    for name in ("bound_thm31", "bound_thm33i", "bound_thm33ii", "bound_special"):
+        monkeypatch.setattr(trotter, name, lambda *args: bounds.append(args))
+    assert measured_error("f", [a, b], 4) == want
+    assert len(norms) == 1
+    assert bounds == []
 
 
 def test_sweep_rejects_bad_scheme_and_n():
