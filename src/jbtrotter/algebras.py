@@ -184,9 +184,17 @@ def _kept(a: Element, key: str, compute):
     return value
 
 
-def _real_scalar(c) -> float:
-    if isinstance(c, complex) or (isinstance(c, np.generic) and np.iscomplexobj(c)):
+def _check_real(x) -> None:
+    """The one real-input rule, for scalars and for the entries given to
+    the sym, spin and albert constructors: a complex number is refused, not
+    cut to its real part as numpy's float conversion would."""
+    if np.iscomplexobj(x):
         raise TypeError("scalars must be real, these are real algebras")
+
+
+def _real_scalar(c) -> float:
+    if not isinstance(c, (float, int)):  # the common real types skip numpy's check
+        _check_real(c)
     return float(c)
 
 
@@ -238,6 +246,7 @@ def _matrix_element(kind: str, dtype, symmetry: str, matrix, tol: float) -> Elem
     m = np.array(matrix, dtype=dtype)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    desc = AlgebraDescriptor(kind, m.shape[0])  # refuses a 0 x 0 matrix before max() below
     _require_finite(m, f"{kind} payload")
     # The symmetry defect and the scale are measured on the halves, which
     # neither a difference nor a complex modulus can take past the float
@@ -246,10 +255,11 @@ def _matrix_element(kind: str, dtype, symmetry: str, matrix, tol: float) -> Elem
     mirror = h.conj().T
     if np.abs(h - mirror).max() > tol * max(0.5, float(np.abs(h).max())):
         raise ValueError(f"matrix is not {symmetry} within tolerance")
-    return Element(AlgebraDescriptor(kind, m.shape[0]), h + mirror)
+    return Element(desc, h + mirror)
 
 
 def sym_element(matrix, tol: float = CONSTRUCTION_TOL) -> Element:
+    _check_real(matrix)
     return _matrix_element("sym", float, "symmetric", matrix, tol)
 
 
@@ -258,8 +268,9 @@ def herm_element(matrix, tol: float = CONSTRUCTION_TOL) -> Element:
 
 
 def spin_element(s: float, v) -> Element:
+    _check_real(v)
     vec = np.array(v, dtype=float).reshape(-1)
-    data = np.concatenate([[float(s)], vec])
+    data = np.concatenate([[_real_scalar(s)], vec])
     _require_finite(data, "spin payload")
     return Element(AlgebraDescriptor("spin", vec.size), data)
 
@@ -281,6 +292,8 @@ _ALBERT_ONE.setflags(write=False)
 def albert_element(diag, x, y, z) -> Element:
     """Octonion Hermitian 3x3 from real diagonal and entries x, y, z
     (x at (1, 2), y at (2, 0), z at (0, 1), conjugates mirrored)."""
+    for p in (diag, x, y, z):
+        _check_real(p)
     d = np.array(diag, dtype=float).reshape(-1)
     parts = [np.array(p, dtype=float).reshape(-1) for p in (x, y, z)]
     if d.size != 3 or any(p.size != 8 for p in parts):

@@ -22,14 +22,16 @@ and herm makes m + 1 ``eigh`` calls, however many schemes and step counts
 it covers; ``_measure``'s docstring says how long they live.
 
 Closed-form error bounds (S = sum of the algebra norms, m = element
-count) follow the wire names used in sweep output:
+count), one function per formula:
 
-``bound_thm31``      S^3 e^S / (3 n^2)            scheme g
+``bound_thm31``      S^3 e^S / (3 n^2)                 scheme g
 ``bound_thm33i``     (3^(m-1) + 1) S^3 e^S / (6 n^2)   scheme f
 ``bound_thm33ii``    2 * 3^m S^2 e^((n+2)S/n) / n      scheme f
-``bound_special``    sharpened f bounds valid on sym/herm only: variant i
-                     is the thm31 formula, variant ii is thm33ii / 3^m.
+``bound_special``    2 S^2 e^((n+2)S/n) / n            scheme f, sym/herm only
 
+Sweep output names a column after each function; on sym and herm a
+scheme f record adds the sharpened pair as ``bound_special_i`` (the thm31
+formula) and ``bound_special_ii`` (``bound_special``).
 ``bounds_for`` is the one place that decides which of these applies to a
 scheme.  No closed-form bound is known here for scheme h; planners must
 use the measured mode for it.  A bound whose value leaves the float range
@@ -56,8 +58,6 @@ from .algebras import (
     quad_map,
     triple_product,
 )
-
-SCHEMES = ("g", "f", "h")
 
 # Planner refuses step counts beyond this.
 MAX_PLAN_N = 2**30
@@ -132,6 +132,13 @@ def approx_h(elements, n: int) -> Element:
 
 
 _APPROX = {"g": approx_g, "f": approx_f, "h": approx_h}
+SCHEMES = tuple(_APPROX)
+
+
+def _check_scheme(scheme: str) -> None:
+    """The one unknown-scheme rule."""
+    if scheme not in SCHEMES:
+        raise SchemeError(f"unknown scheme {scheme!r}")
 
 
 def _quiet():
@@ -189,8 +196,7 @@ def _measure(schemes, elements, ns=()):
     it or just the error left the float range.
     """
     for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise SchemeError(f"unknown scheme {scheme!r}")
+        _check_scheme(scheme)
     elems = [Element(a.descriptor, a.data) for a in _check_elements(elements)]
     if "h" in schemes:
         _check_h_count(len(elems))
@@ -262,37 +268,33 @@ def bound_thm33ii(norms, n: int) -> float:
     return _quadratic(norms, n, lambda m: 2.0 * 3.0**m)
 
 
-def bound_special(norms, n: int, variant: str) -> float:
-    """Sharpened f bounds, valid only on the associatively representable
-    families (sym and herm).  Variant "i" is the thm31 formula, cubic in S
-    and second order in n; variant "ii" is thm33ii without the 3^m."""
-    if variant == "i":
-        return _cubic(norms, n, lambda m: 1.0, 3.0)
-    if variant == "ii":
-        return _quadratic(norms, n, lambda m: 2.0)
-    raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
+def bound_special(norms, n: int) -> float:
+    """Sharpened quadratic bound for scheme f, valid only on the
+    associatively representable families (sym and herm): thm33ii without
+    the 3^m."""
+    return _quadratic(norms, n, lambda m: 2.0)
 
 
 def bounds_for(scheme: str, norms, n: int, special: bool) -> dict:
     """Every closed-form bound that applies to the scheme at step count n,
-    keyed by its ``SweepRecord`` field; the sharpened ones need ``special``.
-    The norms are read once, so a one-shot iterable serves every bound.
+    keyed by its ``SweepRecord`` field; the sharpened ones need ``special``,
+    and ``bound_special_i`` is the thm31 formula.  The norms are read once,
+    so a one-shot iterable serves every bound.
     """
     norms = list(norms)
+    _check_scheme(scheme)
     if scheme == "g":
         return {"bound_thm31": bound_thm31(norms, n)}
-    if scheme == "f":
-        bounds = {
-            "bound_thm33i": bound_thm33i(norms, n),
-            "bound_thm33ii": bound_thm33ii(norms, n),
-        }
-        if special:
-            bounds["bound_special_i"] = bound_special(norms, n, "i")
-            bounds["bound_special_ii"] = bound_special(norms, n, "ii")
-        return bounds
     if scheme == "h":
         return {}
-    raise SchemeError(f"unknown scheme {scheme!r}")
+    bounds = {
+        "bound_thm33i": bound_thm33i(norms, n),
+        "bound_thm33ii": bound_thm33ii(norms, n),
+    }
+    if special:
+        bounds["bound_special_i"] = bound_thm31(norms, n)
+        bounds["bound_special_ii"] = bound_special(norms, n)
+    return bounds
 
 
 def tightest_bound(scheme: str, norms, n: int, special: bool = False) -> float:
@@ -325,8 +327,7 @@ def plan_min_n(
     doubling plus bisection on the measured error, which is assumed
     monotone along the search; decompositions as in ``_measure``.
     """
-    if scheme not in SCHEMES:
-        raise SchemeError(f"unknown scheme {scheme!r}")
+    _check_scheme(scheme)
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     if mode == "bound":

@@ -111,6 +111,8 @@ def test_sym_constructor_validates():
         sym_element(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         sym_element([[np.nan, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="dim must be a positive integer, got 0"):
+        sym_element(np.zeros((0, 0)))
 
 
 def test_herm_constructor_validates():
@@ -118,6 +120,25 @@ def test_herm_constructor_validates():
         herm_element([[0.0, 1j], [1j, 0.0]])  # skew, not Hermitian
     ok = herm_element([[1.0, 2 - 1j], [2 + 1j, -3.0]])
     assert ok.descriptor == AlgebraDescriptor("herm", 2)
+    with pytest.raises(ValueError, match="dim must be a positive integer, got 0"):
+        herm_element(np.zeros((0, 0)))
+
+
+_ZERO8 = np.zeros(8)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sym_element(np.array([[1 + 5j, 0], [0, 1]])),
+    lambda: sym_element([[1 + 5j, 0], [0, 1]]),
+    lambda: spin_element(np.complex128(1 + 2j), np.array([3.0])),
+    lambda: spin_element(1.0, np.array([3j])),
+    lambda: albert_element(np.array([1.0, 2.0, 3j]), _ZERO8, _ZERO8, _ZERO8),
+    lambda: albert_element([1.0, 2.0, 3.0], _ZERO8 + 1j, _ZERO8, _ZERO8),
+], ids=["sym-array", "sym-list", "spin-s", "spin-v", "albert-diag", "albert-x"])
+def test_real_families_refuse_complex_input(make):
+    # numpy's float conversion would keep the real part with a ComplexWarning.
+    with pytest.raises(TypeError, match="scalars must be real"):
+        make()
 
 
 def test_matrix_constructors_keep_entries_near_the_float_maximum():

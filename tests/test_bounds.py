@@ -47,10 +47,8 @@ def mp_thm33ii(norms, n):
     return (2 * mp.mpf(3) ** m / n) * s * s * mp.e ** ((n + 2) * s / mp.mpf(n))
 
 
-def mp_special(norms, n, variant):
+def mp_special(norms, n):
     s = mp.fsum(norms)
-    if variant == "i":
-        return s**3 * mp.e**s / (3 * n * n)
     return (2 * s * s / n) * mp.e ** ((n + 2) * s / mp.mpf(n))
 
 
@@ -71,8 +69,7 @@ def test_bounds_match_high_precision_reference(norms, n):
         (bound_thm31(norms, n), mp_thm31(norms, n)),
         (bound_thm33i(norms, n), mp_thm33i(norms, n)),
         (bound_thm33ii(norms, n), mp_thm33ii(norms, n)),
-        (bound_special(norms, n, "i"), mp_special(norms, n, "i")),
-        (bound_special(norms, n, "ii"), mp_special(norms, n, "ii")),
+        (bound_special(norms, n), mp_special(norms, n)),
     ]
     for got, want in checks:
         assert abs(got - float(want)) <= 1e-13 * float(want)
@@ -103,8 +100,7 @@ def test_bounds_decrease_in_n():
         bound_thm31,
         bound_thm33i,
         bound_thm33ii,
-        lambda v, n: bound_special(v, n, "i"),
-        lambda v, n: bound_special(v, n, "ii"),
+        bound_special,
     ):
         vals = [fn(norms, n) for n in (1, 2, 4, 8, 64, 1024)]
         assert vals == sorted(vals, reverse=True)
@@ -115,20 +111,20 @@ def test_bound_validation():
         bound_thm31([-1.0], 2)
     with pytest.raises(ValueError):
         bound_thm31([1.0], 0)
-    with pytest.raises(ValueError):
-        bound_special([1.0], 2, "iii")
 
 
 def test_special_variants_drop_the_count_factor():
     norms = [0.5, 0.5, 0.5]
-    assert bound_special(norms, 9, "i") < bound_thm33i(norms, 9)
-    assert bound_special(norms, 9, "ii") == pytest.approx(
+    assert bound_thm31(norms, 9) < bound_thm33i(norms, 9)
+    assert bound_special(norms, 9) == pytest.approx(
         bound_thm33ii(norms, 9) / 3.0**3, rel=1e-14
     )
-    # variant i is the thm31 formula itself
+    # the sharpened pair of a special f record is thm31 and bound_special
     for grid in NORM_GRIDS:
         for n in (1, 9, 4096):
-            assert bound_special(grid, n, "i") == bound_thm31(grid, n)
+            table = bounds_for("f", grid, n, True)
+            assert table["bound_special_i"] == bound_thm31(grid, n)
+            assert table["bound_special_ii"] == bound_special(grid, n)
 
 
 def test_tightest_bound_selection():
@@ -137,8 +133,7 @@ def test_tightest_bound_selection():
     plain = tightest_bound("f", norms, 5)
     assert plain == min(bound_thm33i(norms, 5), bound_thm33ii(norms, 5))
     with_special = tightest_bound("f", norms, 5, special=True)
-    assert with_special == min(plain, bound_special(norms, 5, "i"),
-                               bound_special(norms, 5, "ii"))
+    assert with_special == min(plain, bound_thm31(norms, 5), bound_special(norms, 5))
     with pytest.raises(SchemeError):
         tightest_bound("h", norms, 5)
 
@@ -162,8 +157,6 @@ def test_tightest_bound_selection():
                     tightest_bound(scheme, triple_norms, 4, special)
             else:
                 assert tightest_bound(scheme, triple_norms, 4, special) == min(table.values())
-    with pytest.raises(SchemeError):
-        bounds_for("q", norms, 5, False)
 
 
 def test_bounds_read_a_one_shot_iterable_of_norms_once():
@@ -184,15 +177,14 @@ def test_bounds_saturate_to_inf():
     assert bound_thm31([800.0], 1) == math.inf
     assert bound_thm31([1e103], 1) == math.inf
     assert bound_thm33ii([300.0], 1) == math.inf
-    assert bound_special([300.0], 1, "ii") == math.inf
+    assert bound_special([300.0], 1) == math.inf
     assert math.isfinite(bound_thm33i([300.0], 1))
     assert tightest_bound("f", [300.0], 1) == bound_thm33i([300.0], 1)
     # 3^699 leaves the float range though S = 0.7 is small; only the
     # bounds with a count factor saturate.
     many = [1e-3] * 700
     assert bound_thm33i(many, 1) == bound_thm33ii(many, 1) == math.inf
-    for value in (bound_thm31(many, 1), bound_special(many, 1, "i"),
-                  bound_special(many, 1, "ii")):
+    for value in (bound_thm31(many, 1), bound_special(many, 1)):
         assert math.isfinite(value)
     with pytest.raises(CapacityError):
         plan_min_n("g", 1e-3, norms=[800.0])
@@ -223,7 +215,7 @@ def test_plan_bound_mode_special_flag_tightens():
     generic = plan_min_n("f", 1e-5, norms=norms)
     special = plan_min_n("f", 1e-5, norms=norms, special=True)
     assert special <= generic
-    assert bound_special(norms, special, "i") <= 1e-5
+    assert bound_thm31(norms, special) <= 1e-5
 
 
 def test_plan_trivial_when_bound_already_small():
@@ -240,8 +232,13 @@ def test_plan_capacity_error():
 def test_plan_rejects_bad_arguments():
     with pytest.raises(SchemeError):
         plan_min_n("h", 1e-3, norms=[1.0])  # no closed-form bound for h
-    with pytest.raises(SchemeError):
-        plan_min_n("q", 1e-3, norms=[1.0])
+    # One unknown-scheme rule behind the bound table, its minimum and the
+    # bound-mode planner (the measured paths: test_trotter).
+    for call in (lambda: bounds_for("q", [1.0], 5, False),
+                 lambda: tightest_bound("q", [1.0], 5),
+                 lambda: plan_min_n("q", 1e-3, norms=[1.0])):
+        with pytest.raises(SchemeError, match="unknown scheme 'q'"):
+            call()
     with pytest.raises(ValueError):
         plan_min_n("g", 0.0, norms=[1.0])
     with pytest.raises(ValueError):
