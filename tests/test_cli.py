@@ -221,33 +221,48 @@ def _run_in_process(capsys, *argv):
     return code, out, err
 
 
-def test_multi_scheme_sweep_measures_once(matrix_descriptor, tmp_path, monkeypatch, capsys):
-    # One exp of the sum and m + 1 = 4 eigh calls serve all three schemes;
-    # a sweep per scheme would make 3 and 12.
-    path = _family_instance(tmp_path, matrix_descriptor, 3)
-    exp_sums, eighs = [], []
-    exp_sum, eigh = trotter.exp_sum, np.linalg.eigh
+def test_multi_scheme_sweep_measures_once(descriptor, tmp_path, monkeypatch, capsys):
+    # One exp of the sum, m + 1 = 4 eigh calls on sym/herm and one
+    # exponential per (element, divisor) serve all three schemes: exp of the
+    # sum, exp(A_j / n) for 3 elements and 9 step counts, and f's last half
+    # steps exp(A_2 / 512) and exp(A_3 / 512) make 30.  A sweep per scheme
+    # would make 3 exp of the sum, 12 eigh and 1 + 3 * 27 = 82 exponentials.
+    path = _family_instance(tmp_path, descriptor, 3)
+    exp_sums, eighs, exps = [], [], []
+    exp_sum, eigh, exp_spectral = trotter.exp_sum, np.linalg.eigh, trotter.exp_spectral
     monkeypatch.setattr(trotter, "exp_sum", lambda e: exp_sums.append(1) or exp_sum(e))
     monkeypatch.setattr(np.linalg, "eigh", lambda x: eighs.append(1) or eigh(x))
+    monkeypatch.setattr(trotter, "exp_spectral",
+                        lambda a, d=1: exps.append(d) or exp_spectral(a, d))
     code, _, err = _run_in_process(capsys, "sweep", "--input", path, "--scheme", "g,f,h",
                                    "--n", "1:256:x2")
     assert code == 0, err
-    assert (len(exp_sums), len(eighs)) == (1, 4)
+    assert (len(exp_sums), len(exps)) == (1, 30)
+    assert len(eighs) == (4 if descriptor.is_special else 0)
+    # One scheme never asks for one divisor twice: 1 + m * len(ns).
+    for scheme in "gfh":
+        exps.clear()
+        code, _, err = _run_in_process(capsys, "sweep", "--input", path, "--scheme", scheme,
+                                       "--n", "1:256:x2")
+        assert code == 0, err
+        assert len(exps) == 1 + 3 * 9, scheme
 
 
 def test_multi_scheme_sweep_rows_are_each_schemes_sweep(descriptor, tmp_path, capsys):
+    # Doubling counts carry f's half-step factor over to the next n; in the
+    # second list 3 -> 6 -> 12 carry it and 1 -> 3 and 12 -> 13 drop it.
     path = _family_instance(tmp_path, descriptor, 3)
-    ns = [1, 2, 4, 8, 16]
-    code, out, err = _run_in_process(capsys, "sweep", "--input", path, "--scheme", "g,f,h",
-                                     "--n", ",".join(map(str, ns)), "--out", "json")
-    assert code == 0, err
-    rows = json.loads(out)["records"]
     elems = load_instance(path).elements
-    want = [r for s in "gfh" for r in trotter.sweep(s, elems, ns)]
-    assert len(rows) == len(want)
-    for row, rec in zip(rows, want):
-        for column in cli.SWEEP_COLUMNS:
-            assert repr(row[column]) == repr(getattr(rec, column)), (rec.scheme, rec.n, column)
+    for ns in ([1, 2, 4, 8, 16], [1, 3, 6, 12, 13]):
+        code, out, err = _run_in_process(capsys, "sweep", "--input", path, "--scheme", "g,f,h",
+                                         "--n", ",".join(map(str, ns)), "--out", "json")
+        assert code == 0, err
+        rows = json.loads(out)["records"]
+        want = [r for s in "gfh" for r in trotter.sweep(s, elems, ns)]
+        assert len(rows) == len(want)
+        for row, rec in zip(rows, want):
+            for column in cli.SWEEP_COLUMNS:
+                assert repr(row[column]) == repr(getattr(rec, column)), (rec.scheme, rec.n, column)
 
 
 # The second pair's exp of the sum overflows; the count rule is still the
@@ -368,6 +383,12 @@ def test_bad_numeric_arguments_exit_2(pauli_instance):
     (("bounds", "--norms", "1,a"), "argument --norms: not comma-separated numbers: '1,a'"),
     (("plan", "--mode", "measured", "--norms", "1", "--eps", "1e-3"),
      "measured mode needs --input"),
+    (("plan", "--scheme", "q", "--eps", "1e-3", "--norms", "1"),
+     "argument --scheme: unknown scheme 'q' (expected g, f or h)"),
+    (("plan", "--scheme", "g,f", "--eps", "1e-3", "--norms", "1"),
+     "argument --scheme: plan takes one scheme, got 'g,f'"),
+    (("plan", "--scheme", "g,", "--eps", "1e-3", "--norms", "1"),
+     "argument --scheme: plan takes one scheme, got 'g,'"),
 ])
 def test_rejected_arguments_name_their_reason(pauli_instance, argv, reason):
     if argv[0] == "sweep":

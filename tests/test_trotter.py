@@ -1,5 +1,7 @@
 """Approximant construction against plain-matrix references."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -303,6 +305,59 @@ def test_sweep_and_measured_plan_decompose_each_element_once(matrix_descriptor, 
         measured_error(scheme, elems, n)
         assert len(calls) == want
     assert not any("_eigh" in vars(a) for a in elems)
+
+
+# ---------------------------------------------------------------------------
+# multi-scheme sweeps: step counts outer, schemes inner, factors shared
+
+
+def test_multi_scheme_sweep_raises_what_a_sweep_per_scheme_would(monkeypatch):
+    # f's product overflows from n = 1 and g's only from n = 4: a sweep of
+    # each scheme in turn meets g's failure first when g comes first, even
+    # though the step-count loop reaches f's failure earlier.
+    def failing_from(approx, first_bad_n):
+        def product(elems, n):
+            if n >= first_bad_n:
+                raise OverflowError
+            return approx(elems, n)
+        return product
+
+    monkeypatch.setitem(trotter._APPROX, "g", failing_from(approx_g, 4))
+    monkeypatch.setitem(trotter._APPROX, "f", failing_from(approx_f, 1))
+    elems = pauli_pair()
+    with pytest.raises(NonFiniteError, match="scheme g product at n=4"):
+        trotter._sweep_schemes(["g", "f"], elems, [1, 2, 4, 8])
+    with pytest.raises(NonFiniteError, match="scheme f product at n=1"):
+        trotter._sweep_schemes(["f", "g"], elems, [1, 2, 4, 8])
+
+
+def test_multi_scheme_sweep_keeps_at_most_2m_factors_alive(monkeypatch):
+    # A memo over the whole measurement would keep 2 factors per element
+    # and step count alive, 186 here; the tables drop every divisor but n
+    # and 2n when n changes.
+    alive, peak = [], []
+    exp_spectral = trotter.exp_spectral
+
+    def spy(a, d=1):
+        value = exp_spectral(a, d)
+        alive.append(weakref.ref(value))
+        peak.append(sum(ref() is not None for ref in alive[1:]))  # alive[0]: exp of the sum
+        return value
+
+    monkeypatch.setattr(trotter, "exp_spectral", spy)
+    elems = seeded_elements(AlgebraDescriptor("sym", 3), 3, 17, 0.5)
+    trotter._sweep_schemes(["g", "f", "h"], elems, [2**k for k in range(31)])
+    assert len(alive) == 1 + 3 * 31 + 2
+    assert max(peak) <= 2 * 3
+
+
+def test_multi_scheme_sweep_over_unsorted_counts_is_each_schemes_sweep(descriptor):
+    # No factor of another step count is served: every record is bit for
+    # bit the one of the scheme's own sweep.
+    elems = seeded_elements(descriptor, 3, 23, 0.7)
+    ns = [4, 1, 8, 3, 6]
+    got = trotter._sweep_schemes(["g", "f", "h"], elems, ns)
+    assert repr(got) == repr([sweep(s, elems, ns) for s in "gfh"])
 
 
 # ---------------------------------------------------------------------------
