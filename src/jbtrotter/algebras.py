@@ -33,9 +33,10 @@ herm one ``np.linalg.eigh`` of ``a`` serves every d; ``trotter._measure``
 says how many a measurement makes and how long they live.  Spin and
 albert compute exp of ``a / d`` directly, as ``exp_spectral(a / d)`` does.
 
-An element keeps its spectrum once ``spectrum`` or ``jb_norm`` has taken
-it, and a sym or herm element the ``eigh`` of ``exp_spectral``; README,
-"Library use", states the rule.
+An element holds its descriptor, its payload and the values it keeps,
+nothing else: it keeps its spectrum once ``spectrum`` or ``jb_norm`` has
+taken it, and a sym or herm element the ``eigh`` of ``exp_spectral``;
+README, "Library use", states the rule.
 """
 
 from __future__ import annotations
@@ -131,7 +132,17 @@ class Element:
     ``Element(a.descriptor, a.data)`` shares it; turning its writes back on
     and writing it voids what the element keeps (``_kept``).  The public
     constructors copy their input.
+
+    An element holds its descriptor, its payload and the values it keeps,
+    each in a slot, and nothing else: it has no instance dict, so even
+    ``object.__setattr__(a, "x", 1)`` raises ``AttributeError``.  The kept
+    values are the spectrum, the sym/herm ``eigh`` (both through
+    ``_kept``) and the factor table of a multi-scheme measurement's copy
+    (``trotter._measure``); ``__weakref__`` lets callers watch an element
+    die.
     """
+
+    __slots__ = ("descriptor", "data", "_spectrum", "_eigh", "_factors", "__weakref__")
 
     descriptor: AlgebraDescriptor
     data: np.ndarray
@@ -170,17 +181,23 @@ class Element:
     def __repr__(self) -> str:
         return f"Element({self.descriptor}, shape={self.data.shape})"
 
+    def __reduce__(self):
+        # Frozen slots cannot be restored by setattr, so pickle and copy
+        # rebuild an element from its two fields; kept values are recomputed.
+        return Element, (self.descriptor, self.data)
+
 
 def _kept(a: Element, key: str, compute):
-    """compute(a), computed on first use and kept in a's instance dict
-    under key (the frozen dataclass bars attribute assignment, not that
-    dict), so it lives and dies with the element; callers must not write
-    into it.  A plain dict lookup: ``functools.cached_property`` takes a
-    lock on every first use, and most elements are asked only once."""
-    memo = a.__dict__
-    value = memo.get(key)
+    """compute(a), computed on first use and kept in a's slot named key
+    (the frozen dataclass bars attribute assignment, not
+    ``object.__setattr__``), so it lives and dies with the element; callers
+    must not write into it.  A plain slot read: ``functools.cached_property``
+    needs an instance dict and takes a lock on every first use, and most
+    elements are asked only once."""
+    value = getattr(a, key, None)
     if value is None:
-        value = memo[key] = compute(a)
+        value = compute(a)
+        object.__setattr__(a, key, value)
     return value
 
 

@@ -85,9 +85,11 @@ class DegenerateDecayError(ValueError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRecord:
-    """One (scheme, n) measurement with every applicable closed-form bound."""
+    """One (scheme, n) measurement with every applicable closed-form bound.
+
+    Slotted: a record holds its fields and nothing else."""
 
     scheme: str
     n: int
@@ -103,7 +105,7 @@ def _factor(a: Element, d: int) -> Element:
     """exp(a / d), the one way a scheme gets a factor: through the factor
     table of a multi-scheme ``_measure`` copy, which computes each divisor
     once, and from ``exp_spectral`` for any element without one."""
-    table = a.__dict__.get("_factors")
+    table = getattr(a, "_factors", None)
     if table is None:
         return exp_spectral(a, d)
     if d not in table:
@@ -205,9 +207,9 @@ def _measure(schemes, elements, ns=()):
     them along when they die, with any spectrum a norm kept on them; the
     caller's elements keep neither.  The copies are there for memory:
     measuring on the caller's elements, which then keep every
-    decomposition, raised the grid-matrix benchmark's peak RSS from 59.8
-    to 64.7 MB (+8 %) in 12 s runs at seed 11 (``bench/run.py``, 2-core
-    Xeon, Python 3.11).
+    decomposition, raised the grid-matrix benchmark's peak RSS from 57.2
+    to 61.3-61.6 MB (+7 %) in two 12 s runs each at seed 11
+    (``bench/run.py``, 2-core Xeon, Python 3.11).
 
     The error is the only value checked; a product past the float range
     still raises, since
@@ -231,7 +233,9 @@ def _measure(schemes, elements, ns=()):
     for n in ns:
         _check_count(n, "step count n")
     target = exp_sum(elems)
-    tables = [a.__dict__.setdefault("_factors", {}) for a in elems] if len(schemes) > 1 else []
+    tables = [{} for _ in elems] if len(schemes) > 1 else []
+    for a, table in zip(elems, tables):
+        object.__setattr__(a, "_factors", table)
 
     def error_at(scheme: str, n: int) -> float:
         for table in tables:

@@ -5,9 +5,12 @@ exceptional family against the complex 3x3 Hermitian subalgebra sitting
 inside it (octonion coordinates 0 and 1 only).
 """
 
+import copy
 import math
+import pickle
 import re
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -653,7 +656,7 @@ def test_kept_spectrum_and_norm_equal_those_of_a_fresh_copy(descriptor):
     for a in (*seeded_elements(descriptor, 3, 67, 1.3), unit(descriptor) * 2.5,
               zero(descriptor)):
         first_norm, first = jb_norm(a), spectrum(a)
-        assert "_spectrum" in vars(a)
+        assert hasattr(a, "_spectrum")
         for _ in range(2):
             fresh = Element(a.descriptor, a.data)
             assert jb_norm(a) == first_norm == jb_norm(fresh)
@@ -677,7 +680,7 @@ def test_albert_exponential_leaves_the_caller_no_spectrum():
     for a in (random_element(desc, 73, 1.2), unit(desc) * 0.7):
         for d in (1, 2, 3):
             exp_spectral(a, d)
-            assert "_spectrum" not in vars(a), (a, d)
+            assert not hasattr(a, "_spectrum"), (a, d)
 
 
 def test_a_view_payload_is_copied_so_no_other_array_writes_it():
@@ -713,6 +716,33 @@ def test_element_equality_and_repr():
     assert e == sym_element(np.eye(2)) and e != zero(e.descriptor)
     assert repr(e) == "Element(sym:2, shape=(2, 2))"
     assert repr(unit(AlgebraDescriptor("albert", 3))) == "Element(albert:3, shape=(3, 3, 8))"
+
+
+def test_an_element_holds_no_instance_dict(descriptor):
+    # Descriptor, payload and kept values each have a slot; nothing else
+    # can be set, and pickle and copy rebuild an element from its fields.
+    a, b = seeded_elements(descriptor, 2, 83)
+    made = [a, unit(descriptor), zero(descriptor), jordan_mul(a, b), exp_spectral(a),
+            exp_spectral(b, 3), random_element(descriptor, 5)]
+    if descriptor.kind == "sym":
+        made.append(sym_element(np.eye(descriptor.dim)))
+    elif descriptor.kind == "herm":
+        made.append(herm_element(np.eye(descriptor.dim)))
+    elif descriptor.kind == "spin":
+        made.append(spin_element(0.5, np.ones(descriptor.dim)))
+    else:
+        made.append(albert_element(np.ones(3), *np.zeros((3, 8))))
+    for x in made:
+        jb_norm(x)
+        exp_spectral(x, 2)
+        assert not hasattr(x, "__dict__"), x
+        assert hasattr(x, "_spectrum")
+        with pytest.raises(AttributeError):
+            object.__setattr__(x, "x", 1)
+        assert weakref.ref(x)() is x
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert y == x and not y.data.flags.writeable
+            assert not hasattr(y, "_spectrum") and not hasattr(y, "_eigh")
 
 
 def test_an_element_on_a_library_payload_shares_it(descriptor):

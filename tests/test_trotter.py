@@ -1,5 +1,6 @@
 """Approximant construction against plain-matrix references."""
 
+import dataclasses
 import weakref
 
 import numpy as np
@@ -213,12 +214,23 @@ def test_measured_error_unknown_scheme():
 # ---------------------------------------------------------------------------
 # sweep records
 
+RECORD_FIELDS = ("scheme", "n", "error", "bound_thm31", "bound_thm33i", "bound_thm33ii",
+                 "bound_special_i", "bound_special_ii")
+
 
 def test_sweep_g_attaches_only_its_bound():
     a, b = pauli_pair()
     recs = sweep("g", [a, b], [1, 2, 4])
     assert [r.n for r in recs] == [1, 2, 4]
     for r in recs:
+        # Slotted: the fields, in the order the sweep columns use, and no
+        # room for anything else.
+        assert not hasattr(r, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(r, "extra", 1)
+        assert tuple(dataclasses.asdict(r)) == RECORD_FIELDS
+        assert tuple(f.name for f in dataclasses.fields(r)) == RECORD_FIELDS
+        assert dataclasses.astuple(r) == tuple(getattr(r, k) for k in RECORD_FIELDS)
         assert r.scheme == "g"
         assert r.bound_thm31 is not None
         assert r.bound_thm33i is None and r.bound_thm33ii is None
@@ -295,16 +307,16 @@ def test_sweep_and_measured_plan_decompose_each_element_once(matrix_descriptor, 
         calls.clear()
         sweep(scheme, elems, [1, 2, 3, 4, 8, 16, 32, 64, 256])
         assert len(calls) == want
-    assert not any("_eigh" in vars(a) for a in elems)
+    assert not any(hasattr(a, "_eigh") for a in elems)
     calls.clear()
     plan_min_n(scheme, 1e-6, elements=elems, mode="measured")
     assert len(calls) == want
-    assert not any("_eigh" in vars(a) for a in elems)
+    assert not any(hasattr(a, "_eigh") for a in elems)
     for n in (1, 16):
         calls.clear()
         measured_error(scheme, elems, n)
         assert len(calls) == want
-    assert not any("_eigh" in vars(a) for a in elems)
+    assert not any(hasattr(a, "_eigh") for a in elems)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +370,7 @@ def test_multi_scheme_sweep_over_unsorted_counts_is_each_schemes_sweep(descripto
     ns = [4, 1, 8, 3, 6]
     got = trotter._sweep_schemes(["g", "f", "h"], elems, ns)
     assert repr(got) == repr([sweep(s, elems, ns) for s in "gfh"])
+    assert not any(hasattr(r, "__dict__") for rows in got for r in rows)
 
 
 # ---------------------------------------------------------------------------
