@@ -9,8 +9,10 @@ through the retained degree.
 This is enough to check, mechanically and per algebra, the Taylor-polynomial
 facts behind the second-order error bounds:
 
-* the one-step product curve (scheme g) and the one-step symmetrized
-  curve (scheme f) both agree with exp(t * sum A_j) through degree 2;
+* the one-step curves of schemes g (product), f (symmetrized) and h
+  (triple-product chain) all agree with exp(t * sum A_j) through degree 2.
+  ``step_jet`` evaluates each scheme's one step statement, ``trotter._step``,
+  on jets, so the jets and the approximants cannot drift apart;
 * pulling the exact exponential back through the inverted symmetrized
   wrappers cancels everything through degree 2, leaving a defect curve
   that starts at degree 3.
@@ -36,6 +38,7 @@ from .algebras import (
     unit,
     zero,
 )
+from .trotter import _check_scheme, _step
 
 DEFAULT_DEGREE = 3
 
@@ -114,20 +117,30 @@ def jet_quad_map(w: Jet, x: Jet) -> Jet:
     return wxw + wxw - jet_jordan_mul(jet_jordan_mul(w, w), x)
 
 
+def jet_triple(x: Jet, y: Jet, z: Jet) -> Jet:
+    """Jet of the triple product {x y z} = (x∘y)∘z + (y∘z)∘x − (x∘z)∘y:
+    six Cauchy products, in the order ``triple_product`` takes."""
+    return (jet_jordan_mul(jet_jordan_mul(x, y), z) + jet_jordan_mul(jet_jordan_mul(y, z), x)
+            - jet_jordan_mul(jet_jordan_mul(x, z), y))
+
+
+def step_jet(scheme: str, elements, degree: int = DEFAULT_DEGREE) -> Jet:
+    """Jet of the single step of scheme g, f or h in t: the step statement
+    of ``trotter._step`` with factor(A_j, d) the jet of exp(t A_j / d) at
+    d = 1, on two or more elements (h: an odd count >= 3)."""
+    _check_scheme(scheme)
+    return _step(scheme, elements, 1, lambda a, d: jet_exp(a / d, degree),
+                 jet_jordan_mul, jet_quad_map, jet_triple, least=2)
+
+
 def product_step_jet(elements, degree: int = DEFAULT_DEGREE) -> Jet:
     """Jet of the single scheme-g step exp(tA_1) exp(tA_2) ... left-nested."""
-    elems = _check_elements(elements, 2)
-    return reduce(jet_jordan_mul, (jet_exp(a, degree) for a in elems))
+    return step_jet("g", elements, degree)
 
 
 def symmetrized_step_jet(elements, degree: int = DEFAULT_DEGREE) -> Jet:
     """Jet of the single scheme-f step with half-step quadratic-map wrappers."""
-    elems = _check_elements(elements, 2)
-    core = jet_exp(elems[0], degree)
-    for a in elems[1:]:
-        w = jet_exp(0.5 * a, degree)
-        core = jet_quad_map(w, core)
-    return core
+    return step_jet("f", elements, degree)
 
 
 def inverse_sandwich_defect_jet(elements, degree: int = DEFAULT_DEGREE) -> Jet:

@@ -12,8 +12,14 @@ Three schemes, named by their tag in the CLI:
        exp(A_2k / n) on the left and exp(A_2k+1 / n) on the right.  All
        factors use the full step 1 / n.
 
-Each factor exp(A_j / n) or exp(A_j / 2n) is ``exp_spectral(A_j, n)`` or
-``exp_spectral(A_j, 2 * n)``, taken through ``_factor``.  Every measurement
+Each scheme's single step is stated once, in ``_step``, against a factor
+source and three operations (product, U map, triple).  ``approx_*`` run
+it on elements at d = n and take the n-th Jordan power of the step;
+``jets.step_jet`` runs the same statement on jets, which is how the tests
+check that every step agrees with exp(t * sum A_j) through degree 2.  On
+elements each factor exp(A_j / n) or exp(A_j / 2n) is
+``exp_spectral(A_j, n)`` or ``exp_spectral(A_j, 2 * n)``, taken through
+``_factor``.  Every measurement
 goes through one path, ``_measure``: ``_sweep_schemes`` measures a list of
 schemes over a list of step counts, ``sweep`` is its one-scheme case and
 ``measured_error`` its one-scheme, one-n case, and the measured
@@ -113,41 +119,52 @@ def _factor(a: Element, d: int) -> Element:
     return table[d]
 
 
-def approx_g(elements, n: int) -> Element:
-    """Left-nested product scheme at step count n."""
-    elems = _check_elements(elements)
-    _check_count(n, "step count n")
-    factors = [_factor(a, n) for a in elems]
-    step = reduce(jordan_mul, factors)
-    return jordan_power(step, n)
+def _step(scheme: str, elements, d: int, factor, mul, quad, triple, least: int = 1):
+    """The single step of a scheme, stated once for elements and jets alike.
 
-
-def approx_f(elements, n: int) -> Element:
-    """Symmetrized scheme: half-step triple-product wrappers, then power n."""
-    elems = _check_elements(elements)
-    _check_count(n, "step count n")
-    core = _factor(elems[0], n)
-    for a in elems[1:]:
-        core = quad_map(_factor(a, 2 * n), core)
-    return jordan_power(core, n)
+    factor(A_j, d) is exp(A_j / d): d is the full step and 2d the half
+    step.  mul, quad and triple are the Jordan product, the U map and the
+    triple product.  ``approx_*`` pass ``_factor`` and the element
+    operations at d = n; ``jets.step_jet`` passes jet exponentials and the
+    jet operations at d = 1.  Checks first that there are at least
+    ``least`` elements of one algebra, that d is a step count and, for h,
+    the element count."""
+    elems = _check_elements(elements, least)
+    _check_count(d, "step count n")
+    if scheme == "g":
+        return reduce(mul, [factor(a, d) for a in elems])
+    if scheme == "f":
+        core = factor(elems[0], d)
+        for a in elems[1:]:
+            core = quad(factor(a, 2 * d), core)
+        return core
+    _check_h_count(len(elems))
+    factors = [factor(a, d) for a in elems]
+    core = factors[0]
+    for k in range(1, len(factors), 2):
+        core = triple(factors[k], core, factors[k + 1])
+    return core
 
 
 def _check_h_count(count: int) -> None:
-    """Scheme h's one rule on its elements, which approx_h and ``_measure`` apply."""
+    """Scheme h's one rule on its elements, which ``_step`` and ``_measure`` apply."""
     if count < 3 or count % 2 == 0:
         raise SchemeError(f"scheme h needs an odd element count >= 3, got {count}")
 
 
+def approx_g(elements, n: int) -> Element:
+    """Left-nested product scheme at step count n."""
+    return jordan_power(_step("g", elements, n, _factor, jordan_mul, quad_map, triple_product), n)
+
+
+def approx_f(elements, n: int) -> Element:
+    """Symmetrized scheme: half-step triple-product wrappers, then power n."""
+    return jordan_power(_step("f", elements, n, _factor, jordan_mul, quad_map, triple_product), n)
+
+
 def approx_h(elements, n: int) -> Element:
     """Odd-count triple-product chain at full step 1/n."""
-    elems = _check_elements(elements)
-    _check_count(n, "step count n")
-    _check_h_count(len(elems))
-    factors = [_factor(a, n) for a in elems]
-    core = triple_product(factors[1], factors[0], factors[2])
-    for k in range(3, len(factors), 2):
-        core = triple_product(factors[k], core, factors[k + 1])
-    return jordan_power(core, n)
+    return jordan_power(_step("h", elements, n, _factor, jordan_mul, quad_map, triple_product), n)
 
 
 _APPROX = {"g": approx_g, "f": approx_f, "h": approx_h}
@@ -186,7 +203,7 @@ def _measure(schemes, elements, ns=()):
     error_at(scheme, n) = ||exp(A_1 + ... + A_m) - scheme at n|| for the
     caller to run inside its ``_quiet()`` scope.  Every scheme in
     ``schemes``, the elements (for scheme h their odd count, as
-    ``approx_h`` checks it) and each n in ``ns`` are checked before exp
+    ``_step`` checks it) and each n in ``ns`` are checked before exp
     of the sum, which is computed once for all the schemes.
 
     When ``schemes`` holds two or more, each copy gets a factor table,

@@ -7,6 +7,7 @@ coefficient of norm sqrt(5)/6.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,13 +31,15 @@ from jbtrotter.jets import (
     jet_exp,
     jet_jordan_mul,
     jet_quad_map,
+    jet_triple,
     jet_unit,
     jet_zero,
     product_step_jet,
     residual,
+    step_jet,
     symmetrized_step_jet,
 )
-from jbtrotter.trotter import approx_f, approx_g
+from jbtrotter.trotter import SchemeError, approx_f, approx_g, approx_h
 from conftest import pauli_pair, seeded_elements
 
 PAULI_D3_GAP = math.sqrt(2.0) / 3.0
@@ -112,12 +115,14 @@ def test_jet_quad_map_matches_the_triple_product_definition(descriptor, exponent
             - jet_jordan_mul(jet_jordan_mul(w, w), x)
         )
         assert residual(jet_quad_map(w, x), want, 3) <= 1e-13, seed
+        assert residual(jet_triple(w, x, w), jet_quad_map(w, x), 3) <= 1e-13, seed
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 5])
 def test_each_wrapper_makes_four_cauchy_products(monkeypatch, m):
     # One quadratic-map wrapper per wrapped element: m - 1 in the
     # symmetrized step, m in the defect curve; exp jets make no jet product.
+    # An h step of odd m wraps (m - 1) / 2 times in a triple of six.
     calls = []
     real = jets.jet_jordan_mul
 
@@ -132,6 +137,10 @@ def test_each_wrapper_makes_four_cauchy_products(monkeypatch, m):
     calls.clear()
     jets.inverse_sandwich_defect_jet(elems, 3)
     assert len(calls) == 4 * m
+    if m % 2:
+        calls.clear()
+        jets.step_jet("h", elems, 3)
+        assert len(calls) == 3 * (m - 1)
 
 
 def test_jet_validation():
@@ -145,6 +154,15 @@ def test_jet_validation():
         jet_jordan_mul(jet_exp(a, 2), jet_exp(b, 3))  # degree mismatch
     with pytest.raises(ValueError):
         product_step_jet([a])
+    # step_jet keeps approx_h's rule on h's count, after the two-element one
+    for scheme in "gfh":
+        with pytest.raises(ValueError, match="need 2 or more elements, got 1"):
+            step_jet(scheme, [a])
+    for elems in ([a, b], [a, b, a, b]):
+        with pytest.raises(SchemeError, match=f"odd element count >= 3, got {len(elems)}"):
+            step_jet("h", elems)
+    with pytest.raises(SchemeError, match="unknown scheme 'x'"):
+        step_jet("x", [a, b, a])
     with pytest.raises(ValueError):
         product_step_jet([a, c])
     with pytest.raises(ValueError):
@@ -181,6 +199,18 @@ def test_symmetrized_step_matches_exp_through_degree_two(descriptor, m):
         total = total + e
     ref = jet_exp(total, 3)
     assert residual(symmetrized_step_jet(elems, 3), ref, 2) <= scaled_tol(elems)
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_h_step_matches_exp_through_degree_two_but_not_three(descriptor, m):
+    elems = seeded_elements(descriptor, m, 61 + m)
+    total = elems[0]
+    for e in elems[1:]:
+        total = total + e
+    ref = jet_exp(total, 3)
+    jet = step_jet("h", elems, 3)
+    assert residual(jet, ref, 2) <= scaled_tol(elems)
+    assert jb_norm(jet.coefficients[3] - ref.coefficients[3]) > 1e-6
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -256,7 +286,11 @@ def _one_step_gap(builder, step_fn, elems, t):
 
 @pytest.mark.parametrize(
     "builder,step_fn",
-    [(product_step_jet, approx_g), (symmetrized_step_jet, approx_f)],
+    [
+        (product_step_jet, approx_g),
+        (symmetrized_step_jet, approx_f),
+        pytest.param(partial(step_jet, "h"), approx_h, id="step_jet_h-approx_h"),
+    ],
 )
 def test_jet_truncation_order_against_real_step(descriptor, builder, step_fn):
     # degree-3 jet of the step map: remainder should scale like t^4
