@@ -36,7 +36,9 @@ albert compute exp of ``a / d`` directly, as ``exp_spectral(a / d)`` does.
 An element holds its descriptor, its payload and the values it keeps,
 nothing else: it keeps its spectrum once ``spectrum`` or ``jb_norm`` has
 taken it, and a sym or herm element the ``eigh`` of ``exp_spectral``;
-README, "Library use", states the rule.
+README, "Library use", states the rule.  The factors exp(a / d) that the
+schemes of one measurement share are kept by ``trotter._measure``, not on
+the elements.
 """
 
 from __future__ import annotations
@@ -136,13 +138,11 @@ class Element:
     An element holds its descriptor, its payload and the values it keeps,
     each in a slot, and nothing else: it has no instance dict, so even
     ``object.__setattr__(a, "x", 1)`` raises ``AttributeError``.  The kept
-    values are the spectrum, the sym/herm ``eigh`` (both through
-    ``_kept``) and the factor table of a multi-scheme measurement's copy
-    (``trotter._measure``); ``__weakref__`` lets callers watch an element
-    die.
+    values are the spectrum and the sym/herm ``eigh``, both through
+    ``_kept``; ``__weakref__`` lets callers watch an element die.
     """
 
-    __slots__ = ("descriptor", "data", "_spectrum", "_eigh", "_factors", "__weakref__")
+    __slots__ = ("descriptor", "data", "_spectrum", "_eigh", "__weakref__")
 
     descriptor: AlgebraDescriptor
     data: np.ndarray

@@ -50,9 +50,8 @@ from .jets import (
     inverse_sandwich_defect_jet,
     jet_exp,
     jet_zero,
-    product_step_jet,
     residual,
-    symmetrized_step_jet,
+    step_jet,
 )
 from .trotter import (
     MAX_PLAN_N,
@@ -391,22 +390,17 @@ def cmd_plan(args, out) -> int:
 
 
 def _jets_report(elements, label, degree, tol, out) -> bool:
-    total = elements[0]
-    for e in elements[1:]:
-        total = total + e
+    total = functools.reduce(lambda a, b: a + b, elements)
     s = sum(jb_norm(e) for e in elements)
     scale = (1.0 + s) ** 3
     limit = tol * scale
     reference = jet_exp(total, degree)
     nil = jet_zero(elements[0].descriptor, degree)
-    d_jet = product_step_jet(elements, degree)
-    h_jet = symmetrized_step_jet(elements, degree)
+    steps = [(name, step_jet(scheme, elements, degree))
+             for name, scheme in (("product-step", "g"), ("symmetrized-step", "f"))]
     u_jet = inverse_sandwich_defect_jet(elements, degree)
-    checks = [
-        ("product-step", d_jet, reference, 2),
-        ("symmetrized-step", h_jet, reference, 2),
-        ("inverse-sandwich-defect", u_jet, nil, 1),
-    ]
+    checks = [(name, jet, reference, 2) for name, jet in steps]
+    checks.append(("inverse-sandwich-defect", u_jet, nil, 1))
     out.write(f"instance {label} elements {len(elements)} degree {degree}\n")
     ok = True
     for name, jet, ref, through in checks:
@@ -418,7 +412,7 @@ def _jets_report(elements, label, degree, tol, out) -> bool:
             f"{name:<26} deg<={through} residual {_fmt(r)} tol {_fmt(limit)} {status}\n"
         )
     if degree >= 3:
-        for name, jet in (("product-step", d_jet), ("symmetrized-step", h_jet)):
+        for name, jet in steps:
             gap = jb_norm(jet.coefficients[3] - reference.coefficients[3])
             out.write(f"degree-3 gap {name} {_fmt(gap)}\n")
     # The defect jet also vanishes at degree 2 (the half-step wrappers cancel

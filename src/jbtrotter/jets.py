@@ -127,9 +127,10 @@ def jet_triple(x: Jet, y: Jet, z: Jet) -> Jet:
 def step_jet(scheme: str, elements, degree: int = DEFAULT_DEGREE) -> Jet:
     """Jet of the single step of scheme g, f or h in t: the step statement
     of ``trotter._step`` with factor(A_j, d) the jet of exp(t A_j / d) at
-    d = 1, on two or more elements (h: an odd count >= 3)."""
+    d = 1, on two or more elements (h: an odd count >= 3).  A full-step
+    factor takes A_j itself, since A_j / 1 would be a copy of it."""
     _check_scheme(scheme)
-    return _step(scheme, elements, 1, lambda a, d: jet_exp(a / d, degree),
+    return _step(scheme, elements, 1, lambda a, d: jet_exp(a if d == 1 else a / d, degree),
                  jet_jordan_mul, jet_quad_map, jet_triple, least=2)
 
 

@@ -18,19 +18,20 @@ it on elements at d = n and take the n-th Jordan power of the step;
 ``jets.step_jet`` runs the same statement on jets, which is how the tests
 check that every step agrees with exp(t * sum A_j) through degree 2.  On
 elements each factor exp(A_j / n) or exp(A_j / 2n) is
-``exp_spectral(A_j, n)`` or ``exp_spectral(A_j, 2 * n)``, taken through
-``_factor``.  Every measurement
+``exp_spectral(A_j, n)`` or ``exp_spectral(A_j, 2 * n)``, unless the
+caller passes ``approx_*`` its own factor source.  Every measurement
 goes through one path, ``_measure``: ``_sweep_schemes`` measures a list of
 schemes over a list of step counts, ``sweep`` is its one-scheme case and
 ``measured_error`` its one-scheme, one-n case, and the measured
 ``plan_min_n`` drives ``_measure`` itself.  Each call computes exp of the
 sum once, and on sym and herm makes m + 1 ``eigh`` calls, however many
 schemes and step counts it covers; ``_measure``'s docstring says how long
-they live.  A measurement of two or more schemes also shares factors:
-step counts form the outer loop, the schemes at one n share its
-factors, and f's half-step factor exp(A_j / 2n) is the full-step factor of
-the step count 2n, so a doubling sweep carries it over.  At most 2m
-factors are alive at once, however many step counts the sweep covers.
+they live.  A measurement of two or more schemes also shares factors
+through a cache that ``_measure`` owns and passes to ``approx_*``: step
+counts form the outer loop, the schemes at one n share its factors, and
+f's half-step factor exp(A_j / 2n) is the full-step factor of the step
+count 2n, so a doubling sweep carries it over.  At most 2m factors are
+alive at once, however many step counts the sweep covers.
 
 Closed-form error bounds (S = sum of the algebra norms, m = element
 count), one function per formula:
@@ -107,30 +108,19 @@ class SweepRecord:
     bound_special_ii: float | None = None
 
 
-def _factor(a: Element, d: int) -> Element:
-    """exp(a / d), the one way a scheme gets a factor: through the factor
-    table of a multi-scheme ``_measure`` copy, which computes each divisor
-    once, and from ``exp_spectral`` for any element without one."""
-    table = getattr(a, "_factors", None)
-    if table is None:
-        return exp_spectral(a, d)
-    if d not in table:
-        table[d] = exp_spectral(a, d)
-    return table[d]
-
-
 def _step(scheme: str, elements, d: int, factor, mul, quad, triple, least: int = 1):
     """The single step of a scheme, stated once for elements and jets alike.
 
     factor(A_j, d) is exp(A_j / d): d is the full step and 2d the half
-    step.  mul, quad and triple are the Jordan product, the U map and the
-    triple product.  ``approx_*`` pass ``_factor`` and the element
-    operations at d = n; ``jets.step_jet`` passes jet exponentials and the
-    jet operations at d = 1.  Checks first that there are at least
-    ``least`` elements of one algebra, that d is a step count and, for h,
-    the element count."""
+    step; None means ``exp_spectral``, looked up at each call.  mul, quad
+    and triple are the Jordan product, the U map and the triple product.
+    ``approx_*`` pass their factor source and the element operations at
+    d = n; ``jets.step_jet`` passes jet exponentials and the jet operations
+    at d = 1.  Checks first that there are at least ``least`` elements of
+    one algebra, that d is a step count and, for h, the element count."""
     elems = _check_elements(elements, least)
     _check_count(d, "step count n")
+    factor = factor or exp_spectral
     if scheme == "g":
         return reduce(mul, [factor(a, d) for a in elems])
     if scheme == "f":
@@ -152,19 +142,26 @@ def _check_h_count(count: int) -> None:
         raise SchemeError(f"scheme h needs an odd element count >= 3, got {count}")
 
 
-def approx_g(elements, n: int) -> Element:
-    """Left-nested product scheme at step count n."""
-    return jordan_power(_step("g", elements, n, _factor, jordan_mul, quad_map, triple_product), n)
+def approx_g(elements, n: int, factor=None) -> Element:
+    """Left-nested product scheme at step count n.
+
+    factor(A_j, d) gives each factor exp(A_j / d), here at d = n; the
+    default None takes it from ``exp_spectral``.  A multi-scheme
+    ``_measure`` passes its factor cache.  The same holds for ``approx_f``
+    (d = n and the half step 2n) and ``approx_h``."""
+    return jordan_power(_step("g", elements, n, factor, jordan_mul, quad_map, triple_product), n)
 
 
-def approx_f(elements, n: int) -> Element:
-    """Symmetrized scheme: half-step triple-product wrappers, then power n."""
-    return jordan_power(_step("f", elements, n, _factor, jordan_mul, quad_map, triple_product), n)
+def approx_f(elements, n: int, factor=None) -> Element:
+    """Symmetrized scheme: half-step triple-product wrappers, then power n;
+    factor as in ``approx_g``."""
+    return jordan_power(_step("f", elements, n, factor, jordan_mul, quad_map, triple_product), n)
 
 
-def approx_h(elements, n: int) -> Element:
-    """Odd-count triple-product chain at full step 1/n."""
-    return jordan_power(_step("h", elements, n, _factor, jordan_mul, quad_map, triple_product), n)
+def approx_h(elements, n: int, factor=None) -> Element:
+    """Odd-count triple-product chain at full step 1/n; factor as in
+    ``approx_g``."""
+    return jordan_power(_step("h", elements, n, factor, jordan_mul, quad_map, triple_product), n)
 
 
 _APPROX = {"g": approx_g, "f": approx_f, "h": approx_h}
@@ -206,16 +203,18 @@ def _measure(schemes, elements, ns=()):
     ``_step`` checks it) and each n in ``ns`` are checked before exp
     of the sum, which is computed once for all the schemes.
 
-    When ``schemes`` holds two or more, each copy gets a factor table,
-    which ``_factor`` fills: the schemes measured at one n share each
-    exp(A_j / n) and exp(A_j / 2n).  error_at(scheme, n) first drops every
-    other divisor, so the tables hold at most 2m factors, and a caller
-    that keeps n fixed across its schemes computes each factor once, the
-    exp(A_j / 2n) of a doubling predecessor included.  One scheme never
-    asks for one divisor twice, so a one-scheme measurement keeps no
-    table: its upkeep alone cost the grid-matrix benchmark, all one-scheme
-    sweeps, 3.7 % of its ops_per_s in ten 12 s pairs at seeds 801-810
-    (``bench/run.py``, 2-core Xeon, Python 3.11).
+    The factors live here, not on the elements: one cache, keyed by copy
+    and divisor, which error_at hands to ``approx_*`` as their factor
+    source when ``schemes`` holds two or more.  The schemes measured at
+    one n then share each exp(A_j / n) and exp(A_j / 2n).  error_at(scheme,
+    n) first drops every other divisor, so the cache holds at most 2m
+    factors, and a caller that keeps n fixed across its schemes computes
+    each factor once, the exp(A_j / 2n) of a doubling predecessor
+    included.  One scheme never asks for one divisor twice, so a
+    one-scheme measurement passes None and ``approx_*`` call
+    ``exp_spectral`` directly: a table's upkeep alone cost the grid-matrix
+    benchmark, all one-scheme sweeps, 3.7 % of its ops_per_s in ten 12 s
+    pairs at seeds 801-810 (``bench/run.py``, 2-core Xeon, Python 3.11).
 
     On sym and herm a measurement of m elements over any number of schemes
     and step counts makes m + 1 ``eigh`` calls (1 when m = 1, the sum
@@ -250,16 +249,20 @@ def _measure(schemes, elements, ns=()):
     for n in ns:
         _check_count(n, "step count n")
     target = exp_sum(elems)
-    tables = [{} for _ in elems] if len(schemes) > 1 else []
-    for a, table in zip(elems, tables):
-        object.__setattr__(a, "_factors", table)
+    cache = {}  # (id of a copy, divisor) -> factor; elems keeps each id's copy alive
+
+    def cached(a: Element, d: int) -> Element:
+        if (id(a), d) not in cache:
+            cache[id(a), d] = exp_spectral(a, d)
+        return cache[id(a), d]
+
+    factor = cached if len(schemes) > 1 else None
 
     def error_at(scheme: str, n: int) -> float:
-        for table in tables:
-            for d in [d for d in table if d != n and d != 2 * n]:
-                del table[d]
+        for key in [key for key in cache if key[1] != n and key[1] != 2 * n]:
+            del cache[key]
         try:
-            product = _APPROX[scheme](elems, n)
+            product = _APPROX[scheme](elems, n, factor)
         except OverflowError:
             product = None
         else:

@@ -131,9 +131,14 @@ def test_each_wrapper_makes_four_cauchy_products(monkeypatch, m):
         return real(p, q)
 
     monkeypatch.setattr(jets, "jet_jordan_mul", counting)
+    seen = []
+    exp = jets.jet_exp
+    monkeypatch.setattr(jets, "jet_exp", lambda a, degree: seen.append(a) or exp(a, degree))
     elems = seeded_elements(AlgebraDescriptor("sym", 3), m, 71)
     jets.symmetrized_step_jet(elems, 3)
     assert len(calls) == 4 * (m - 1)
+    # The full-step factor takes the caller's element, the half steps a copy.
+    assert [a is e for a, e in zip(seen, elems)] == [True] + [False] * (m - 1)
     calls.clear()
     jets.inverse_sandwich_defect_jet(elems, 3)
     assert len(calls) == 4 * m

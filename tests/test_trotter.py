@@ -303,10 +303,15 @@ def test_sweep_and_measured_plan_decompose_each_element_once(matrix_descriptor, 
     monkeypatch.setattr(np.linalg, "eigh", lambda x: calls.append(x) or eigh(x))
     elems = seeded_elements(matrix_descriptor, m, 41, 1.5 / m)
     want = m + 1 if m > 1 else 1
-    for _ in range(2):
-        calls.clear()
-        sweep(scheme, elems, [1, 2, 3, 4, 8, 16, 32, 64, 256])
-        assert len(calls) == want
+    ns = [1, 2, 3, 4, 8, 16, 32, 64, 256]
+    # A multi-scheme sweep, which shares factors, is one more input.
+    multi = ["g", "f", "h"] if m == 3 else ["g", "f"]
+    for run in (lambda: sweep(scheme, elems, ns),
+                lambda: trotter._sweep_schemes(multi, elems, ns)):
+        for _ in range(2):
+            calls.clear()
+            run()
+            assert len(calls) == want
     assert not any(hasattr(a, "_eigh") for a in elems)
     calls.clear()
     plan_min_n(scheme, 1e-6, elements=elems, mode="measured")
@@ -328,10 +333,10 @@ def test_multi_scheme_sweep_raises_what_a_sweep_per_scheme_would(monkeypatch):
     # each scheme in turn meets g's failure first when g comes first, even
     # though the step-count loop reaches f's failure earlier.
     def failing_from(approx, first_bad_n):
-        def product(elems, n):
+        def product(elems, n, factor=None):
             if n >= first_bad_n:
                 raise OverflowError
-            return approx(elems, n)
+            return approx(elems, n, factor)
         return product
 
     monkeypatch.setitem(trotter._APPROX, "g", failing_from(approx_g, 4))
@@ -341,6 +346,27 @@ def test_multi_scheme_sweep_raises_what_a_sweep_per_scheme_would(monkeypatch):
         trotter._sweep_schemes(["g", "f"], elems, [1, 2, 4, 8])
     with pytest.raises(NonFiniteError, match="scheme f product at n=1"):
         trotter._sweep_schemes(["f", "g"], elems, [1, 2, 4, 8])
+
+
+@pytest.mark.parametrize("scheme, m", [("g", 1), ("g", 3), ("f", 1), ("f", 3), ("h", 3)])
+def test_approximants_ask_their_factor_source_for_each_factor(scheme, m):
+    # factor(A_j, d) = exp(A_j / d): g and h ask once per element at d = n,
+    # f asks for A_1 at n and for every other element at the half step 2n.
+    # A source giving exp_spectral's factors gives the default's product.
+    elems = seeded_elements(AlgebraDescriptor("herm", 3), m, 29, 0.6)
+    approx = trotter._APPROX[scheme]
+    for n in (1, 5):
+        asked = []
+
+        def factor(a, d):
+            asked.append((a, d))
+            return trotter.exp_spectral(a, d)
+
+        got = approx(elems, n, factor)
+        want = [n if scheme != "f" or j == 0 else 2 * n for j in range(m)]
+        assert [d for _, d in asked] == want
+        assert all(a is b for (a, _), b in zip(asked, elems))
+        np.testing.assert_array_equal(got.data, approx(elems, n).data)
 
 
 def test_multi_scheme_sweep_keeps_at_most_2m_factors_alive(monkeypatch):
