@@ -27,6 +27,15 @@ eigenvalues (or a closed form), ``exp_series`` runs a scaled-and-squared
 truncated power series using only the Jordan product.  They share no
 code path, so each serves as a cross-check oracle for the other.
 
+Two Jordan formulas are stated once, for elements and for the jets of
+``jets`` alike: the triple product {x y z} in ``_triple``, which takes the
+Jordan product to apply, and the Taylor terms a^k / k! of exp(a) in
+``_exp_terms``, which ``exp_series`` sums and whose first terms are
+``jets.jet_exp``'s coefficients.  ``_exp_terms`` and the callers of
+``_triple`` look the product up by its module name when called, so a
+wrapper installed on ``jordan_mul`` or ``jets.jet_jordan_mul`` sees every
+product.
+
 ``exp_spectral(a, d)`` is exp(a / d) for a positive integer step divisor
 d, the form the product schemes need at every step count.  On sym and
 herm one ``np.linalg.eigh`` of ``a`` serves every d; ``trotter._measure``
@@ -45,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -577,15 +587,17 @@ def jordan_mul(a: Element, b: Element) -> Element:
     return Element(a.descriptor, a.descriptor._family.product(a.data, b.data))
 
 
+def _triple(mul, x, y, z):
+    """{x y z} = (x.y).z + (y.z).x - (x.z).y under the Jordan product mul:
+    the one statement of the triple product, for elements
+    (``triple_product``) and for jets (``jets.jet_triple``)."""
+    return mul(mul(x, y), z) + mul(mul(y, z), x) - mul(mul(x, z), y)
+
+
 def triple_product(a: Element, b: Element, c: Element) -> Element:
-    """{a b c} = (a.b).c + (b.c).a - (a.c).b."""
-    _check_same(a, b)
-    _check_same(b, c)
-    return (
-        jordan_mul(jordan_mul(a, b), c)
-        + jordan_mul(jordan_mul(b, c), a)
-        - jordan_mul(jordan_mul(a, c), b)
-    )
+    """{a b c} = (a.b).c + (b.c).a - (a.c).b.  Its first two products check
+    that a, b and c lie in one algebra."""
+    return _triple(jordan_mul, a, b, c)
 
 
 def quad_map(a: Element, b: Element) -> Element:
@@ -660,22 +672,28 @@ def exp_spectral(a: Element, d: int = 1) -> Element:
     return a.descriptor._family.exp(a, d)
 
 
+def _exp_terms(a: Element, degree: int):
+    """The Taylor terms a^k / k! of exp(a), k = 0 .. degree, each the one
+    before times a over k: the one recursion behind ``exp_series`` and
+    ``jets.jet_exp``."""
+    term = unit(a.descriptor)
+    yield term
+    for k in range(1, degree + 1):
+        term = jordan_mul(term, a) / float(k)
+        yield term
+
+
 def exp_series(a: Element) -> Element:
     """Scaled-and-squared truncated exponential series.
 
-    Halves the argument s times so its norm is at most about 1/4, sums 20
-    series terms with Jordan powers, then Jordan-squares s times.  Uses
-    nothing but the Jordan product, which makes it an independent check
-    on the spectral route.
+    Halves the argument s times so its norm is at most about 1/4, sums
+    its Taylor terms through degree 20 (``_exp_terms``) from the left,
+    then Jordan-squares s times.  Uses nothing but the Jordan product,
+    which makes it an independent check on the spectral route.
     """
     nrm = jb_norm(a)
     s = 0 if nrm == 0.0 else max(0, math.ceil(math.log2(nrm)) + 2)
-    b = a * math.ldexp(1.0, -s)
-    acc = unit(a.descriptor)
-    term = unit(a.descriptor)
-    for k in range(1, 21):
-        term = jordan_mul(term, b) / float(k)
-        acc = acc + term
+    acc = reduce(Element.__add__, _exp_terms(a * math.ldexp(1.0, -s), 20))
     for _ in range(s):
         acc = jordan_mul(acc, acc)
     return acc

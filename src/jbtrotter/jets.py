@@ -19,6 +19,11 @@ facts behind the second-order error bounds:
 
 Degree-3 coefficients generically differ, which is what keeps the
 schemes from being third-order accurate.
+
+The jet formulas are the elements' own: ``jet_triple`` evaluates the
+triple-product statement of ``triple_product`` (``algebras._triple``) with
+``jet_jordan_mul``, and ``jet_exp``'s coefficients are the Taylor terms
+that ``exp_series`` sums (``algebras._exp_terms``).
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ from .algebras import (
     _check_count,
     _check_elements,
     _check_same,
+    _exp_terms,
     _nan_max,
+    _triple,
     jb_norm,
     jordan_mul,
     unit,
@@ -85,12 +92,10 @@ def jet_zero(descriptor: AlgebraDescriptor, degree: int = DEFAULT_DEGREE) -> Jet
 
 
 def jet_exp(a: Element, degree: int = DEFAULT_DEGREE) -> Jet:
-    """Jet of t -> exp(t a): coefficients a^k / k! (Jordan powers)."""
+    """Jet of t -> exp(t a): coefficients a^k / k!, the terms that
+    ``exp_series`` sums (``algebras._exp_terms``)."""
     _check_count(degree, "degree", 0)
-    coefs = [unit(a.descriptor)]
-    for k in range(1, degree + 1):
-        coefs.append(jordan_mul(coefs[-1], a) / float(k))
-    return Jet(tuple(coefs))
+    return Jet(tuple(_exp_terms(a, degree)))
 
 
 def jet_jordan_mul(p: Jet, q: Jet) -> Jet:
@@ -119,9 +124,8 @@ def jet_quad_map(w: Jet, x: Jet) -> Jet:
 
 def jet_triple(x: Jet, y: Jet, z: Jet) -> Jet:
     """Jet of the triple product {x y z} = (x∘y)∘z + (y∘z)∘x − (x∘z)∘y:
-    six Cauchy products, in the order ``triple_product`` takes."""
-    return (jet_jordan_mul(jet_jordan_mul(x, y), z) + jet_jordan_mul(jet_jordan_mul(y, z), x)
-            - jet_jordan_mul(jet_jordan_mul(x, z), y))
+    the statement of ``triple_product`` on jets, six Cauchy products."""
+    return _triple(jet_jordan_mul, x, y, z)
 
 
 def step_jet(scheme: str, elements, degree: int = DEFAULT_DEGREE) -> Jet:

@@ -35,20 +35,22 @@ _CONJ_SIGN.setflags(write=False)
 
 
 def _cd_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Reference product by direct Cayley-Dickson recursion (1-D inputs)."""
+    """Reference product by direct Cayley-Dickson recursion on the last
+    axis, broadcast over the leading axes of x and y."""
     n = x.shape[-1]
     if n == 1:
         return x * y
     h = n // 2
-    a, b = x[:h], x[h:]
-    c, d = y[:h], y[h:]
+    a, b = x[..., :h], x[..., h:]
+    c, d = y[..., :h], y[..., h:]
     sign = _CONJ_SIGN[:h]
     return np.concatenate([_cd_mul(a, c) - _cd_mul(sign * d, b),
-                           _cd_mul(d, a) + _cd_mul(b, sign * c)])
+                           _cd_mul(d, a) + _cd_mul(b, sign * c)], axis=-1)
 
 
-# STRUCTURE[i, j, k]: coefficient of e_k in the product e_i e_j.
-STRUCTURE = np.array([[_cd_mul(ei, ej) for ej in BASIS] for ei in BASIS])
+# STRUCTURE[i, j, k]: coefficient of e_k in the product e_i e_j, from one
+# recursion over every pair of basis vectors.
+STRUCTURE = _cd_mul(BASIS[:, None], BASIS[None])
 STRUCTURE.setflags(write=False)
 
 # STRUCTURE as a read-only (8, 64) view: an octonion x times it gives, at

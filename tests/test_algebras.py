@@ -269,6 +269,16 @@ def test_descriptor_mismatch_raises():
         jordan_mul(a, spin_element(1.0, [0.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize("odd", range(3))
+def test_triple_product_refuses_a_foreign_element_in_any_position(odd):
+    # The first pair that differs names the mismatch, in its own order.
+    args = [rand_sym(2), rand_sym(2), rand_sym(2)]
+    args[odd] = rand_sym(3)
+    pair = "sym:2 and sym:3" if odd else "sym:3 and sym:2"
+    with pytest.raises(DescriptorMismatchError, match=f"^cannot combine elements of {pair}$"):
+        triple_product(*args)
+
+
 # ---------------------------------------------------------------------------
 # products against the associative oracle
 

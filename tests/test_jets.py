@@ -16,9 +16,11 @@ from jbtrotter import jets
 from jbtrotter.algebras import (
     AlgebraDescriptor,
     DescriptorMismatchError,
+    exp_series,
     jb_norm,
     jordan_mul,
     jordan_power,
+    parse_descriptor,
     random_element,
     sym_element,
     unit,
@@ -62,6 +64,20 @@ def test_jet_exp_coefficients(descriptor):
     for k, coef in enumerate(jet.coefficients):
         want = jordan_power(a, k) / float(math.factorial(k))
         assert jb_norm(coef - want) < 1e-13
+
+
+@pytest.mark.parametrize("text", ["sym:3", "herm:2", "spin:4", "albert:3"])
+@pytest.mark.parametrize("norm", [0.2, 0.05])
+def test_exp_series_sums_the_jet_exp_coefficients(text, norm):
+    # At norm 1/4 and below exp_series squares nothing, so it is the left
+    # fold of the degree-20 Taylor terms, the coefficients of jet_exp.
+    a = random_element(parse_descriptor(text), 11, norm)
+    assert jb_norm(a) <= 0.25
+    terms = jet_exp(a, 20).coefficients
+    want = terms[0]
+    for term in terms[1:]:
+        want = want + term
+    assert exp_series(a) == want
 
 
 def test_jet_unit_and_zero(descriptor):
