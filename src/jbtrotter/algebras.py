@@ -704,7 +704,10 @@ def exp_series(a: Element) -> Element:
 
 
 def random_element(descriptor: AlgebraDescriptor, seed: int, target_norm: float = 1.0) -> Element:
-    """Seeded Gaussian element rescaled to the requested algebra norm."""
+    """Seeded Gaussian element rescaled to the requested algebra norm.
+
+    The rescale rounds, so the norm equals ``target_norm`` only to within a
+    few ulps, and may exceed it."""
     if not (math.isfinite(target_norm) and target_norm > 0.0):
         raise ValueError(f"target_norm must be finite and positive, got {target_norm!r}")
     elem = descriptor._family.sample(np.random.default_rng(seed), descriptor)

@@ -211,30 +211,28 @@ def _emit(text: str, output) -> None:
 # absent or None.  ``orders`` maps each scheme to its empirical order text.
 
 
-def _cell(column, value, missing: str) -> str:
+def _cell(value, missing: str) -> str:
     if value is None:
         return missing
-    if column in ("scheme", "n"):
-        return str(value)
-    return _fmt(value)
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
-def _json_value(column, value):
+def _json_value(value):
     # Strict JSON has no token for inf or nan, so those become strings.
-    if value is None or column in ("scheme", "n") or math.isfinite(value):
-        return value
-    return _fmt(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return _fmt(value)
+    return value
 
 
 def _records_csv(rows, columns, orders) -> str:
     lines = [",".join(columns)]
-    lines.extend(",".join(_cell(c, row.get(c), "") for c in columns) for row in rows)
+    lines.extend(",".join(_cell(row.get(c), "") for c in columns) for row in rows)
     lines.extend(f"# empirical_order {s} {v}" for s, v in orders.items())
     return "\n".join(lines) + "\n"
 
 
 def _records_json(rows, columns, orders) -> str:
-    doc = {"records": [{c: _json_value(c, row.get(c)) for c in columns} for row in rows]}
+    doc = {"records": [{c: _json_value(row.get(c)) for c in columns} for row in rows]}
     if orders:
         doc["empirical_order"] = orders
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
@@ -252,7 +250,7 @@ def _plotdata_blocks(rows, columns, orders) -> dict:
             if s in orders:
                 blocks[s].append(f"# empirical_order {orders[s]}")
             blocks[s].append("# " + " ".join(value_columns))
-        blocks[s].append(" ".join(_cell(c, row.get(c), "nan") for c in value_columns))
+        blocks[s].append(" ".join(_cell(row.get(c), "nan") for c in value_columns))
     return {s: "\n".join(lines) + "\n" for s, lines in blocks.items()}
 
 
@@ -276,7 +274,7 @@ def _sweeps(schemes, elements, ns):
     order, from one measurement of the elements."""
     rows, orders = [], {}
     for scheme, records in zip(schemes, _sweep_schemes(schemes, elements, ns)):
-        rows.extend(dataclasses.asdict(r) for r in records)
+        rows.extend({c: getattr(r, c) for c in SWEEP_COLUMNS} for r in records)
         try:
             orders[scheme] = _fmt(empirical_order(records))
         except DegenerateDecayError:
@@ -297,6 +295,12 @@ def _plan_report(n_min: int, label: str, value_at, out) -> None:
 # subcommands
 
 
+def _verdict(ok: bool, out) -> int:
+    """Write the closing verdict line of a check and return its exit code."""
+    out.write("result pass\n" if ok else "result FAIL\n")
+    return EXIT_OK if ok else EXIT_VERIFY
+
+
 def _env_seed() -> int:
     # Read on every call: the parser, and so its defaults, outlive one command.
     try:
@@ -314,9 +318,7 @@ def cmd_verify_axioms(args, out) -> int:
         out.write(
             f"{res.name:<24} {status}  worst {_fmt(res.worst)}  tol {_fmt(res.tolerance)}\n"
         )
-    ok = all(r.passed for r in results)
-    out.write("result pass\n" if ok else "result FAIL\n")
-    return EXIT_OK if ok else EXIT_VERIFY
+    return _verdict(all(r.passed for r in results), out)
 
 
 def cmd_sweep(args, out) -> int:
@@ -389,7 +391,7 @@ def cmd_plan(args, out) -> int:
     return EXIT_OK
 
 
-def _jets_report(elements, label, degree, tol, out) -> bool:
+def _jets_report(elements, label, degree, tol, out) -> int:
     total = functools.reduce(lambda a, b: a + b, elements)
     s = sum(jb_norm(e) for e in elements)
     scale = (1.0 + s) ** 3
@@ -422,15 +424,13 @@ def _jets_report(elements, label, degree, tol, out) -> bool:
     if degree >= 3:
         mag = jb_norm(u_jet.coefficients[3])
         out.write(f"degree-3 magnitude inverse-sandwich-defect {_fmt(mag)}\n")
-    out.write("result pass\n" if ok else "result FAIL\n")
-    return ok
+    return _verdict(ok, out)
 
 
 def cmd_jets(args, out) -> int:
     instance = load_instance(args.input)
     label = instance.label or args.input
-    ok = _jets_report(list(instance.elements), label, args.degree, args.tol, out)
-    return EXIT_OK if ok else EXIT_VERIFY
+    return _jets_report(list(instance.elements), label, args.degree, args.tol, out)
 
 
 def cmd_demo(args, out) -> int:

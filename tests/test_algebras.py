@@ -425,6 +425,43 @@ def test_quad_map_positivity(descriptor):
         assert lo >= -1e-10 * max(1.0, jb_norm(image))
 
 
+# The families and mixed norms of the U-operator and trace-identity facts.
+U_MAP_FAMILIES = ("sym:2", "sym:3", "sym:6", "herm:2", "herm:3", "herm:4",
+                  "spin:3", "spin:8", "albert")
+MIXED_NORMS = (0.1, 0.7, 1.0, 3.0, 25.0)
+
+
+@pytest.mark.parametrize("text", U_MAP_FAMILIES)
+def test_four_product_u_map_matches_quad_map(text):
+    # U_a(b) = 2 (a.b).a - (a.a).b, four products.  Where a.b and b.a take
+    # the same bits, its terms are quad_map's own and so are its bits;
+    # otherwise (herm, whose (xy)^H and yx can differ in the last bit) it
+    # agrees to roundoff of the scale |a|^2 |b|.
+    desc = parse_descriptor(text)
+    for i in range(50):
+        a = random_element(desc, 3000 + i, MIXED_NORMS[i % 5])
+        b = random_element(desc, 4000 + i, MIXED_NORMS[(3 * i + 1) % 5])
+        w = jordan_mul(jordan_mul(a, b), a)
+        u4 = (w + w) - jordan_mul(jordan_mul(a, a), b)
+        want = quad_map(a, b)
+        if jordan_mul(a, b).data.tobytes() == jordan_mul(b, a).data.tobytes():
+            assert u4.data.tobytes() == want.data.tobytes(), (text, i)
+        else:
+            scale = jb_norm(a) ** 2 * jb_norm(b)
+            assert jb_norm(u4 - want) <= 1e-15 * scale, (text, i)
+
+
+def test_albert_trace_of_a_square_is_the_payload_sum_of_squares():
+    # tr(b.b) is the sum of squares of all 72 payload entries of b: each
+    # off-diagonal octonion is stored twice, once as its conjugate.
+    desc = parse_descriptor("albert")
+    for seed in range(300):
+        b = random_element(desc, seed, 0.1 + (seed % 81) / 10)
+        trace = albert_parts(jordan_mul(b, b))[0].sum()
+        squares = np.sum(b.data * b.data)
+        assert trace == pytest.approx(squares, rel=1e-14, abs=0.0), seed
+
+
 def test_jordan_power_matches_matrix_power():
     for make in (rand_sym, rand_herm):
         a = make()
@@ -812,6 +849,17 @@ def test_random_element_hits_target_norm(descriptor):
     for target in (0.25, 1.0, 3.0):
         a = random_element(descriptor, 17, target)
         assert jb_norm(a) == pytest.approx(target, rel=1e-12)
+
+
+@pytest.mark.parametrize("text", U_MAP_FAMILIES)
+def test_random_element_norm_is_the_target_to_within_rounding(text):
+    # The one-step rescale rounds, so the drawn norm can land a few ulps
+    # above the target (herm:2, seed 11, 0.25 gives 0.25000000000000006).
+    desc = parse_descriptor(text)
+    for target in (1e-3, 0.2, 0.25, 0.7, 1.0, 3.0, 1e5):
+        for seed in range(300):
+            ratio = jb_norm(random_element(desc, seed, target)) / target
+            assert abs(ratio - 1.0) <= 16 * sys.float_info.epsilon, (target, seed)
 
 
 @pytest.mark.parametrize("text", ["spin:1", "sym:1", "sym:3", "herm:2"])

@@ -144,6 +144,40 @@ def test_sweep_plotdata_blocks(pauli_instance):
     assert "nan" in data_rows[0]
 
 
+def test_table_cells_follow_the_value_type():
+    # The formatters decide by type, not by column name: an int column
+    # other than n prints as an int, a str column other than scheme as
+    # itself, a float by its shortest repr, None as the missing marker.
+    columns = ("scheme", "n", "count", "route", "error", "bound")
+    rows = [
+        {"scheme": "g", "n": 2, "count": 3, "route": "closed-form", "error": 0.5,
+         "bound": None},
+        {"scheme": "g", "n": 4, "count": 12, "route": "series", "error": math.inf,
+         "bound": 0.25},
+    ]
+    orders = {"g": "2.0"}
+    assert cli._records_csv(rows, columns, orders) == (
+        "scheme,n,count,route,error,bound\n"
+        "g,2,3,closed-form,0.5,\n"
+        "g,4,12,series,inf,0.25\n"
+        "# empirical_order g 2.0\n"
+    )
+    doc = json.loads(cli._records_json(rows, columns, orders))
+    assert doc["records"] == [
+        {"scheme": "g", "n": 2, "count": 3, "route": "closed-form", "error": 0.5,
+         "bound": None},
+        {"scheme": "g", "n": 4, "count": 12, "route": "series", "error": "inf",
+         "bound": 0.25},
+    ]
+    assert cli._plotdata_blocks(rows, columns, orders) == {
+        "g": "# scheme g\n"
+             "# empirical_order 2.0\n"
+             "# n count route error bound\n"
+             "2 3 closed-form 0.5 nan\n"
+             "4 12 series inf 0.25\n"
+    }
+
+
 def test_sweep_plotdata_multi_scheme_files(tmp_path, pauli_instance):
     out = tmp_path / "curves.txt"
     res = run_cli(
