@@ -40,7 +40,11 @@ product.
 d, the form the product schemes need at every step count.  On sym and
 herm one ``np.linalg.eigh`` of ``a`` serves every d; ``trotter._measure``
 says how many a measurement makes and how long they live.  Spin and
-albert compute exp of ``a / d`` directly, as ``exp_spectral(a / d)`` does.
+albert compute exp of ``a / d`` directly, as ``exp_spectral(a / d)`` does,
+in the Newton form on the spectrum, and share one statement of its first
+divided difference, ``_exp_divided``.  Every family follows one overflow
+rule, stated in ``exp_spectral``: an inf or a NaN in the payload, never
+``OverflowError``.
 
 An element holds its descriptor, its payload and the values it keeps,
 nothing else: it keeps its spectrum once ``spectrum`` or ``jb_norm`` has
@@ -413,6 +417,27 @@ class _MatrixFamily:
         return Element(descriptor, _hermitian_part(m))
 
 
+def _exp(x: float) -> float:
+    """e^x by ``math.exp``, inf past the float range instead of ``OverflowError``."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _exp_divided(lo: float, hi: float) -> float:
+    """The first divided difference exp[lo, hi] = (e^hi - e^lo) / (hi - lo)
+    for lo <= hi, e^hi at hi = lo: the one statement that spin and albert
+    share.  It is taken from the upper endpoint, -e^hi expm1(lo - hi) /
+    (hi - lo), so a gap small against lo and hi loses no digits to the
+    subtraction e^hi - e^lo, and the expm1 argument is never positive: it
+    neither overflows on a wide spectrum whose exponential is finite nor is
+    lost with an underflowing e^lo (Higham, *Functions of Matrices*, 10.1)."""
+    if hi == lo:
+        return _exp(hi)
+    return -_exp(hi) * math.expm1(lo - hi) / (hi - lo)
+
+
 class _SpinFamily:
     """Spin factors: (s, v) stored as ``[s, *v]``.
 
@@ -448,15 +473,16 @@ class _SpinFamily:
         return np.array([s - r, s + r])
 
     def exp(self, a: Element, d: int) -> Element:
+        # Newton form of the line interpolating exp at the roots l0, l1 =
+        # s -+ r: exp(x) = e^l0 1 + exp[l0, l1] (x - l0 1), where x - l0 1 =
+        # (r, v).  It leaves the float range only where e^l1 does, however
+        # wide the spectrum: no factor such as e^s can overflow or underflow
+        # on its own.
         x = a.data / d
         s, v = float(x[0]), x[1:]
         r = math.hypot(*v.tolist())
-        es = math.exp(s)
-        out = np.zeros_like(a.data)
-        if r != 0.0:
-            np.multiply(v, es * math.sinh(r) / r, out=out[1:])
-        out[0] = es * math.cosh(r)
-        return Element(a.descriptor, out)
+        d01 = _exp_divided(s - r, s + r)
+        return Element(a.descriptor, np.concatenate(([_exp(s - r) + d01 * r], v * d01)))
 
     def sample(self, rng, descriptor: AlgebraDescriptor) -> Element:
         return Element(descriptor, rng.standard_normal(descriptor.dim + 1))
@@ -540,23 +566,16 @@ class _AlbertFamily:
         # multiples of the unit, whose gaps are exactly 0, to the series.
         if min(l1 - l0, l2 - l1) <= DEGENERATE_ROOT_GAP * max(-l0, l2):
             return exp_series(a)
-        f0, f1, f2 = math.exp(l0), math.exp(l1), math.exp(l2)
         # Newton form of the quadratic interpolating exp at the three roots;
         # evaluating in this basis stays stable when a pair of roots sits just
-        # above the fallback gap.  Each first divided difference is taken from
-        # its upper endpoint, (f1 - f0) / (l1 - l0) = -f1 expm1(l0 - l1) /
-        # (l1 - l0): a gap small against the roots loses no digits to the
-        # subtraction f1 - f0, and the expm1 argument is never positive, so
-        # it neither overflows on a wide spectrum whose exponential is finite
-        # nor is lost with an underflowing f0.  Built on payloads: the one
-        # Jordan product is the only step that needs elements.
-        d01 = -f1 * math.expm1(l0 - l1) / (l1 - l0)
-        d12 = -f2 * math.expm1(l1 - l2) / (l2 - l1)
-        d012 = (d12 - d01) / (l2 - l0)
+        # above the fallback gap.  Built on payloads: the one Jordan product
+        # is the only step that needs elements.
+        d01 = _exp_divided(l0, l1)
+        d012 = (_exp_divided(l1, l2) - d01) / (l2 - l0)
         x0 = a.data - _ALBERT_ONE * l0
         x1 = a.data - _ALBERT_ONE * l1
         x01 = jordan_mul(Element(a.descriptor, x0), Element(a.descriptor, x1)).data
-        return Element(a.descriptor, _ALBERT_ONE * f0 + x0 * d01 + x01 * d012)
+        return Element(a.descriptor, _ALBERT_ONE * _exp(l0) + x0 * d01 + x01 * d012)
 
     def sample(self, rng, descriptor: AlgebraDescriptor) -> Element:
         # Diagonal first, then x, y, z: the draw order fixes seeded elements.
@@ -667,6 +686,15 @@ def exp_spectral(a: Element, d: int = 1) -> Element:
 
     On sym and herm one eigendecomposition of ``a`` serves every d (see
     ``trotter._measure`` for how long it lives).
+
+    One overflow rule holds for every family: for a finite payload this
+    never raises ``OverflowError``.  Where e^l of the top eigenvalue l of
+    a / d leaves the float range, the payload returned holds an inf or a
+    NaN; where e^l and the spectrum of a / d lie inside it, the result is
+    accurate.  Inside a caller's ``np.errstate(over="raise",
+    invalid="raise")`` the numpy steps of such an overflow may raise
+    ``FloatingPointError`` instead, as any numpy operation does there; the
+    CLI reports either as an input error.
     """
     _check_count(d, "divisor d")
     return a.descriptor._family.exp(a, d)
@@ -689,9 +717,13 @@ def exp_series(a: Element) -> Element:
     Halves the argument s times so its norm is at most about 1/4, sums
     its Taylor terms through degree 20 (``_exp_terms``) from the left,
     then Jordan-squares s times.  Uses nothing but the Jordan product,
-    which makes it an independent check on the spectral route.
+    which makes it an independent check on the spectral route.  A norm
+    past the float range (inf, or NaN from a NaN entry) fills the payload
+    returned, since no halving brings it back.
     """
     nrm = jb_norm(a)
+    if not math.isfinite(nrm):  # no halving brings it into the float range
+        return Element(a.descriptor, np.full_like(a.data, nrm))
     s = 0 if nrm == 0.0 else max(0, math.ceil(math.log2(nrm)) + 2)
     acc = reduce(Element.__add__, _exp_terms(a * math.ldexp(1.0, -s), 20))
     for _ in range(s):

@@ -186,11 +186,8 @@ def exp_sum(elements) -> Element:
     """Reference value exp(A_1 + ... + A_m); ``NonFiniteError`` if it overflows."""
     elems = _check_elements(elements)
     with _quiet():
-        try:
-            value = exp_spectral(reduce(lambda a, b: a + b, elems))
-        except OverflowError:  # math.exp, sinh, cosh in the spin and albert closed forms
-            value = None
-        if value is None or not np.isfinite(value.data).all():
+        value = exp_spectral(reduce(lambda a, b: a + b, elems))
+        if not np.isfinite(value.data).all():
             raise NonFiniteError("exp of the sum of the elements overflows the float range")
     return value
 
@@ -229,9 +226,8 @@ def _measure(schemes, elements, ns=()):
 
     The error is the only value checked; a product past the float range
     still raises, since
-    - a factor exp(A_j / n) past it holds a NaN or an infinity, or raises
-      ``OverflowError`` (math.exp, sinh, cosh in the spin and albert
-      closed forms), which counts as an overflowing product;
+    - a factor exp(A_j / n) past it holds a NaN or an infinity
+      (``exp_spectral``'s one overflow rule);
     - only Jordan products, sums and real multiples lead from the factors
       to the error, and each keeps a NaN or an infinity: in every family
       some entry of x o y is a sum with the term x_i c for each entry x_i
@@ -261,15 +257,11 @@ def _measure(schemes, elements, ns=()):
     def error_at(scheme: str, n: int) -> float:
         for key in [key for key in cache if key[1] != n and key[1] != 2 * n]:
             del cache[key]
-        try:
-            product = _APPROX[scheme](elems, n, factor)
-        except OverflowError:
-            product = None
-        else:
-            error = float(jb_norm(target - product))
-            if math.isfinite(error):
-                return error
-        what = "product" if product is None or not np.isfinite(product.data).all() else "error"
+        product = _APPROX[scheme](elems, n, factor)
+        error = float(jb_norm(target - product))
+        if math.isfinite(error):
+            return error
+        what = "error" if np.isfinite(product.data).all() else "product"
         raise NonFiniteError(f"the scheme {scheme} {what} at n={n} overflows the float range")
 
     return elems, error_at

@@ -6,7 +6,8 @@ Instances from fixed seeds are written to a temporary directory, which is
 also the working directory of every command, so paths print as
 basenames.  The corpus holds successful commands (every subcommand, all
 four families, csv/json/plotdata, --output files, bound and measured
-plan) and the error-path instance files of the CLI error-contract test.
+plan, a spin sweep over a spectrum 2000 wide) and the error-path
+instance files of the CLI error-contract test.
 Each command prints one line: its argv, its exit code, and the sha256 of
 its stdout, its stderr and each file it wrote.  The output does not
 depend on PYTHONHASHSEED, and diffing the output of two checkouts shows
@@ -35,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from jbtrotter import cli  # noqa: E402
-from test_cli import CONTRACT_FILES, contract_bytes  # noqa: E402
+from test_cli import CONTRACT_FILES, WIDE_SPIN, contract_bytes  # noqa: E402
 
 FAMILIES = (("sym", 3), ("herm", 3), ("spin", 4), ("spin", 33), ("albert", 3))
 
@@ -71,7 +72,7 @@ def write_instances(root: Path) -> list[str]:
                "elements": [_payload(kind, dim, rng, scale) for _ in range(m)]}
         names.append(f"{kind}{dim}-m{m}-scale{scale}.json")
         (root / names[-1]).write_text(json.dumps(doc), encoding="utf-8")
-    for name, doc in CONTRACT_FILES.items():
+    for name, doc in {**CONTRACT_FILES, "wide-spin.json": WIDE_SPIN}.items():
         (root / name).write_bytes(contract_bytes(doc))
     return names
 
@@ -109,6 +110,7 @@ def successful_commands(instances: list[str]) -> list[list[str]]:
             ["plan", "--input", name, "--mode", "measured", "--scheme", "f", "--eps", "1e-4",
              "--output", "plan.txt"],
         ]
+    cmds.append(["sweep", "--input", "wide-spin.json", "--scheme", "g,f", "--n", "1:16:x2"])
     return cmds
 
 

@@ -12,8 +12,11 @@ import jbtrotter
 from jbtrotter.algebras import (
     AlgebraDescriptor,
     Element,
+    albert_element,
+    herm_element,
     jb_norm,
     random_element,
+    spin_element,
     sym_element,
 )
 
@@ -58,6 +61,17 @@ def pauli_pair():
     sx = sym_element([[0.0, 1.0], [1.0, 0.0]])
     sz = sym_element([[1.0, 0.0], [0.0, -1.0]])
     return sx, sz
+
+
+def spectrum_past_the_float_range(descriptor) -> Element:
+    """An element of the descriptor with finite entries, all 0 or 1e308,
+    whose top eigenvalue (2e308 or more) is past the float range."""
+    k = descriptor.dim
+    if descriptor.kind == "spin":
+        return spin_element(1e308, [1e308] + [0.0] * (k - 1))
+    if descriptor.kind == "albert":
+        return albert_element([1e308] * 3, [1e308] + [0.0] * 7, [0.0] * 8, [0.0] * 8)
+    return (sym_element if descriptor.kind == "sym" else herm_element)(np.full((k, k), 1e308))
 
 
 def rel_gap(a: Element, b: Element) -> float:

@@ -633,7 +633,7 @@ def test_spin_spectrum_of_huge_and_tiny_spin_parts(v, length):
     assert jb_norm(a) == length
     assert np.array_equal(spectrum(a), [-length, length])
     if length < 1.0:
-        # sinh|v| / |v| rounds to 1, so exp(a) = (cosh|v|, v) keeps v whole.
+        # exp[-|v|, |v|] rounds to 1, so exp(a) = (1, v) keeps v whole.
         assert np.array_equal(exp_spectral(a).data, [1.0, *v])
     # A zero spin part, whose frexp exponent is 0.
     assert jb_norm(spin_element(-2.0, [0.0, 0.0])) == 2.0

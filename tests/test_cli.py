@@ -503,6 +503,17 @@ def test_overflowing_instance_is_one_input_error(tmp_path):
             assert "RuntimeWarning" not in res.stderr, argv
 
 
+def test_wide_spin_spectrum_sweeps(tmp_path, capsys):
+    # exp(A_1) is about 1.9e260, but its e^s cosh r form overflowed.
+    path = tmp_path / "wide-spin.json"
+    path.write_text(json.dumps(WIDE_SPIN), encoding="utf-8")
+    code, out, err = _run_in_process(capsys, "sweep", "--input", str(path), "--scheme", "g,f",
+                                     "--n", "1:16:x2", "--out", "json")
+    assert (code, err) == (0, "")
+    errors = [r["error"] for r in json.loads(out)["records"]]
+    assert len(errors) == 10 and all(isinstance(e, float) and math.isfinite(e) for e in errors)
+
+
 def test_oversize_algebra_is_a_capacity_error(tmp_path, monkeypatch, capsys, pauli_instance):
     # The caps on the payload, the trial count, the jet degree and the step
     # counts are checked before any work: reaching the axiom suite fails the
@@ -892,6 +903,10 @@ CONTRACT_OPTIONS = {
     "frobnicate": ("--input",),
 }
 ZERO8 = [0.0] * 8
+# A spin instance whose spectrum spans [-1400, 600.3]: every exponential
+# it needs is finite.
+WIDE_SPIN = {"algebra": {"kind": "spin", "dim": 2},
+             "elements": [{"s": -400, "v": [1000, 0]}, {"s": 0.1, "v": [0, 0.2]}]}
 CONTRACT_FILES = {
     "pair.json": {"algebra": {"kind": "sym", "dim": 2},
                   "elements": [[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, -1.0]]},

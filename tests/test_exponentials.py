@@ -1,5 +1,8 @@
 """Exponential routes: spectral form vs series form vs scipy."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -20,8 +23,8 @@ from jbtrotter.algebras import (
     unit,
     zero,
 )
-from assoc_oracle import embed_herm3, extract_herm3, to_matrix
-from conftest import rel_gap
+from assoc_oracle import albert_exp_oracle, embed_herm3, extract_herm3, to_matrix
+from conftest import rel_gap, spectrum_past_the_float_range
 
 RNG = np.random.default_rng(99)
 
@@ -178,6 +181,69 @@ def test_exp_of_a_huge_negative_unit_multiple_is_zero(descriptor, c):
 
 def test_fallback_threshold_is_in_tested_range():
     assert 5e-7 < DEGENERATE_ROOT_GAP < 1e-3
+
+
+def _exp_reference(a):
+    """exp(a) from a route that shares no code with ``exp_spectral``:
+    50-digit mpmath for spin; for the others scipy's ``expm`` of a shifted
+    by its top eigenvalue l (expm(L_a) 1 on albert), times e^l, which keeps
+    the reference accurate on a spectrum hundreds wide."""
+    if a.descriptor.kind == "spin":
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            s, v = mpmath.mpf(float(a.data[0])), [mpmath.mpf(x) for x in a.data[1:].tolist()]
+            r = mpmath.sqrt(mpmath.fsum(x * x for x in v))
+            ratio = mpmath.sinh(r) / r if r else mpmath.mpf(1)
+            exact = [mpmath.exp(s) * mpmath.cosh(r)] + [mpmath.exp(s) * ratio * x for x in v]
+            return algebras.Element(a.descriptor, np.array([float(x) for x in exact]))
+    top = float(spectrum(a)[-1])
+    shifted = a - unit(a.descriptor) * top
+    if a.descriptor.kind == "albert":
+        want = albert_exp_oracle(shifted).data
+    else:
+        want = expm(shifted.data)
+        want = 0.5 * (want + want.conj().T)
+    return algebras.Element(a.descriptor, want * np.exp(top))
+
+
+# (centre c, norm w) of a seeded element of norm w plus c times the unit,
+# whose spectrum lies in [c - w, c + w]: spectra spread over [-1500, 700],
+# norms down to 1e-300, and two spectra past the float range of exp.  A
+# spectrum past the float range itself follows them.
+EDGE_SPECTRA = [(0.0, 700.0), (-400.0, 1100.0), (-1000.0, 500.0), (-1450.0, 50.0),
+                (650.0, 50.0), (-5.0, 1e-12), (0.0, 1e-150), (0.0, 1e-300), (3.0, 1e-300),
+                (720.0, 5.0), (800.0, 50.0)]
+
+
+def _edge_elements(descriptor):
+    for centre, width in EDGE_SPECTRA:
+        for seed in range(3):
+            yield random_element(descriptor, 900 + seed, width) + unit(descriptor) * centre
+    yield spectrum_past_the_float_range(descriptor)
+    if descriptor.kind == "spin":
+        # r = 0 takes the divided difference at one root, r = 1e-300 a tiny gap.
+        k = descriptor.dim
+        for s in (-760.0, 0.0, 3.0, 700.0):
+            yield spin_element(s, np.zeros(k))
+            yield spin_element(s, [1e-300] + [0.0] * (k - 1))
+
+
+def test_exp_spectral_edge_of_the_float_range(descriptor):
+    # One overflow rule for every family: never OverflowError; a payload
+    # holding an inf or a NaN where e^top leaves the float range, and
+    # 1e-11 relative agreement with an independent reference inside it.
+    checked = 0
+    for a in _edge_elements(descriptor):
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = float(spectrum(a)[-1])
+            if top > math.log(sys.float_info.max):
+                assert not np.isfinite(exp_spectral(a).data).all(), top
+                continue
+        got, want = exp_spectral(a), _exp_reference(a)
+        assert np.isfinite(got.data).all(), top
+        assert rel_gap(got, want) < 1e-11, (top, float(spectrum(a)[0]))
+        checked += 1
+    assert checked >= 27
 
 
 def test_exp_large_norm_still_accurate():

@@ -1,6 +1,7 @@
 """Approximant construction against plain-matrix references."""
 
 import dataclasses
+import math
 import weakref
 
 import numpy as np
@@ -37,7 +38,14 @@ from assoc_oracle import (
     oracle_h,
     to_matrix,
 )
-from conftest import STANDARD_DESCRIPTORS, pauli_pair, rel_gap, rel_gap_mat, seeded_elements
+from conftest import (
+    STANDARD_DESCRIPTORS,
+    pauli_pair,
+    rel_gap,
+    rel_gap_mat,
+    seeded_elements,
+    spectrum_past_the_float_range,
+)
 
 
 def test_single_element_g_is_exact(descriptor):
@@ -144,6 +152,20 @@ def test_overflowing_exp_sum_raises(descriptor):
         sweep("f", elems, [1, 256])
     with pytest.raises(NonFiniteError):
         plan_min_n("g", 1e-3, elements=elems, mode="measured")
+    # Finite entries, but the spectrum itself is past the float range.
+    elems = [spectrum_past_the_float_range(descriptor)]
+    with pytest.raises(NonFiniteError, match="exp of the sum"):
+        exp_sum(elems)
+    with pytest.raises(NonFiniteError, match="exp of the sum"):
+        measured_error("g", elems, 1)
+
+
+def test_exp_sum_of_a_wide_spin_spectrum():
+    # Roots -60 and -1460: exp is (e^-60 + e^-1460) / 2 in its first two
+    # entries, which a form through e^s = e^-760 underflows to 0.
+    got = exp_sum([spin_element(-760.0, [700.0, 0.0])]).data
+    np.testing.assert_allclose(got[:2], math.exp(-60.0) / 2, rtol=1e-11, atol=0)
+    assert got[2] == 0.0
 
 
 def test_error_past_the_float_range_raises():
@@ -329,14 +351,13 @@ def test_sweep_and_measured_plan_decompose_each_element_once(matrix_descriptor, 
 
 
 def test_multi_scheme_sweep_raises_what_a_sweep_per_scheme_would(monkeypatch):
-    # f's product overflows from n = 1 and g's only from n = 4: a sweep of
-    # each scheme in turn meets g's failure first when g comes first, even
-    # though the step-count loop reaches f's failure earlier.
+    # f's product leaves the float range from n = 1 and g's only from n = 4:
+    # a sweep of each scheme in turn meets g's failure first when g comes
+    # first, even though the step-count loop reaches f's failure earlier.
     def failing_from(approx, first_bad_n):
         def product(elems, n, factor=None):
-            if n >= first_bad_n:
-                raise OverflowError
-            return approx(elems, n, factor)
+            value = approx(elems, n, factor)
+            return value * math.inf if n >= first_bad_n else value
         return product
 
     monkeypatch.setitem(trotter._APPROX, "g", failing_from(approx_g, 4))
