@@ -58,13 +58,11 @@ from .trotter import (
     SCHEMES,
     DegenerateDecayError,
     SweepRecord,
-    _plan_measured,
+    _plan,
     _sweep_schemes,
     bounds_for,
     empirical_order,
     measured_error,
-    plan_min_n,
-    tightest_bound,
 )
 
 EXIT_OK = 0
@@ -284,10 +282,12 @@ def _sweeps(schemes, elements, ns):
     return rows, orders
 
 
-def _plan_report(n_min: int, label: str, value_at, out) -> None:
+def _plan_report(n_min: int, label: str, values, out) -> None:
+    """n_min and the value at n_min and n_min - 1, read from the values
+    ``_plan`` evaluated."""
     out.write(f"n_min {n_min}\n")
-    out.write(f"{label}({n_min}) {_fmt(value_at(n_min))}\n")
-    prev = _fmt(value_at(n_min - 1)) if n_min > 1 else "n/a"
+    out.write(f"{label}({n_min}) {_fmt(values[n_min])}\n")
+    prev = _fmt(values[n_min - 1]) if n_min > 1 else "n/a"
     out.write(f"{label}({n_min - 1}) {prev}\n")
 
 
@@ -342,7 +342,16 @@ def _given_instance(args):
     return load_instance(args.input)
 
 
-def _norms_and_specialness(args):
+def _bound_inputs(args, schemes):
+    """The norms and the specialness that the closed-form bounds of
+    ``schemes`` read, from --input or from --norms and --algebra."""
+    # Asking for the bound of a scheme that has none is a usage error,
+    # before any instance is read; any other SchemeError is the input's fault.
+    for s in schemes:
+        if not bounds_for(s, [], 1, False):
+            raise UsageError(
+                f"scheme {s!r} has no closed-form bound; use sweep or plan --mode measured"
+            )
     instance = _given_instance(args)
     if instance is not None:
         return [jb_norm(e) for e in instance.elements], instance.algebra.is_special
@@ -351,19 +360,8 @@ def _norms_and_specialness(args):
     return args.norms, args.algebra is not None and args.algebra.is_special
 
 
-def _check_closed_form(schemes) -> None:
-    # Asking for the bound of a scheme that has none is a usage error; any
-    # other SchemeError is the input's fault.
-    for s in schemes:
-        if not bounds_for(s, [], 1, False):
-            raise UsageError(
-                f"scheme {s!r} has no closed-form bound; use sweep or plan --mode measured"
-            )
-
-
 def cmd_bounds(args, out) -> int:
-    _check_closed_form(args.scheme)
-    norms, special = _norms_and_specialness(args)
+    norms, special = _bound_inputs(args, args.scheme)
     rows = [
         {"scheme": scheme, "n": n, **bounds_for(scheme, norms, n, special)}
         for scheme in args.scheme
@@ -374,20 +372,17 @@ def cmd_bounds(args, out) -> int:
 
 
 def cmd_plan(args, out) -> int:
-    scheme, eps = args.scheme, args.eps
+    norms, elements, special = None, None, False
     if args.mode == "bound":
-        _check_closed_form([scheme])
-        norms, special = _norms_and_specialness(args)
-        n_min = plan_min_n(scheme, eps, norms=norms, special=special)
-        label, value_at = "bound", lambda n: tightest_bound(scheme, norms, n, special)
+        norms, special = _bound_inputs(args, [args.scheme])
     else:
         instance = _given_instance(args)
         if instance is None:
             raise UsageError("measured mode needs --input")
-        n_min, errors = _plan_measured(scheme, eps, instance.elements)
-        label, value_at = "error", errors.__getitem__
-    out.write(f"scheme {scheme} mode {args.mode} eps {_fmt(eps)}\n")
-    _plan_report(n_min, label, value_at, out)
+        elements = instance.elements
+    n_min, values = _plan(args.scheme, args.eps, norms, elements, args.mode, special)
+    out.write(f"scheme {args.scheme} mode {args.mode} eps {_fmt(args.eps)}\n")
+    _plan_report(n_min, "bound" if args.mode == "bound" else "error", values, out)
     return EXIT_OK
 
 
@@ -456,9 +451,8 @@ def cmd_demo(args, out) -> int:
     _jets_report([sx, sz], "pauli-pair", 3, JETS_TOL, out)
 
     out.write("\n[5] step planning for scheme g at eps 1e-4 (norms 1, 1)\n")
-    norms = [1.0, 1.0]
-    n_min = plan_min_n("g", 1e-4, norms=norms)
-    _plan_report(n_min, "bound", lambda n: tightest_bound("g", norms, n), out)
+    n_min, values = _plan("g", 1e-4, [1.0, 1.0], None, "bound", False)
+    _plan_report(n_min, "bound", values, out)
     err = measured_error("g", [sx, sz], n_min)
     out.write(f"measured error at n_min {_fmt(err)}\n")
     return EXIT_OK

@@ -18,8 +18,10 @@ Element payloads by kind:
 Every numeric field must read as finite floats of its shape, and a single
 number must be a JSON number.  Matrix payloads may carry up to 1e-9 of
 symmetry defect (they are exactly symmetrized on load); anything worse is
-rejected.  Serialization writes the shortest round-tripping float form,
-so save -> load -> save is byte-stable.
+rejected.  Save refuses what load refuses: ``save_instance`` checks the
+document it built by the same rules and writes no file that
+``load_instance`` would reject.  Serialization writes the shortest
+round-tripping float form, so save -> load -> save is byte-stable.
 """
 
 from __future__ import annotations
@@ -181,6 +183,10 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
 
 
 def save_instance(instance: ProblemInstance, path) -> None:
-    text = json.dumps(instance_to_dict(instance), indent=2)
+    """Write the instance as JSON; what ``load_instance`` would refuse
+    raises its ``InstanceFormatError`` here, and no file is written."""
+    doc = instance_to_dict(instance)
+    instance_from_dict(doc)
+    text = json.dumps(doc, indent=2)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")

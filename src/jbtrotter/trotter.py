@@ -22,16 +22,20 @@ elements each factor exp(A_j / n) or exp(A_j / 2n) is
 caller passes ``approx_*`` its own factor source.  Every measurement
 goes through one path, ``_measure``: ``_sweep_schemes`` measures a list of
 schemes over a list of step counts, ``sweep`` is its one-scheme case and
-``measured_error`` its one-scheme, one-n case, and the measured
-``plan_min_n`` drives ``_measure`` itself.  Each call computes exp of the
-sum once, and on sym and herm makes m + 1 ``eigh`` calls, however many
-schemes and step counts it covers; ``_measure``'s docstring says how long
-they live.  A measurement of two or more schemes also shares factors
-through a cache that ``_measure`` owns and passes to ``approx_*``: step
-counts form the outer loop, the schemes at one n share its factors, and
-f's half-step factor exp(A_j / 2n) is the full-step factor of the step
+``measured_error`` its one-scheme, one-n case, and the measured plan
+searches the error of one.  Each call computes exp of the sum once, and
+on sym and herm makes m + 1 ``eigh`` calls, however many schemes and
+step counts it covers; ``_measure``'s docstring says how long they live.
+A measurement of two or more schemes also shares factors through a
+cache that ``_measure`` owns and passes to ``approx_*``: step counts
+form the outer loop, the schemes at one n share its factors, and f's
+half-step factor exp(A_j / 2n) is the full-step factor of the step
 count 2n, so a doubling sweep carries it over.  At most 2m factors are
 alive at once, however many step counts the sweep covers.
+
+``_plan`` states both plan modes, bound and measured, as one step-count
+search that hands back every value it evaluated; it serves
+``plan_min_n``, the CLI's ``plan`` and its demo.
 
 Closed-form error bounds (S = sum of the algebra norms, m = element
 count), one function per formula:
@@ -367,7 +371,7 @@ def plan_min_n(
     special: bool = False,
 ) -> int:
     """Smallest step count with guaranteed (bound mode) or measured error
-    at most eps.
+    at most eps: the n_min of ``_plan``.
 
     Bound mode needs ``norms``, the per-element norms, and ``special``
     for the sharpened sym/herm bounds; it satisfies bound(n) <= eps <
@@ -375,6 +379,18 @@ def plan_min_n(
     doubling plus bisection on the measured error, which is assumed
     monotone along the search; decompositions as in ``_measure``.
     """
+    return _plan(scheme, eps, norms, elements, mode, special)[0]
+
+
+def _plan(scheme: str, eps: float, norms, elements, mode: str, special: bool):
+    """The one planner: every argument check, then one ``_min_n`` search
+    per mode, returning (n_min, values) with each value the search
+    evaluated, keyed by step count.  Bound mode searches
+    ``tightest_bound`` of the norms, looked up by its module name at each
+    call, so a wrapper set on the module sees it; measured mode searches
+    the error_at of one ``_measure`` of the elements (exp of the sum
+    computed once).  A report reads n_min and n_min - 1 from the values,
+    so it evaluates nothing again."""
     _check_scheme(scheme)
     if not eps > 0.0:
         raise ValueError("eps must be positive")
@@ -382,36 +398,29 @@ def plan_min_n(
         if norms is None:
             raise ValueError("bound mode needs norms")
         norms = list(norms)
-        return _min_n(lambda n: tightest_bound(scheme, norms, n, special) <= eps, eps)
+        return _min_n(lambda n: tightest_bound(scheme, norms, n, special), eps)
     if mode == "measured":
         if elements is None:
             raise ValueError("measured mode needs elements")
-        return _plan_measured(scheme, eps, elements)[0]
+        with _quiet():
+            _, error_at = _measure([scheme], elements)
+            return _min_n(lambda n: error_at(scheme, n), eps)
     raise ValueError(f"mode must be 'bound' or 'measured', got {mode!r}")
 
 
-def _plan_measured(scheme: str, eps: float, elements) -> tuple[int, dict]:
-    """The measured plan n_min and the errors its search measured, keyed
-    by step count.  They hold n_min and, when n_min > 1, n_min - 1: the
-    search ends with both evaluated, so a report needs no second
-    measurement."""
-    errors = {}
-    with _quiet():
-        _, error_at = _measure([scheme], elements)
+def _min_n(value, eps: float) -> tuple[int, dict]:
+    """Smallest n with value(n) <= eps, for a value that stays at most eps
+    once it gets there as n grows: doubling finds a bracket, bisection the
+    threshold inside it.  Returns it with every value evaluated, keyed by
+    step count; n_min and, for n_min > 1, n_min - 1 are among them."""
+    values = {}
 
-        def ok(n: int) -> bool:
-            errors[n] = error = error_at(scheme, n)
-            return error <= eps
+    def ok(n: int) -> bool:
+        values[n] = value(n)
+        return values[n] <= eps
 
-        return _min_n(ok, eps), errors
-
-
-def _min_n(ok, eps: float) -> int:
-    """Smallest n with ok(n), for a predicate that stays true as n grows:
-    doubling finds a bracket, bisection the threshold inside it.  ok(n)
-    and, for n > 1, ok(n - 1) are among the calls made."""
     if ok(1):
-        return 1
+        return 1, values
     lo, hi = 1, 2
     while not ok(hi):
         lo, hi = hi, 2 * hi
@@ -423,7 +432,7 @@ def _min_n(ok, eps: float) -> int:
             hi = mid
         else:
             lo = mid
-    return hi
+    return hi, values
 
 
 # ---------------------------------------------------------------------------

@@ -902,3 +902,12 @@ def test_random_element_refuses_a_non_finite_target_norm(descriptor):
     for target in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="target_norm must be finite and positive"):
             random_element(descriptor, 1, target)
+
+
+def test_random_element_refuses_a_zero_draw(monkeypatch):
+    # The zero payload has norm 0: the draw is refused before the rescale
+    # would divide by that norm.
+    desc = AlgebraDescriptor("sym", 2)
+    monkeypatch.setattr(desc._family, "sample", lambda rng, descriptor: zero(descriptor))
+    with pytest.raises(RuntimeError, match="degenerate zero draw"):
+        random_element(desc, 1)

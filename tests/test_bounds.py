@@ -20,7 +20,9 @@ from jbtrotter.trotter import (
     bound_thm31,
     bound_thm33i,
     bound_thm33ii,
+    _plan,
     bounds_for,
+    measured_error,
     plan_min_n,
     sweep,
     tightest_bound,
@@ -263,6 +265,46 @@ def test_plan_measured_mode_supports_h():
     from jbtrotter.trotter import measured_error
 
     assert measured_error("h", [a, b, a], n_min) <= 1e-3
+
+
+def _plan_cases():
+    """(scheme, norms, elements, mode, special, fresh value at n) for both
+    plan modes: bound g and f, with and without the sharpened bounds, and
+    measured g, f and h on three families."""
+    norms = [0.5, 0.7, 0.4]
+    for scheme in ("g", "f"):
+        for special in (False, True):
+            yield (scheme, norms, None, "bound", special,
+                   lambda n, scheme=scheme, special=special:
+                   tightest_bound(scheme, norms, n, special))
+    for kind, dim in (("sym", 3), ("spin", 4), ("albert", 3)):
+        desc = AlgebraDescriptor(kind, dim)
+        elems = [random_element(desc, 60 + j, v) for j, v in enumerate(norms)]
+        for scheme in ("g", "f", "h"):
+            yield (scheme, None, elems, "measured", False,
+                   lambda n, scheme=scheme, elems=elems: measured_error(scheme, elems, n))
+
+
+def test_plan_returns_what_its_search_evaluated():
+    # n_min with every value its search evaluated, bit for bit what a fresh
+    # bound or measurement at that n gives; n_min - 1 is among them, and
+    # plan_min_n is its n_min.
+    reached_one = set()
+    for scheme, norms, elems, mode, special, fresh in _plan_cases():
+        for eps in (10.0 ** k for k in range(1, -7, -1)):
+            n_min, values = _plan(scheme, eps, norms, elems, mode, special)
+            assert values[n_min] <= eps, (scheme, mode, eps)
+            if n_min > 1:
+                assert values[n_min - 1] > eps, (scheme, mode, eps)
+            else:
+                reached_one.add((scheme, mode))
+            for n, value in values.items():
+                assert repr(value) == repr(fresh(n)), (scheme, mode, eps, n)
+            assert plan_min_n(scheme, eps, norms=norms, elements=elems, mode=mode,
+                              special=special) == n_min
+        with pytest.raises(CapacityError):
+            _plan(scheme, 1e-300, norms, elems, mode, special)
+    assert len(reached_one) == 5
 
 
 def test_plan_measured_needs_elements():

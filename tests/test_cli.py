@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jbtrotter import cli, trotter
-from jbtrotter.algebras import AlgebraDescriptor, random_element
+from jbtrotter.algebras import AlgebraDescriptor, jb_norm, random_element
 from jbtrotter.instances import ProblemInstance, load_instance, save_instance
 from conftest import cli_env
 
@@ -810,6 +810,38 @@ def test_measured_plan_reports_from_one_measurement(pauli_instance, spin_triple_
         assert lines[1:] == [f"n_min {n_min}",
                              f"error({n_min}) {trotter.measured_error(scheme, elems, n_min)!r}",
                              f"error({n_min - 1}) {prev}", ""], (scheme, eps)
+
+
+def test_bound_plan_reports_from_the_search(pauli_instance, monkeypatch, capsys):
+    # The report's bounds at n_min and n_min - 1 are the ones the search
+    # evaluated: a command reaches the bound table as often as the planner
+    # alone, and prints the bits of a fresh tightest_bound.
+    calls = []
+    bounds_for = trotter.bounds_for
+    monkeypatch.setattr(trotter, "bounds_for",
+                        lambda *a, **k: calls.append(1) or bounds_for(*a, **k))
+    pauli_norms = [jb_norm(e) for e in load_instance(pauli_instance).elements]
+    for argv, norms, special, want in (
+            (["--scheme", "g", "--eps", "1e-4", "--norms", "1"], [1.0], False, 96),
+            (["--scheme", "g", "--eps", "1", "--norms", "1"], [1.0], False, 1),
+            (["--scheme", "f", "--eps", "1e-5", "--norms", "1,1", "--algebra", "sym:2"],
+             [1.0, 1.0], True, None),
+            (["--scheme", "f", "--eps", "1e-5", "--input", pauli_instance],
+             pauli_norms, True, None)):
+        scheme, eps = argv[1], float(argv[3])
+        calls.clear()
+        assert cli.main(["plan", *argv]) == 0
+        cli_calls = len(calls)
+        lines = capsys.readouterr().out.split("\n")
+        calls.clear()
+        n_min = trotter.plan_min_n(scheme, eps, norms=norms, special=special)
+        assert cli_calls == len(calls), argv
+        assert want in (None, n_min), argv
+        prev = (repr(trotter.tightest_bound(scheme, norms, n_min - 1, special)) if n_min > 1
+                else "n/a")
+        assert lines[1:] == [f"n_min {n_min}",
+                             f"bound({n_min}) {trotter.tightest_bound(scheme, norms, n_min, special)!r}",
+                             f"bound({n_min - 1}) {prev}", ""], argv
 
 
 def test_plan_from_instance_marks_special(pauli_instance):

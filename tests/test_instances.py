@@ -7,6 +7,7 @@ import pytest
 
 from jbtrotter.algebras import (
     AlgebraDescriptor,
+    Element,
     albert_element,
     herm_element,
     random_element,
@@ -348,3 +349,29 @@ def test_loaded_values_match_exactly(tmp_path):
     # An integer literal beyond 2^64 inside a list is still a JSON number.
     inst = instance_from_dict(_doc("sym", 1, [2**70]))
     assert inst.elements[0].data[0, 0] == 2.0**70
+
+
+def test_save_refuses_what_load_refuses(tmp_path):
+    # Each instance would write a file that load_instance rejects; save
+    # raises the reader's error instead and writes nothing.
+    sym2 = AlgebraDescriptor("sym", 2)
+    a = random_element(sym2, 1)
+    cases = {
+        "other algebra": (ProblemInstance(sym2, (a, random_element(AlgebraDescriptor("spin", 2), 2))),
+                          "mismatch"),
+        "no elements": (ProblemInstance(sym2, ()), "schema"),
+        "mixed dims": (ProblemInstance(sym2, (a, random_element(AlgebraDescriptor("sym", 3), 3))),
+                       "mismatch"),
+        "label": (ProblemInstance(sym2, (a,), 7), "schema"),
+        "inf": (ProblemInstance(sym2, (a, Element(sym2, np.array([[np.inf, 0.0], [0.0, 1.0]])))),
+                "schema"),
+    }
+    for what, (instance, category) in cases.items():
+        path = tmp_path / f"{what}.json"
+        with pytest.raises(InstanceFormatError) as exc:
+            save_instance(instance, path)
+        assert exc.value.category == category, what
+        with pytest.raises(InstanceFormatError) as reader:
+            instance_from_dict(instance_to_dict(instance))
+        assert str(exc.value) == str(reader.value), what
+        assert not path.exists(), what
