@@ -425,6 +425,15 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+def _ldexp(x: float, i: int) -> float:
+    """x 2^i by ``math.ldexp``, exact in the float range and +-inf past it
+    instead of ``OverflowError``."""
+    try:
+        return math.ldexp(x, i)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def _exp_divided(lo: float, hi: float) -> float:
     """The first divided difference exp[lo, hi] = (e^hi - e^lo) / (hi - lo)
     for lo <= hi, e^hi at hi = lo: the one statement that spin and albert
@@ -469,7 +478,8 @@ class _SpinFamily:
         return out
 
     def eigvals(self, a: Element) -> np.ndarray:
-        s, r = a.data[0], math.hypot(*a.data[1:].tolist())
+        # Python floats: a root past the float range reads +-inf, no warning.
+        s, r = float(a.data[0]), math.hypot(*a.data[1:].tolist())
         return np.array([s - r, s + r])
 
     def exp(self, a: Element, d: int) -> Element:
@@ -534,7 +544,8 @@ class _AlbertFamily:
         # coefficients (products of three entries) stay in the float range.
         # ldexp scales exactly both ways, so the spectrum is exactly
         # power-of-two homogeneous wherever the scaled payload and the roots
-        # scaled back stay normal.
+        # scaled back stay normal; a root scaled back past the float range
+        # reads +-inf, with no warning.
         shift = math.frexp(float(np.abs(a.data).max()))[1]
         m = np.ldexp(a.data, -shift)
         # Roots of the characteristic cubic x^3 - t x^2 + s x - det, where
@@ -554,7 +565,8 @@ class _AlbertFamily:
         nx, ny, nz = octonion.norm_form(off).tolist()
         cross = float(octonion.real_part(octonion.mul(octonion.mul(x, y), z)))
         det = d0 * d1 * d2 - d0 * nx - d1 * ny - d2 * nz + 2.0 * cross
-        return np.ldexp(_real_cubic_roots(t, 0.5 * (t * t - (s0 + s1 + s2)), det) + mu, shift)
+        roots = _real_cubic_roots(t, 0.5 * (t * t - (s0 + s1 + s2)), det).tolist()
+        return np.array([_ldexp(x + mu, shift) for x in roots])
 
     def exp(self, a: Element, d: int) -> Element:
         # Always on the new element a / d (exact at d = 1), whose spectrum
@@ -651,8 +663,9 @@ def jordan_power(a: Element, n: int) -> Element:
 def spectrum(a: Element) -> np.ndarray:
     """Eigenvalues, ascending.  Two values for spin, three for albert.
 
-    The element keeps its spectrum (README, "Library use"); the array
-    returned is a copy.
+    On every family, an eigenvalue past the float range of a finite
+    payload reads +-inf, with no warning.  The element keeps its spectrum
+    (README, "Library use"); the array returned is a copy.
     """
     return _kept(a, "_spectrum", a.descriptor._family.eigvals).copy()
 
@@ -667,8 +680,9 @@ def jb_norm(a: Element) -> float:
     """Algebra norm: largest absolute eigenvalue.
 
     An element with a NaN or an infinite payload entry never gets a finite
-    norm: it gets NaN or inf.  The element keeps its spectrum (README,
-    "Library use").
+    norm: it gets NaN or inf.  Nor does one whose spectrum leaves the
+    float range: it gets inf, with no warning.  The element keeps its
+    spectrum (README, "Library use").
     """
     vals = _kept(a, "_spectrum", a.descriptor._family.eigvals)
     # Ascending, so the largest absolute value sits at one end; abs turns

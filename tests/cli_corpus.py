@@ -6,8 +6,10 @@ Instances from fixed seeds are written to a temporary directory, which is
 also the working directory of every command, so paths print as
 basenames.  The corpus holds successful commands (every subcommand, all
 four families, csv/json/plotdata, --output files, bound and measured
-plan, a spin sweep over a spectrum 2000 wide) and the error-path
-instance files of the CLI error-contract test.
+plan, a spin sweep over a spectrum 2000 wide, bounds on a spectrum past
+the float range) and the error paths: the instance files of the CLI
+error-contract test, and the commands that need an exponential of a
+spectrum past the float range.
 Each command prints one line: its argv, its exit code, and the sha256 of
 its stdout, its stderr and each file it wrote.  The output does not
 depend on PYTHONHASHSEED, and diffing the output of two checkouts shows
@@ -48,6 +50,12 @@ INSTANCES = [
     for scale in (1e-120, 0.1, 0.5)
 ]
 
+# One instance per family whose first element has entries 0 or 1e308, as
+# conftest.spectrum_past_the_float_range: its top eigenvalue, 2e308 or
+# more, is past the float range.  The second element is an ordinary one.
+FLOAT_RANGE = {f"float-range-{kind}.json": (kind, dim)
+               for kind, dim in (("sym", 3), ("herm", 3), ("spin", 4), ("albert", 3))}
+
 
 def _payload(kind: str, dim: int, rng, scale: float):
     """A Gaussian payload in the instance file layout, entries times scale.
@@ -64,6 +72,17 @@ def _payload(kind: str, dim: int, rng, scale: float):
     return {"diag": v[:3], "x": v[3:11], "y": v[11:19], "z": v[19:]}
 
 
+def _float_range_payload(kind: str, dim: int):
+    """The payload of conftest.spectrum_past_the_float_range in the instance
+    file layout."""
+    big = 1e308
+    if kind in ("sym", "herm"):
+        return [big if kind == "sym" else [big, 0.0]] * (dim * dim)
+    if kind == "spin":
+        return {"s": big, "v": [big] + [0.0] * (dim - 1)}
+    return {"diag": [big] * 3, "x": [big] + [0.0] * 7, "y": [0.0] * 8, "z": [0.0] * 8}
+
+
 def write_instances(root: Path) -> list[str]:
     names = []
     for i, (kind, dim, m, scale) in enumerate(INSTANCES):
@@ -72,6 +91,11 @@ def write_instances(root: Path) -> list[str]:
                "elements": [_payload(kind, dim, rng, scale) for _ in range(m)]}
         names.append(f"{kind}{dim}-m{m}-scale{scale}.json")
         (root / names[-1]).write_text(json.dumps(doc), encoding="utf-8")
+    for i, (name, (kind, dim)) in enumerate(FLOAT_RANGE.items()):
+        doc = {"algebra": {"kind": kind, "dim": dim}, "label": name.removesuffix(".json"),
+               "elements": [_float_range_payload(kind, dim),
+                            _payload(kind, dim, np.random.default_rng(i), 0.5)]}
+        (root / name).write_text(json.dumps(doc), encoding="utf-8")
     for name, doc in {**CONTRACT_FILES, "wide-spin.json": WIDE_SPIN}.items():
         (root / name).write_bytes(contract_bytes(doc))
     return names
@@ -111,6 +135,7 @@ def successful_commands(instances: list[str]) -> list[list[str]]:
              "--output", "plan.txt"],
         ]
     cmds.append(["sweep", "--input", "wide-spin.json", "--scheme", "g,f", "--n", "1:16:x2"])
+    cmds += [["bounds", "--input", name, "--scheme", "g,f", "--n", "1,2"] for name in FLOAT_RANGE]
     return cmds
 
 
@@ -123,6 +148,12 @@ def error_commands() -> list[list[str]]:
             ["bounds", "--input", name, "--n", "1,2"],
             ["plan", "--input", name, "--eps", "1e-3"],
             ["plan", "--input", name, "--mode", "measured", "--eps", "1e-1"],
+        ]
+    for name in FLOAT_RANGE:
+        cmds += [
+            ["plan", "--input", name, "--eps", "1e-3"],
+            ["sweep", "--input", name, "--scheme", "g,f", "--n", "1,2"],
+            ["jets", "--input", name],
         ]
     return cmds
 

@@ -10,6 +10,7 @@ import math
 import pickle
 import re
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -51,7 +52,13 @@ from assoc_oracle import (
 )
 from jbtrotter.jets import jet_exp, jet_unit, jet_zero, product_step_jet, residual
 from jbtrotter.trotter import approx_f, approx_g, approx_h, sweep
-from conftest import STANDARD_DESCRIPTORS, pauli_pair, rel_gap, seeded_elements
+from conftest import (
+    STANDARD_DESCRIPTORS,
+    pauli_pair,
+    rel_gap,
+    seeded_elements,
+    spectrum_past_the_float_range,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -672,6 +679,16 @@ def test_non_finite_element_has_no_finite_norm(descriptor, bad):
             # The second norm reads the kept spectrum.
             for _ in range(2):
                 assert not math.isfinite(jb_norm(a)), pos
+
+
+def test_spectrum_past_the_float_range_reads_inf_without_a_warning(descriptor):
+    # Finite entries, all 0 or 1e308: the top eigenvalue leaves the float
+    # range and reads inf on every family, with no numpy warning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectrum(spectrum_past_the_float_range(descriptor))[-1] == math.inf
+        # A fresh element: the norm takes the spectrum itself, not a kept one.
+        assert jb_norm(spectrum_past_the_float_range(descriptor)) == math.inf
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=str)

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from jbtrotter import cli, trotter
 from jbtrotter.algebras import AlgebraDescriptor, jb_norm, random_element
 from jbtrotter.instances import ProblemInstance, load_instance, save_instance
-from conftest import cli_env
+from jbtrotter.jets import Jet
+from conftest import cli_env, spectrum_past_the_float_range
 
 CSV_HEADER = (
     "scheme,n,error,bound_thm31,bound_thm33i,bound_thm33ii,"
@@ -72,6 +73,18 @@ def test_demo_is_byte_identical_across_runs():
     assert first.stdout == second.stdout
     assert first.stderr == "" and second.stderr == ""
     assert "result pass" in first.stdout
+
+
+def test_demo_step_one_is_the_verify_axioms_report(capsys):
+    code, demo, err = _run_in_process(capsys, "demo")
+    assert (code, err) == (0, "")
+    lines = demo.split("\n")
+    start = next(i for i, text in enumerate(lines) if text.startswith("[1] ")) + 1
+    step = "\n".join(lines[start:lines.index("", start)]) + "\n"
+    code, report, err = _run_in_process(capsys, "verify-axioms", "--algebra", "sym:2",
+                                        "--trials", "200", "--seed", "0")
+    assert (code, err) == (0, "")
+    assert step == report
 
 
 def test_sweep_is_byte_identical_across_runs(pauli_instance):
@@ -503,6 +516,27 @@ def test_overflowing_instance_is_one_input_error(tmp_path):
             assert "RuntimeWarning" not in res.stderr, argv
 
 
+def test_spectrum_past_the_float_range_is_read_alike_on_every_family(descriptor, tmp_path,
+                                                                     capsys):
+    # Finite entries, but the first element's spectrum leaves the float
+    # range: its norm, and so every bound, is inf, while sweep and jets
+    # need exponentials that overflow.  No warning may reach stderr.
+    path = tmp_path / "float-range.json"
+    elems = (spectrum_past_the_float_range(descriptor), random_element(descriptor, 1, 0.5))
+    save_instance(ProblemInstance(descriptor, elems), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run_in_process(capsys, "bounds", "--input", str(path), "--n", "1,2")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.split("\n")[1:-1]]
+        assert len(rows) == 2 and all("inf" in row for row in rows)
+        for argv, code, kind in ((("plan", "--eps", "1e-3"), 5, "capacity"),
+                                 (("sweep",), 3, "input"), (("jets",), 3, "input")):
+            got, out, err = _run_in_process(capsys, *argv, "--input", str(path))
+            assert (got, out) == (code, ""), argv
+            assert err.count("\n") == 1 and err.startswith(f"error[{kind}]:"), argv
+
+
 def test_wide_spin_spectrum_sweeps(tmp_path, capsys):
     # exp(A_1) is about 1.9e260, but its e^s cosh r form overflowed.
     path = tmp_path / "wide-spin.json"
@@ -883,6 +917,28 @@ def test_jets_report(pauli_instance):
     assert "inverse-sandwich-defect" in res.stdout
     assert "degree-3 magnitude inverse-sandwich-defect" in res.stdout
     assert res.stdout.rstrip().endswith("result pass")
+
+
+def test_jets_checks_every_claim_through_degree_two(pauli_instance, monkeypatch, capsys):
+    code, out, err = _run_in_process(capsys, "jets", "--input", pauli_instance)
+    assert (code, err) == (0, "")
+    rows = [line for line in out.split("\n") if " residual " in line]
+    assert len(rows) == 3 and all(" deg<=2 " in row and row.endswith(" pass") for row in rows)
+    assert "degree-2" not in out
+    # A defect jet off at degree 2 alone fails its check.
+    defect = cli.inverse_sandwich_defect_jet
+
+    def off_at_degree_two(elements, degree):
+        coefficients = list(defect(elements, degree).coefficients)
+        coefficients[2] = coefficients[2] + 1e-3 * elements[0]
+        return Jet(tuple(coefficients))
+
+    monkeypatch.setattr(cli, "inverse_sandwich_defect_jet", off_at_degree_two)
+    code, out, err = _run_in_process(capsys, "jets", "--input", pauli_instance)
+    assert (code, err) == (4, "")
+    row = next(line for line in out.split("\n") if line.startswith("inverse-sandwich-defect"))
+    assert row.endswith(" FAIL")
+    assert out.endswith("result FAIL\n")
 
 
 def test_tiny_albert_instance_runs(tmp_path):
