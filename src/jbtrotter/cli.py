@@ -19,10 +19,12 @@ subcommand takes --output, a file to write in place of stdout.
 
 Every failure path prints a single line to stderr of the form
 ``error[<kind>]: <reason>`` and exits with the code for that kind: 2
-usage, 3 input (an unreadable, malformed or rejected instance, or any
-computation that overflows the float range), 4 verification failure, 5
-capacity (a request past one of the limits above, or a plan that needs
-more than 2^30 steps).
+usage, 3 input (an unreadable, malformed or rejected instance, an
+exponential of the element sum past the float range, or a ``jets``
+computation past it), 4 verification failure, 5 capacity (a request past
+one of the limits above, or a plan that needs more than 2^30 steps).  A
+measured error past the float range is not a failure: it reads inf, as
+a bound does.
 
 main(argv) may be called many times in one process: it builds its parser
 on the first call and reads $JBTROTTER_SEED on every call.

@@ -51,7 +51,8 @@ formula) and ``bound_special_ii`` (``bound_special``).
 ``bounds_for`` is the one place that decides which of these applies to a
 scheme.  No closed-form bound is known here for scheme h; planners must
 use the measured mode for it.  A bound whose value leaves the float range
-reads ``inf``, which is still a valid bound since each grows with S.
+reads ``inf``, which is still a valid bound since each grows with S; so
+does a measured error past it (``_measure``).
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ class SchemeError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """exp of the sum of the elements, or a scheme's product, leaves the
-    float range."""
+    """exp of the sum of the elements leaves the float range, so no error
+    can be measured.  A measured error past it reads ``inf`` instead."""
 
 
 class DegenerateDecayError(ValueError):
@@ -228,8 +229,10 @@ def _measure(schemes, elements, ns=()):
     to 61.3-61.6 MB (+7 %) in two 12 s runs each at seed 11
     (``bench/run.py``, 2-core Xeon, Python 3.11).
 
-    The error is the only value checked; a product past the float range
-    still raises, since
+    An error past the float range reads ``inf``, as a bound does, and a
+    NaN error reads ``inf`` too.  The error is the only value checked: a
+    product past the float range always gives an error that is not
+    finite, since
     - a factor exp(A_j / n) past it holds a NaN or an infinity
       (``exp_spectral``'s one overflow rule);
     - only Jordan products, sums and real multiples lead from the factors
@@ -238,8 +241,8 @@ def _measure(schemes, elements, ns=()):
       of x, the Hermitian part included, and neither inf c nor nan c is
       finite for any c, nor is a sum with such a term;
     - ``jb_norm`` of a payload holding a NaN or an infinity is NaN or inf.
-    The product is scanned only after a non-finite error, to say whether
-    it or just the error left the float range.
+    Only exp of the sum raises ``NonFiniteError``: without it no step
+    count can be measured.
     """
     for scheme in schemes:
         _check_scheme(scheme)
@@ -261,20 +264,16 @@ def _measure(schemes, elements, ns=()):
     def error_at(scheme: str, n: int) -> float:
         for key in [key for key in cache if key[1] != n and key[1] != 2 * n]:
             del cache[key]
-        product = _APPROX[scheme](elems, n, factor)
-        error = float(jb_norm(target - product))
-        if math.isfinite(error):
-            return error
-        what = "error" if np.isfinite(product.data).all() else "product"
-        raise NonFiniteError(f"the scheme {scheme} {what} at n={n} overflows the float range")
+        error = float(jb_norm(target - _APPROX[scheme](elems, n, factor)))
+        return error if math.isfinite(error) else math.inf
 
     return elems, error_at
 
 
 def measured_error(scheme: str, elements, n: int) -> float:
-    """Algebra-norm distance between the scheme at n and exp of the sum:
-    the error_at of one ``_measure``, with no norms of the elements and no
-    bounds."""
+    """Algebra-norm distance between the scheme at n and exp of the sum,
+    ``inf`` past the float range: the error_at of one ``_measure``, with
+    no norms of the elements and no bounds."""
     with _quiet():
         return _measure([scheme], elements, [n])[1](scheme, n)
 
@@ -447,12 +446,8 @@ def _sweep_schemes(schemes, elements, n_values) -> list[list[SweepRecord]]:
     Step counts form the outer loop and schemes the inner one, so the
     factors of one n are computed once and dropped when n changes (at most
     2m alive; ``_measure``).  numpy's overflow warnings are silenced once
-    for the whole sweep, not per product; a scheme product or an error
-    past the float range raises ``NonFiniteError`` instead of becoming a
-    record.  The error raised is the one a sweep of each scheme in turn
-    would raise: that of the first scheme in the given order that fails,
-    at its first failing n.  Once a scheme fails, the schemes after it
-    are no longer measured, since their failures could not come first.
+    for the whole sweep, not per product; an error past the float range
+    is a record reading ``inf``.
     """
     schemes, ns = list(schemes), list(n_values)
     with _quiet():
@@ -460,18 +455,10 @@ def _sweep_schemes(schemes, elements, n_values) -> list[list[SweepRecord]]:
         special = elems[0].descriptor.is_special
         norms = [jb_norm(a) for a in elems]
         rows = [[] for _ in schemes]
-        live, failure = len(schemes), None  # schemes[:live] can still fail first
         for n in ns:
-            for i in range(live):
-                try:
-                    error = error_at(schemes[i], n)
-                except NonFiniteError as exc:
-                    live, failure = i, exc
-                    break
-                rows[i].append(
-                    SweepRecord(schemes[i], n, error, **bounds_for(schemes[i], norms, n, special)))
-        if failure is not None:
-            raise failure
+            for scheme, row in zip(schemes, rows):
+                row.append(SweepRecord(scheme, n, error_at(scheme, n),
+                                       **bounds_for(scheme, norms, n, special)))
         return rows
 
 
@@ -485,18 +472,20 @@ def empirical_order(records) -> float:
     """Least-squares decay exponent of error against n.
 
     Expects one scheme and at least four doubling n values whose errors
-    sit above the floating-point floor (1e-13).  Fewer than four records
-    raise ``ValueError``; records that the floor leaves short of four
-    raise ``DegenerateDecayError``, which usually flags a commuting
-    instance rather than a bug.
+    are finite and sit above the floating-point floor (1e-13); records
+    whose error is infinite are left out of the fit.  Fewer than four
+    finite records raise ``ValueError``; records that the floor leaves
+    short of four raise ``DegenerateDecayError``, which usually flags a
+    commuting instance rather than a bug.
     """
     recs = sorted(records, key=lambda r: r.n)
-    if len(recs) < 4:
-        raise ValueError(f"need at least 4 records, got {len(recs)}")
     schemes = {r.scheme for r in recs}
-    if len(schemes) != 1:
+    if len(schemes) > 1:
         raise ValueError(f"records mix schemes {sorted(schemes)}")
-    usable = [r for r in recs if r.error > 1e-13]
+    finite = [r for r in recs if r.error < math.inf]
+    if len(finite) < 4:
+        raise ValueError(f"need at least 4 records with a finite error, got {len(finite)}")
+    usable = [r for r in finite if r.error > 1e-13]
     if len(usable) < 4:
         raise DegenerateDecayError(
             f"only {len(usable)} records above the error floor, need 4"

@@ -6,10 +6,11 @@ Instances from fixed seeds are written to a temporary directory, which is
 also the working directory of every command, so paths print as
 basenames.  The corpus holds successful commands (every subcommand, all
 four families, csv/json/plotdata, --output files, bound and measured
-plan, a spin sweep over a spectrum 2000 wide, bounds on a spectrum past
-the float range) and the error paths: the instance files of the CLI
-error-contract test, and the commands that need an exponential of a
-spectrum past the float range.
+plan, a spin sweep over a spectrum 2000 wide, sweeps and measured plans
+of two instances whose evaluations leave the float range, bounds on a
+spectrum past the float range) and the error paths: the instance files
+of the CLI error-contract test, and the commands that need an
+exponential of a spectrum past the float range.
 Each command prints one line: its argv, its exit code, and the sha256 of
 its stdout, its stderr and each file it wrote.  The output does not
 depend on PYTHONHASHSEED, and diffing the output of two checkouts shows
@@ -38,7 +39,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from jbtrotter import cli  # noqa: E402
-from test_cli import CONTRACT_FILES, WIDE_SPIN, contract_bytes  # noqa: E402
+from test_cli import CONTRACT_FILES, OVERFLOW_SYM, WIDE_SPIN, contract_bytes  # noqa: E402
 
 FAMILIES = (("sym", 3), ("herm", 3), ("spin", 4), ("spin", 33), ("albert", 3))
 
@@ -96,7 +97,8 @@ def write_instances(root: Path) -> list[str]:
                "elements": [_float_range_payload(kind, dim),
                             _payload(kind, dim, np.random.default_rng(i), 0.5)]}
         (root / name).write_text(json.dumps(doc), encoding="utf-8")
-    for name, doc in {**CONTRACT_FILES, "wide-spin.json": WIDE_SPIN}.items():
+    for name, doc in {**CONTRACT_FILES, "wide-spin.json": WIDE_SPIN,
+                      "overflow-sym.json": OVERFLOW_SYM}.items():
         (root / name).write_bytes(contract_bytes(doc))
     return names
 
@@ -135,6 +137,12 @@ def successful_commands(instances: list[str]) -> list[list[str]]:
              "--output", "plan.txt"],
         ]
     cmds.append(["sweep", "--input", "wide-spin.json", "--scheme", "g,f", "--n", "1:16:x2"])
+    for name in ("overflow-single.json", "overflow-sym.json"):
+        cmds += [
+            ["sweep", "--input", name, "--scheme", "g,f", "--n", "1:16:x2"],
+            ["sweep", "--input", name, "--scheme", "g,f", "--n", "1:16:x2", "--out", "json"],
+            ["plan", "--input", name, "--mode", "measured", "--eps", "1e-3"],
+        ]
     cmds += [["bounds", "--input", name, "--scheme", "g,f", "--n", "1,2"] for name in FLOAT_RANGE]
     return cmds
 

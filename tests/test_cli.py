@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jbtrotter import cli, trotter
-from jbtrotter.algebras import AlgebraDescriptor, jb_norm, random_element
+from jbtrotter.algebras import AlgebraDescriptor, jb_norm, random_element, unit
 from jbtrotter.instances import ProblemInstance, load_instance, save_instance
 from jbtrotter.jets import Jet
 from conftest import cli_env, spectrum_past_the_float_range
@@ -501,19 +501,88 @@ def test_overflowing_instance_is_one_input_error(tmp_path):
         {"algebra": {"kind": "spin", "dim": 2},
          "elements": [{"s": 0, "v": [355.29, 0]}, {"s": 0, "v": [0, 355.29]}]},
     )
+    sweep = ("sweep", "--n", "1:16:x2", "--input")
+    plan = ("plan", "--eps", "1e-3", "--mode", "measured", "--input")
     for k, doc in enumerate(docs):
         path = tmp_path / f"overflow{k}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        for argv in (
-            ("sweep", "--input", str(path)),
-            ("plan", "--eps", "1e-3", "--mode", "measured", "--input", str(path)),
-        ):
-            res = run_cli(*argv)
-            assert res.returncode == 3, argv
+        # Only exp of the sum past the float range leaves nothing to measure.
+        # Elsewhere an evaluation past it reads inf, and doc 3's exp of the
+        # sum, about 1e218, puts its roundoff floor far above eps.
+        want_code = {sweep: 3 if k == 0 else 0, plan: {0: 3, 3: 5}.get(k, 0)}
+        for argv, code in want_code.items():
+            res = run_cli(*argv, str(path))
+            assert res.returncode == code, argv
+            if code == 0:
+                assert res.stderr == "", argv
+                assert "nan" not in res.stdout, argv
+                if argv == sweep:
+                    assert res.stdout.split("\n")[1].split(",")[:3] == ["g", "1", "inf"], k
+                continue
+            kind = "input" if code == 3 else "capacity"
             assert res.stdout == "", argv
             err_lines = res.stderr.strip().split("\n")
-            assert len(err_lines) == 1 and err_lines[0].startswith("error[input]:"), argv
-            assert "RuntimeWarning" not in res.stderr, argv
+            assert len(err_lines) == 1 and err_lines[0].startswith(f"error[{kind}]:"), argv
+
+
+def _plan_values(out: str):
+    """n_min, error(n_min) and error(n_min - 1) of a measured plan report."""
+    lines = out.split("\n")
+    n_min = int(lines[1].split()[1])
+    return n_min, float(lines[2].split()[1]), float(lines[3].split()[1])
+
+
+@pytest.mark.parametrize("name, eps, want", [
+    ("overflow-single.json", "1e-1", 2),
+    ("overflow-sym.json", "1e-3", 18761),
+])
+def test_measured_plan_steps_past_overflowing_factors(name, eps, want, tmp_path, capsys):
+    # exp of the sum is finite, exp of the single elements at n = 1 is not:
+    # error(1) reads inf and the search doubles on past it.
+    path = tmp_path / name
+    path.write_bytes(contract_bytes({**CONTRACT_FILES, "overflow-sym.json": OVERFLOW_SYM}[name]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run_in_process(capsys, "plan", "--input", str(path), "--mode",
+                                         "measured", "--eps", eps)
+    assert (code, err) == (0, "")
+    n_min, value, prev = _plan_values(out)
+    assert n_min == want
+    assert value <= float(eps)
+    assert math.isinf(prev) or float(eps) < prev
+
+
+def test_overflowing_factors_read_inf_on_every_family(descriptor, tmp_path, capsys):
+    # A finite sum whose single elements, scaled by 800, overflow exp at
+    # n = 1: a sweep reads inf exactly where the scheme's product leaves
+    # the float range, a sweep of g and f gives the rows of one sweep each,
+    # and the measured plan is minimal.  No nan, no stderr, no warning.
+    elems = [unit(descriptor) * 800.0,
+             unit(descriptor) * -800.0 + random_element(descriptor, 5, 1.0)]
+    path = tmp_path / "factors.json"
+    save_instance(ProblemInstance(descriptor, tuple(elems)), path)
+    ns = "1:256:x2"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = {s: _run_in_process(capsys, "sweep", "--input", str(path), "--scheme", s,
+                                   "--n", ns, "--out", "json")
+                for s in ("g,f", "g", "f")}
+        plan = _run_in_process(capsys, "plan", "--input", str(path), "--mode", "measured",
+                               "--eps", "1e-3")
+    for code, out, err in (*runs.values(), plan):
+        assert (code, err) == (0, "")
+        assert "nan" not in out
+    records = json.loads(runs["g,f"][1])["records"]
+    assert records == (json.loads(runs["g"][1])["records"]
+                       + json.loads(runs["f"][1])["records"])
+    approx = {"g": trotter.approx_g, "f": trotter.approx_f}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rec in records:
+            product = approx[rec["scheme"]](elems, rec["n"])
+            assert (rec["error"] == "inf") == (not np.isfinite(product.data).all()), rec
+    assert any(rec["error"] == "inf" for rec in records)
+    _, value, prev = _plan_values(plan[1])
+    assert value <= 1e-3 and (math.isinf(prev) or 1e-3 < prev)
 
 
 def test_spectrum_past_the_float_range_is_read_alike_on_every_family(descriptor, tmp_path,
@@ -995,6 +1064,10 @@ ZERO8 = [0.0] * 8
 # it needs is finite.
 WIDE_SPIN = {"algebra": {"kind": "spin", "dim": 2},
              "elements": [{"s": -400, "v": [1000, 0]}, {"s": 0.1, "v": [0, 0.2]}]}
+# A sym:2 pair whose sum is finite but whose scheme g and f evaluations
+# leave the float range up to n = 32.
+OVERFLOW_SYM = {"algebra": {"kind": "sym", "dim": 2},
+                "elements": [[800, 0.5, 0.5, -800], [-800, 0, 0, 800]]}
 CONTRACT_FILES = {
     "pair.json": {"algebra": {"kind": "sym", "dim": 2},
                   "elements": [[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, -1.0]]},

@@ -143,21 +143,45 @@ def test_overflowing_exp_sum_raises(descriptor):
         measured_error("g", elems, 2)
     with pytest.raises(NonFiniteError):
         sweep("f", elems, [1, 2])
-    # The sum is finite, but exp of the single elements overflows at n = 1.
+    # The sum is finite, but exp of the single elements overflows at n = 1:
+    # the error there reads inf, as a bound past the float range does.
     elems = [unit(descriptor) * 800.0, unit(descriptor) * -800.0 + elems[1]]
     assert np.isfinite(exp_sum(elems).data).all()
-    with pytest.raises(NonFiniteError, match="scheme g product at n=1"):
-        measured_error("g", elems, 1)
-    with pytest.raises(NonFiniteError):
-        sweep("f", elems, [1, 256])
-    with pytest.raises(NonFiniteError):
-        plan_min_n("g", 1e-3, elements=elems, mode="measured")
+    assert measured_error("g", elems, 1) == math.inf
+    first, last = sweep("f", elems, [1, 256])
+    assert math.isinf(first.error) and math.isfinite(last.error)
+    assert_plan_is_minimal("g", elems, 1e-3)
     # Finite entries, but the spectrum itself is past the float range.
     elems = [spectrum_past_the_float_range(descriptor)]
     with pytest.raises(NonFiniteError, match="exp of the sum"):
         exp_sum(elems)
     with pytest.raises(NonFiniteError, match="exp of the sum"):
         measured_error("g", elems, 1)
+
+
+def assert_plan_is_minimal(scheme, elems, eps):
+    """The measured planner's rule: error(n_min) <= eps < error(n_min - 1),
+    where error(n_min - 1) may be inf but never NaN."""
+    n_min = plan_min_n(scheme, eps, elements=elems, mode="measured")
+    assert measured_error(scheme, elems, n_min) <= eps
+    if n_min > 1:
+        prev = measured_error(scheme, elems, n_min - 1)
+        assert math.isinf(prev) or eps < prev, prev
+    return n_min
+
+
+@pytest.mark.parametrize("elems, eps, n_min", [
+    # spin:1 with s = +-800: only the factors at n = 1 overflow.
+    ([spin_element(800.0, [1.0]), spin_element(-800.0, [0.0])], 1e-1, 2),
+    # sym:2 whose sum is finite: the products overflow well past n = 1.
+    ([sym_element([[800.0, 0.5], [0.5, -800.0]]), sym_element([[-800.0, 0.0], [0.0, 800.0]])],
+     1e-3, 18761),
+], ids=["spin-pair", "sym-pair"])
+def test_measured_plan_steps_past_overflowing_factors(elems, eps, n_min):
+    # A step count whose evaluation leaves the float range is one more
+    # step count whose error is above eps: the search doubles past it.
+    assert math.isinf(measured_error("g", elems, 1))
+    assert assert_plan_is_minimal("g", elems, eps) == n_min
 
 
 def test_exp_sum_of_a_wide_spin_spectrum():
@@ -168,14 +192,14 @@ def test_exp_sum_of_a_wide_spin_spectrum():
     assert got[2] == 0.0
 
 
-def test_error_past_the_float_range_raises():
+def test_error_past_the_float_range_reads_inf():
     # exp of the sum and the g product at n = 1 are finite, but the norm
     # s + |v| of the product, about 2.4e308, and so the error, is not.
     elems = [spin_element(0.0, [355.29, 0.0]), spin_element(0.0, [0.0, 355.29])]
     assert np.isfinite(exp_sum(elems).data).all()
     assert np.isfinite(approx_g(elems, 1).data).all()
-    with pytest.raises(NonFiniteError, match="scheme g error at n=1"):
-        sweep("g", elems, [1])
+    [record] = sweep("g", elems, [1])
+    assert math.isinf(record.error)
 
 
 @pytest.mark.parametrize("outer", ["default", "raise"])
@@ -188,10 +212,11 @@ def test_numpy_warning_state_is_restored(outer):
         lambda elems: measured_error("f", elems, 1),
         lambda elems: plan_min_n("g", 1e-3, elements=elems, mode="measured"),
     )
-    overflowing = (
-        # exp of the sum overflows
-        [sym_element([[800.0, 0.0], [0.0, 1.0]]), sym_element([[0.0, 1.0], [1.0, 0.0]])],
-        # the sums are finite, exp of the single elements overflows
+    # exp of the sum overflows
+    overflowing_sum = [sym_element([[800.0, 0.0], [0.0, 1.0]]),
+                       sym_element([[0.0, 1.0], [1.0, 0.0]])]
+    # the sums are finite, exp of the single elements overflows
+    overflowing_factors = (
         [sym_element([[800.0, 0.0], [0.0, 1.0]]), sym_element([[-800.0, 1.0], [1.0, 0.0]])],
         [spin_element(800.0, [1.0]), spin_element(-800.0, [0.0])],
     )
@@ -199,12 +224,12 @@ def test_numpy_warning_state_is_restored(outer):
     with np.errstate(**state):
         before = np.geterr()
         for call in calls:
-            call(pauli_pair())
-            assert np.geterr() == before
-            for elems in overflowing:
-                with pytest.raises(NonFiniteError):
-                    call(elems)
+            for elems in (pauli_pair(),) + overflowing_factors:
+                call(elems)
                 assert np.geterr() == before
+            with pytest.raises(NonFiniteError):
+                call(overflowing_sum)
+            assert np.geterr() == before
 
 
 def test_arguments_are_checked_before_exp_of_the_sum():
@@ -350,10 +375,10 @@ def test_sweep_and_measured_plan_decompose_each_element_once(matrix_descriptor, 
 # multi-scheme sweeps: step counts outer, schemes inner, factors shared
 
 
-def test_multi_scheme_sweep_raises_what_a_sweep_per_scheme_would(monkeypatch):
+def test_multi_scheme_sweep_past_the_float_range_is_each_schemes_sweep(monkeypatch):
     # f's product leaves the float range from n = 1 and g's only from n = 4:
-    # a sweep of each scheme in turn meets g's failure first when g comes
-    # first, even though the step-count loop reaches f's failure earlier.
+    # every (scheme, n) is still measured, the overflowing ones reading
+    # inf, in either scheme order.
     def failing_from(approx, first_bad_n):
         def product(elems, n, factor=None):
             value = approx(elems, n, factor)
@@ -362,11 +387,14 @@ def test_multi_scheme_sweep_raises_what_a_sweep_per_scheme_would(monkeypatch):
 
     monkeypatch.setitem(trotter._APPROX, "g", failing_from(approx_g, 4))
     monkeypatch.setitem(trotter._APPROX, "f", failing_from(approx_f, 1))
-    elems = pauli_pair()
-    with pytest.raises(NonFiniteError, match="scheme g product at n=4"):
-        trotter._sweep_schemes(["g", "f"], elems, [1, 2, 4, 8])
-    with pytest.raises(NonFiniteError, match="scheme f product at n=1"):
-        trotter._sweep_schemes(["f", "g"], elems, [1, 2, 4, 8])
+    elems, ns = pauli_pair(), [1, 2, 4, 8]
+    alone = {s: sweep(s, elems, ns) for s in "gf"}
+    for order in ("gf", "fg"):
+        rows = dict(zip(order, trotter._sweep_schemes(list(order), elems, ns)))
+        assert [r.n for r in rows["g"]] == [r.n for r in rows["f"]] == ns
+        assert [math.isinf(r.error) for r in rows["g"]] == [False, False, True, True]
+        assert all(math.isinf(r.error) for r in rows["f"])
+        assert rows == alone
 
 
 @pytest.mark.parametrize("scheme, m", [("g", 1), ("g", 3), ("f", 1), ("f", 3), ("h", 3)])
@@ -455,6 +483,21 @@ def test_empirical_order_flags_floor_level_errors():
     recs = [SweepRecord(scheme="g", n=n, error=1e-16) for n in (32, 64, 128, 256)]
     with pytest.raises(DegenerateDecayError):
         empirical_order(recs)
+
+
+def test_empirical_order_leaves_infinite_errors_out():
+    # Evaluations past the float range read inf; the fit runs on the rest,
+    # since an inf in it makes the order nan.  The CLI fits under numpy's
+    # raise policy, so the test does too.
+    inf_recs = [SweepRecord(scheme="g", n=n, error=math.inf) for n in (1, 2)]
+    with np.errstate(over="raise", invalid="raise"):
+        recs = inf_recs + _fake_records(2.0, ns=(4, 8, 16, 32, 64))
+        assert empirical_order(recs) == pytest.approx(2.0, abs=1e-9)
+        # Too few finite records is not a commuting instance.
+        recs = inf_recs + _fake_records(2.0, ns=(4, 8, 16))
+        with pytest.raises(ValueError) as info:
+            empirical_order(recs)
+        assert not isinstance(info.value, DegenerateDecayError)
 
 
 def test_empirical_order_needs_four_records():
