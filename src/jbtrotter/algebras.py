@@ -504,8 +504,13 @@ def _real_cubic_roots(t: float, s: float, n: float) -> np.ndarray:
     q = t * s / 3.0 - 2.0 * t**3 / 27.0 - n
     third = t / 3.0
     # For genuinely real-rooted cubics p <= 0; tiny positive p is roundoff
-    # from a near-triple root.
-    if p > -1e-300:
+    # from a near-triple root.  The trig branch divides by p m =
+    # -(2/sqrt 3) (-p)^(3/2), normal only for -p above about 7e-206, so any
+    # -p <= 1e-200 takes the triple root.  At the unit scale of the albert
+    # caller that puts every root within about 1e-100 of t/3 + mu, and mu
+    # lies that close to the largest payload entry, at least 1/2 in size,
+    # so the triple root rounds to the same spectrum.
+    if p > -1e-200:
         return np.full(3, third + float(np.cbrt(-q)))
     m = 2.0 * math.sqrt(-p / 3.0)
     c = min(1.0, max(-1.0, 3.0 * q / (p * m)))

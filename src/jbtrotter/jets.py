@@ -15,7 +15,9 @@ facts behind the second-order error bounds:
   on jets, so the jets and the approximants cannot drift apart;
 * pulling the exact exponential back through the inverted symmetrized
   wrappers cancels everything through degree 2, leaving a defect curve
-  that starts at degree 3.
+  that starts at degree 3.  The pull-back is scheme f's step on
+  (sum A_j, -A_m, ..., -A_1), a list that sums to zero, so this claim is
+  f's agreement with exp(t * 0) = 1 and ``step_jet`` states it too.
 
 Degree-3 coefficients generically differ, which is what keeps the
 schemes from being third-order accurate.
@@ -149,21 +151,20 @@ def symmetrized_step_jet(elements, degree: int = DEFAULT_DEGREE) -> Jet:
 
 
 def inverse_sandwich_defect_jet(elements, degree: int = DEFAULT_DEGREE) -> Jet:
-    """Exact exponential pulled back through the inverted f-step wrappers.
+    """Exact exponential pulled back through the inverted f-step wrappers,
+    minus the constant unit jet.
 
-    Wraps the jet of exp(t sum A_j) in the quadratic maps of exp(-t A_j/2),
-    innermost the last element, outermost the first, then subtracts the
-    constant unit jet.  Each wrapper removes its element from the exponent
-    exactly through second order, so coefficients 0 through 2 of the result
-    all vanish; the generic leading term sits at degree 3.
+    The pull-back is scheme f's step on (sum A_j, -A_m, ..., -A_1): the
+    jet of exp(t sum A_j) as the core, wrapped in the quadratic maps of
+    exp(-t A_j/2), innermost the last element, outermost the first.  That
+    list sums to zero and f's step agrees with exp(t * 0) = 1 through
+    degree 2, so coefficients 0 through 2 of the result all vanish; the
+    generic leading term sits at degree 3.
     """
     elems = _check_elements(elements)
     total = reduce(lambda a, b: a + b, elems)
-    cur = jet_exp(total, degree)
-    for a in reversed(elems):
-        w = jet_exp(-0.5 * a, degree)
-        cur = jet_quad_map(w, cur)
-    return cur - jet_unit(elems[0].descriptor, degree)
+    pulled_back = step_jet("f", [total] + [-a for a in reversed(elems)], degree)
+    return pulled_back - jet_unit(elems[0].descriptor, degree)
 
 
 def evaluate_jet(p: Jet, t: float) -> Element:

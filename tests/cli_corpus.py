@@ -8,9 +8,10 @@ basenames.  The corpus holds successful commands (every subcommand, all
 four families, csv/json/plotdata, --output files, bound and measured
 plan, a spin sweep over a spectrum 2000 wide, sweeps and measured plans
 of two instances whose evaluations leave the float range, bounds on a
-spectrum past the float range) and the error paths: the instance files
-of the CLI error-contract test, and the commands that need an
-exponential of a spectrum past the float range.
+spectrum past the float range, every command on an albert instance whose
+first element is 1 plus an off-diagonal part of 1e-120) and the error
+paths: the instance files of the CLI error-contract test, and the
+commands that need an exponential of a spectrum past the float range.
 Each command prints one line: its argv, its exit code, and the sha256 of
 its stdout, its stderr and each file it wrote.  The output does not
 depend on PYTHONHASHSEED, and diffing the output of two checkouts shows
@@ -39,7 +40,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from jbtrotter import cli  # noqa: E402
-from test_cli import CONTRACT_FILES, OVERFLOW_SYM, WIDE_SPIN, contract_bytes  # noqa: E402
+from test_cli import (  # noqa: E402
+    CONTRACT_FILES,
+    NEAR_UNIT_ALBERT,
+    OVERFLOW_SYM,
+    WIDE_SPIN,
+    contract_bytes,
+)
 
 FAMILIES = (("sym", 3), ("herm", 3), ("spin", 4), ("spin", 33), ("albert", 3))
 
@@ -98,7 +105,8 @@ def write_instances(root: Path) -> list[str]:
                             _payload(kind, dim, np.random.default_rng(i), 0.5)]}
         (root / name).write_text(json.dumps(doc), encoding="utf-8")
     for name, doc in {**CONTRACT_FILES, "wide-spin.json": WIDE_SPIN,
-                      "overflow-sym.json": OVERFLOW_SYM}.items():
+                      "overflow-sym.json": OVERFLOW_SYM,
+                      "near-unit-albert.json": NEAR_UNIT_ALBERT}.items():
         (root / name).write_bytes(contract_bytes(doc))
     return names
 
@@ -144,6 +152,15 @@ def successful_commands(instances: list[str]) -> list[list[str]]:
             ["plan", "--input", name, "--mode", "measured", "--eps", "1e-3"],
         ]
     cmds += [["bounds", "--input", name, "--scheme", "g,f", "--n", "1,2"] for name in FLOAT_RANGE]
+    # The sweep's errors sit at the roundoff floor: no order is fitted.
+    name = "near-unit-albert.json"
+    cmds += [
+        ["bounds", "--input", name, "--scheme", "g,f", "--n", "1,2"],
+        ["sweep", "--input", name, "--scheme", "g,f", "--n", "1:16:x2"],
+        ["jets", "--input", name],
+        ["plan", "--input", name, "--eps", "1e-3"],
+        ["plan", "--input", name, "--mode", "measured", "--eps", "1e-3"],
+    ]
     return cmds
 
 

@@ -621,6 +621,37 @@ def test_tiny_albert_spectrum_is_the_scaled_spectrum():
     assert jb_norm(albert_element([1e200, 0.0, 0.0], z, z, z)) == 1e200
 
 
+def _unit_multiple_plus_tiny(descriptor, c, eps):
+    """c 1 plus eps times the first off-diagonal basis element."""
+    k = descriptor.dim
+    if descriptor.kind == "spin":
+        return spin_element(c, [eps] + [0.0] * (k - 1))
+    if descriptor.kind == "albert":
+        z = [0.0] * 8
+        return albert_element([c] * 3, [eps] + z[1:], z, z)
+    m = c * np.eye(k)
+    m[0, 1] = m[1, 0] = eps
+    return (sym_element if descriptor.kind == "sym" else herm_element)(m)
+
+
+@pytest.mark.parametrize("c", [1.0, -2.0], ids=str)
+def test_unit_multiple_plus_a_tiny_part(descriptor, c):
+    # On albert, eps from 1e-108 to 1e-149 once put the characteristic
+    # cubic's p where the trig root formula's p m rounds to 0, and the
+    # spectrum, the norm and the exponential divided by zero.  A fresh
+    # element for each: none reads a kept spectrum.
+    want = math.exp(c) * unit(descriptor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(20, 320):
+            eps = 10.0 ** -k
+            assert np.abs(spectrum(_unit_multiple_plus_tiny(descriptor, c, eps)) - c).max() \
+                <= 2 * math.ulp(c), k
+            assert jb_norm(_unit_multiple_plus_tiny(descriptor, c, eps)) == abs(c), k
+            got = exp_spectral(_unit_multiple_plus_tiny(descriptor, c, eps))
+            assert jb_norm(got - want) <= 1e-14 * math.exp(c), k
+
+
 # Spin parts v of exactly representable length |v|, by test id.  v.v
 # overflows above about 1.3e154 and underflows below about 1e-162.
 EXACT_SPIN_PARTS = {

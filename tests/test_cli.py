@@ -1029,6 +1029,23 @@ def test_tiny_albert_instance_runs(tmp_path):
         assert res.stderr == "", argv
 
 
+def test_near_unit_albert_instance_runs(tmp_path, capsys):
+    path = tmp_path / "near-unit-albert.json"
+    path.write_text(json.dumps(NEAR_UNIT_ALBERT), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (
+            ("bounds", "--scheme", "g,f", "--n", "1,2"),
+            ("sweep", "--scheme", "g,f", "--n", "1:16:x2"),
+            ("jets",),
+            ("plan", "--eps", "1e-3"),
+            ("plan", "--mode", "measured", "--eps", "1e-3"),
+        ):
+            code, out, err = _run_in_process(capsys, *argv, "--input", str(path))
+            assert (code, err) == (0, ""), argv
+            assert out, argv
+
+
 def test_jets_needs_two_elements(tmp_path):
     doc = {"algebra": {"kind": "sym", "dim": 2}, "elements": [[0.0, 1.0, 1.0, 0.0]]}
     path = tmp_path / "single.json"
@@ -1068,6 +1085,16 @@ WIDE_SPIN = {"algebra": {"kind": "spin", "dim": 2},
 # leave the float range up to n = 32.
 OVERFLOW_SYM = {"algebra": {"kind": "sym", "dim": 2},
                 "elements": [[800, 0.5, 0.5, -800], [-800, 0, 0, 800]]}
+# An albert pair whose first element is 1 plus an off-diagonal part of
+# 1e-120: its characteristic cubic once divided by zero, and every command
+# exited 3.  It commutes with the second up to about 1e-120, so sweep errors
+# sit at the roundoff floor.
+NEAR_UNIT_ALBERT = {"algebra": {"kind": "albert", "dim": 3}, "elements": [
+    {"diag": [1.0, 1.0, 1.0], "x": [1e-120] + ZERO8[1:], "y": ZERO8, "z": ZERO8},
+    {"diag": [0.3, -0.2, 0.1], "x": [0.1, 0.2, 0.0, -0.1, 0.0, 0.05, 0.0, 0.0],
+     "y": [0.0, -0.15, 0.1, 0.0, 0.2, 0.0, 0.0, 0.1],
+     "z": [0.25, 0.0, 0.0, 0.1, 0.0, 0.0, -0.05, 0.0]},
+]}
 CONTRACT_FILES = {
     "pair.json": {"algebra": {"kind": "sym", "dim": 2},
                   "elements": [[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, -1.0]]},

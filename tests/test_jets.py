@@ -247,6 +247,27 @@ def test_defect_jet_vanishes_through_degree_two(descriptor, m):
     assert jb_norm(u.coefficients[3]) > 1e-6
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_defect_jet_is_the_wrapping_loop_bit_for_bit(descriptor, m):
+    # The defect is scheme f's step on (sum A_j, -A_m, ..., -A_1); its
+    # half-step factor (-A_j) / 2 has the bits of -0.5 A_j, so the result
+    # equals the explicit loop: exp(t sum A_j) wrapped in the U maps of
+    # exp(-t A_j / 2), the last element innermost.
+    elems = seeded_elements(descriptor, m, 83 + m)
+    total = elems[0]
+    for e in elems[1:]:
+        total = total + e
+    for degree in (2, 3, 5):
+        want = jet_exp(total, degree)
+        for a in reversed(elems):
+            want = jet_quad_map(jet_exp(-0.5 * a, degree), want)
+        want = want - jet_unit(descriptor, degree)
+        got = inverse_sandwich_defect_jet(elems, degree)
+        assert got.degree == degree
+        for k, (x, y) in enumerate(zip(got.coefficients, want.coefficients)):
+            assert np.array_equal(x.data, y.data), (degree, k)
+
+
 def test_pauli_degree_three_gap_closed_form():
     a, b = pauli_pair()
     ref = jet_exp(a + b, 3)

@@ -10,6 +10,7 @@ import numpy as np
 from jbtrotter.algebras import AlgebraDescriptor, spin_element
 from jbtrotter.instances import instance_from_dict
 from jbtrotter.trotter import SweepRecord
+from cli_corpus import error_commands, successful_commands, write_instances
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -37,3 +38,10 @@ def test_instance_file_example_loads():
     assert instance.label == "example"
     (element,) = instance.elements
     np.testing.assert_array_equal(element.data, spin_element(0.5, [0.1, 0.2, 0.3, 0.4]).data)
+
+
+def test_corpus_count_is_the_corpus_length(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    stated = int(re.search(r"It runs (\d+) fixed\s+command lines", text).group(1))
+    instances = write_instances(tmp_path)
+    assert stated == len(successful_commands(instances)) + len(error_commands())
