@@ -361,10 +361,23 @@ def albert_parts(a: Element) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 # ``norm_form`` and ``real_part`` never call it.
 
 
+def _finite(x: np.ndarray) -> bool:
+    """Whether every entry of a sym or herm payload is finite.  LAPACK can
+    return finite eigenvalues for a payload holding a NaN, and zheevd raises
+    ``LinAlgError`` on one holding an inf.  The payload's dot product with
+    zeros, one pass that cannot overflow, is 0 when every entry is finite
+    and NaN otherwise."""
+    return np.vdot(x, np.zeros(x.shape, x.dtype)) == 0
+
+
 def _eigh(a: Element):
-    """(w, V) with data = V diag(w) V^H, sym and herm only; ``np.linalg.eigh``
-    is looked up on each call, so a wrapper installed on it sees them all."""
-    return np.linalg.eigh(a.data)
+    """(w, V) with data = V diag(w) V^H, sym and herm only, both NaN for a
+    payload holding an inf or a NaN; ``np.linalg.eigh`` is looked up on each
+    call, so a wrapper installed on it sees them all."""
+    x = a.data
+    if not _finite(x):
+        return np.full(a.descriptor.dim, math.nan), np.full(x.shape, math.nan, x.dtype)
+    return np.linalg.eigh(x)
 
 
 class _MatrixFamily:
@@ -391,13 +404,9 @@ class _MatrixFamily:
         return _hermitian_part(x @ y)
 
     def eigvals(self, a: Element) -> np.ndarray:
-        x = a.data
-        # LAPACK can return finite eigenvalues for a payload holding a NaN.
-        # The payload's dot product with zeros, one pass that cannot
-        # overflow, is 0 when every entry is finite and NaN otherwise.
-        if np.vdot(x, np.zeros(x.shape, x.dtype)) != 0:
+        if not _finite(a.data):
             return np.full(a.descriptor.dim, math.nan)
-        return np.linalg.eigvalsh(x)
+        return np.linalg.eigvalsh(a.data)
 
     def exp(self, a: Element, d: int) -> Element:
         # exp(a / d) = V diag(e^(w / d)) V^H from the decomposition of a
@@ -710,10 +719,7 @@ def exp_spectral(a: Element, d: int = 1) -> Element:
     never raises ``OverflowError``.  Where e^l of the top eigenvalue l of
     a / d leaves the float range, the payload returned holds an inf or a
     NaN; where e^l and the spectrum of a / d lie inside it, the result is
-    accurate.  Inside a caller's ``np.errstate(over="raise",
-    invalid="raise")`` the numpy steps of such an overflow may raise
-    ``FloatingPointError`` instead, as any numpy operation does there; the
-    CLI reports either as an input error.
+    accurate.
     """
     _check_count(d, "divisor d")
     return a.descriptor._family.exp(a, d)

@@ -20,11 +20,12 @@ subcommand takes --output, a file to write in place of stdout.
 Every failure path prints a single line to stderr of the form
 ``error[<kind>]: <reason>`` and exits with the code for that kind: 2
 usage, 3 input (an unreadable, malformed or rejected instance, an
-exponential of the element sum past the float range, or a ``jets``
-computation past it), 4 verification failure, 5 capacity (a request past
-one of the limits above, or a plan that needs more than 2^30 steps).  A
-measured error past the float range is not a failure: it reads inf, as
-a bound does.
+exponential of the element sum past the float range, or for ``jets`` a
+jet of it or a tolerance scale past it; any other arithmetic fault names
+its type), 4 verification failure, 5 capacity (a request past one of the
+limits above, or a plan that needs more than 2^30 steps).  A measured
+error past the float range is not a failure: it reads inf, as a bound
+does.
 
 main(argv) may be called many times in one process: it builds its parser
 on the first call and reads $JBTROTTER_SEED on every call.
@@ -59,8 +60,10 @@ from .trotter import (
     MAX_PLAN_N,
     SCHEMES,
     DegenerateDecayError,
+    NonFiniteError,
     SweepRecord,
     _plan,
+    _quiet,
     _sweep_schemes,
     bounds_for,
     empirical_order,
@@ -393,30 +396,38 @@ def cmd_plan(args, out) -> int:
 
 
 def _jets_report(elements, label, degree, tol, out) -> int:
-    total = functools.reduce(lambda a, b: a + b, elements)
-    s = sum(jb_norm(e) for e in elements)
-    scale = (1.0 + s) ** 3
-    limit = tol * scale
-    reference = jet_exp(total, degree)
-    nil = jet_zero(elements[0].descriptor, degree)
-    checks = [(name, step_jet(scheme, elements, degree), reference)
-              for name, scheme in (("product-step", "g"), ("symmetrized-step", "f"))]
-    checks.append(("inverse-sandwich-defect", inverse_sandwich_defect_jet(elements, degree), nil))
-    out.write(f"instance {label} elements {len(elements)} degree {degree}\n")
-    ok = True
-    for name, jet, ref in checks:
-        r = residual(jet, ref, 2)
-        passed = r <= limit
-        ok = ok and passed
-        status = "pass" if passed else "FAIL"
-        out.write(f"{name:<26} deg<=2 residual {_fmt(r)} tol {_fmt(limit)} {status}\n")
-    if degree >= 3:
-        # Degree 3 is where each check's generic leading term sits: the gap
-        # of each step from exp, and the defect's own magnitude.
+    """The jet checks of one instance, inside ``_quiet()`` as a measurement
+    is; ``NonFiniteError`` if the tolerance scale or the jet of exp of the
+    sum leaves the float range, since then nothing can be checked."""
+    with _quiet():
+        # np.float64 reads inf past the float range where a Python float
+        # raises OverflowError; below it the bits are the same.
+        limit = tol * np.float64(1.0 + sum(jb_norm(e) for e in elements)) ** 3
+        reference = jet_exp(functools.reduce(lambda a, b: a + b, elements), degree)
+        if not (np.isfinite(limit) and all(np.isfinite(c.data).all()
+                                           for c in reference.coefficients)):
+            raise NonFiniteError("the jet of exp of the sum of the elements or its tolerance "
+                                 "scale leaves the float range")
+        nil = jet_zero(elements[0].descriptor, degree)
+        checks = [(name, step_jet(scheme, elements, degree), reference)
+                  for name, scheme in (("product-step", "g"), ("symmetrized-step", "f"))]
+        checks.append(("inverse-sandwich-defect", inverse_sandwich_defect_jet(elements, degree),
+                       nil))
+        out.write(f"instance {label} elements {len(elements)} degree {degree}\n")
+        ok = True
         for name, jet, ref in checks:
-            gap = jb_norm(jet.coefficients[3] - ref.coefficients[3])
-            what = "magnitude" if ref is nil else "gap"
-            out.write(f"degree-3 {what} {name} {_fmt(gap)}\n")
+            r = residual(jet, ref, 2)
+            passed = r <= limit
+            ok = ok and passed
+            status = "pass" if passed else "FAIL"
+            out.write(f"{name:<26} deg<=2 residual {_fmt(r)} tol {_fmt(limit)} {status}\n")
+        if degree >= 3:
+            # Degree 3 is where each check's generic leading term sits: the
+            # gap of each step from exp, and the defect's own magnitude.
+            for name, jet, ref in checks:
+                gap = jb_norm(jet.coefficients[3] - ref.coefficients[3])
+                what = "magnitude" if ref is nil else "gap"
+                out.write(f"degree-3 {what} {name} {_fmt(gap)}\n")
     return _verdict(ok, out)
 
 
@@ -532,9 +543,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         out = io.StringIO()
-        # A numpy overflow raises instead of warning and going on with inf.
-        with np.errstate(over="raise", invalid="raise"):
-            code = args.func(args, out)
+        code = args.func(args, out)
         # Empty only when plotdata went to one file per scheme.
         if out.getvalue():
             _emit(out.getvalue(), args.output)
@@ -549,8 +558,10 @@ def main(argv=None) -> int:
         # The parser has checked every argument, so whatever the library
         # rejects is the input's fault.
         kind, reason, code = "input", str(exc), EXIT_INPUT
-    except ArithmeticError:
-        kind, reason, code = "input", "a computation leaves the float range", EXIT_INPUT
+    except ArithmeticError as exc:
+        # Past the float range the library reads inf or raises
+        # NonFiniteError, so any other arithmetic fault names its type.
+        kind, reason, code = "input", f"{type(exc).__name__}: {exc}", EXIT_INPUT
     except OSError as exc:
         kind, reason, code = "input", f"io: {exc}", EXIT_INPUT
     print(f"error[{kind}]: {reason}", file=sys.stderr)

@@ -180,10 +180,11 @@ def _check_scheme(scheme: str) -> None:
 
 
 def _quiet():
-    """The warning scope of one public computation: numpy's overflow and
-    invalid-value warnings stay off inside it, since what leaves it (exp
-    of the sum, a measured error) is checked for a value past the float
-    range instead."""
+    """The warning scope of one public computation, and the library's one
+    numpy error policy: numpy's overflow and invalid-value warnings stay
+    off inside it, since what leaves it (exp of the sum, a measured error,
+    and in the CLI's jets report the tolerance scale and the jet of exp of
+    the sum) is checked for a value past the float range instead."""
     return np.errstate(over="ignore", invalid="ignore")
 
 

@@ -10,17 +10,19 @@ plan, a spin sweep over a spectrum 2000 wide, sweeps and measured plans
 of two instances whose evaluations leave the float range, bounds on a
 spectrum past the float range, every command on an albert instance whose
 first element is 1 plus an off-diagonal part of 1e-120) and the error
-paths: the instance files of the CLI error-contract test, and the
-commands that need an exponential of a spectrum past the float range.
-Each command prints one line: its argv, its exit code, and the sha256 of
-its stdout, its stderr and each file it wrote.  The output does not
-depend on PYTHONHASHSEED, and diffing the output of two checkouts shows
-which commands changed.  The whole list runs twice in the same process
-(which shares one parser and the library's memos), and each line prints
-once, from the first pass.  The exit code is 1 if a command meant to
-succeed did not, or if any line of the second pass differs from the
-first; stderr names those commands.  (No test_ prefix: pytest does not
-collect this file.)
+paths: the instance files of the CLI error-contract test, the commands
+that need an exponential of a spectrum past the float range, and a herm
+sum holding an inf.  Each command prints one line: its argv, its exit
+code, and the sha256 of its stdout, its stderr and each file it wrote.
+The output does not depend on PYTHONHASHSEED, and diffing the output of
+two checkouts shows which commands changed.  The whole list runs twice in
+the same process (which shares one parser and the library's memos), and
+each line prints once, from the first pass.  The exit code is 1 if a
+command meant to succeed did not, if a command broke the error contract
+(exit 0 or 4 with anything on stderr; exit 2, 3 or 5 with anything but one
+``error[<kind>]`` line of that code's kind; any other exit code), or if
+any line of the second pass differs from the first; stderr names those
+commands.  (No test_ prefix: pytest does not collect this file.)
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ import numpy as np  # noqa: E402
 from jbtrotter import cli  # noqa: E402
 from test_cli import (  # noqa: E402
     CONTRACT_FILES,
+    KIND_OF_CODE,
     NEAR_UNIT_ALBERT,
+    OVERFLOW_SUM_HERM,
     OVERFLOW_SYM,
     WIDE_SPIN,
     contract_bytes,
@@ -106,7 +110,8 @@ def write_instances(root: Path) -> list[str]:
         (root / name).write_text(json.dumps(doc), encoding="utf-8")
     for name, doc in {**CONTRACT_FILES, "wide-spin.json": WIDE_SPIN,
                       "overflow-sym.json": OVERFLOW_SYM,
-                      "near-unit-albert.json": NEAR_UNIT_ALBERT}.items():
+                      "near-unit-albert.json": NEAR_UNIT_ALBERT,
+                      "overflow-sum-herm.json": OVERFLOW_SUM_HERM}.items():
         (root / name).write_bytes(contract_bytes(doc))
     return names
 
@@ -180,6 +185,10 @@ def error_commands() -> list[list[str]]:
             ["sweep", "--input", name, "--scheme", "g,f", "--n", "1,2"],
             ["jets", "--input", name],
         ]
+    cmds += [
+        ["sweep", "--input", "overflow-sum-herm.json", "--scheme", "g,f", "--n", "1,2"],
+        ["plan", "--input", "overflow-sum-herm.json", "--mode", "measured", "--eps", "1e-3"],
+    ]
     return cmds
 
 
@@ -200,12 +209,23 @@ def run(argv: list[str], root: Path, inputs: set[str]):
     return code, out.getvalue(), err.getvalue(), written
 
 
-def line(argv: list[str], root: Path, inputs: set[str]) -> tuple[int, str]:
-    """Exit code and corpus line of one command."""
+def keeps_the_contract(code: int, err: str) -> bool:
+    """Exit 0 or 4 with nothing on stderr, or exit 2, 3 or 5 with one
+    ``error[<kind>]`` line of that code's kind."""
+    if code in KIND_OF_CODE:
+        return err.startswith(f"error[{KIND_OF_CODE[code]}]: ") and err.count("\n") == 1 \
+            and err.endswith("\n")
+    return code in (0, 4) and err == ""
+
+
+def line(argv: list[str], root: Path, inputs: set[str]) -> tuple[int, bool, str]:
+    """Exit code, whether the error contract held, and corpus line of one
+    command."""
     code, out, err, written = run(argv, root, inputs)
     files = " ".join(f"{name}={_sha(data)}" for name, data in written.items())
-    return code, (f"{' '.join(argv)} | exit {code} | stdout {_sha(out.encode())}"
-                  f" | stderr {_sha(err.encode())} | files {files or '-'}")
+    return code, keeps_the_contract(code, err), (
+        f"{' '.join(argv)} | exit {code} | stdout {_sha(out.encode())}"
+        f" | stderr {_sha(err.encode())} | files {files or '-'}")
 
 
 def main() -> int:
@@ -225,19 +245,22 @@ def main() -> int:
             second = [line(argv, root, inputs) for argv, _ in corpus]
         finally:
             os.chdir(cwd)
-    for _, text in first:
+    for _, _, text in first:
         print(text)
-    failed = [argv for (argv, must_succeed), (code, _) in zip(corpus, first)
+    failed = [argv for (argv, must_succeed), (code, _, _) in zip(corpus, first)
               if must_succeed and code != 0]
+    broken = [argv for (argv, _), (_, kept, _) in zip(corpus, first) if not kept]
     unstable = [argv for (argv, _), a, b in zip(corpus, first, second) if a != b]
     print(f"{len(corpus)} commands, {len(failed)} expected successes failed, "
-          f"{len(unstable)} changed in the second pass, "
-          f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
+          f"{len(broken)} broke the error contract, {len(unstable)} changed in the second "
+          f"pass, {time.perf_counter() - start:.1f} s", file=sys.stderr)
     for argv in failed:
         print(f"failed: {' '.join(argv)}", file=sys.stderr)
+    for argv in broken:
+        print(f"broke the error contract: {' '.join(argv)}", file=sys.stderr)
     for argv in unstable:
         print(f"changed in the second pass: {' '.join(argv)}", file=sys.stderr)
-    return 1 if failed or unstable else 0
+    return 1 if failed or broken or unstable else 0
 
 
 if __name__ == "__main__":

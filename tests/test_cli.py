@@ -698,7 +698,8 @@ def test_huge_entries_are_one_input_error(tmp_path, capsys):
 def test_overflowing_jet_coefficients_are_one_input_error(tmp_path, capsys):
     # Norms and jet scales of 1e90 entries are finite; the degree-4 jet
     # coefficients are not.  numpy warnings are not errors here, as in a
-    # plain run, so only the CLI's own raise scope can stop the report.
+    # plain run, so only the report's own check of the reference jet can
+    # stop it.
     docs = {
         "sym": {"algebra": {"kind": "sym", "dim": 2},
                 "elements": [[1e90, 1e90, 1e90, 1e90], [1e90, 0, 0, -1e90]]},
@@ -1010,6 +1011,18 @@ def test_jets_checks_every_claim_through_degree_two(pauli_instance, monkeypatch,
     assert out.endswith("result FAIL\n")
 
 
+def test_an_arithmetic_fault_names_its_type(monkeypatch, capsys):
+    # Only a value past the float range is an input of NonFiniteError's
+    # kind; any other arithmetic fault reads as what it is.
+    def divide_by_zero(*args):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(cli, "bounds_for", divide_by_zero)
+    code, out, err = _run_in_process(capsys, "bounds", "--norms", "1,1")
+    assert (code, out) == (3, "")
+    assert err == "error[input]: ZeroDivisionError: float division by zero\n"
+
+
 def test_tiny_albert_instance_runs(tmp_path):
     # Eigenvalue spreads of 1e-140 once underflowed inside the cubic solver.
     zero8 = [0.0] * 8
@@ -1085,6 +1098,10 @@ WIDE_SPIN = {"algebra": {"kind": "spin", "dim": 2},
 # leave the float range up to n = 32.
 OVERFLOW_SYM = {"algebra": {"kind": "sym", "dim": 2},
                 "elements": [[800, 0.5, 0.5, -800], [-800, 0, 0, 800]]}
+# A herm:3 pair whose sum holds an inf at (0, 1) and (1, 0), on which
+# zheevd raised LinAlgError: exp of the sum is past the float range.
+OVERFLOW_SUM_HERM = {"algebra": {"kind": "herm", "dim": 3}, "elements": [
+    [[0, 0], [1e308, 0], [0, 0], [1e308, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]] * 2}
 # An albert pair whose first element is 1 plus an off-diagonal part of
 # 1e-120: its characteristic cubic once divided by zero, and every command
 # exited 3.  It commutes with the second up to about 1e-120, so sweep errors

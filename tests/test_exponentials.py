@@ -2,15 +2,17 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from jbtrotter import algebras
+from jbtrotter import algebras, trotter
 from jbtrotter.algebras import (
     DEGENERATE_ROOT_GAP,
     AlgebraDescriptor,
+    Element,
     albert_element,
     exp_series,
     exp_spectral,
@@ -244,6 +246,19 @@ def test_exp_spectral_edge_of_the_float_range(descriptor):
         assert rel_gap(got, want) < 1e-11, (top, float(spectrum(a)[0]))
         checked += 1
     assert checked >= 27
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_exp_of_a_matrix_payload_past_the_float_range_is_nan(matrix_descriptor, value, where):
+    # No LAPACK routine sees such a payload: its decomposition is NaN.
+    data = unit(matrix_descriptor).data.copy()
+    data[where] = data[where[::-1]] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with trotter._quiet():
+            got = exp_spectral(Element(matrix_descriptor, data))
+    assert np.isnan(got.data).any()
 
 
 def test_exp_large_norm_still_accurate():

@@ -9,6 +9,7 @@ import pytest
 
 from jbtrotter.algebras import (
     AlgebraDescriptor,
+    herm_element,
     jb_norm,
     random_element,
     spin_element,
@@ -157,6 +158,19 @@ def test_overflowing_exp_sum_raises(descriptor):
         exp_sum(elems)
     with pytest.raises(NonFiniteError, match="exp of the sum"):
         measured_error("g", elems, 1)
+
+
+@pytest.mark.parametrize("kind", ["sym", "herm"])
+@pytest.mark.parametrize("dim", range(2, 7))
+@pytest.mark.parametrize("entry", [1e308, -1e308])
+def test_sum_with_an_off_diagonal_inf_raises(kind, dim, entry):
+    # The element taken twice puts an inf at (0, 1) and (1, 0) of the sum,
+    # on which zheevd raised LinAlgError for herm at dim >= 3.
+    x = np.zeros((dim, dim))
+    x[0, 1] = x[1, 0] = entry
+    a = sym_element(x) if kind == "sym" else herm_element(x.astype(complex))
+    with pytest.raises(NonFiniteError, match="exp of the sum"):
+        exp_sum([a, a])
 
 
 def assert_plan_is_minimal(scheme, elems, eps):
@@ -487,8 +501,8 @@ def test_empirical_order_flags_floor_level_errors():
 
 def test_empirical_order_leaves_infinite_errors_out():
     # Evaluations past the float range read inf; the fit runs on the rest,
-    # since an inf in it makes the order nan.  The CLI fits under numpy's
-    # raise policy, so the test does too.
+    # since an inf in it makes the order nan.  The fit runs under numpy's
+    # raise policy here, so a caller's policy is shown to be honored.
     inf_recs = [SweepRecord(scheme="g", n=n, error=math.inf) for n in (1, 2)]
     with np.errstate(over="raise", invalid="raise"):
         recs = inf_recs + _fake_records(2.0, ns=(4, 8, 16, 32, 64))
