@@ -725,6 +725,16 @@ def exp_spectral(a: Element, d: int = 1) -> Element:
     return a.descriptor._family.exp(a, d)
 
 
+def _quiet():
+    """The warning scope of one public computation, and the library's one
+    numpy error policy: numpy's overflow and invalid-value warnings stay
+    off inside it, since what leaves it (a sampled element, exp of the
+    sum, a measured error, and in the CLI's jets report the tolerance
+    scale and the jet of exp of the sum) is checked for a value past the
+    float range instead."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _exp_terms(a: Element, degree: int):
     """The Taylor terms a^k / k! of exp(a), k = 0 .. degree, each the one
     before times a over k: the one recursion behind ``exp_series`` and
@@ -774,7 +784,7 @@ def random_element(descriptor: AlgebraDescriptor, seed: int, target_norm: float 
     scale = target_norm / nrm
     # The one-step factor overflows for a huge target and a draw of norm
     # below 1; the draw then goes to unit norm first.
-    with np.errstate(over="ignore"):
+    with _quiet():
         elem = elem * scale if math.isfinite(scale) else (elem / nrm) * target_norm
     if not np.isfinite(elem.data).all():
         raise ValueError(f"target_norm {target_norm!r} puts the draw past the float range")

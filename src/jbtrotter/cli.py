@@ -8,14 +8,14 @@ written as the string "inf", "-inf" or "nan", and null means a bound does
 not apply.
 
 Arguments are checked as they are parsed: --eps and --tol must be finite
-and positive, --seed (default $JBTROTTER_SEED, else 0) an integer >= 0,
-the step counts in --n strictly increasing and the schemes in --scheme
-distinct (plan takes one).  An instance given with --input fixes the
-norms and the algebra, so bounds and plan refuse --norms or --algebra
-next to it.
+and positive, --seed (default 0) an integer >= 0, the step counts in --n
+strictly increasing and the schemes in --scheme distinct (plan takes
+one).  An instance given with --input fixes the norms and the algebra,
+so bounds and plan refuse --norms or --algebra next to it.
 --trials above 10^6, --degree above 32, a step count in --n above 2^30 and
-an algebra payload above 2^20 entries are capacity errors.  Every
-subcommand takes --output, a file to write in place of stdout.
+an algebra payload above 2^20 entries are capacity errors.  --out
+picks csv, json or plotdata (one block per scheme).  Every subcommand
+takes --output, one file that receives exactly what stdout would show.
 
 Every failure path prints a single line to stderr of the form
 ``error[<kind>]: <reason>`` and exits with the code for that kind: 2
@@ -23,12 +23,12 @@ usage, 3 input (an unreadable, malformed or rejected instance, an
 exponential of the element sum past the float range, or for ``jets`` a
 jet of it or a tolerance scale past it; any other arithmetic fault names
 its type), 4 verification failure, 5 capacity (a request past one of the
-limits above, or a plan that needs more than 2^30 steps).  A measured
-error past the float range is not a failure: it reads inf, as a bound
-does.
+limits above, or a plan that needs more than 2^30 steps).  Only exit 0
+and 4 write --output.  A measured error past the float range is not a
+failure: it reads inf, as a bound does.
 
 main(argv) may be called many times in one process: it builds its parser
-on the first call and reads $JBTROTTER_SEED on every call.
+on the first call, and reads no environment variable.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -199,14 +198,6 @@ def _descriptor_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _emit(text: str, output) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 # ---------------------------------------------------------------------------
 # serialization of row tables
 #
@@ -241,9 +232,10 @@ def _records_json(rows, columns, orders) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _plotdata_blocks(rows, columns, orders) -> dict:
-    # One whitespace table per scheme, in order of first appearance; absent
-    # bounds become nan so the column layout never shifts.
+def _plotdata_blocks(rows, columns, orders) -> str:
+    # One whitespace table per scheme, in order of first appearance, a blank
+    # line between two; absent bounds become nan so the column layout never
+    # shifts.
     value_columns = [c for c in columns if c != "scheme"]
     blocks = {}
     for row in rows:
@@ -254,22 +246,11 @@ def _plotdata_blocks(rows, columns, orders) -> dict:
                 blocks[s].append(f"# empirical_order {orders[s]}")
             blocks[s].append("# " + " ".join(value_columns))
         blocks[s].append(" ".join(_cell(row.get(c), "nan") for c in value_columns))
-    return {s: "\n".join(lines) + "\n" for s, lines in blocks.items()}
+    return "\n".join("\n".join(lines) + "\n" for lines in blocks.values())
 
 
-def _write_table(rows, columns, args, orders, out) -> None:
-    if args.out == "csv":
-        out.write(_records_csv(rows, columns, orders))
-    elif args.out == "json":
-        out.write(_records_json(rows, columns, orders))
-    else:
-        blocks = _plotdata_blocks(rows, columns, orders)
-        if args.output is None or len(blocks) == 1:
-            out.write("\n".join(blocks.values()))
-        else:
-            root, ext = os.path.splitext(args.output)
-            for s, text in blocks.items():
-                _emit(text, f"{root}.{s}{ext}")
+# The --out formats, each the text of a table.
+_TABLES = {"csv": _records_csv, "json": _records_json, "plotdata": _plotdata_blocks}
 
 
 def _sweeps(schemes, elements, ns):
@@ -306,14 +287,6 @@ def _verdict(ok: bool, out) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _env_seed() -> int:
-    # Read on every call: the parser, and so its defaults, outlive one command.
-    try:
-        return _count("seed", 0)(os.environ.get("JBTROTTER_SEED", "0"))
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"argument --seed: {exc}") from None
-
-
 def _axiom_report(algebra, trials, seed, tol, out) -> int:
     results = run_axiom_suite(algebra, trials=trials, seed=seed, tol=tol)
     out.write(f"algebra {algebra} trials {trials} seed {seed}\n")
@@ -326,14 +299,13 @@ def _axiom_report(algebra, trials, seed, tol, out) -> int:
 
 
 def cmd_verify_axioms(args, out) -> int:
-    seed = _env_seed() if args.seed is None else args.seed
-    return _axiom_report(args.algebra, args.trials, seed, args.tol, out)
+    return _axiom_report(args.algebra, args.trials, args.seed, args.tol, out)
 
 
 def cmd_sweep(args, out) -> int:
     instance = load_instance(args.input)
     rows, orders = _sweeps(args.scheme, instance.elements, args.n)
-    _write_table(rows, SWEEP_COLUMNS, args, orders, out)
+    out.write(_TABLES[args.out](rows, SWEEP_COLUMNS, orders))
     return EXIT_OK
 
 
@@ -376,7 +348,7 @@ def cmd_bounds(args, out) -> int:
         for scheme in args.scheme
         for n in args.n
     ]
-    _write_table(rows, BOUND_COLUMNS, args, {}, out)
+    out.write(_TABLES[args.out](rows, BOUND_COLUMNS, {}))
     return EXIT_OK
 
 
@@ -485,7 +457,7 @@ def build_parser() -> _Parser:
     table.add_argument(
         "--n", type=_parse_n_range, default="1:256:x2", help='"16", "1,2,4" or "start:stop:xF"'
     )
-    table.add_argument("--out", choices=("csv", "json", "plotdata"), default="csv")
+    table.add_argument("--out", choices=_TABLES, default="csv")
     norms = argparse.ArgumentParser(add_help=False)
     norms.add_argument("--norms", type=_parse_norms, help="comma list of element norms")
     norms.add_argument("--input", help="instance JSON path (fixes the norms and the algebra)")
@@ -496,9 +468,7 @@ def build_parser() -> _Parser:
         "--algebra", required=True, type=_descriptor_arg, help="kind:dim, e.g. sym:6 or albert:3"
     )
     p.add_argument("--trials", type=_count("trial count", 1, MAX_TRIALS), default=1000)
-    p.add_argument(
-        "--seed", type=_count("seed", 0), default=None, help="default: $JBTROTTER_SEED, else 0"
-    )
+    p.add_argument("--seed", type=_count("seed", 0), default=0, help="sampler seed (default 0)")
     p.add_argument(
         "--tol", type=_positive, default=DEFAULT_TOL, help="identity tolerance (default 1e-10)"
     )
@@ -538,15 +508,18 @@ def _parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    """Run one command and write its output once; the except clauses are
-    the one table from failures to error kinds and exit codes."""
+    """Run one command and write its text once, to stdout or to the one
+    --output file, only if the command returns; the except clauses are the
+    one table from failures to error kinds and exit codes."""
     try:
         args = _parser().parse_args(argv)
         out = io.StringIO()
         code = args.func(args, out)
-        # Empty only when plotdata went to one file per scheme.
-        if out.getvalue():
-            _emit(out.getvalue(), args.output)
+        if args.output is None:
+            sys.stdout.write(out.getvalue())
+        else:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(out.getvalue())
         return code
     except UsageError as exc:
         kind, reason, code = "usage", str(exc), EXIT_USAGE

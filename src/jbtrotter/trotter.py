@@ -68,6 +68,7 @@ from .algebras import (
     Element,
     _check_count,
     _check_elements,
+    _quiet,
     exp_spectral,
     jb_norm,
     jordan_mul,
@@ -177,15 +178,6 @@ def _check_scheme(scheme: str) -> None:
     """The one unknown-scheme rule."""
     if scheme not in SCHEMES:
         raise SchemeError(f"unknown scheme {scheme!r}")
-
-
-def _quiet():
-    """The warning scope of one public computation, and the library's one
-    numpy error policy: numpy's overflow and invalid-value warnings stay
-    off inside it, since what leaves it (exp of the sum, a measured error,
-    and in the CLI's jets report the tolerance scale and the jet of exp of
-    the sum) is checked for a value past the float range instead."""
-    return np.errstate(over="ignore", invalid="ignore")
 
 
 def exp_sum(elements) -> Element:

@@ -229,8 +229,6 @@ def line(argv: list[str], root: Path, inputs: set[str]) -> tuple[int, bool, str]
 
 
 def main() -> int:
-    # The default --seed of verify-axioms comes from the environment.
-    os.environ.pop("JBTROTTER_SEED", None)
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

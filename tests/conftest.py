@@ -41,10 +41,9 @@ PACKAGE_ROOT = str(Path(jbtrotter.__file__).resolve().parent.parent)
 
 
 def cli_env() -> dict:
-    """Environment for a ``python -m jbtrotter`` subprocess: no seed variable,
-    the tested package first on PYTHONPATH."""
+    """Environment for a ``python -m jbtrotter`` subprocess: the tested
+    package first on PYTHONPATH."""
     env = dict(os.environ)
-    env.pop("JBTROTTER_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (PACKAGE_ROOT, env.get("PYTHONPATH"))))
     return env
 

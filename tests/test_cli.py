@@ -182,26 +182,25 @@ def test_table_cells_follow_the_value_type():
         {"scheme": "g", "n": 4, "count": 12, "route": "series", "error": "inf",
          "bound": 0.25},
     ]
-    assert cli._plotdata_blocks(rows, columns, orders) == {
-        "g": "# scheme g\n"
-             "# empirical_order 2.0\n"
-             "# n count route error bound\n"
-             "2 3 closed-form 0.5 nan\n"
-             "4 12 series inf 0.25\n"
-    }
-
-
-def test_sweep_plotdata_multi_scheme_files(tmp_path, pauli_instance):
-    out = tmp_path / "curves.txt"
-    res = run_cli(
-        "sweep", "--input", pauli_instance, "--scheme", "g,f", "--n", "1:16:x2",
-        "--out", "plotdata", "--output", str(out),
+    assert cli._plotdata_blocks(rows, columns, orders) == (
+        "# scheme g\n"
+        "# empirical_order 2.0\n"
+        "# n count route error bound\n"
+        "2 3 closed-form 0.5 nan\n"
+        "4 12 series inf 0.25\n"
     )
-    assert res.returncode == 0, res.stderr
+
+
+def test_multi_scheme_plotdata_output_is_one_file(tmp_path, pauli_instance):
+    argv = ("sweep", "--input", pauli_instance, "--scheme", "g,f", "--n", "1:16:x2",
+            "--out", "plotdata")
+    direct = run_cli(*argv)
+    res = run_cli(*argv, "--output", "curves.txt", cwd=tmp_path)
+    assert direct.returncode == res.returncode == 0, res.stderr
     assert res.stdout == ""
-    assert (tmp_path / "curves.g.txt").exists()
-    assert (tmp_path / "curves.f.txt").exists()
-    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curves.txt"]
+    assert (tmp_path / "curves.txt").read_text(encoding="utf-8") == direct.stdout
+    assert direct.stdout.count("# scheme ") == 2
 
 
 @pytest.mark.parametrize(
@@ -213,6 +212,10 @@ def test_sweep_plotdata_multi_scheme_files(tmp_path, pauli_instance):
         ("plan", "--eps", "1e-3", "--input", "PAULI"),
         ("jets", "--input", "PAULI", "--degree", "3"),
         ("demo",),
+        pytest.param(("sweep", "--input", "PAULI", "--scheme", "g,f", "--n", "1,2",
+                      "--out", "plotdata"), id="sweep-plotdata"),
+        pytest.param(("bounds", "--norms", "1,1", "--n", "1,2", "--out", "json"),
+                     id="bounds-json"),
     ],
     ids=lambda args: args[0],
 )
@@ -224,6 +227,52 @@ def test_output_file_matches_stdout(tmp_path, pauli_instance, args):
     assert direct.returncode == res.returncode == 0, res.stderr
     assert direct.stdout and res.stdout == ""
     assert out.read_text(encoding="utf-8") == direct.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, output, code",
+    [
+        # Exits 2, 3 and 5 raised after parsing, each once a command has begun.
+        (("bounds", "--scheme", "h", "--norms", "1"), "out.txt", 2),
+        (("plan", "--mode", "measured", "--norms", "1", "--eps", "1e-3"), "out.txt", 2),
+        (("sweep", "--input", "missing.json"), "out.txt", 3),
+        (("sweep", "--input", "overflow-sum-herm.json", "--scheme", "g,f", "--n", "1,2",
+          "--out", "plotdata"), "sweep.dat", 3),
+        (("jets", "--input", "pair.json"), "sweep.f.dat", 3),
+        (("plan", "--scheme", "g", "--eps", "1e-30", "--norms", "2,2"), "out.txt", 5),
+        (("verify-axioms", "--algebra", "sym:4", "--trials", "50", "--tol", "1e-30"),
+         "out.txt", 4),
+        # A directory named as one scheme's block file (sweep.f.dat) is no
+        # obstacle: multi-scheme plotdata writes the named file alone.
+        (("sweep", "--input", "pair.json", "--scheme", "g,f", "--n", "1,2,4",
+          "--out", "plotdata"), "sweep.dat", 0),
+    ],
+    ids=["usage-bounds", "usage-plan", "input-missing", "input-sum", "input-output-is-a-dir",
+         "capacity-plan", "verify-fail", "plotdata-beside-a-dir"],
+)
+def test_only_a_report_is_written_to_output(argv, output, code, tmp_path, monkeypatch, capsys):
+    # A failing command writes no file; exit 0 and 4 write one, the named
+    # one, holding what stdout shows without --output.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.f.dat").mkdir()
+    for name, doc in (("pair.json", CONTRACT_FILES["pair.json"]),
+                      ("overflow-sum-herm.json", OVERFLOW_SUM_HERM)):
+        (tmp_path / name).write_bytes(contract_bytes(doc))
+    before = {p.name for p in tmp_path.iterdir()}
+    direct_code = cli.main(list(argv))
+    direct = capsys.readouterr()
+    assert cli.main([*argv, "--output", output]) == code
+    res = capsys.readouterr()
+    written = sorted({p.name for p in tmp_path.iterdir()} - before)
+    assert res.out == ""
+    if code in KIND_OF_CODE:
+        assert written == []
+        lines = res.err.split("\n")
+        assert lines[1:] == [""] and lines[0].startswith(f"error[{KIND_OF_CODE[code]}]: ")
+    else:
+        assert (direct_code, res.err, written) == (code, "", [output])
+        assert (tmp_path / output).read_text(encoding="utf-8") == direct.out
+    assert (tmp_path / "sweep.f.dat").is_dir()
 
 
 def test_sweep_geometric_range_expansion(pauli_instance):
@@ -787,28 +836,30 @@ def test_verify_axioms_prints_the_largest_tolerance_finite():
 
 
 def test_verify_axioms_seed_resolution():
-    by_flag = run_cli("verify-axioms", "--algebra", "sym:3", "--trials", "20",
-                      "--seed", "7")
-    assert "seed 7" in by_flag.stdout
-    by_env = run_cli("verify-axioms", "--algebra", "sym:3", "--trials", "20",
-                     env_extra={"JBTROTTER_SEED": "7"})
-    assert "seed 7" in by_env.stdout
-    assert by_flag.stdout == by_env.stdout
-    flag_wins = run_cli("verify-axioms", "--algebra", "sym:3", "--trials", "20",
-                        "--seed", "3", env_extra={"JBTROTTER_SEED": "7"})
-    assert "seed 3" in flag_wins.stdout
+    # The seed is --seed, else 0; no environment variable sets it.
+    axioms = ("verify-axioms", "--algebra", "sym:3", "--trials", "20")
+    plain, by_env = [run_cli(*axioms, env_extra=env) for env in (None, {"JBTROTTER_SEED": "7"})]
+    assert plain.returncode == 0 and plain.stderr == ""
+    assert plain.stdout.startswith("algebra sym:3 trials 20 seed 0\n")
+    assert (by_env.returncode, by_env.stdout, by_env.stderr) == (0, plain.stdout, "")
+    by_flag = run_cli(*axioms, "--seed", "7")
+    assert by_flag.stdout.startswith("algebra sym:3 trials 20 seed 7\n")
+    assert by_flag.stdout != plain.stdout
 
 
 def test_verify_axioms_bad_env_seed():
-    res = run_cli("verify-axioms", "--algebra", "sym:3",
-                  env_extra={"JBTROTTER_SEED": "pi"})
-    assert res.returncode == 2
-    assert res.stderr == "error[usage]: argument --seed: seed 'pi' is not an integer\n"
+    # A value of JBTROTTER_SEED that is no integer is no error either: nothing reads it.
+    axioms = ("verify-axioms", "--algebra", "sym:3", "--trials", "20")
+    plain = run_cli(*axioms)
+    res = run_cli(*axioms, env_extra={"JBTROTTER_SEED": "pi"})
+    assert plain.returncode == 0 and plain.stderr == ""
+    assert plain.stdout.startswith("algebra sym:3 trials 20 seed 0\n")
+    assert (res.returncode, res.stdout, res.stderr) == (0, plain.stdout, "")
 
 
 def test_in_process_calls_share_one_parser(monkeypatch, pauli_instance):
     # Each call prints what a fresh process prints, from one parser built
-    # after the cache is cleared, while the seed variable changes between calls.
+    # after the cache is cleared.
     build, builds = cli.build_parser, []
 
     def counting_build():
@@ -818,24 +869,18 @@ def test_in_process_calls_share_one_parser(monkeypatch, pauli_instance):
     monkeypatch.setattr(cli, "build_parser", counting_build)
     cli._parser.cache_clear()
     axioms = ("verify-axioms", "--algebra", "sym:3", "--trials", "20")
-    steps = [((axioms[0], "--algebra", "sym:0"), None), (axioms, "pi")]
-    steps += [(axioms, env) for env in ("7", "3")]
-    steps += [(axioms + ("--seed", "5"), env) for env in ("7", "3")]
-    steps += [(("sweep", "--input", pauli_instance, "--n", "1,2,4"), None), (("--version",), None)]
-    for argv, env in steps:
-        if env is None:
-            monkeypatch.delenv("JBTROTTER_SEED", raising=False)
-        else:
-            monkeypatch.setenv("JBTROTTER_SEED", env)
+    steps = [(axioms[0], "--algebra", "sym:0"), axioms, axioms + ("--seed", "5"), axioms,
+             ("sweep", "--input", pauli_instance, "--n", "1,2,4"), ("--version",)]
+    for argv in steps:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             try:
                 code = cli.main(list(argv))
             except SystemExit as exc:
                 code = exc.code
-        fresh = run_cli(*argv, env_extra=None if env is None else {"JBTROTTER_SEED": env})
+        fresh = run_cli(*argv)
         assert (code, out.getvalue(), err.getvalue()) == (
-            fresh.returncode, fresh.stdout, fresh.stderr), (argv, env)
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert len(builds) == 1
 
 
