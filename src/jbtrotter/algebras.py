@@ -24,8 +24,12 @@ absolute eigenvalue of that same spectrum, for every family.
 
 Two exponentials are provided on purpose.  ``exp_spectral`` goes through
 eigenvalues (or a closed form), ``exp_series`` runs a scaled-and-squared
-truncated power series using only the Jordan product.  They share no
-code path, so each serves as a cross-check oracle for the other.
+truncated power series using only the Jordan product, so each serves as
+a cross-check oracle for the other.  They share one code path: an albert
+spectrum whose closest pair of roots lies within ``DEGENERATE_ROOT_GAP``
+times the norm (the zero element and unit multiples included) falls back
+from ``exp_spectral`` to ``exp_series``, so there the two agree by
+construction and check nothing.
 
 Two Jordan formulas are stated once, for elements and for the jets of
 ``jets`` alike: the triple product {x y z} in ``_triple``, which takes the

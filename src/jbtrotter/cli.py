@@ -28,7 +28,8 @@ and 4 write --output.  A measured error past the float range is not a
 failure: it reads inf, as a bound does.
 
 main(argv) may be called many times in one process: it builds its parser
-on the first call, and reads no environment variable.
+on the first call, reads no environment variable, and returns an exit
+code for every argv, --help and --version included.
 """
 
 from __future__ import annotations
@@ -89,10 +90,19 @@ class UsageError(Exception):
     """The command line is wrong; exit 2."""
 
 
+class _Printed(Exception):
+    """--help or --version has printed its text; exit 0."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse prints two lines by default; errors here must be one line.
     def error(self, message):
         raise UsageError(message)
+
+    # --help and --version call this after printing; main returns instead
+    # of ending the process.
+    def exit(self, status=0, message=None):
+        raise _Printed
 
 
 def _fmt(x) -> str:
@@ -521,6 +531,8 @@ def main(argv=None) -> int:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(out.getvalue())
         return code
+    except _Printed:
+        return EXIT_OK
     except UsageError as exc:
         kind, reason, code = "usage", str(exc), EXIT_USAGE
     except CapacityError as exc:

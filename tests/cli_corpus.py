@@ -1,4 +1,5 @@
-"""A fixed corpus of command lines, run in process through ``cli.main``.
+"""A fixed corpus of command lines, run in process by
+``cli_harness.run_cli``, where a warning raises and stops the script.
 
     python3 tests/cli_corpus.py > corpus.txt
 
@@ -19,38 +20,42 @@ two checkouts shows which commands changed.  The whole list runs twice in
 the same process (which shares one parser and the library's memos), and
 each line prints once, from the first pass.  The exit code is 1 if a
 command meant to succeed did not, if a command broke the error contract
-(exit 0 or 4 with anything on stderr; exit 2, 3 or 5 with anything but one
-``error[<kind>]`` line of that code's kind; any other exit code), or if
-any line of the second pass differs from the first; stderr names those
-commands.  (No test_ prefix: pytest does not collect this file.)
+(``cli_harness.keeps_the_contract``), if any line of the second pass
+differs from the first, or if scipy, mpmath, hypothesis or pytest was
+loaded by the end; stderr names those commands and modules.  The last is
+the check that the CLI needs numpy alone, so this script imports only
+the standard library, numpy and the dependency-free ``cli_harness``.
+(No test_ prefix: pytest does not collect this file.)
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import sys
 import tempfile
 import time
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from jbtrotter import cli  # noqa: E402
-from test_cli import (  # noqa: E402
+from cli_harness import (  # noqa: E402
     CONTRACT_FILES,
-    KIND_OF_CODE,
     NEAR_UNIT_ALBERT,
     OVERFLOW_SUM_HERM,
     OVERFLOW_SYM,
     WIDE_SPIN,
     contract_bytes,
+    keeps_the_contract,
+    run_cli,
 )
+
+# numpy is the one runtime dependency: none of these may be loaded by the
+# time every command has run.
+TEST_ONLY_MODULES = ("scipy", "mpmath", "hypothesis", "pytest")
 
 FAMILIES = (("sym", 3), ("herm", 3), ("spin", 4), ("spin", 33), ("albert", 3))
 
@@ -199,23 +204,12 @@ def _sha(data: bytes) -> str:
 def run(argv: list[str], root: Path, inputs: set[str]):
     """Exit code, stdout, stderr and the files written, as {name: bytes};
     the written files are removed."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
+    code, out, err = run_cli(*argv)
     written = {}
     for name in sorted(set(os.listdir(root)) - inputs):
         written[name] = (root / name).read_bytes()
         (root / name).unlink()
-    return code, out.getvalue(), err.getvalue(), written
-
-
-def keeps_the_contract(code: int, err: str) -> bool:
-    """Exit 0 or 4 with nothing on stderr, or exit 2, 3 or 5 with one
-    ``error[<kind>]`` line of that code's kind."""
-    if code in KIND_OF_CODE:
-        return err.startswith(f"error[{KIND_OF_CODE[code]}]: ") and err.count("\n") == 1 \
-            and err.endswith("\n")
-    return code in (0, 4) and err == ""
+    return code, out, err, written
 
 
 def line(argv: list[str], root: Path, inputs: set[str]) -> tuple[int, bool, str]:
@@ -249,16 +243,20 @@ def main() -> int:
               if must_succeed and code != 0]
     broken = [argv for (argv, _), (_, kept, _) in zip(corpus, first) if not kept]
     unstable = [argv for (argv, _), a, b in zip(corpus, first, second) if a != b]
+    loaded = [name for name in TEST_ONLY_MODULES if name in sys.modules]
     print(f"{len(corpus)} commands, {len(failed)} expected successes failed, "
           f"{len(broken)} broke the error contract, {len(unstable)} changed in the second "
-          f"pass, {time.perf_counter() - start:.1f} s", file=sys.stderr)
+          f"pass, {len(loaded)} test-only modules loaded, {time.perf_counter() - start:.1f} s",
+          file=sys.stderr)
     for argv in failed:
         print(f"failed: {' '.join(argv)}", file=sys.stderr)
     for argv in broken:
         print(f"broke the error contract: {' '.join(argv)}", file=sys.stderr)
     for argv in unstable:
         print(f"changed in the second pass: {' '.join(argv)}", file=sys.stderr)
-    return 1 if failed or broken or unstable else 0
+    for name in loaded:
+        print(f"test-only module loaded: {name}", file=sys.stderr)
+    return 1 if failed or broken or unstable or loaded else 0
 
 
 if __name__ == "__main__":

@@ -1,22 +1,34 @@
-"""CLI behavior through real subprocess runs and in-process ``cli.main``."""
+"""CLI behavior through ``cli.main``, run in process by ``cli_harness.run_cli``.
 
-import io
+Only the tests about a fresh process start one, with ``run_in_fresh_process``.
+"""
+
 import json
 import math
 import subprocess
 import sys
 import warnings
-from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jbtrotter import cli, trotter
+from jbtrotter import __version__, cli, trotter
 from jbtrotter.algebras import AlgebraDescriptor, jb_norm, random_element, unit
 from jbtrotter.instances import ProblemInstance, load_instance, save_instance
 from jbtrotter.jets import Jet
+from cli_harness import (
+    CONTRACT_FILES,
+    KIND_OF_CODE,
+    NEAR_UNIT_ALBERT,
+    OVERFLOW_SUM_HERM,
+    OVERFLOW_SYM,
+    WIDE_SPIN,
+    contract_bytes,
+    keeps_the_contract,
+    run_cli,
+)
 from conftest import cli_env, spectrum_past_the_float_range
 
 CSV_HEADER = (
@@ -25,18 +37,16 @@ CSV_HEADER = (
 )
 
 
-def run_cli(*argv, env_extra=None, cwd=None):
+def run_in_fresh_process(*argv):
+    """``python -m jbtrotter`` with warnings as errors, as ``run_cli`` runs
+    in process."""
     env = cli_env()
-    # Any Python warning on stderr would break the one-line error contract.
     env["PYTHONWARNINGS"] = "error"
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "jbtrotter", *argv],
         capture_output=True,
         text=True,
         env=env,
-        cwd=cwd,
         timeout=300,
     )
 
@@ -75,14 +85,14 @@ def test_demo_is_byte_identical_across_runs():
     assert "result pass" in first.stdout
 
 
-def test_demo_step_one_is_the_verify_axioms_report(capsys):
-    code, demo, err = _run_in_process(capsys, "demo")
+def test_demo_step_one_is_the_verify_axioms_report():
+    code, demo, err = run_cli("demo")
     assert (code, err) == (0, "")
     lines = demo.split("\n")
     start = next(i for i, text in enumerate(lines) if text.startswith("[1] ")) + 1
     step = "\n".join(lines[start:lines.index("", start)]) + "\n"
-    code, report, err = _run_in_process(capsys, "verify-axioms", "--algebra", "sym:2",
-                                        "--trials", "200", "--seed", "0")
+    code, report, err = run_cli("verify-axioms", "--algebra", "sym:2", "--trials", "200",
+                                "--seed", "0")
     assert (code, err) == (0, "")
     assert step == report
 
@@ -122,10 +132,9 @@ def test_commuting_pair_has_no_order_to_fit(tmp_path):
     doc = {"algebra": {"kind": "sym", "dim": 2},
            "elements": [[0.0, 1.0, 1.0, 0.0], [0.0, 2.0, 2.0, 0.0]]}
     path.write_text(json.dumps(doc), encoding="utf-8")
-    out = io.StringIO()
-    with redirect_stdout(out):
-        assert cli.main(["sweep", "--input", str(path), "--n", "1:16:x2"]) == 0
-    assert out.getvalue().split("\n")[-2] == "# empirical_order g commuting-or-floor"
+    res = run_cli("sweep", "--input", str(path), "--n", "1:16:x2")
+    assert res.returncode == 0
+    assert res.stdout.split("\n")[-2] == "# empirical_order g commuting-or-floor"
 
 
 def test_sweep_json_round_trips(pauli_instance):
@@ -191,11 +200,12 @@ def test_table_cells_follow_the_value_type():
     )
 
 
-def test_multi_scheme_plotdata_output_is_one_file(tmp_path, pauli_instance):
+def test_multi_scheme_plotdata_output_is_one_file(tmp_path, monkeypatch, pauli_instance):
     argv = ("sweep", "--input", pauli_instance, "--scheme", "g,f", "--n", "1:16:x2",
             "--out", "plotdata")
     direct = run_cli(*argv)
-    res = run_cli(*argv, "--output", "curves.txt", cwd=tmp_path)
+    monkeypatch.chdir(tmp_path)
+    res = run_cli(*argv, "--output", "curves.txt")
     assert direct.returncode == res.returncode == 0, res.stderr
     assert res.stdout == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["curves.txt"]
@@ -250,7 +260,7 @@ def test_output_file_matches_stdout(tmp_path, pauli_instance, args):
     ids=["usage-bounds", "usage-plan", "input-missing", "input-sum", "input-output-is-a-dir",
          "capacity-plan", "verify-fail", "plotdata-beside-a-dir"],
 )
-def test_only_a_report_is_written_to_output(argv, output, code, tmp_path, monkeypatch, capsys):
+def test_only_a_report_is_written_to_output(argv, output, code, tmp_path, monkeypatch):
     # A failing command writes no file; exit 0 and 4 write one, the named
     # one, holding what stdout shows without --output.
     monkeypatch.chdir(tmp_path)
@@ -259,19 +269,17 @@ def test_only_a_report_is_written_to_output(argv, output, code, tmp_path, monkey
                       ("overflow-sum-herm.json", OVERFLOW_SUM_HERM)):
         (tmp_path / name).write_bytes(contract_bytes(doc))
     before = {p.name for p in tmp_path.iterdir()}
-    direct_code = cli.main(list(argv))
-    direct = capsys.readouterr()
-    assert cli.main([*argv, "--output", output]) == code
-    res = capsys.readouterr()
+    direct = run_cli(*argv)
+    res = run_cli(*argv, "--output", output)
+    assert res.returncode == code
     written = sorted({p.name for p in tmp_path.iterdir()} - before)
-    assert res.out == ""
+    assert res.stdout == ""
     if code in KIND_OF_CODE:
         assert written == []
-        lines = res.err.split("\n")
-        assert lines[1:] == [""] and lines[0].startswith(f"error[{KIND_OF_CODE[code]}]: ")
+        assert keeps_the_contract(code, res.stderr), res.stderr
     else:
-        assert (direct_code, res.err, written) == (code, "", [output])
-        assert (tmp_path / output).read_text(encoding="utf-8") == direct.out
+        assert (direct.returncode, res.stderr, written) == (code, "", [output])
+        assert (tmp_path / output).read_text(encoding="utf-8") == direct.stdout
     assert (tmp_path / "sweep.f.dat").is_dir()
 
 
@@ -311,13 +319,7 @@ def _family_instance(directory, descriptor, m):
     return str(path)
 
 
-def _run_in_process(capsys, *argv):
-    code = cli.main(list(argv))
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
-def test_multi_scheme_sweep_measures_once(descriptor, tmp_path, monkeypatch, capsys):
+def test_multi_scheme_sweep_measures_once(descriptor, tmp_path, monkeypatch):
     # One exp of the sum, m + 1 = 4 eigh calls on sym/herm and one
     # exponential per (element, divisor) serve all three schemes: exp of the
     # sum, exp(A_j / n) for 3 elements and 9 step counts, and f's last half
@@ -330,28 +332,26 @@ def test_multi_scheme_sweep_measures_once(descriptor, tmp_path, monkeypatch, cap
     monkeypatch.setattr(np.linalg, "eigh", lambda x: eighs.append(1) or eigh(x))
     monkeypatch.setattr(trotter, "exp_spectral",
                         lambda a, d=1: exps.append(d) or exp_spectral(a, d))
-    code, _, err = _run_in_process(capsys, "sweep", "--input", path, "--scheme", "g,f,h",
-                                   "--n", "1:256:x2")
+    code, _, err = run_cli("sweep", "--input", path, "--scheme", "g,f,h", "--n", "1:256:x2")
     assert code == 0, err
     assert (len(exp_sums), len(exps)) == (1, 30)
     assert len(eighs) == (4 if descriptor.is_special else 0)
     # One scheme never asks for one divisor twice: 1 + m * len(ns).
     for scheme in "gfh":
         exps.clear()
-        code, _, err = _run_in_process(capsys, "sweep", "--input", path, "--scheme", scheme,
-                                       "--n", "1:256:x2")
+        code, _, err = run_cli("sweep", "--input", path, "--scheme", scheme, "--n", "1:256:x2")
         assert code == 0, err
         assert len(exps) == 1 + 3 * 9, scheme
 
 
-def test_multi_scheme_sweep_rows_are_each_schemes_sweep(descriptor, tmp_path, capsys):
+def test_multi_scheme_sweep_rows_are_each_schemes_sweep(descriptor, tmp_path):
     # Doubling counts carry f's half-step factor over to the next n; in the
     # second list 3 -> 6 -> 12 carry it and 1 -> 3 and 12 -> 13 drop it.
     path = _family_instance(tmp_path, descriptor, 3)
     elems = load_instance(path).elements
     for ns in ([1, 2, 4, 8, 16], [1, 3, 6, 12, 13]):
-        code, out, err = _run_in_process(capsys, "sweep", "--input", path, "--scheme", "g,f,h",
-                                         "--n", ",".join(map(str, ns)), "--out", "json")
+        code, out, err = run_cli("sweep", "--input", path, "--scheme", "g,f,h",
+                                 "--n", ",".join(map(str, ns)), "--out", "json")
         assert code == 0, err
         rows = json.loads(out)["records"]
         want = [r for s in "gfh" for r in trotter.sweep(s, elems, ns)]
@@ -364,27 +364,27 @@ def test_multi_scheme_sweep_rows_are_each_schemes_sweep(descriptor, tmp_path, ca
 # The second pair's exp of the sum overflows; the count rule is still the
 # error reported.
 @pytest.mark.parametrize("name", ["pair.json", "overflow-sum.json"])
-def test_h_count_is_checked_before_any_exponential(name, tmp_path, monkeypatch, capsys):
+def test_h_count_is_checked_before_any_exponential(name, tmp_path, monkeypatch):
     path = tmp_path / name
     path.write_text(json.dumps(CONTRACT_FILES[name]), encoding="utf-8")
     exp_sums = []
     exp_sum = trotter.exp_sum
     monkeypatch.setattr(trotter, "exp_sum", lambda e: exp_sums.append(1) or exp_sum(e))
-    code, out, err = _run_in_process(capsys, "sweep", "--input", str(path),
-                                     "--scheme", "g,f,h", "--n", "1,2,4")
+    code, out, err = run_cli("sweep", "--input", str(path), "--scheme", "g,f,h",
+                             "--n", "1,2,4")
     assert (code, out) == (3, "")
     assert err == "error[input]: scheme h needs an odd element count >= 3, got 2\n"
     assert exp_sums == []
 
 
-def test_bounds_and_sweep_print_the_same_bound_bits(descriptor, tmp_path, capsys):
+def test_bounds_and_sweep_print_the_same_bound_bits(descriptor, tmp_path):
     # Both take the norms with jb_norm: bounds on the loaded elements, sweep
     # on its private copies of them.
     path = _family_instance(tmp_path, descriptor, 2)
     tables = []
     for command in ("bounds", "sweep"):
-        code, out, err = _run_in_process(capsys, command, "--input", path, "--scheme", "g,f",
-                                         "--n", "1:1024:x4")
+        code, out, err = run_cli(command, "--input", path, "--scheme", "g,f",
+                                 "--n", "1:1024:x4")
         assert code == 0, err
         lines = [line for line in out.split("\n") if line and not line.startswith("#")]
         header = lines[0].split(",")
@@ -489,10 +489,7 @@ def test_bad_numeric_arguments_exit_2(pauli_instance):
 def test_rejected_arguments_name_their_reason(pauli_instance, argv, reason):
     if argv[0] == "sweep":
         argv += ("--input", pauli_instance)
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(list(argv))
-    assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error[usage]: {reason}\n")
+    assert run_cli(*argv) == (2, "", f"error[usage]: {reason}\n")
 
 
 def test_input_with_norms_or_algebra_exits_2(pauli_instance):
@@ -585,15 +582,12 @@ def _plan_values(out: str):
     ("overflow-single.json", "1e-1", 2),
     ("overflow-sym.json", "1e-3", 18761),
 ])
-def test_measured_plan_steps_past_overflowing_factors(name, eps, want, tmp_path, capsys):
+def test_measured_plan_steps_past_overflowing_factors(name, eps, want, tmp_path):
     # exp of the sum is finite, exp of the single elements at n = 1 is not:
     # error(1) reads inf and the search doubles on past it.
     path = tmp_path / name
     path.write_bytes(contract_bytes({**CONTRACT_FILES, "overflow-sym.json": OVERFLOW_SYM}[name]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = _run_in_process(capsys, "plan", "--input", str(path), "--mode",
-                                         "measured", "--eps", eps)
+    code, out, err = run_cli("plan", "--input", str(path), "--mode", "measured", "--eps", eps)
     assert (code, err) == (0, "")
     n_min, value, prev = _plan_values(out)
     assert n_min == want
@@ -601,7 +595,7 @@ def test_measured_plan_steps_past_overflowing_factors(name, eps, want, tmp_path,
     assert math.isinf(prev) or float(eps) < prev
 
 
-def test_overflowing_factors_read_inf_on_every_family(descriptor, tmp_path, capsys):
+def test_overflowing_factors_read_inf_on_every_family(descriptor, tmp_path):
     # A finite sum whose single elements, scaled by 800, overflow exp at
     # n = 1: a sweep reads inf exactly where the scheme's product leaves
     # the float range, a sweep of g and f gives the rows of one sweep each,
@@ -611,13 +605,9 @@ def test_overflowing_factors_read_inf_on_every_family(descriptor, tmp_path, caps
     path = tmp_path / "factors.json"
     save_instance(ProblemInstance(descriptor, tuple(elems)), path)
     ns = "1:256:x2"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        runs = {s: _run_in_process(capsys, "sweep", "--input", str(path), "--scheme", s,
-                                   "--n", ns, "--out", "json")
-                for s in ("g,f", "g", "f")}
-        plan = _run_in_process(capsys, "plan", "--input", str(path), "--mode", "measured",
-                               "--eps", "1e-3")
+    runs = {s: run_cli("sweep", "--input", str(path), "--scheme", s, "--n", ns, "--out", "json")
+            for s in ("g,f", "g", "f")}
+    plan = run_cli("plan", "--input", str(path), "--mode", "measured", "--eps", "1e-3")
     for code, out, err in (*runs.values(), plan):
         assert (code, err) == (0, "")
         assert "nan" not in out
@@ -634,39 +624,36 @@ def test_overflowing_factors_read_inf_on_every_family(descriptor, tmp_path, caps
     assert value <= 1e-3 and (math.isinf(prev) or 1e-3 < prev)
 
 
-def test_spectrum_past_the_float_range_is_read_alike_on_every_family(descriptor, tmp_path,
-                                                                     capsys):
+def test_spectrum_past_the_float_range_is_read_alike_on_every_family(descriptor, tmp_path):
     # Finite entries, but the first element's spectrum leaves the float
     # range: its norm, and so every bound, is inf, while sweep and jets
     # need exponentials that overflow.  No warning may reach stderr.
     path = tmp_path / "float-range.json"
     elems = (spectrum_past_the_float_range(descriptor), random_element(descriptor, 1, 0.5))
     save_instance(ProblemInstance(descriptor, elems), path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = _run_in_process(capsys, "bounds", "--input", str(path), "--n", "1,2")
-        assert (code, err) == (0, "")
-        rows = [line.split(",") for line in out.split("\n")[1:-1]]
-        assert len(rows) == 2 and all("inf" in row for row in rows)
-        for argv, code, kind in ((("plan", "--eps", "1e-3"), 5, "capacity"),
-                                 (("sweep",), 3, "input"), (("jets",), 3, "input")):
-            got, out, err = _run_in_process(capsys, *argv, "--input", str(path))
-            assert (got, out) == (code, ""), argv
-            assert err.count("\n") == 1 and err.startswith(f"error[{kind}]:"), argv
+    code, out, err = run_cli("bounds", "--input", str(path), "--n", "1,2")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.split("\n")[1:-1]]
+    assert len(rows) == 2 and all("inf" in row for row in rows)
+    for argv, code, kind in ((("plan", "--eps", "1e-3"), 5, "capacity"),
+                             (("sweep",), 3, "input"), (("jets",), 3, "input")):
+        got, out, err = run_cli(*argv, "--input", str(path))
+        assert (got, out) == (code, ""), argv
+        assert err.count("\n") == 1 and err.startswith(f"error[{kind}]:"), argv
 
 
-def test_wide_spin_spectrum_sweeps(tmp_path, capsys):
+def test_wide_spin_spectrum_sweeps(tmp_path):
     # exp(A_1) is about 1.9e260, but its e^s cosh r form overflowed.
     path = tmp_path / "wide-spin.json"
     path.write_text(json.dumps(WIDE_SPIN), encoding="utf-8")
-    code, out, err = _run_in_process(capsys, "sweep", "--input", str(path), "--scheme", "g,f",
-                                     "--n", "1:16:x2", "--out", "json")
+    code, out, err = run_cli("sweep", "--input", str(path), "--scheme", "g,f",
+                             "--n", "1:16:x2", "--out", "json")
     assert (code, err) == (0, "")
     errors = [r["error"] for r in json.loads(out)["records"]]
     assert len(errors) == 10 and all(isinstance(e, float) and math.isfinite(e) for e in errors)
 
 
-def test_oversize_algebra_is_a_capacity_error(tmp_path, monkeypatch, capsys, pauli_instance):
+def test_oversize_algebra_is_a_capacity_error(tmp_path, monkeypatch, pauli_instance):
     # The caps on the payload, the trial count, the jet degree and the step
     # counts are checked before any work: reaching the axiom suite fails the
     # test instead of allocating.
@@ -690,14 +677,13 @@ def test_oversize_algebra_is_a_capacity_error(tmp_path, monkeypatch, capsys, pau
         ("sweep", "--input", pauli_instance, "--n", "1073741825"),
         ("sweep", "--input", pauli_instance, "--n", "1:99999999999999999999999:x2"),
     ):
-        assert cli.main(list(argv)) == 5, argv
-        out, err = capsys.readouterr()
-        assert out == "", argv
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (5, ""), argv
         err_lines = err.strip().split("\n")
         assert len(err_lines) == 1 and err_lines[0].startswith("error[capacity]:"), argv
 
 
-def test_huge_entries_are_one_input_error(tmp_path, capsys):
+def test_huge_entries_are_one_input_error(tmp_path):
     # The norms and jet scales of these leave the float range although no
     # exp is taken (the sym and spin bounds read inf instead).
     zero8 = [0.0] * 8
@@ -723,9 +709,8 @@ def test_huge_entries_are_one_input_error(tmp_path, capsys):
         ("jets", "--input", paths["spin"]),
         ("jets", "--input", paths["albert"]),
     ):
-        assert cli.main(list(argv)) == 3, argv
-        out, err = capsys.readouterr()
-        assert out == "", argv
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (3, ""), argv
         err_lines = err.strip().split("\n")
         assert len(err_lines) == 1 and err_lines[0].startswith("error[input]:"), argv
     # Norm-only commands see a norm of 1e200 in every family: inf bounds,
@@ -733,22 +718,21 @@ def test_huge_entries_are_one_input_error(tmp_path, capsys):
     results = {}
     for kind in ("sym", "albert", "spin-v"):
         for command in (("bounds",), ("plan", "--eps", "1e-3")):
-            code = cli.main([*command, "--input", paths[kind]])
-            results[kind, command[0]] = code, capsys.readouterr()
+            results[kind, command[0]] = run_cli(*command, "--input", paths[kind])
     for kind in ("albert", "spin-v"):
         assert results[kind, "bounds"] == results["sym", "bounds"], kind
         assert results[kind, "plan"] == results["sym", "plan"], kind
-    code, (out, err) = results["albert", "bounds"]
+    code, out, err = results["albert", "bounds"]
     assert code == 0 and err == "" and out.count(",inf,") == 9
-    code, (out, err) = results["albert", "plan"]
+    code, out, err = results["albert", "plan"]
     assert code == 5 and out == "" and err.startswith("error[capacity]:")
 
 
-def test_overflowing_jet_coefficients_are_one_input_error(tmp_path, capsys):
+def test_overflowing_jet_coefficients_are_one_input_error(tmp_path):
     # Norms and jet scales of 1e90 entries are finite; the degree-4 jet
-    # coefficients are not.  numpy warnings are not errors here, as in a
-    # plain run, so only the report's own check of the reference jet can
-    # stop it.
+    # coefficients are not.  A numpy warning would raise out of run_cli
+    # as a RuntimeWarning, not exit 3, so only the report's own check of
+    # the reference jet can stop it.
     docs = {
         "sym": {"algebra": {"kind": "sym", "dim": 2},
                 "elements": [[1e90, 1e90, 1e90, 1e90], [1e90, 0, 0, -1e90]]},
@@ -758,10 +742,7 @@ def test_overflowing_jet_coefficients_are_one_input_error(tmp_path, capsys):
     for name, doc in docs.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = cli.main(["jets", "--input", str(path), "--degree", "4"])
-        out, err = capsys.readouterr()
+        code, out, err = run_cli("jets", "--input", str(path), "--degree", "4")
         assert code == 3 and out == "", name
         err_lines = err.strip().split("\n")
         assert len(err_lines) == 1 and err_lines[0].startswith("error[input]:"), name
@@ -835,10 +816,12 @@ def test_verify_axioms_prints_the_largest_tolerance_finite():
     assert set(tols.values()) == {1e308}
 
 
-def test_verify_axioms_seed_resolution():
+def test_verify_axioms_seed_resolution(monkeypatch):
     # The seed is --seed, else 0; no environment variable sets it.
     axioms = ("verify-axioms", "--algebra", "sym:3", "--trials", "20")
-    plain, by_env = [run_cli(*axioms, env_extra=env) for env in (None, {"JBTROTTER_SEED": "7"})]
+    plain = run_cli(*axioms)
+    monkeypatch.setenv("JBTROTTER_SEED", "7")
+    by_env = run_cli(*axioms)
     assert plain.returncode == 0 and plain.stderr == ""
     assert plain.stdout.startswith("algebra sym:3 trials 20 seed 0\n")
     assert (by_env.returncode, by_env.stdout, by_env.stderr) == (0, plain.stdout, "")
@@ -847,11 +830,12 @@ def test_verify_axioms_seed_resolution():
     assert by_flag.stdout != plain.stdout
 
 
-def test_verify_axioms_bad_env_seed():
+def test_verify_axioms_bad_env_seed(monkeypatch):
     # A value of JBTROTTER_SEED that is no integer is no error either: nothing reads it.
     axioms = ("verify-axioms", "--algebra", "sym:3", "--trials", "20")
     plain = run_cli(*axioms)
-    res = run_cli(*axioms, env_extra={"JBTROTTER_SEED": "pi"})
+    monkeypatch.setenv("JBTROTTER_SEED", "pi")
+    res = run_cli(*axioms)
     assert plain.returncode == 0 and plain.stderr == ""
     assert plain.stdout.startswith("algebra sym:3 trials 20 seed 0\n")
     assert (res.returncode, res.stdout, res.stderr) == (0, plain.stdout, "")
@@ -859,7 +843,8 @@ def test_verify_axioms_bad_env_seed():
 
 def test_in_process_calls_share_one_parser(monkeypatch, pauli_instance):
     # Each call prints what a fresh process prints, from one parser built
-    # after the cache is cleared.
+    # after the cache is cleared.  The reference side needs a new process
+    # per command line: only there is each call the first, on a new parser.
     build, builds = cli.build_parser, []
 
     def counting_build():
@@ -872,28 +857,44 @@ def test_in_process_calls_share_one_parser(monkeypatch, pauli_instance):
     steps = [(axioms[0], "--algebra", "sym:0"), axioms, axioms + ("--seed", "5"), axioms,
              ("sweep", "--input", pauli_instance, "--n", "1,2,4"), ("--version",)]
     for argv in steps:
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = cli.main(list(argv))
-            except SystemExit as exc:
-                code = exc.code
-        fresh = run_cli(*argv)
-        assert (code, out.getvalue(), err.getvalue()) == (
-            fresh.returncode, fresh.stdout, fresh.stderr), argv
+        in_process = run_cli(*argv)
+        fresh = run_in_fresh_process(*argv)
+        assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert len(builds) == 1
 
 
-def test_help_states_the_exit_codes_but_not_the_python_api(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--help"])
-    assert exc.value.code == 0
-    text = " ".join(capsys.readouterr().out.split())
+def test_help_states_the_exit_codes_but_not_the_python_api():
+    code, out, err = run_cli("--help")
+    assert (code, err) == (0, "")
+    text = " ".join(out.split())
     assert "error[<kind>]: <reason>" in text and "``" not in text
     for code in ("2 usage", "3 input", "4 verification failure", "5 capacity"):
         assert code in text, code
     assert "main(argv)" not in text and "many times in one process" not in text
     assert "many times in one process" in cli.__doc__
+
+
+def test_help_and_version_return_0_after_printing():
+    # argparse ends the process after printing them; main returns 0
+    # instead, as it returns a code for every other command line.
+    assert run_cli("--version") == (0, f"{__version__}\n", "")
+    for argv, usage in ((("--help",), "usage: jbtrotter "),
+                        (("sweep", "--help"), "usage: jbtrotter sweep ")):
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, ""), argv
+        assert out.startswith(usage), argv
+
+
+def test_a_warning_raises_out_of_the_runner(monkeypatch):
+    # run_cli keeps the strictness of PYTHONWARNINGS=error in a fresh
+    # process: a warning raises instead of reaching stderr beside the
+    # one-line error report.
+    def warn(*args, **kwargs):
+        warnings.warn("overflow encountered in exp", RuntimeWarning)
+
+    monkeypatch.setattr(cli, "bounds_for", warn)
+    with pytest.raises(RuntimeWarning, match="overflow encountered in exp"):
+        run_cli("bounds", "--norms", "1,1")
 
 
 # ---------------------------------------------------------------------------
@@ -938,7 +939,7 @@ def test_plan_measured_mode(pauli_instance):
 
 
 def test_measured_plan_reports_from_one_measurement(pauli_instance, spin_triple_instance,
-                                                    monkeypatch, capsys):
+                                                    monkeypatch):
     # The report's errors at n_min and n_min - 1 come from the search's own
     # measurement: one exp of the sum per command, and the same bits as a
     # measurement of each step count on its own.
@@ -948,10 +949,11 @@ def test_measured_plan_reports_from_one_measurement(pauli_instance, spin_triple_
     for path, scheme, eps in ((pauli_instance, "g", "1e-3"), (pauli_instance, "f", "1e-6"),
                               (pauli_instance, "g", "10"), (spin_triple_instance, "h", "1e-4")):
         exp_sums.clear()
-        assert cli.main(["plan", "--scheme", scheme, "--eps", eps, "--mode", "measured",
-                         "--input", path]) == 0
+        code, out, _ = run_cli("plan", "--scheme", scheme, "--eps", eps, "--mode", "measured",
+                               "--input", path)
+        assert code == 0
         assert len(exp_sums) == 1, (scheme, eps)
-        lines = capsys.readouterr().out.split("\n")
+        lines = out.split("\n")
         elems = load_instance(path).elements
         n_min = trotter.plan_min_n(scheme, float(eps), elements=elems, mode="measured")
         prev = (repr(trotter.measured_error(scheme, elems, n_min - 1)) if n_min > 1
@@ -961,7 +963,7 @@ def test_measured_plan_reports_from_one_measurement(pauli_instance, spin_triple_
                              f"error({n_min - 1}) {prev}", ""], (scheme, eps)
 
 
-def test_bound_plan_reports_from_the_search(pauli_instance, monkeypatch, capsys):
+def test_bound_plan_reports_from_the_search(pauli_instance, monkeypatch):
     # The report's bounds at n_min and n_min - 1 are the ones the search
     # evaluated: a command reaches the bound table as often as the planner
     # alone, and prints the bits of a fresh tightest_bound.
@@ -979,9 +981,10 @@ def test_bound_plan_reports_from_the_search(pauli_instance, monkeypatch, capsys)
              pauli_norms, True, None)):
         scheme, eps = argv[1], float(argv[3])
         calls.clear()
-        assert cli.main(["plan", *argv]) == 0
+        code, out, _ = run_cli("plan", *argv)
+        assert code == 0
         cli_calls = len(calls)
-        lines = capsys.readouterr().out.split("\n")
+        lines = out.split("\n")
         calls.clear()
         n_min = trotter.plan_min_n(scheme, eps, norms=norms, special=special)
         assert cli_calls == len(calls), argv
@@ -1034,8 +1037,8 @@ def test_jets_report(pauli_instance):
     assert res.stdout.rstrip().endswith("result pass")
 
 
-def test_jets_checks_every_claim_through_degree_two(pauli_instance, monkeypatch, capsys):
-    code, out, err = _run_in_process(capsys, "jets", "--input", pauli_instance)
+def test_jets_checks_every_claim_through_degree_two(pauli_instance, monkeypatch):
+    code, out, err = run_cli("jets", "--input", pauli_instance)
     assert (code, err) == (0, "")
     rows = [line for line in out.split("\n") if " residual " in line]
     assert len(rows) == 3 and all(" deg<=2 " in row and row.endswith(" pass") for row in rows)
@@ -1049,21 +1052,21 @@ def test_jets_checks_every_claim_through_degree_two(pauli_instance, monkeypatch,
         return Jet(tuple(coefficients))
 
     monkeypatch.setattr(cli, "inverse_sandwich_defect_jet", off_at_degree_two)
-    code, out, err = _run_in_process(capsys, "jets", "--input", pauli_instance)
+    code, out, err = run_cli("jets", "--input", pauli_instance)
     assert (code, err) == (4, "")
     row = next(line for line in out.split("\n") if line.startswith("inverse-sandwich-defect"))
     assert row.endswith(" FAIL")
     assert out.endswith("result FAIL\n")
 
 
-def test_an_arithmetic_fault_names_its_type(monkeypatch, capsys):
+def test_an_arithmetic_fault_names_its_type(monkeypatch):
     # Only a value past the float range is an input of NonFiniteError's
     # kind; any other arithmetic fault reads as what it is.
     def divide_by_zero(*args):
         raise ZeroDivisionError("float division by zero")
 
     monkeypatch.setattr(cli, "bounds_for", divide_by_zero)
-    code, out, err = _run_in_process(capsys, "bounds", "--norms", "1,1")
+    code, out, err = run_cli("bounds", "--norms", "1,1")
     assert (code, out) == (3, "")
     assert err == "error[input]: ZeroDivisionError: float division by zero\n"
 
@@ -1087,21 +1090,19 @@ def test_tiny_albert_instance_runs(tmp_path):
         assert res.stderr == "", argv
 
 
-def test_near_unit_albert_instance_runs(tmp_path, capsys):
+def test_near_unit_albert_instance_runs(tmp_path):
     path = tmp_path / "near-unit-albert.json"
     path.write_text(json.dumps(NEAR_UNIT_ALBERT), encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for argv in (
-            ("bounds", "--scheme", "g,f", "--n", "1,2"),
-            ("sweep", "--scheme", "g,f", "--n", "1:16:x2"),
-            ("jets",),
-            ("plan", "--eps", "1e-3"),
-            ("plan", "--mode", "measured", "--eps", "1e-3"),
-        ):
-            code, out, err = _run_in_process(capsys, *argv, "--input", str(path))
-            assert (code, err) == (0, ""), argv
-            assert out, argv
+    for argv in (
+        ("bounds", "--scheme", "g,f", "--n", "1,2"),
+        ("sweep", "--scheme", "g,f", "--n", "1:16:x2"),
+        ("jets",),
+        ("plan", "--eps", "1e-3"),
+        ("plan", "--mode", "measured", "--eps", "1e-3"),
+    ):
+        code, out, err = run_cli(*argv, "--input", str(path))
+        assert (code, err) == (0, ""), argv
+        assert out, argv
 
 
 def test_jets_needs_two_elements(tmp_path):
@@ -1113,7 +1114,9 @@ def test_jets_needs_two_elements(tmp_path):
 
 
 def test_version_flag():
-    res = run_cli("--version")
+    # python -m jbtrotter: only a new process runs __main__ and turns
+    # main's code into the process exit status.
+    res = run_in_fresh_process("--version")
     assert res.returncode == 0
     assert res.stdout.strip()
 
@@ -1134,54 +1137,6 @@ CONTRACT_OPTIONS = {
     "demo": ("--output",),
     "frobnicate": ("--input",),
 }
-ZERO8 = [0.0] * 8
-# A spin instance whose spectrum spans [-1400, 600.3]: every exponential
-# it needs is finite.
-WIDE_SPIN = {"algebra": {"kind": "spin", "dim": 2},
-             "elements": [{"s": -400, "v": [1000, 0]}, {"s": 0.1, "v": [0, 0.2]}]}
-# A sym:2 pair whose sum is finite but whose scheme g and f evaluations
-# leave the float range up to n = 32.
-OVERFLOW_SYM = {"algebra": {"kind": "sym", "dim": 2},
-                "elements": [[800, 0.5, 0.5, -800], [-800, 0, 0, 800]]}
-# A herm:3 pair whose sum holds an inf at (0, 1) and (1, 0), on which
-# zheevd raised LinAlgError: exp of the sum is past the float range.
-OVERFLOW_SUM_HERM = {"algebra": {"kind": "herm", "dim": 3}, "elements": [
-    [[0, 0], [1e308, 0], [0, 0], [1e308, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]] * 2}
-# An albert pair whose first element is 1 plus an off-diagonal part of
-# 1e-120: its characteristic cubic once divided by zero, and every command
-# exited 3.  It commutes with the second up to about 1e-120, so sweep errors
-# sit at the roundoff floor.
-NEAR_UNIT_ALBERT = {"algebra": {"kind": "albert", "dim": 3}, "elements": [
-    {"diag": [1.0, 1.0, 1.0], "x": [1e-120] + ZERO8[1:], "y": ZERO8, "z": ZERO8},
-    {"diag": [0.3, -0.2, 0.1], "x": [0.1, 0.2, 0.0, -0.1, 0.0, 0.05, 0.0, 0.0],
-     "y": [0.0, -0.15, 0.1, 0.0, 0.2, 0.0, 0.0, 0.1],
-     "z": [0.25, 0.0, 0.0, 0.1, 0.0, 0.0, -0.05, 0.0]},
-]}
-CONTRACT_FILES = {
-    "pair.json": {"algebra": {"kind": "sym", "dim": 2},
-                  "elements": [[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, -1.0]]},
-    "triple.json": {"algebra": {"kind": "spin", "dim": 2}, "elements": [
-        {"s": 0.3, "v": [0.5, 0.0]}, {"s": -0.2, "v": [0.0, 0.4]}, {"s": 0.1, "v": [0.3, 0.3]}]},
-    "albert.json": {"algebra": {"kind": "albert", "dim": 3}, "elements": [
-        {"diag": [0.5, 0.0, -0.5], "x": [0.2] + ZERO8[1:], "y": ZERO8, "z": ZERO8},
-        {"diag": [0.0, 0.3, 0.0], "x": ZERO8, "y": ZERO8[1:] + [0.4], "z": ZERO8}]},
-    "single.json": {"algebra": {"kind": "sym", "dim": 2}, "elements": [[0.0, 1.0, 1.0, 0.0]]},
-    "overflow-sum.json": {"algebra": {"kind": "sym", "dim": 2},
-                          "elements": [[800, 0, 0, 1], [0, 1, 1, 0]]},
-    "overflow-single.json": {"algebra": {"kind": "spin", "dim": 1},
-                             "elements": [{"s": 800, "v": [1]}, {"s": -800, "v": [0]}]},
-    "huge-sym.json": {"algebra": {"kind": "sym", "dim": 2},
-                      "elements": [[1e200, 0, 0, 1], [0, 1, 1, 0]]},
-    "huge-albert.json": {"algebra": {"kind": "albert", "dim": 3}, "elements": [
-        {"diag": [1e200, 0, 0], "x": ZERO8, "y": ZERO8, "z": ZERO8},
-        {"diag": [0, 1, 0], "x": [1.0] + ZERO8[1:], "y": ZERO8, "z": ZERO8}]},
-    "asymmetric.json": {"algebra": {"kind": "sym", "dim": 2}, "elements": [[0, 1, 2, 0]]},
-    "malformed.json": "{oops",
-    # Deeper than the JSON reader can recurse, and a sym:2 instance in UTF-16.
-    "deep.json": b"[" * 100_000,
-    "utf16.json": json.dumps({"algebra": {"kind": "sym", "dim": 2},
-                              "elements": [[0.0, 1.0, 1.0, 0.0]]}).encode("utf-16"),
-}
 CONTRACT_VALUES = {
     "--algebra": (("sym:2", "spin:1", "sym:0", "herm:-1", "x:2", "sym:x", "sym:100000"), 2),
     "--trials": (("1", "2", "0", "-1", "nan", "inf", "x", "1000001"), 2),
@@ -1198,15 +1153,6 @@ CONTRACT_VALUES = {
     "--input": (tuple(CONTRACT_FILES) + ("missing.json",), 3),
     "--output": (("out.txt", "no-such-dir/out.txt", "."), 1),
 }
-KIND_OF_CODE = {2: "usage", 3: "input", 5: "capacity"}
-
-
-def contract_bytes(doc) -> bytes:
-    """A CONTRACT_FILES value as file contents: bytes as they are, a str as
-    UTF-8 text, anything else as JSON."""
-    if isinstance(doc, bytes):
-        return doc
-    return (doc if isinstance(doc, str) else json.dumps(doc)).encode("utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -1239,24 +1185,15 @@ def test_every_command_line_keeps_the_error_contract(contract_dir, argv):
         str(contract_dir / value) if option in ("--input", "--output") else value
         for option, value in zip([None] + argv[:-1], argv)
     ]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
-    assert code in (0, 2, 3, 4, 5), argv
-    if code in KIND_OF_CODE:
-        lines = err.getvalue().split("\n")
-        assert lines[1:] == [""] and lines[0].startswith(f"error[{KIND_OF_CODE[code]}]: "), argv
-    else:
-        assert err.getvalue() == "", argv
+    code, _, err = run_cli(*argv)
+    assert keeps_the_contract(code, err), (argv, code, err)
 
 
 @pytest.mark.parametrize("name", ["deep.json", "utf16.json"])
 def test_unparsable_files_are_parse_errors(contract_dir, name):
     path = str(contract_dir / name)
     for argv in (["sweep"], ["jets"], ["bounds"], ["plan", "--eps", "1e-3"]):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(argv + ["--input", path])
-        assert (code, out.getvalue()) == (3, ""), argv
-        lines = err.getvalue().split("\n")
+        code, out, err = run_cli(*argv, "--input", path)
+        assert (code, out) == (3, ""), argv
+        lines = err.split("\n")
         assert lines[1:] == [""] and lines[0].startswith("error[input]: parse: "), argv

@@ -3,22 +3,17 @@ edges of the float range, in every family.
 
 Each payload leads an instance whose other two elements are ordinary, and
 fills the first two places of another, so that the sum leaves the float
-range.  With every warning an error, each command either succeeds with
-nothing on stderr, stops with one of the two reasons of
-``NonFiniteError`` (exp of the sum, or for ``jets`` its jet or the
-tolerance scale, past the float range), or reports a step count past the
-planner's limit.  A numpy warning, or an ``OverflowError``,
+range.  Run by ``cli_harness.run_cli``, with every warning an error, each
+command either succeeds with nothing on stderr, stops with one of the two
+reasons of ``NonFiniteError`` (exp of the sum, or for ``jets`` its jet or
+the tolerance scale, past the float range), or reports a step count past
+the planner's limit.  A numpy warning, or an ``OverflowError``,
 ``ZeroDivisionError`` or ``LinAlgError`` out of the library, fails it.
 """
-
-import io
-import warnings
-from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
-from jbtrotter import cli
 from jbtrotter.algebras import (
     AlgebraDescriptor,
     albert_element,
@@ -30,6 +25,7 @@ from jbtrotter.algebras import (
     zero,
 )
 from jbtrotter.instances import ProblemInstance, save_instance
+from cli_harness import keeps_the_contract, run_cli
 
 FAMILIES = tuple(AlgebraDescriptor(kind, dim)
                  for kind, dim in (("sym", 3), ("herm", 3), ("spin", 4), ("albert", 3)))
@@ -89,13 +85,6 @@ def payloads(descriptor):
     return atlas
 
 
-def _run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
-    return code, err.getvalue()
-
-
 @pytest.mark.parametrize("place", ["leads", "fills-two"])
 @pytest.mark.parametrize("descriptor", FAMILIES, ids=str)
 def test_edge_atlas_keeps_the_error_contract(descriptor, place, tmp_path):
@@ -107,17 +96,10 @@ def test_edge_atlas_keeps_the_error_contract(descriptor, place, tmp_path):
         path = tmp_path / "atlas.json"
         save_instance(ProblemInstance(descriptor, tuple(elements)), path)
         for command in COMMANDS:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code, err = _run([*command, "--input", str(path)])
-            if code == 0:
-                kept = err == ""
-            elif code == 3:
-                kept = err in NON_FINITE
-            elif code == 5:
-                kept = err.startswith("error[capacity]: ") and err.count("\n") == 1
-            else:
-                kept = False
+            code, _, err = run_cli(*command, "--input", str(path))
+            # Of the contract's exits, only 0, 5 and NonFiniteError's 3.
+            kept = keeps_the_contract(code, err) and (
+                err in NON_FINITE if code == 3 else code in (0, 5))
             if not kept:
                 broken.append((name, " ".join(command), code, err))
     assert broken == []
