@@ -260,8 +260,20 @@ def _check_count(value, what: str, low: int = 1) -> None:
         raise ValueError(f"{what} must be a {kind} integer, got {value!r}")
 
 
+def _finite(x: np.ndarray) -> bool:
+    """The library's one finiteness test: ``np.isfinite(x).all()`` for a
+    float or complex array of any shape, 0-d included, so for the payload
+    of every family (sym, herm, spin, albert) and every jet coefficient.
+    The array's dot product with zeros, one pass that cannot overflow and
+    raises no numpy warning, is 0 when every entry is finite and NaN
+    otherwise.  On sym and herm payloads it guards LAPACK, which can return
+    finite eigenvalues for a payload holding a NaN, and whose zheevd raises
+    ``LinAlgError`` on one holding an inf."""
+    return np.vdot(x, np.zeros(x.shape, x.dtype)) == 0
+
+
 def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not _finite(arr):
         raise ValueError(f"{what} contains non-finite entries")
 
 
@@ -363,15 +375,6 @@ def albert_parts(a: Element) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 # counter) sees every call whichever family makes it.  ``octonion.mul`` is
 # the one traced octonion name; ``octonion.matmul``, ``conj``,
 # ``norm_form`` and ``real_part`` never call it.
-
-
-def _finite(x: np.ndarray) -> bool:
-    """Whether every entry of a sym or herm payload is finite.  LAPACK can
-    return finite eigenvalues for a payload holding a NaN, and zheevd raises
-    ``LinAlgError`` on one holding an inf.  The payload's dot product with
-    zeros, one pass that cannot overflow, is 0 when every entry is finite
-    and NaN otherwise."""
-    return np.vdot(x, np.zeros(x.shape, x.dtype)) == 0
 
 
 def _eigh(a: Element):
@@ -790,6 +793,6 @@ def random_element(descriptor: AlgebraDescriptor, seed: int, target_norm: float 
     # below 1; the draw then goes to unit norm first.
     with _quiet():
         elem = elem * scale if math.isfinite(scale) else (elem / nrm) * target_norm
-    if not np.isfinite(elem.data).all():
+    if not _finite(elem.data):
         raise ValueError(f"target_norm {target_norm!r} puts the draw past the float range")
     return elem

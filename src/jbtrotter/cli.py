@@ -45,7 +45,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebras import CapacityError, jb_norm, parse_descriptor, sym_element
+from .algebras import CapacityError, _finite, jb_norm, parse_descriptor, sym_element
 from .axioms import DEFAULT_TOL, run_axiom_suite
 from .instances import InstanceFormatError, load_instance
 from .jets import (
@@ -386,8 +386,7 @@ def _jets_report(elements, label, degree, tol, out) -> int:
         # raises OverflowError; below it the bits are the same.
         limit = tol * np.float64(1.0 + sum(jb_norm(e) for e in elements)) ** 3
         reference = jet_exp(functools.reduce(lambda a, b: a + b, elements), degree)
-        if not (np.isfinite(limit) and all(np.isfinite(c.data).all()
-                                           for c in reference.coefficients)):
+        if not (np.isfinite(limit) and all(_finite(c.data) for c in reference.coefficients)):
             raise NonFiniteError("the jet of exp of the sum of the elements or its tolerance "
                                  "scale leaves the float range")
         nil = jet_zero(elements[0].descriptor, degree)

@@ -34,6 +34,7 @@ import numpy as np
 from .algebras import (
     AlgebraDescriptor,
     Element,
+    _finite,
     albert_element,
     albert_parts,
     herm_element,
@@ -78,7 +79,7 @@ def _reals(obj, shape: tuple, what: str, count_category: str = "schema") -> np.n
     # known, every leaf is one cell of an object array.
     if any(isinstance(x, (bool, str)) for x in np.array(obj, dtype=object).flat):
         _fail("schema", f"{what} must hold numbers, not strings or booleans")
-    if not np.isfinite(arr).all():
+    if not _finite(arr):
         _fail("schema", f"{what} contains non-finite values")
     return arr
 

@@ -68,6 +68,7 @@ from .algebras import (
     Element,
     _check_count,
     _check_elements,
+    _finite,
     _quiet,
     exp_spectral,
     jb_norm,
@@ -182,10 +183,9 @@ def _check_scheme(scheme: str) -> None:
 
 def exp_sum(elements) -> Element:
     """Reference value exp(A_1 + ... + A_m); ``NonFiniteError`` if it overflows."""
-    elems = _check_elements(elements)
     with _quiet():
-        value = exp_spectral(reduce(lambda a, b: a + b, elems))
-        if not np.isfinite(value.data).all():
+        value = exp_spectral(reduce(lambda a, b: a + b, _check_elements(elements)))
+        if not _finite(value.data):
             raise NonFiniteError("exp of the sum of the elements overflows the float range")
     return value
 

@@ -24,7 +24,9 @@ command meant to succeed did not, if a command broke the error contract
 differs from the first, or if scipy, mpmath, hypothesis or pytest was
 loaded by the end; stderr names those commands and modules.  The last is
 the check that the CLI needs numpy alone, so this script imports only
-the standard library, numpy and the dependency-free ``cli_harness``.
+the standard library, numpy, ``jbtrotter`` and the dependency-free
+``cli_harness``, whose ``spectrum_past_the_float_range`` builds the first
+element of each instance past the float range.
 (No test_ prefix: pytest does not collect this file.)
 """
 
@@ -42,6 +44,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
+from jbtrotter.algebras import AlgebraDescriptor  # noqa: E402
+from jbtrotter.instances import ProblemInstance, instance_to_dict  # noqa: E402
 from cli_harness import (  # noqa: E402
     CONTRACT_FILES,
     NEAR_UNIT_ALBERT,
@@ -51,6 +55,7 @@ from cli_harness import (  # noqa: E402
     contract_bytes,
     keeps_the_contract,
     run_cli,
+    spectrum_past_the_float_range,
 )
 
 # numpy is the one runtime dependency: none of these may be loaded by the
@@ -67,9 +72,10 @@ INSTANCES = [
     for scale in (1e-120, 0.1, 0.5)
 ]
 
-# One instance per family whose first element has entries 0 or 1e308, as
-# conftest.spectrum_past_the_float_range: its top eigenvalue, 2e308 or
-# more, is past the float range.  The second element is an ordinary one.
+# One instance per family whose first element is
+# cli_harness.spectrum_past_the_float_range, with entries 0 or 1e308: its top
+# eigenvalue, 2e308 or more, is past the float range.  The second element is
+# an ordinary one.
 FLOAT_RANGE = {f"float-range-{kind}.json": (kind, dim)
                for kind, dim in (("sym", 3), ("herm", 3), ("spin", 4), ("albert", 3))}
 
@@ -89,17 +95,6 @@ def _payload(kind: str, dim: int, rng, scale: float):
     return {"diag": v[:3], "x": v[3:11], "y": v[11:19], "z": v[19:]}
 
 
-def _float_range_payload(kind: str, dim: int):
-    """The payload of conftest.spectrum_past_the_float_range in the instance
-    file layout."""
-    big = 1e308
-    if kind in ("sym", "herm"):
-        return [big if kind == "sym" else [big, 0.0]] * (dim * dim)
-    if kind == "spin":
-        return {"s": big, "v": [big] + [0.0] * (dim - 1)}
-    return {"diag": [big] * 3, "x": [big] + [0.0] * 7, "y": [0.0] * 8, "z": [0.0] * 8}
-
-
 def write_instances(root: Path) -> list[str]:
     names = []
     for i, (kind, dim, m, scale) in enumerate(INSTANCES):
@@ -109,9 +104,10 @@ def write_instances(root: Path) -> list[str]:
         names.append(f"{kind}{dim}-m{m}-scale{scale}.json")
         (root / names[-1]).write_text(json.dumps(doc), encoding="utf-8")
     for i, (name, (kind, dim)) in enumerate(FLOAT_RANGE.items()):
-        doc = {"algebra": {"kind": kind, "dim": dim}, "label": name.removesuffix(".json"),
-               "elements": [_float_range_payload(kind, dim),
-                            _payload(kind, dim, np.random.default_rng(i), 0.5)]}
+        desc = AlgebraDescriptor(kind, dim)
+        doc = instance_to_dict(ProblemInstance(desc, (spectrum_past_the_float_range(desc),),
+                                               name.removesuffix(".json")))
+        doc["elements"].append(_payload(kind, dim, np.random.default_rng(i), 0.5))
         (root / name).write_text(json.dumps(doc), encoding="utf-8")
     for name, doc in {**CONTRACT_FILES, "wide-spin.json": WIDE_SPIN,
                       "overflow-sym.json": OVERFLOW_SYM,

@@ -1,6 +1,8 @@
-"""The one in-process way to run the CLI, shared by the CLI tests, the edge
-atlas and the corpus script, with the error contract they check and the
-instance documents they share.
+"""The one home of what the CLI tests, the edge atlas, criterion 10 and the
+corpus script share: the one in-process runner ``run_cli``, the one
+fresh-process runner ``run_in_fresh_process``, the error contract they
+check, the instance documents they share and the one builder of an
+element whose spectrum is past the float range.
 
 It imports only the standard library, numpy and ``jbtrotter``, so the
 corpus script that imports it can check that no test or oracle module was
@@ -11,11 +13,18 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from jbtrotter import cli
+from jbtrotter.algebras import Element, albert_element, herm_element, spin_element, sym_element
 
 KIND_OF_CODE = {2: "usage", 3: "input", 5: "capacity"}
 
@@ -39,6 +48,17 @@ def run_cli(*argv: str) -> Run:
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(list(argv))
     return Run(code, out.getvalue(), err.getvalue())
+
+
+def run_in_fresh_process(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m jbtrotter`` in a new process, with every warning an error
+    as in ``run_cli``, and the directory holding the package under test
+    first on PYTHONPATH, so it runs the same code without an install."""
+    env = dict(os.environ, PYTHONWARNINGS="error")
+    package_root = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "jbtrotter", *argv], capture_output=True,
+                          text=True, env=env, timeout=300)
 
 
 def keeps_the_contract(code: int, err: str) -> bool:
@@ -99,6 +119,17 @@ CONTRACT_FILES = {
     "utf16.json": json.dumps({"algebra": {"kind": "sym", "dim": 2},
                               "elements": [[0.0, 1.0, 1.0, 0.0]]}).encode("utf-16"),
 }
+
+
+def spectrum_past_the_float_range(descriptor) -> Element:
+    """An element of the descriptor with finite entries, all 0 or 1e308,
+    whose top eigenvalue (2e308 or more) is past the float range."""
+    k = descriptor.dim
+    if descriptor.kind == "spin":
+        return spin_element(1e308, [1e308] + [0.0] * (k - 1))
+    if descriptor.kind == "albert":
+        return albert_element([1e308] * 3, [1e308] + [0.0] * 7, [0.0] * 8, [0.0] * 8)
+    return (sym_element if descriptor.kind == "sym" else herm_element)(np.full((k, k), 1e308))
 
 
 def contract_bytes(doc) -> bytes:

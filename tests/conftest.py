@@ -1,22 +1,17 @@
-"""Shared fixtures and helpers for the test suite."""
+"""Shared fixtures and helpers for the test suite.  What the CLI tests,
+criterion 10 and the corpus script share (both CLI runners, the instance
+documents, the element past the float range) lives in ``cli_harness``."""
 
 from __future__ import annotations
-
-import os
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import jbtrotter
 from jbtrotter.algebras import (
     AlgebraDescriptor,
     Element,
-    albert_element,
-    herm_element,
     jb_norm,
     random_element,
-    spin_element,
     sym_element,
 )
 
@@ -34,20 +29,6 @@ SPECIAL_MATRIX_DESCRIPTORS = tuple(
 )
 
 
-# The directory holding the jbtrotter package the tests import; CLI
-# subprocesses get it on PYTHONPATH, so they run the same code without an
-# install and without PYTHONPATH set by the caller.
-PACKAGE_ROOT = str(Path(jbtrotter.__file__).resolve().parent.parent)
-
-
-def cli_env() -> dict:
-    """Environment for a ``python -m jbtrotter`` subprocess: the tested
-    package first on PYTHONPATH."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (PACKAGE_ROOT, env.get("PYTHONPATH"))))
-    return env
-
-
 def seeded_elements(descriptor, m, base_seed, target_norm=1.0):
     """Deterministic element tuple; seeds are spread so instances differ."""
     return tuple(
@@ -60,17 +41,6 @@ def pauli_pair():
     sx = sym_element([[0.0, 1.0], [1.0, 0.0]])
     sz = sym_element([[1.0, 0.0], [0.0, -1.0]])
     return sx, sz
-
-
-def spectrum_past_the_float_range(descriptor) -> Element:
-    """An element of the descriptor with finite entries, all 0 or 1e308,
-    whose top eigenvalue (2e308 or more) is past the float range."""
-    k = descriptor.dim
-    if descriptor.kind == "spin":
-        return spin_element(1e308, [1e308] + [0.0] * (k - 1))
-    if descriptor.kind == "albert":
-        return albert_element([1e308] * 3, [1e308] + [0.0] * 7, [0.0] * 8, [0.0] * 8)
-    return (sym_element if descriptor.kind == "sym" else herm_element)(np.full((k, k), 1e308))
 
 
 def rel_gap(a: Element, b: Element) -> float:

@@ -11,7 +11,9 @@ Two measures per file:
 
 A line is a comment if it starts with ``#`` after its indentation.
 SRC_DIR defaults to the ``src/jbtrotter`` next to this file's directory,
-so the same script measures another checkout when given its path.  (No
+so the same script measures another checkout, or any directory of
+Python files such as ``tests``, when given its path.  The name column is
+as wide as the longest file name.  (No
 test_ prefix: pytest does not collect this file.)
 """
 
@@ -57,14 +59,15 @@ def main(argv: list[str]) -> int:
     if not files:
         print(f"no Python files under {src}", file=sys.stderr)
         return 1
-    print(f"{'module':<16} {'code':>6} {'nonblank':>9}")
+    width = max(len("module"), *(len(path.name) for path in files))
+    print(f"{'module':<{width}} {'code':>6} {'nonblank':>9}")
     total_code = total_nonblank = 0
     for path in files:
         code, nonblank = measure(path)
         total_code += code
         total_nonblank += nonblank
-        print(f"{path.name:<16} {code:>6} {nonblank:>9}")
-    print(f"{'total':<16} {total_code:>6} {total_nonblank:>9}")
+        print(f"{path.name:<{width}} {code:>6} {nonblank:>9}")
+    print(f"{'total':<{width}} {total_code:>6} {total_nonblank:>9}")
     return 0
 
 

@@ -9,10 +9,7 @@ factors through Clifford matrices, albert through its 27x27
 left-multiplication matrices.
 """
 
-import json
 import math
-import subprocess
-import sys
 import time
 import zlib
 
@@ -62,7 +59,8 @@ from assoc_oracle import (
     spin_to_matrix,
     to_matrix,
 )
-from conftest import STANDARD_DESCRIPTORS, cli_env, pauli_pair
+from cli_harness import CONTRACT_FILES, contract_bytes, run_in_fresh_process
+from conftest import STANDARD_DESCRIPTORS, pauli_pair
 
 FAMILIES = STANDARD_DESCRIPTORS  # sym:6, herm:4, spin:8, albert:3
 DOUBLING_N = [1, 2, 4, 8, 16, 32, 64, 128, 256]
@@ -367,42 +365,23 @@ def test_criterion_09_frozen_spot_values():
     )
 
 
-def _run_cli(*argv, tmp=None):
-    return subprocess.run(
-        [sys.executable, "-m", "jbtrotter", *argv],
-        capture_output=True,
-        text=True,
-        env=cli_env(),
-        timeout=300,
-    )
-
-
 def test_criterion_10_cli_determinism(tmp_path):
-    demo_a = _run_cli("demo")
-    demo_b = _run_cli("demo")
+    demo_a = run_in_fresh_process("demo")
+    demo_b = run_in_fresh_process("demo")
     assert demo_a.returncode == 0 and demo_b.returncode == 0
     assert demo_a.stdout == demo_b.stdout and demo_a.stdout
 
     inst = tmp_path / "pair.json"
-    inst.write_text(
-        json.dumps(
-            {
-                "algebra": {"kind": "sym", "dim": 2},
-                "label": "pair",
-                "elements": [[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, -1.0]],
-            }
-        ),
-        encoding="utf-8",
-    )
+    inst.write_bytes(contract_bytes({**CONTRACT_FILES["pair.json"], "label": "pair"}))
     args = ("sweep", "--input", str(inst), "--scheme", "g,f", "--n", "1:128:x2")
-    sweep_a = _run_cli(*args)
-    sweep_b = _run_cli(*args)
+    sweep_a = run_in_fresh_process(*args)
+    sweep_b = run_in_fresh_process(*args)
     assert sweep_a.returncode == 0
     assert sweep_a.stdout == sweep_b.stdout and sweep_a.stdout
 
     bad = tmp_path / "broken.json"
     bad.write_text("{definitely not json", encoding="utf-8")
-    res = _run_cli("sweep", "--input", str(bad))
+    res = run_in_fresh_process("sweep", "--input", str(bad))
     assert res.returncode == 3
     err_lines = res.stderr.strip().split("\n")
     assert len(err_lines) == 1 and err_lines[0].startswith("error[input]:")

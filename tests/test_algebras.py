@@ -57,8 +57,8 @@ from conftest import (
     pauli_pair,
     rel_gap,
     seeded_elements,
-    spectrum_past_the_float_range,
 )
+from cli_harness import spectrum_past_the_float_range
 
 RNG = np.random.default_rng(7)
 
@@ -720,6 +720,23 @@ def test_spectrum_past_the_float_range_reads_inf_without_a_warning(descriptor):
         assert spectrum(spectrum_past_the_float_range(descriptor))[-1] == math.inf
         # A fresh element: the norm takes the spectrum itself, not a kept one.
         assert jb_norm(spectrum_past_the_float_range(descriptor)) == math.inf
+
+
+def test_finite_is_isfinite_all_without_a_warning(descriptor):
+    # The library's one finiteness test, on the family's payload shape and
+    # dtype and on 0-d float and complex arrays, one edge value at a time.
+    floats = (0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324)
+    complexes = floats + (complex(math.inf, 0.0), complex(0.0, -math.inf),
+                          complex(math.nan, 1.0), complex(1e308, 1e308))
+    payload = random_element(descriptor, 3).data
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for base in (payload, np.zeros(()), np.zeros((), complex)):
+            assert algebras._finite(base)
+            for value in complexes if np.iscomplexobj(base) else floats:
+                x = base.copy()
+                x.flat[-1] = value
+                assert algebras._finite(x) == np.isfinite(x).all(), (x.shape, x.dtype, value)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=str)

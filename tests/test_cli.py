@@ -1,12 +1,11 @@
 """CLI behavior through ``cli.main``, run in process by ``cli_harness.run_cli``.
 
-Only the tests about a fresh process start one, with ``run_in_fresh_process``.
+Only the tests about a fresh process start one, with
+``cli_harness.run_in_fresh_process``.
 """
 
 import json
 import math
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -28,8 +27,9 @@ from cli_harness import (
     contract_bytes,
     keeps_the_contract,
     run_cli,
+    run_in_fresh_process,
+    spectrum_past_the_float_range,
 )
-from conftest import cli_env, spectrum_past_the_float_range
 
 CSV_HEADER = (
     "scheme,n,error,bound_thm31,bound_thm33i,bound_thm33ii,"
@@ -37,29 +37,10 @@ CSV_HEADER = (
 )
 
 
-def run_in_fresh_process(*argv):
-    """``python -m jbtrotter`` with warnings as errors, as ``run_cli`` runs
-    in process."""
-    env = cli_env()
-    env["PYTHONWARNINGS"] = "error"
-    return subprocess.run(
-        [sys.executable, "-m", "jbtrotter", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
-
-
 @pytest.fixture(scope="module")
 def pauli_instance(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "pauli.json"
-    doc = {
-        "algebra": {"kind": "sym", "dim": 2},
-        "label": "pauli-pair",
-        "elements": [[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, -1.0]],
-    }
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_bytes(contract_bytes({**CONTRACT_FILES["pair.json"], "label": "pauli-pair"}))
     return str(path)
 
 
@@ -538,11 +519,10 @@ def test_overflowing_bounds_read_inf():
 def test_overflowing_instance_is_one_input_error(tmp_path):
     docs = (
         # exp of the sum overflows
-        {"algebra": {"kind": "sym", "dim": 2}, "elements": [[800, 0, 0, 1], [0, 1, 1, 0]]},
+        CONTRACT_FILES["overflow-sum.json"],
         # the sums are finite, exp of the single elements overflows
         {"algebra": {"kind": "sym", "dim": 2}, "elements": [[800, 0, 0, 1], [-800, 1, 1, 0]]},
-        {"algebra": {"kind": "spin", "dim": 1},
-         "elements": [{"s": 800, "v": [1]}, {"s": -800, "v": [0]}]},
+        CONTRACT_FILES["overflow-single.json"],
         # exp of the sum and the g product are finite, the error is not
         {"algebra": {"kind": "spin", "dim": 2},
          "elements": [{"s": 0, "v": [355.29, 0]}, {"s": 0, "v": [0, 355.29]}]},
@@ -686,16 +666,11 @@ def test_oversize_algebra_is_a_capacity_error(tmp_path, monkeypatch, pauli_insta
 def test_huge_entries_are_one_input_error(tmp_path):
     # The norms and jet scales of these leave the float range although no
     # exp is taken (the sym and spin bounds read inf instead).
-    zero8 = [0.0] * 8
     docs = {
-        "sym": {"algebra": {"kind": "sym", "dim": 2},
-                "elements": [[1e200, 0, 0, 1], [0, 1, 1, 0]]},
+        "sym": CONTRACT_FILES["huge-sym.json"],
         "spin": {"algebra": {"kind": "spin", "dim": 1},
                  "elements": [{"s": 1e110, "v": [1]}, {"s": 0, "v": [1]}]},
-        "albert": {"algebra": {"kind": "albert", "dim": 3}, "elements": [
-            {"diag": [1e200, 0, 0], "x": zero8, "y": zero8, "z": zero8},
-            {"diag": [0, 1, 0], "x": [1.0] + zero8[1:], "y": zero8, "z": zero8},
-        ]},
+        "albert": CONTRACT_FILES["huge-albert.json"],
         # v.v overflows, |v| does not
         "spin-v": {"algebra": {"kind": "spin", "dim": 2},
                    "elements": [{"s": 0, "v": [1e200, 0]}, {"s": 0, "v": [0, 1]}]},
@@ -1106,9 +1081,8 @@ def test_near_unit_albert_instance_runs(tmp_path):
 
 
 def test_jets_needs_two_elements(tmp_path):
-    doc = {"algebra": {"kind": "sym", "dim": 2}, "elements": [[0.0, 1.0, 1.0, 0.0]]}
     path = tmp_path / "single.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_bytes(contract_bytes(CONTRACT_FILES["single.json"]))
     res = run_cli("jets", "--input", str(path))
     assert res.returncode == 3
 

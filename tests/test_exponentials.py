@@ -26,7 +26,8 @@ from jbtrotter.algebras import (
     zero,
 )
 from assoc_oracle import albert_exp_oracle, embed_herm3, extract_herm3, to_matrix
-from conftest import rel_gap, spectrum_past_the_float_range
+from cli_harness import spectrum_past_the_float_range
+from conftest import rel_gap
 
 RNG = np.random.default_rng(99)
 

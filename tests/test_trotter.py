@@ -45,8 +45,8 @@ from conftest import (
     rel_gap,
     rel_gap_mat,
     seeded_elements,
-    spectrum_past_the_float_range,
 )
+from cli_harness import spectrum_past_the_float_range
 
 
 def test_single_element_g_is_exact(descriptor):
