@@ -379,8 +379,7 @@ def albert_parts(a: Element) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 
 def _eigh(a: Element):
     """(w, V) with data = V diag(w) V^H, sym and herm only, both NaN for a
-    payload holding an inf or a NaN; ``np.linalg.eigh`` is looked up on each
-    call, so a wrapper installed on it sees them all."""
+    payload holding an inf or a NaN."""
     x = a.data
     if not _finite(x):
         return np.full(a.descriptor.dim, math.nan), np.full(x.shape, math.nan, x.dtype)

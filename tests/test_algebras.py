@@ -56,6 +56,7 @@ from conftest import (
     STANDARD_DESCRIPTORS,
     pauli_pair,
     rel_gap,
+    rounded_digest,
     seeded_elements,
 )
 from cli_harness import spectrum_past_the_float_range
@@ -902,6 +903,18 @@ def test_random_element_deterministic(descriptor):
     a = random_element(descriptor, 12345, 1.5)
     b = random_element(descriptor, 12345, 1.5)
     assert a == b
+
+
+# Each family's draw from default_rng(0), before the rescale: the payload
+# (a complex one as its real and imaginary parts) rounded to 12 digits.
+SAMPLE_DIGESTS = {"sym:6": "7851d42c7e3acf13", "herm:4": "65fb7583c58104b2",
+                  "spin:8": "2c5fbed47434215a", "albert:3": "979705cae6087004"}
+
+
+def test_family_samplers_draw_the_pinned_payloads(descriptor):
+    draw = descriptor._family.sample(np.random.default_rng(0), descriptor)
+    payload = draw.data.view(np.float64).ravel().tolist()
+    assert rounded_digest(payload) == SAMPLE_DIGESTS[str(descriptor)]
 
 
 def test_random_element_seed_sensitivity(descriptor):

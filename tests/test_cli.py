@@ -30,6 +30,7 @@ from cli_harness import (
     run_in_fresh_process,
     spectrum_past_the_float_range,
 )
+from conftest import calls
 
 CSV_HEADER = (
     "scheme,n,error,bound_thm31,bound_thm33i,bound_thm33ii,"
@@ -302,9 +303,12 @@ def test_only_a_report_is_written_to_output(argv, output, code, tmp_path, monkey
 
 
 def test_sweep_geometric_range_expansion(pauli_instance):
-    res = run_cli("sweep", "--input", pauli_instance, "--scheme", "g", "--n", "3:50:x3")
-    rows = [l for l in res.stdout.strip().split("\n")[1:] if not l.startswith("#")]
-    assert [r.split(",")[1] for r in rows] == ["3", "9", "27"]
+    # A range whose stop equals its start is the one step count.
+    for text, ns in (("3:50:x3", ["3", "9", "27"]), ("1:1:x2", ["1"])):
+        res = run_cli("sweep", "--input", pauli_instance, "--scheme", "g", "--n", text)
+        assert res.returncode == 0, res.stderr
+        rows = [l for l in res.stdout.strip().split("\n")[1:] if not l.startswith("#")]
+        assert [r.split(",")[1] for r in rows] == ns, text
 
 
 def test_sweep_h_runs_on_odd_instance(spin_triple_instance):
@@ -328,29 +332,25 @@ def _family_instance(directory, descriptor, m):
     return str(path)
 
 
-def test_multi_scheme_sweep_measures_once(descriptor, tmp_path, monkeypatch):
+def test_multi_scheme_sweep_measures_once(descriptor, tmp_path):
     # One exp of the sum, m + 1 = 4 eigh calls on sym/herm and one
     # exponential per (element, divisor) serve all three schemes: exp of the
     # sum, exp(A_j / n) for 3 elements and 9 step counts, and f's last half
     # steps exp(A_2 / 512) and exp(A_3 / 512) make 30.  A sweep per scheme
     # would make 3 exp of the sum, 12 eigh and 1 + 3 * 27 = 82 exponentials.
     path = _family_instance(tmp_path, descriptor, 3)
-    exp_sums, eighs, exps = [], [], []
-    exp_sum, eigh, exp_spectral = trotter.exp_sum, np.linalg.eigh, trotter.exp_spectral
-    monkeypatch.setattr(trotter, "exp_sum", lambda e: exp_sums.append(1) or exp_sum(e))
-    monkeypatch.setattr(np.linalg, "eigh", lambda x: eighs.append(1) or eigh(x))
-    monkeypatch.setattr(trotter, "exp_spectral",
-                        lambda a, d=1: exps.append(d) or exp_spectral(a, d))
-    code, _, err = run_cli("sweep", "--input", path, "--scheme", "g,f,h", "--n", "1:256:x2")
+    with calls(trotter.exp_sum, np.linalg.eigh, trotter.exp_spectral) as n:
+        code, _, err = run_cli("sweep", "--input", path, "--scheme", "g,f,h", "--n", "1:256:x2")
     assert code == 0, err
-    assert (len(exp_sums), len(exps)) == (1, 30)
-    assert len(eighs) == (4 if descriptor.is_special else 0)
+    assert (n[trotter.exp_sum], n[trotter.exp_spectral]) == (1, 30)
+    assert n[np.linalg.eigh] == (4 if descriptor.is_special else 0)
     # One scheme never asks for one divisor twice: 1 + m * len(ns).
     for scheme in "gfh":
-        exps.clear()
-        code, _, err = run_cli("sweep", "--input", path, "--scheme", scheme, "--n", "1:256:x2")
+        with calls(trotter.exp_spectral) as n:
+            code, _, err = run_cli("sweep", "--input", path, "--scheme", scheme,
+                                   "--n", "1:256:x2")
         assert code == 0, err
-        assert len(exps) == 1 + 3 * 9, scheme
+        assert n[trotter.exp_spectral] == 1 + 3 * 9, scheme
 
 
 def test_multi_scheme_sweep_rows_are_each_schemes_sweep(descriptor, tmp_path):
@@ -373,16 +373,14 @@ def test_multi_scheme_sweep_rows_are_each_schemes_sweep(descriptor, tmp_path):
 # The second pair's exp of the sum overflows; the count rule is still the
 # error reported.
 @pytest.mark.parametrize("name", ["pair.json", "overflow-sum.json"])
-def test_h_count_is_checked_before_any_exponential(name, contract_dir, monkeypatch):
+def test_h_count_is_checked_before_any_exponential(name, contract_dir):
     path = contract_dir / name
-    exp_sums = []
-    exp_sum = trotter.exp_sum
-    monkeypatch.setattr(trotter, "exp_sum", lambda e: exp_sums.append(1) or exp_sum(e))
-    code, out, err = run_cli("sweep", "--input", str(path), "--scheme", "g,f,h",
-                             "--n", "1,2,4")
+    with calls(trotter.exp_sum, trotter.exp_spectral) as n:
+        code, out, err = run_cli("sweep", "--input", str(path), "--scheme", "g,f,h",
+                                 "--n", "1,2,4")
     assert (code, out) == (3, "")
     assert err == "error[input]: scheme h needs an odd element count >= 3, got 2\n"
-    assert exp_sums == []
+    assert n[trotter.exp_sum] == n[trotter.exp_spectral] == 0
 
 
 def test_bounds_and_sweep_print_the_same_bound_bits(descriptor, tmp_path):
@@ -426,6 +424,8 @@ FAILURES = [
     (("sweep", "--input", "pair.json", "--n", "0"), 2,
      "error[usage]: argument --n: step count must be >= 1, got 0\n"),
     (("sweep", "--input", "pair.json", "--n", "4,2"), 2,
+     "error[usage]: argument --n: step counts must be strictly increasing\n"),
+    (("sweep", "--input", "pair.json", "--n", "2,2"), 2,
      "error[usage]: argument --n: step counts must be strictly increasing\n"),
     (("sweep", "--input", "pair.json", "--n", "1:8:y2"), 2,
      "error[usage]: argument --n: range '1:8:y2' must look like start:stop:xFACTOR\n"),
@@ -760,26 +760,20 @@ def test_verify_axioms_bad_env_seed(monkeypatch):
     assert (res.returncode, res.stdout, res.stderr) == (0, plain.stdout, "")
 
 
-def test_in_process_calls_share_one_parser(monkeypatch, pauli_instance):
+def test_in_process_calls_share_one_parser(pauli_instance):
     # Each call prints what a fresh process prints, from one parser built
     # after the cache is cleared.  The reference side needs a new process
     # per command line: only there is each call the first, on a new parser.
-    build, builds = cli.build_parser, []
-
-    def counting_build():
-        builds.append(1)
-        return build()
-
-    monkeypatch.setattr(cli, "build_parser", counting_build)
     cli._parser.cache_clear()
     axioms = ("verify-axioms", "--algebra", "sym:3", "--trials", "20")
     steps = [(axioms[0], "--algebra", "sym:0"), axioms, axioms + ("--seed", "5"), axioms,
              ("sweep", "--input", pauli_instance, "--n", "1,2,4"), ("--version",)]
-    for argv in steps:
-        in_process = run_cli(*argv)
-        fresh = run_in_fresh_process(*argv)
-        assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr), argv
-    assert len(builds) == 1
+    with calls(cli.build_parser) as n:
+        for argv in steps:
+            in_process = run_cli(*argv)
+            fresh = run_in_fresh_process(*argv)
+            assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert n[cli.build_parser] == 1
 
 
 def test_help_states_the_exit_codes_but_not_the_python_api():
@@ -857,21 +851,17 @@ def test_plan_measured_mode(pauli_instance):
     assert lines[3] == "error(0) n/a"
 
 
-def test_measured_plan_reports_from_one_measurement(pauli_instance, spin_triple_instance,
-                                                    monkeypatch):
+def test_measured_plan_reports_from_one_measurement(pauli_instance, spin_triple_instance):
     # The report's errors at n_min and n_min - 1 come from the search's own
     # measurement: one exp of the sum per command, and the same bits as a
     # measurement of each step count on its own.
-    exp_sums = []
-    exp_sum = trotter.exp_sum
-    monkeypatch.setattr(trotter, "exp_sum", lambda e: exp_sums.append(1) or exp_sum(e))
     for path, scheme, eps in ((pauli_instance, "g", "1e-3"), (pauli_instance, "f", "1e-6"),
                               (pauli_instance, "g", "10"), (spin_triple_instance, "h", "1e-4")):
-        exp_sums.clear()
-        code, out, _ = run_cli("plan", "--scheme", scheme, "--eps", eps, "--mode", "measured",
-                               "--input", path)
+        with calls(trotter.exp_sum) as n:
+            code, out, _ = run_cli("plan", "--scheme", scheme, "--eps", eps,
+                                   "--mode", "measured", "--input", path)
         assert code == 0
-        assert len(exp_sums) == 1, (scheme, eps)
+        assert n[trotter.exp_sum] == 1, (scheme, eps)
         lines = out.split("\n")
         elems = load_instance(path).elements
         n_min = trotter.plan_min_n(scheme, float(eps), elements=elems, mode="measured")
@@ -882,14 +872,11 @@ def test_measured_plan_reports_from_one_measurement(pauli_instance, spin_triple_
                              f"error({n_min - 1}) {prev}", ""], (scheme, eps)
 
 
-def test_bound_plan_reports_from_the_search(pauli_instance, monkeypatch):
+def test_bound_plan_reports_from_the_search(pauli_instance):
     # The report's bounds at n_min and n_min - 1 are the ones the search
-    # evaluated: a command reaches the bound table as often as the planner
-    # alone, and prints the bits of a fresh tightest_bound.
-    calls = []
-    bounds_for = trotter.bounds_for
-    monkeypatch.setattr(trotter, "bounds_for",
-                        lambda *a, **k: calls.append(1) or bounds_for(*a, **k))
+    # evaluated: a command reaches the bound table once to check that the
+    # scheme has a bound (``cli._bound_inputs``) and then as often as the
+    # planner alone, and prints the bits of a fresh tightest_bound.
     pauli_norms = [jb_norm(e) for e in load_instance(pauli_instance).elements]
     for argv, norms, special, want in (
             (["--scheme", "g", "--eps", "1e-4", "--norms", "1"], [1.0], False, 96),
@@ -899,14 +886,13 @@ def test_bound_plan_reports_from_the_search(pauli_instance, monkeypatch):
             (["--scheme", "f", "--eps", "1e-5", "--input", pauli_instance],
              pauli_norms, True, None)):
         scheme, eps = argv[1], float(argv[3])
-        calls.clear()
-        code, out, _ = run_cli("plan", *argv)
+        with calls(trotter.bounds_for) as by_cli:
+            code, out, _ = run_cli("plan", *argv)
         assert code == 0
-        cli_calls = len(calls)
         lines = out.split("\n")
-        calls.clear()
-        n_min = trotter.plan_min_n(scheme, eps, norms=norms, special=special)
-        assert cli_calls == len(calls), argv
+        with calls(trotter.bounds_for) as by_planner:
+            n_min = trotter.plan_min_n(scheme, eps, norms=norms, special=special)
+        assert by_cli[trotter.bounds_for] == 1 + by_planner[trotter.bounds_for], argv
         assert want in (None, n_min), argv
         prev = (repr(trotter.tightest_bound(scheme, norms, n_min - 1, special)) if n_min > 1
                 else "n/a")
@@ -976,6 +962,25 @@ def test_jets_checks_every_claim_through_degree_two(pauli_instance, monkeypatch)
     row = next(line for line in out.split("\n") if line.startswith("inverse-sandwich-defect"))
     assert row.endswith(" FAIL")
     assert out.endswith("result FAIL\n")
+
+
+def test_jets_tolerance_scales_as_the_cube_of_one_plus_s(tmp_path):
+    # Every check's limit is tol (1 + S)^3, S the sum of the element norms:
+    # a --tol that puts it 5 % above the largest residual passes, 5 % below
+    # fails.  With 1 + S = 3.1 here, (1 + S)^4 would pass both and
+    # (1 + S)^2 fail both.
+    path = _family_instance(tmp_path, AlgebraDescriptor("sym", 3), 3)
+    s = sum(jb_norm(e) for e in load_instance(path).elements)
+    code, out, err = run_cli("jets", "--input", path)
+    assert (code, err) == (0, "") and abs(s - 2.1) < 1e-12
+    worst = max(float(line.split(" residual ")[1].split()[0])
+                for line in out.split("\n") if " residual " in line)
+    assert worst > 0.0
+    for factor, want in ((1.05, 0), (0.95, 4)):
+        tol = factor * worst / (1.0 + s) ** 3
+        code, out, err = run_cli("jets", "--input", path, "--tol", repr(tol))
+        assert (code, err) == (want, ""), factor
+        assert out.endswith("result pass\n" if want == 0 else "result FAIL\n")
 
 
 def test_an_arithmetic_fault_names_its_type(monkeypatch):

@@ -27,7 +27,7 @@ from jbtrotter.algebras import (
 )
 from assoc_oracle import albert_exp_oracle, embed_herm3, extract_herm3, to_matrix
 from cli_harness import spectrum_past_the_float_range
-from conftest import rel_gap
+from conftest import calls, rel_gap
 
 RNG = np.random.default_rng(99)
 
@@ -97,49 +97,45 @@ def _albert_with_root_gap(gap: float):
     return embed_herm3(q @ m @ q.conj().T)
 
 
-def _count_series(monkeypatch) -> list:
-    # Family code reaches exp_series through the module name at call time.
-    calls = []
-    series = algebras.exp_series
-    monkeypatch.setattr(algebras, "exp_series", lambda a: calls.append(a) or series(a))
-    return calls
+def _series_calls(a: Element) -> tuple[Element, int]:
+    """exp_spectral(a), and how many times it called exp_series."""
+    with calls(exp_series) as n:
+        got = exp_spectral(a)
+    return got, n[exp_series]
 
 
 @pytest.mark.parametrize("gap", [1e-3, 1e-5, 2e-6, 1.01e-6, 0.99e-6, 5e-7, 1e-8])
-def test_exp_albert_near_degenerate_straddles_fallback(gap, monkeypatch):
+def test_exp_albert_near_degenerate_straddles_fallback(gap):
     # gaps on both sides of DEGENERATE_ROOT_GAP must agree with the series,
     # and the fallback decision is relative to the norm: the same at every
     # scale for gaps clearly on one side of the threshold
-    calls = _count_series(monkeypatch)
     for scale in (1.0, 1e-3, 1e-7):
         a = _albert_with_root_gap(gap) * scale
-        calls.clear()
-        got = exp_spectral(a)
+        got, series = _series_calls(a)
         if not 0.5 < gap / DEGENERATE_ROOT_GAP < 2.0:
-            assert len(calls) == (gap < DEGENERATE_ROOT_GAP), scale
+            assert series == (gap < DEGENERATE_ROOT_GAP), scale
         assert rel_gap(got, exp_series(a)) < 1e-11, scale
 
 
 @pytest.mark.parametrize("norm", [1e-12, 1e-9, 1e-7])
-def test_small_albert_elements_keep_the_closed_form(norm, monkeypatch):
+def test_small_albert_elements_keep_the_closed_form(norm):
     # Roots well apart relative to the norm take the Newton form however
     # small the element is.
-    calls = _count_series(monkeypatch)
     desc = AlgebraDescriptor("albert", 3)
     for seed in range(20):
         a = random_element(desc, seed, norm)
-        got = exp_spectral(a)
+        got, series = _series_calls(a)
+        assert series == 0, seed
         assert rel_gap(got, exp_series(a)) < 1e-15
-    assert calls == []
 
 
-def test_albert_zero_and_unit_multiples_take_the_series(monkeypatch):
+def test_albert_zero_and_unit_multiples_take_the_series():
     # Their root gaps are exactly 0, at or below any relative threshold.
-    calls = _count_series(monkeypatch)
     one = unit(AlgebraDescriptor("albert", 3))
     for a in (zero(one.descriptor), one, one * -3.0, one * 1e-9):
-        assert rel_gap(exp_spectral(a), exp_series(a)) < 1e-15
-    assert len(calls) == 4
+        got, series = _series_calls(a)
+        assert series == 1
+        assert rel_gap(got, exp_series(a)) < 1e-15
 
 
 @pytest.mark.parametrize("diag", [(-400.0, 350.0, 351.0), (-750.0, -45.0, -44.0)])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jbtrotter import algebras, cli
+from jbtrotter import algebras, axioms, cli
 from jbtrotter.algebras import (
     AlgebraDescriptor,
     Element,
@@ -20,6 +20,7 @@ from jbtrotter.algebras import (
     sym_element,
 )
 from jbtrotter.axioms import COMMUTATIVITY_TOL, DEFAULT_TOL, run_axiom_suite
+from conftest import calls, rounded_digest
 
 EXPECTED_CHECKS = (
     "jordan-identity",
@@ -44,23 +45,34 @@ def test_suite_is_deterministic(descriptor):
     assert a == b
 
 
-def test_suite_takes_one_spectrum_per_element(monkeypatch):
+def test_suite_takes_one_spectrum_per_element():
     # A pair's five checks take 17 norms of 10 elements (a and b, the two
     # residuals, a.b, two squares of a, their sum with b.b, and each draw in
     # random_element); each element keeps its spectrum, so the suite
     # computes 10 spectra per pair.
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: calls.append(x) or eigvalsh(x))
-    run_axiom_suite(AlgebraDescriptor("sym", 2), trials=3, seed=0)
-    assert len(calls) == 10 * 3
+    with calls(np.linalg.eigvalsh) as n:
+        run_axiom_suite(AlgebraDescriptor("sym", 2), trials=3, seed=0)
+    assert n[np.linalg.eigvalsh] == 10 * 3
 
-    albert = algebras._FAMILIES["albert"]
-    eigvals = type(albert).eigvals
-    calls.clear()
-    monkeypatch.setattr(type(albert), "eigvals", lambda fam, a: calls.append(a) or eigvals(fam, a))
-    run_axiom_suite(AlgebraDescriptor("albert", 3), trials=2, seed=0)
-    assert len(calls) == 10 * 2
+    eigvals = type(algebras._FAMILIES["albert"]).eigvals
+    with calls(eigvals) as n:
+        run_axiom_suite(AlgebraDescriptor("albert", 3), trials=2, seed=0)
+    assert n[eigvals] == 10 * 2
+
+
+def test_suite_draws_the_pinned_pairs(monkeypatch):
+    # The (seed, target_norm) of every element of a 3-trial suite at seed 0:
+    # default_rng(0) draws the norms, two per pair, then the seeds.
+    drawn = []
+    draw = axioms.random_element
+
+    def spy(descriptor, seed, target_norm):
+        drawn.append((seed, target_norm))
+        return draw(descriptor, seed, target_norm)
+
+    monkeypatch.setattr(axioms, "random_element", spy)
+    run_axiom_suite(AlgebraDescriptor("sym", 2), trials=3, seed=0)
+    assert rounded_digest(x for pair in drawn for x in pair) == "2f72d12d9f39806a"
 
 
 def test_suite_memory_does_not_grow_with_trials():

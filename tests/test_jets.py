@@ -42,7 +42,7 @@ from jbtrotter.jets import (
     symmetrized_step_jet,
 )
 from jbtrotter.trotter import SchemeError, approx_f, approx_g, approx_h
-from conftest import pauli_pair, seeded_elements
+from conftest import calls, pauli_pair, seeded_elements
 
 PAULI_D3_GAP = math.sqrt(2.0) / 3.0
 PAULI_DEFECT_D3 = math.sqrt(5.0) / 6.0
@@ -139,29 +139,22 @@ def test_each_wrapper_makes_four_cauchy_products(monkeypatch, m):
     # One quadratic-map wrapper per wrapped element: m - 1 in the
     # symmetrized step, m in the defect curve; exp jets make no jet product.
     # An h step of odd m wraps (m - 1) / 2 times in a triple of six.
-    calls = []
-    real = jets.jet_jordan_mul
-
-    def counting(p, q):
-        calls.append(1)
-        return real(p, q)
-
-    monkeypatch.setattr(jets, "jet_jordan_mul", counting)
     seen = []
     exp = jets.jet_exp
     monkeypatch.setattr(jets, "jet_exp", lambda a, degree: seen.append(a) or exp(a, degree))
     elems = seeded_elements(AlgebraDescriptor("sym", 3), m, 71)
-    jets.symmetrized_step_jet(elems, 3)
-    assert len(calls) == 4 * (m - 1)
+    with calls(jet_jordan_mul) as n:
+        jets.symmetrized_step_jet(elems, 3)
+    assert n[jet_jordan_mul] == 4 * (m - 1)
     # The full-step factor takes the caller's element, the half steps a copy.
     assert [a is e for a, e in zip(seen, elems)] == [True] + [False] * (m - 1)
-    calls.clear()
-    jets.inverse_sandwich_defect_jet(elems, 3)
-    assert len(calls) == 4 * m
+    with calls(jet_jordan_mul) as n:
+        jets.inverse_sandwich_defect_jet(elems, 3)
+    assert n[jet_jordan_mul] == 4 * m
     if m % 2:
-        calls.clear()
-        jets.step_jet("h", elems, 3)
-        assert len(calls) == 3 * (m - 1)
+        with calls(jet_jordan_mul) as n:
+            jets.step_jet("h", elems, 3)
+        assert n[jet_jordan_mul] == 3 * (m - 1)
 
 
 def test_jet_validation():

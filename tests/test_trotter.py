@@ -41,6 +41,7 @@ from assoc_oracle import (
 )
 from conftest import (
     STANDARD_DESCRIPTORS,
+    calls,
     pauli_pair,
     rel_gap,
     rel_gap_mat,
@@ -328,19 +329,17 @@ def test_sweep_h_has_no_bounds(descriptor):
         assert value is None
 
 
-def test_measured_error_takes_one_norm_and_no_bounds(monkeypatch):
+def test_measured_error_takes_one_norm_and_no_bounds():
     # The error's norm is the one norm taken; the norms of the elements
     # and the bounds are a sweep's, not a measured error's.
     a, b = pauli_pair()
     want = sweep("f", [a, b], [4])[0].error
-    norms, bounds = [], []
-    jb = trotter.jb_norm
-    monkeypatch.setattr(trotter, "jb_norm", lambda x: norms.append(x) or jb(x))
-    for name in ("bound_thm31", "bound_thm33i", "bound_thm33ii", "bound_special"):
-        monkeypatch.setattr(trotter, name, lambda *args: bounds.append(args))
-    assert measured_error("f", [a, b], 4) == want
-    assert len(norms) == 1
-    assert bounds == []
+    bounds = (trotter.bound_thm31, trotter.bound_thm33i, trotter.bound_thm33ii,
+              trotter.bound_special)
+    with calls(trotter.jb_norm, *bounds) as n:
+        assert measured_error("f", [a, b], 4) == want
+    assert n[trotter.jb_norm] == 1
+    assert sum(n[bound] for bound in bounds) == 0
 
 
 def test_sweep_rejects_bad_scheme_and_n():
@@ -354,35 +353,27 @@ def test_sweep_rejects_bad_scheme_and_n():
 
 
 @pytest.mark.parametrize("scheme, m", [("g", 1), ("g", 3), ("f", 1), ("f", 3), ("h", 3)])
-def test_sweep_and_measured_plan_decompose_each_element_once(matrix_descriptor, scheme, m,
-                                                             monkeypatch):
+def test_sweep_and_measured_plan_decompose_each_element_once(matrix_descriptor, scheme, m):
     # One eigh per element for every step count, plus one for exp of the
     # sum unless the sum is the single element; the caller's elements keep
     # no decomposition, so a second sweep costs as much as the first.
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda x: calls.append(x) or eigh(x))
     elems = seeded_elements(matrix_descriptor, m, 41, 1.5 / m)
     want = m + 1 if m > 1 else 1
     ns = [1, 2, 3, 4, 8, 16, 32, 64, 256]
-    # A multi-scheme sweep, which shares factors, is one more input.
+    # A multi-scheme sweep, which shares factors, is one more input; so are
+    # the measured plan and a measured error at two step counts.
     multi = ["g", "f", "h"] if m == 3 else ["g", "f"]
     for run in (lambda: sweep(scheme, elems, ns),
-                lambda: trotter._sweep_schemes(multi, elems, ns)):
-        for _ in range(2):
-            calls.clear()
+                lambda: sweep(scheme, elems, ns),
+                lambda: trotter._sweep_schemes(multi, elems, ns),
+                lambda: trotter._sweep_schemes(multi, elems, ns),
+                lambda: plan_min_n(scheme, 1e-6, elements=elems, mode="measured"),
+                lambda: measured_error(scheme, elems, 1),
+                lambda: measured_error(scheme, elems, 16)):
+        with calls(np.linalg.eigh) as n:
             run()
-            assert len(calls) == want
-    assert not any(hasattr(a, "_eigh") for a in elems)
-    calls.clear()
-    plan_min_n(scheme, 1e-6, elements=elems, mode="measured")
-    assert len(calls) == want
-    assert not any(hasattr(a, "_eigh") for a in elems)
-    for n in (1, 16):
-        calls.clear()
-        measured_error(scheme, elems, n)
-        assert len(calls) == want
-    assert not any(hasattr(a, "_eigh") for a in elems)
+        assert n[np.linalg.eigh] == want
+        assert not any(hasattr(a, "_eigh") for a in elems)
 
 
 # ---------------------------------------------------------------------------
