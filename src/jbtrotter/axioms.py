@@ -6,22 +6,29 @@ a natural magnitude factor so one tolerance works across norm scales;
 inequalities report a signed margin (negative means satisfied with room).
 
 ``run_axiom_suite`` accepts the product as a parameter so a corrupted
-multiplication can be injected to prove the checks have teeth.
+multiplication can be injected to prove the checks have teeth.  It takes
+the pairs 8 at a time, a chunk: each pair is drawn and makes its products
+in turn, then one stacked spectrum call (``algebras._keep_spectra``) serves
+every element whose norm the chunk's checks read, with the bits that one
+spectrum per element gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import (AlgebraDescriptor, Element, _check_count, _nan_max, jb_norm,
-                       jordan_mul, random_element)
+from .algebras import (AlgebraDescriptor, Element, _check_count, _keep_spectra, _nan_max,
+                       jb_norm, jordan_mul, random_element)
 
 DEFAULT_TOL = 1e-10
 # Commutativity holds up to roundoff, so its limit is the tolerance / 1e4.
 _COMMUTATIVITY_DIVISOR = 1e4
 COMMUTATIVITY_TOL = DEFAULT_TOL / _COMMUTATIVITY_DIVISOR
+# Pairs per stacked spectrum call in run_axiom_suite.
+_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -33,29 +40,45 @@ class AxiomResult:
 
 
 def _suite_checks(product):
-    def jordan_identity(a: Element, b: Element) -> float:
+    # Each check makes its products for a pair (a, b) and returns the
+    # elements whose norms it reads besides a and b, with its residual as a
+    # function to call once those elements keep their spectra.
+    def jordan_identity(a: Element, b: Element):
         asq = product(a, a)
-        lhs = product(product(asq, b), a)
-        rhs = product(asq, product(b, a))
-        scale = (1.0 + jb_norm(a)) ** 3 * (1.0 + jb_norm(b))
-        return jb_norm(lhs - rhs) / scale
+        r = product(product(asq, b), a) - product(asq, product(b, a))
+        return (r,), lambda: jb_norm(r) / ((1.0 + jb_norm(a)) ** 3 * (1.0 + jb_norm(b)))
 
-    def commutativity(a: Element, b: Element) -> float:
-        scale = (1.0 + jb_norm(a)) * (1.0 + jb_norm(b))
-        return jb_norm(product(a, b) - product(b, a)) / scale
+    def commutativity(a: Element, b: Element):
+        r = product(a, b) - product(b, a)
+        return (r,), lambda: jb_norm(r) / ((1.0 + jb_norm(a)) * (1.0 + jb_norm(b)))
 
-    def norm_submultiplicative(a: Element, b: Element) -> float:
-        na, nb = jb_norm(a), jb_norm(b)
-        return (jb_norm(product(a, b)) - na * nb) / (1.0 + na * nb)
+    def norm_submultiplicative(a: Element, b: Element):
+        ab = product(a, b)
 
-    def norm_square(a: Element, b: Element) -> float:
-        na = jb_norm(a)
-        return abs(jb_norm(product(a, a)) - na * na) / (1.0 + na) ** 2
+        def residual() -> float:
+            na, nb = jb_norm(a), jb_norm(b)
+            return (jb_norm(ab) - na * nb) / (1.0 + na * nb)
 
-    def norm_square_monotone(a: Element, b: Element) -> float:
+        return (ab,), residual
+
+    def norm_square(a: Element, b: Element):
+        asq = product(a, a)
+
+        def residual() -> float:
+            na = jb_norm(a)
+            return abs(jb_norm(asq) - na * na) / (1.0 + na) ** 2
+
+        return (asq,), residual
+
+    def norm_square_monotone(a: Element, b: Element):
         asq, bsq = product(a, a), product(b, b)
-        scale = 1.0 + jb_norm(a) ** 2 + jb_norm(b) ** 2
-        return (jb_norm(asq) - jb_norm(asq + bsq)) / scale
+        total = asq + bsq
+
+        def residual() -> float:
+            scale = 1.0 + jb_norm(a) ** 2 + jb_norm(b) ** 2
+            return (jb_norm(asq) - jb_norm(total)) / scale
+
+        return (asq, total), residual
 
     # (name, check, divisor): a check's limit is the tolerance / divisor.
     return [
@@ -76,22 +99,31 @@ def run_axiom_suite(
 ) -> list[AxiomResult]:
     """Evaluate every axiom check over seeded pairs; deterministic in seed.
 
-    ``tol`` is the limit of every check but commutativity, whose limit is
-    ``tol / 1e4``.
+    ``tol`` must be finite and positive.  It is the limit of every check
+    but commutativity, whose limit is ``tol / 1e4``.
     """
     _check_count(trials, "trials")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     rng = np.random.default_rng(seed)
     norms = rng.uniform(0.25, 2.0, size=(trials, 2))
     seeds = rng.integers(0, 2**62, size=(trials, 2))
     checks = _suite_checks(product)
-    # One pair at a time, so memory does not grow with the trial count.
+    # _CHUNK pairs at a time, so memory does not grow with the trial count.
     worst = None
-    for i in range(trials):
-        a = random_element(descriptor, int(seeds[i, 0]), float(norms[i, 0]))
-        b = random_element(descriptor, int(seeds[i, 1]), float(norms[i, 1]))
-        values = [check(a, b) for _, check, _ in checks]
-        # NaN is the worst value, so a check that ever gives NaN fails.
-        worst = values if worst is None else [_nan_max(w, v) for w, v in zip(worst, values)]
+    for start in range(0, trials, _CHUNK):
+        normed, pairs = [], []
+        for i in range(start, min(start + _CHUNK, trials)):
+            a = random_element(descriptor, int(seeds[i, 0]), float(norms[i, 0]))
+            b = random_element(descriptor, int(seeds[i, 1]), float(norms[i, 1]))
+            made = [check(a, b) for _, check, _ in checks]
+            normed += [a, b, *(e for elements, _ in made for e in elements)]
+            pairs.append([residual for _, residual in made])
+        _keep_spectra(normed)
+        for residuals in pairs:
+            values = [residual() for residual in residuals]
+            # NaN is the worst value, so a check that ever gives NaN fails.
+            worst = values if worst is None else [_nan_max(w, v) for w, v in zip(worst, values)]
     results = []
     for (name, _, divisor), w in zip(checks, worst):
         limit = tol / divisor

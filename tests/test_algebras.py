@@ -54,6 +54,7 @@ from jbtrotter.jets import jet_exp, jet_unit, jet_zero, product_step_jet, residu
 from jbtrotter.trotter import approx_f, approx_g, approx_h, sweep
 from conftest import (
     STANDARD_DESCRIPTORS,
+    calls,
     pauli_pair,
     rel_gap,
     rounded_digest,
@@ -775,6 +776,51 @@ def test_kept_spectrum_and_norm_equal_those_of_a_fresh_copy(descriptor):
             assert jb_norm(a) == first_norm == jb_norm(fresh)
             np.testing.assert_array_equal(spectrum(a), first)
             np.testing.assert_array_equal(spectrum(a), spectrum(Element(a.descriptor, a.data)))
+
+
+def _near_double_root(rng, gap: float, top: bool) -> Element:
+    # Complex-Hermitian 3x3 with roots (0, gap, 1), or their negatives so
+    # that the close pair is on top, in the albert algebra.
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    m = q @ np.diag([0.0, gap, 1.0]).astype(complex) @ q.conj().T
+    return embed_herm3(-m if top else m)
+
+
+@pytest.mark.parametrize("text", ("sym:2", "sym:6", "herm:3", "herm:4", "spin:3", "spin:8",
+                                  "albert"))
+def test_stacked_spectra_equal_spectra_taken_one_at_a_time(text):
+    # One stacked eigvals call keeps a spectrum on every element given to
+    # _keep_spectra; each has the bits that spectrum takes on a fresh copy,
+    # alone.  Norms from 1e-3 to 1e3; a payload holding a NaN, and one
+    # holding an inf, each its row of NaN on sym and herm with no warning
+    # (which pytest would raise); albert takes no inf, whose Jordan square
+    # warns, and adds spectra 1e-12 to 1e-4 from a double root.
+    desc = parse_descriptor(text)
+    elems = [random_element(desc, 800 + j, 10.0 ** (j - 3)) for j in range(7)]
+    for bad in (math.nan,) if desc.kind == "albert" else (math.nan, math.inf):
+        x = elems[2].data.copy()
+        x.flat[0] = bad
+        elems.append(Element(desc, x))
+    if desc.kind == "albert":
+        rng = np.random.default_rng(19)
+        elems += [_near_double_root(rng, gap, top) for gap in (1e-12, 1e-9, 1e-6, 1e-4)
+                  for top in (False, True)]
+    eigvals = type(desc._family).eigvals
+    with calls(eigvals) as n:
+        algebras._keep_spectra(elems)
+    assert n[eigvals] == 1
+
+    def bits(x):
+        # All but the sign of a NaN: numpy's vector loops carry a NaN
+        # through an operation from one operand or the other, so that sign
+        # can differ between two runs on one payload.
+        return np.where(np.isnan(x), math.nan, x).tobytes()
+
+    for e in elems:
+        alone = spectrum(Element(desc, e.data.copy()))
+        assert bits(spectrum(e)) == bits(alone), e.data
+        if desc.kind in ("sym", "herm") and not np.isfinite(e.data).all():
+            assert np.isnan(alone).all()
 
 
 def test_writing_into_a_spectrum_leaves_the_kept_one(descriptor):

@@ -108,6 +108,21 @@ def test_axiom_suite_and_verify_axioms_counts():
     assert n[algebras.jordan_mul] == 11 * trials == 33
 
 
+def test_albert_axiom_suite_counts():
+    desc = algebras.parse_descriptor("albert")
+    trials = 9  # two chunks: 8 pairs, then 1
+    chunks = 2
+    with calls(algebras.jordan_mul, algebras.jb_norm, octonion.mul) as n:
+        axioms.run_axiom_suite(desc, trials=trials, seed=0)
+    # Per pair the checks' 11 products and the 17 norms, as on sym:2.  Each
+    # albert spectrum call costs one Jordan square and two octonion
+    # products (the cubic norm): one call per draw in random_element, one
+    # per chunk for the stacked spectra of the elements its checks norm.
+    assert n[algebras.jb_norm] == 2 * trials + 15 * trials
+    assert n[algebras.jordan_mul] == 11 * trials + 2 * trials + chunks == 119
+    assert n[octonion.mul] == 2 * (2 * trials + chunks) == 40
+
+
 def test_product_step_jet_counts():
     a, b = _pair("sym:2")
     with calls(jets.jet_exp, jets.jet_jordan_mul, algebras.jordan_mul) as n:

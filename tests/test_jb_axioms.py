@@ -2,6 +2,7 @@
 
 import functools
 import io
+import math
 import tracemalloc
 from contextlib import redirect_stdout
 
@@ -16,6 +17,8 @@ from jbtrotter.algebras import (
     Element,
     jb_norm,
     jordan_mul,
+    parse_descriptor,
+    random_element,
     spin_element,
     sym_element,
 )
@@ -48,16 +51,54 @@ def test_suite_is_deterministic(descriptor):
 def test_suite_takes_one_spectrum_per_element():
     # A pair's five checks take 17 norms of 10 elements (a and b, the two
     # residuals, a.b, two squares of a, their sum with b.b, and each draw in
-    # random_element); each element keeps its spectrum, so the suite
-    # computes 10 spectra per pair.
+    # random_element); each element keeps its spectrum.  random_element
+    # takes its draw's spectrum alone, one call per draw; the suite then
+    # takes the other 8 elements of every pair of a chunk of 8 pairs in one
+    # stacked call.  3 and 2 trials make one chunk each.
     with calls(np.linalg.eigvalsh) as n:
         run_axiom_suite(AlgebraDescriptor("sym", 2), trials=3, seed=0)
-    assert n[np.linalg.eigvalsh] == 10 * 3
+    assert n[np.linalg.eigvalsh] == 2 * 3 + 1
 
     eigvals = type(algebras._FAMILIES["albert"]).eigvals
     with calls(eigvals) as n:
         run_axiom_suite(AlgebraDescriptor("albert", 3), trials=2, seed=0)
-    assert n[eigvals] == 10 * 2
+    assert n[eigvals] == 2 * 2 + 1
+
+
+def _one_pair_at_a_time(descriptor, trials: int, seed: int) -> list:
+    """The suite's five worst values from a plain loop: each pair drawn as
+    the suite draws it, its checks written out, every norm taken on its
+    own element as the residual needs it."""
+    rng = np.random.default_rng(seed)
+    norms = rng.uniform(0.25, 2.0, size=(trials, 2))
+    seeds = rng.integers(0, 2**62, size=(trials, 2))
+    worst = [-math.inf] * 5
+    for i in range(trials):
+        a = random_element(descriptor, int(seeds[i, 0]), float(norms[i, 0]))
+        b = random_element(descriptor, int(seeds[i, 1]), float(norms[i, 1]))
+        na, nb = jb_norm(a), jb_norm(b)
+        asq, ab, ba = jordan_mul(a, a), jordan_mul(a, b), jordan_mul(b, a)
+        values = (
+            jb_norm(jordan_mul(jordan_mul(asq, b), a) - jordan_mul(asq, ba))
+            / ((1.0 + na) ** 3 * (1.0 + nb)),
+            jb_norm(ab - ba) / ((1.0 + na) * (1.0 + nb)),
+            (jb_norm(ab) - na * nb) / (1.0 + na * nb),
+            abs(jb_norm(asq) - na * na) / (1.0 + na) ** 2,
+            (jb_norm(asq) - jb_norm(asq + jordan_mul(b, b))) / (1.0 + na**2 + nb**2),
+        )
+        worst = [max(w, v) for w, v in zip(worst, values)]
+    return worst
+
+
+@pytest.mark.parametrize("text", ("sym:2", "herm:3", "spin:3", "albert"))
+def test_suite_worst_values_equal_a_one_pair_at_a_time_loop(text):
+    # The suite's stacked spectra must give every residual the bits it has
+    # one pair at a time: one pair, one full chunk of 8, a chunk and one
+    # more pair, and a chunk left short.
+    descriptor = parse_descriptor(text)
+    for trials in (1, 8, 9, 19):
+        got = [r.worst for r in run_axiom_suite(descriptor, trials=trials, seed=trials)]
+        assert got == _one_pair_at_a_time(descriptor, trials, trials), trials
 
 
 def test_suite_draws_the_pinned_pairs(monkeypatch):
@@ -76,8 +117,9 @@ def test_suite_draws_the_pinned_pairs(monkeypatch):
 
 
 def test_suite_memory_does_not_grow_with_trials():
-    # Pairs are drawn and checked one at a time: four times the trials must
-    # not mean four times the live elements (sym:16 holds 2 KB per element).
+    # Pairs are drawn and checked 8 at a time, one chunk: four times the
+    # trials must not mean four times the live elements (sym:16 holds 2 KB
+    # per element).
     descriptor = AlgebraDescriptor("sym", 16)
     run_axiom_suite(descriptor, trials=1, seed=1)  # one-time numpy setup
     peaks = []
@@ -94,6 +136,14 @@ def test_suite_memory_does_not_grow_with_trials():
 def test_suite_rejects_nonpositive_trials():
     with pytest.raises(ValueError):
         run_axiom_suite(AlgebraDescriptor("sym", 3), trials=0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, -math.inf], ids=str)
+def test_suite_rejects_a_tolerance_not_finite_and_positive(tol):
+    # As the command line's --tol does: a NaN limit would fail every check
+    # and an infinite one pass every check.
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        run_axiom_suite(AlgebraDescriptor("sym", 2), trials=1, tol=tol)
 
 
 def test_tolerances_scale():
