@@ -528,8 +528,9 @@ class _SpinFamily:
         return Element(descriptor, rng.standard_normal(descriptor.dim + 1))
 
 
-def _real_cubic_roots(t: float, s: float, n: float) -> np.ndarray:
-    """Ascending roots of x^3 - t x^2 + s x - n, all known to be real."""
+def _real_cubic_roots(t: float, s: float, n: float) -> list:
+    """Ascending roots of x^3 - t x^2 + s x - n, all known to be real, as
+    Python floats."""
     p = s - t * t / 3.0
     q = t * s / 3.0 - 2.0 * t**3 / 27.0 - n
     third = t / 3.0
@@ -541,11 +542,11 @@ def _real_cubic_roots(t: float, s: float, n: float) -> np.ndarray:
     # lies that close to the largest payload entry, at least 1/2 in size,
     # so the triple root rounds to the same spectrum.
     if p > -1e-200:
-        return np.full(3, third + float(np.cbrt(-q)))
+        return [third + float(np.cbrt(-q))] * 3
     m = 2.0 * math.sqrt(-p / 3.0)
     c = min(1.0, max(-1.0, 3.0 * q / (p * m)))
     phi = math.acos(c) / 3.0
-    return np.array(sorted(m * math.cos(phi - 2.0 * math.pi * k / 3.0) + third for k in range(3)))
+    return sorted(m * math.cos(phi - 2.0 * math.pi * k / 3.0) + third for k in range(3))
 
 
 def _albert_roots(diag, squares, norms, cross: float, mu: float, shift: int) -> list:
@@ -570,7 +571,7 @@ def _albert_roots(diag, squares, norms, cross: float, mu: float, shift: int) -> 
     nx, ny, nz = norms
     t = d0 + d1 + d2
     det = d0 * d1 * d2 - d0 * nx - d1 * ny - d2 * nz + 2.0 * cross
-    roots = _real_cubic_roots(t, 0.5 * (t * t - (s0 + s1 + s2)), det).tolist()
+    roots = _real_cubic_roots(t, 0.5 * (t * t - (s0 + s1 + s2)), det)
     return [_ldexp(x + mu, shift) for x in roots]
 
 

@@ -10,8 +10,9 @@ not apply.
 Arguments are checked as they are parsed: --eps and --tol must be finite
 and positive, --seed (default 0) an integer >= 0, the step counts in --n
 strictly increasing and the schemes in --scheme distinct (plan takes
-one).  An instance given with --input fixes the norms and the algebra,
-so bounds and plan refuse --norms or --algebra next to it.
+one); no comma list holds an empty item.  An instance given with --input
+fixes the norms and the algebra, so bounds and plan refuse --norms or
+--algebra next to it.
 --trials above 10^6, --degree above 32, a step count in --n above 2^30 and
 an algebra payload above 2^20 entries are capacity errors.  --out
 picks csv, json or plotdata (one block per scheme).  Every subcommand
@@ -144,6 +145,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _items(text: str, what: str) -> list[str]:
+    """The items of a comma-separated list, none of them empty."""
+    if "" in (items := text.split(",")):
+        raise argparse.ArgumentTypeError(f"empty item in the {what} list {text!r}")
+    return items
+
+
 def _parse_n_range(text: str) -> list[int]:
     """Accept "16", "1,2,4", or geometric "start:stop:xFACTOR"."""
     if ":" in text:
@@ -161,9 +169,7 @@ def _parse_n_range(text: str) -> list[int]:
             values.append(n)
             n *= factor
     else:
-        values = [_count("step count", 1)(tok) for tok in text.split(",") if tok]
-        if not values:
-            raise argparse.ArgumentTypeError(f"no step counts in {text!r}")
+        values = [_count("step count", 1)(tok) for tok in _items(text, "step count")]
         if any(b <= a for a, b in zip(values, values[1:])):
             raise argparse.ArgumentTypeError("step counts must be strictly increasing")
     if values[-1] > MAX_PLAN_N:
@@ -172,13 +178,11 @@ def _parse_n_range(text: str) -> list[int]:
 
 
 def _parse_schemes(text: str) -> list[str]:
-    schemes = [tok for tok in text.split(",") if tok]
+    schemes = _items(text, "scheme")
     for s in schemes:
         if s not in SCHEMES:
             expected = f"{', '.join(SCHEMES[:-1])} or {SCHEMES[-1]}"
             raise argparse.ArgumentTypeError(f"unknown scheme {s!r} (expected {expected})")
-    if not schemes:
-        raise argparse.ArgumentTypeError("no schemes given")
     if len(set(schemes)) < len(schemes):
         raise argparse.ArgumentTypeError(f"a scheme is repeated in {text!r}")
     return schemes
@@ -193,10 +197,10 @@ def _parse_scheme(text: str) -> str:
 
 def _parse_norms(text: str) -> list[float]:
     try:
-        norms = [float(tok) for tok in text.split(",") if tok]
+        norms = [float(tok) for tok in _items(text, "norm")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not comma-separated numbers: {text!r}") from None
-    if not norms or not all(math.isfinite(v) and v >= 0 for v in norms):
+    if not all(math.isfinite(v) and v >= 0 for v in norms):
         raise argparse.ArgumentTypeError("needs one or more finite nonnegative numbers")
     return norms
 

@@ -161,6 +161,18 @@ def embed_herm3(m) -> Element:
     return albert_element(np.diagonal(m).real.copy(), x, y, z)
 
 
+def random_unitary(rng) -> np.ndarray:
+    """A 3x3 unitary: the Q factor of a complex Gaussian draw from rng."""
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    return q
+
+
+def albert_with_roots(q, roots) -> Element:
+    """The albert element q diag(roots) q^H, through embed_herm3: a dense
+    element whose spectrum is the given roots, for a 3x3 unitary q."""
+    return embed_herm3(q @ np.diag(roots).astype(complex) @ q.conj().T)
+
+
 def extract_herm3(e: Element) -> np.ndarray:
     """Inverse of embed_herm3; asserts coordinates beyond the first two vanish."""
     diag, x, y, z = albert_parts(e)

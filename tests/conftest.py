@@ -15,6 +15,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from jbtrotter.algebras import (
     AlgebraDescriptor,
@@ -23,6 +24,13 @@ from jbtrotter.algebras import (
     random_element,
     sym_element,
 )
+
+# One Hypothesis profile for the whole suite: the same examples in every
+# run and process, no deadline (a loaded machine's timing says nothing of
+# correctness), no example database.  A test's @settings gives only its
+# max_examples.
+settings.register_profile("suite", derandomize=True, deadline=None, database=None)
+settings.load_profile("suite")
 
 # One representative descriptor per family, sized to match the axiom and
 # bound grids used throughout the suite.

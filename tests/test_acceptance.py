@@ -14,7 +14,6 @@ import time
 import zlib
 
 import numpy as np
-import pytest
 from scipy.linalg import expm
 
 from jbtrotter.algebras import (
@@ -50,11 +49,12 @@ from jbtrotter.trotter import (
 )
 from assoc_oracle import (
     albert_exp_oracle,
-    embed_herm3,
+    albert_with_roots,
     oracle_exp_sum,
     oracle_f,
     oracle_g,
     oracle_h,
+    random_unitary,
     spectral_norm,
     spin_to_matrix,
     to_matrix,
@@ -297,11 +297,7 @@ def test_criterion_06_jet_claims():
 
 
 def _albert_with_root_gap(gap, mixer_seed):
-    rng = np.random.default_rng(mixer_seed)
-    base = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    q, _ = np.linalg.qr(base)
-    m = q @ np.diag([0.0, gap, 1.0]).astype(complex) @ q.conj().T
-    return embed_herm3(m)
+    return albert_with_roots(random_unitary(np.random.default_rng(mixer_seed)), [0.0, gap, 1.0])
 
 
 def test_criterion_07_exponential_cross_check():

@@ -43,11 +43,13 @@ from jbtrotter.algebras import (
     zero,
 )
 from assoc_oracle import (
+    albert_with_roots,
     embed_herm3,
     embed_sym3,
     extract_herm3,
     jprod,
     jtriple,
+    random_unitary,
     to_matrix,
 )
 from jbtrotter.jets import jet_exp, jet_unit, jet_zero, product_step_jet, residual
@@ -62,16 +64,14 @@ from conftest import (
 )
 from cli_harness import spectrum_past_the_float_range
 
-RNG = np.random.default_rng(7)
 
-
-def rand_sym(d=4):
-    m = RNG.standard_normal((d, d))
+def rand_sym(rng, d=4):
+    m = rng.standard_normal((d, d))
     return sym_element(m + m.T)
 
 
-def rand_herm(d=4):
-    m = RNG.standard_normal((d, d)) + 1j * RNG.standard_normal((d, d))
+def rand_herm(rng, d=4):
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return herm_element(m + m.conj().T)
 
 
@@ -205,7 +205,7 @@ def test_spin_constructor():
 
 def test_albert_constructor_and_parts():
     diag = [1.0, 2.0, 3.0]
-    x, y, z = RNG.standard_normal((3, 8))
+    x, y, z = np.random.default_rng(7).standard_normal((3, 8))
     e = albert_element(diag, x, y, z)
     d2, x2, y2, z2 = albert_parts(e)
     assert np.array_equal(d2, diag)
@@ -219,13 +219,14 @@ def test_albert_constructor_and_parts():
 
 
 def test_element_data_is_immutable():
-    e = rand_sym()
+    e = rand_sym(np.random.default_rng(8))
     with pytest.raises((ValueError, RuntimeError)):
         e.data[0, 0] = 99.0
 
 
 def test_linear_ops_and_scalars():
-    a, b = rand_sym(), rand_sym()
+    rng = np.random.default_rng(9)
+    a, b = rand_sym(rng), rand_sym(rng)
     assert (a + b) - b == a or jb_norm((a + b) - b - a) < 1e-12
     assert 2.0 * a == a * 2.0
     assert jb_norm((a / 2.0) * 2.0 - a) == 0.0
@@ -270,8 +271,9 @@ def test_payload_shape_and_dtype_are_kept(descriptor):
 
 
 def test_descriptor_mismatch_raises():
-    a = rand_sym(3)
-    b = rand_sym(4)
+    rng = np.random.default_rng(10)
+    a = rand_sym(rng, 3)
+    b = rand_sym(rng, 4)
     with pytest.raises(DescriptorMismatchError):
         _ = a + b
     with pytest.raises(DescriptorMismatchError):
@@ -281,8 +283,9 @@ def test_descriptor_mismatch_raises():
 @pytest.mark.parametrize("odd", range(3))
 def test_triple_product_refuses_a_foreign_element_in_any_position(odd):
     # The first pair that differs names the mismatch, in its own order.
-    args = [rand_sym(2), rand_sym(2), rand_sym(2)]
-    args[odd] = rand_sym(3)
+    rng = np.random.default_rng(11)
+    args = [rand_sym(rng, 2), rand_sym(rng, 2), rand_sym(rng, 2)]
+    args[odd] = rand_sym(rng, 3)
     pair = "sym:2 and sym:3" if odd else "sym:3 and sym:2"
     with pytest.raises(DescriptorMismatchError, match=f"^cannot combine elements of {pair}$"):
         triple_product(*args)
@@ -293,9 +296,10 @@ def test_triple_product_refuses_a_foreign_element_in_any_position(odd):
 
 
 def test_jordan_mul_matches_matrix_oracle():
+    rng = np.random.default_rng(12)
     for make in (rand_sym, rand_herm):
         for _ in range(30):
-            a, b = make(), make()
+            a, b = make(rng), make(rng)
             got = to_matrix(jordan_mul(a, b))
             want = jprod(to_matrix(a), to_matrix(b))
             assert np.allclose(got, want, atol=1e-12)
@@ -310,9 +314,10 @@ def test_spin_product_closed_form():
 
 
 def test_albert_product_matches_embedded_herm3():
+    rng = np.random.default_rng(13)
     for _ in range(30):
-        m1 = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
-        m2 = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
+        m1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        m2 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         m1 = m1 + m1.conj().T
         m2 = m2 + m2.conj().T
         prod = jordan_mul(embed_herm3(m1), embed_herm3(m2))
@@ -406,9 +411,10 @@ def test_unit_is_identity(descriptor):
 
 
 def test_triple_product_matches_matrix_oracle():
+    rng = np.random.default_rng(14)
     for make in (rand_sym, rand_herm):
         for _ in range(20):
-            a, b, c = make(), make(), make()
+            a, b, c = make(rng), make(rng), make(rng)
             got = to_matrix(triple_product(a, b, c))
             want = jtriple(to_matrix(a), to_matrix(b), to_matrix(c))
             assert np.allclose(got, want, atol=1e-11)
@@ -472,8 +478,9 @@ def test_albert_trace_of_a_square_is_the_payload_sum_of_squares():
 
 
 def test_jordan_power_matches_matrix_power():
+    rng = np.random.default_rng(15)
     for make in (rand_sym, rand_herm):
-        a = make()
+        a = make(rng)
         m = to_matrix(a)
         for n in (0, 1, 2, 3, 7, 16, 64):
             got = to_matrix(jordan_power(a, n))
@@ -482,7 +489,7 @@ def test_jordan_power_matches_matrix_power():
 
 
 def test_jordan_power_refuses_a_bool_exponent():
-    a = rand_sym()
+    a = rand_sym(np.random.default_rng(16))
     for n in (True, False, -1, 2.0):
         with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
             jordan_power(a, n)
@@ -545,8 +552,9 @@ def test_jordan_product_not_associative(descriptor):
 
 
 def test_spectrum_matrix_families():
+    rng = np.random.default_rng(18)
     for make in (rand_sym, rand_herm):
-        a = make()
+        a = make(rng)
         want = np.linalg.eigvalsh(to_matrix(a))
         got = spectrum(a)
         assert np.allclose(got, want, atol=1e-10)
@@ -573,8 +581,9 @@ def test_spectrum_albert_diagonal():
 
 
 def test_spectrum_albert_matches_embedded_herm3():
+    rng = np.random.default_rng(20)
     for _ in range(40):
-        m = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
+        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         m = m + m.conj().T
         got = spectrum(embed_herm3(m))
         want = np.linalg.eigvalsh(m)
@@ -778,14 +787,6 @@ def test_kept_spectrum_and_norm_equal_those_of_a_fresh_copy(descriptor):
             np.testing.assert_array_equal(spectrum(a), spectrum(Element(a.descriptor, a.data)))
 
 
-def _near_double_root(rng, gap: float, top: bool) -> Element:
-    # Complex-Hermitian 3x3 with roots (0, gap, 1), or their negatives so
-    # that the close pair is on top, in the albert algebra.
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    m = q @ np.diag([0.0, gap, 1.0]).astype(complex) @ q.conj().T
-    return embed_herm3(-m if top else m)
-
-
 @pytest.mark.parametrize("text", ("sym:2", "sym:6", "herm:3", "herm:4", "spin:3", "spin:8",
                                   "albert"))
 def test_stacked_spectra_equal_spectra_taken_one_at_a_time(text):
@@ -802,9 +803,11 @@ def test_stacked_spectra_equal_spectra_taken_one_at_a_time(text):
         x.flat[0] = bad
         elems.append(Element(desc, x))
     if desc.kind == "albert":
+        # roots (0, gap, 1), then their negatives: the close pair on top
         rng = np.random.default_rng(19)
-        elems += [_near_double_root(rng, gap, top) for gap in (1e-12, 1e-9, 1e-6, 1e-4)
-                  for top in (False, True)]
+        elems += [albert_with_roots(random_unitary(rng), roots)
+                  for gap in (1e-12, 1e-9, 1e-6, 1e-4)
+                  for roots in ([0.0, gap, 1.0], [0.0, -gap, -1.0])]
     eigvals = type(desc._family).eigvals
     with calls(eigvals) as n:
         algebras._keep_spectra(elems)
@@ -931,8 +934,10 @@ def test_real_cubic_roots():
         r0, r1, r2 = roots
         got = algebras._real_cubic_roots(
             r0 + r1 + r2, r0 * r1 + r1 * r2 + r0 * r2, r0 * r1 * r2)
-        assert list(got) == sorted(got), roots
-        assert np.abs(got - roots).max() <= 1e-14 * max(1.0, np.abs(roots).max()), roots
+        assert type(got) is list and got == sorted(got), roots
+        assert all(type(x) is float for x in got), roots
+        assert max(abs(x - r) for x, r in zip(got, roots)) <= 1e-14 * max(
+            1.0, *map(abs, roots)), roots
 
 
 def test_jb_norm_homogeneous_and_subadditive(descriptor):

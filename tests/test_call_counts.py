@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from jbtrotter import algebras, axioms, cli, jets, octonion, trotter
-from assoc_oracle import embed_herm3
+from assoc_oracle import albert_with_roots, random_unitary
 from conftest import calls
 
 # The five closed-form bound functions, one cost between them.
@@ -30,14 +30,6 @@ def _power_products(n: int) -> int:
 def _pair(desc_text: str, seeds=(11, 12)):
     desc = algebras.parse_descriptor(desc_text)
     return [algebras.random_element(desc, s, v) for s, v in zip(seeds, (0.8, 0.6))]
-
-
-def _near_degenerate(rng, gap: float, norm: float) -> algebras.Element:
-    # Complex-Hermitian 3x3 with eigenvalues (0, gap, norm), embedded in
-    # the albert algebra.
-    base = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    q, _ = np.linalg.qr(base)
-    return embed_herm3(q @ np.diag([0.0, gap, norm]).astype(complex) @ q.conj().T)
 
 
 def test_the_counter_refuses_a_generator_and_puts_the_profile_back():
@@ -90,7 +82,7 @@ def test_axiom_suite_and_verify_axioms_counts():
     desc = algebras.parse_descriptor("sym:2")
     trials = 3
     counted = (axioms.run_axiom_suite, algebras.random_element, algebras.jordan_mul,
-               algebras.jb_norm, cli.main)
+               algebras.jb_norm, np.linalg.eigvalsh, cli.main)
     with calls(*counted) as n:
         axioms.run_axiom_suite(desc, trials=trials, seed=0)
     # Per pair: 5 + 2 + 1 + 1 + 2 products and 3 + 3 + 3 + 2 + 4 norms over
@@ -99,6 +91,11 @@ def test_axiom_suite_and_verify_axioms_counts():
     assert n[algebras.random_element] == 2 * trials
     assert n[algebras.jordan_mul] == 11 * trials
     assert n[algebras.jb_norm] == 2 * trials + 15 * trials
+    # The 17 norms of a pair fall on 10 elements, each keeping its spectrum:
+    # random_element takes its draw's alone, one call per draw; the suite
+    # takes the other 8 of every pair of a chunk of 8 pairs in one stacked
+    # call, and 3 trials make one chunk.
+    assert n[np.linalg.eigvalsh] == 2 * trials + 1
 
     argv = ["verify-axioms", "--algebra", "sym:2", "--trials", str(trials), "--seed", "0"]
     with calls(*counted) as n:
@@ -154,7 +151,7 @@ def test_albert_sweep_counts():
 
 
 def test_near_degenerate_fallback_counts():
-    near = _near_degenerate(np.random.default_rng(5), 1e-8, 0.5)
+    near = albert_with_roots(random_unitary(np.random.default_rng(5)), [0.0, 1e-8, 0.5])
     squarings = max(0, int(np.ceil(np.log2(algebras.jb_norm(near)))) + 2)
     with calls(algebras.exp_series, algebras.jb_norm, algebras.jordan_mul) as n:
         algebras.exp_spectral(near)

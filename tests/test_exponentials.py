@@ -16,7 +16,6 @@ from jbtrotter.algebras import (
     albert_element,
     exp_series,
     exp_spectral,
-    jb_norm,
     jordan_mul,
     random_element,
     spectrum,
@@ -25,11 +24,10 @@ from jbtrotter.algebras import (
     unit,
     zero,
 )
-from assoc_oracle import albert_exp_oracle, embed_herm3, extract_herm3, to_matrix
+from assoc_oracle import (albert_exp_oracle, albert_with_roots, embed_herm3, extract_herm3,
+                          to_matrix)
 from cli_harness import spectrum_past_the_float_range
 from conftest import calls, rel_gap
-
-RNG = np.random.default_rng(99)
 
 
 def test_exp_zero_is_unit(descriptor):
@@ -64,8 +62,9 @@ def test_exp_spin_closed_form():
 
 
 def test_exp_albert_matches_embedded_herm3():
+    rng = np.random.default_rng(99)
     for _ in range(25):
-        m = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
+        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         m = 0.4 * (m + m.conj().T)
         got = extract_herm3(exp_spectral(embed_herm3(m)))
         assert np.allclose(got, expm(m), atol=1e-11)
@@ -85,16 +84,9 @@ def test_exp_spectrum_is_exp_of_spectrum(descriptor):
     assert np.allclose(got, want, rtol=1e-10)
 
 
-def _albert_with_root_gap(gap: float):
-    # diagonal roots (0, gap, 1) rotated by a fixed unitary mix so the
-    # element is dense, spectrum preserved
-    m = np.diag([0.0, gap, 1.0]).astype(complex)
-    q, _ = np.linalg.qr(
-        np.array(
-            [[1.0, 0.4 + 0.2j, -0.3], [0.1j, 1.0, 0.5], [0.2, -0.1 + 0.3j, 1.0]]
-        )
-    )
-    return embed_herm3(q @ m @ q.conj().T)
+# A fixed unitary mix: roots (0, gap, 1) under it make a dense element.
+_MIX, _ = np.linalg.qr(np.array(
+    [[1.0, 0.4 + 0.2j, -0.3], [0.1j, 1.0, 0.5], [0.2, -0.1 + 0.3j, 1.0]]))
 
 
 def _series_calls(a: Element) -> tuple[Element, int]:
@@ -110,7 +102,7 @@ def test_exp_albert_near_degenerate_straddles_fallback(gap):
     # and the fallback decision is relative to the norm: the same at every
     # scale for gaps clearly on one side of the threshold
     for scale in (1.0, 1e-3, 1e-7):
-        a = _albert_with_root_gap(gap) * scale
+        a = albert_with_roots(_MIX, [0.0, gap, 1.0]) * scale
         got, series = _series_calls(a)
         if not 0.5 < gap / DEGENERATE_ROOT_GAP < 2.0:
             assert series == (gap < DEGENERATE_ROOT_GAP), scale
@@ -260,7 +252,7 @@ def test_exp_of_a_matrix_payload_past_the_float_range_is_nan(matrix_descriptor, 
 
 def test_exp_large_norm_still_accurate():
     # scaling and squaring keeps the series route stable well past norm 1
-    m = RNG.standard_normal((5, 5))
+    m = np.random.default_rng(98).standard_normal((5, 5))
     a = sym_element(2.0 * (m + m.T))
     assert rel_gap(exp_series(a), exp_spectral(a)) < 5e-12
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jbtrotter import algebras, axioms, cli
+from jbtrotter import axioms, cli
 from jbtrotter.algebras import (
     AlgebraDescriptor,
     Element,
@@ -23,7 +23,7 @@ from jbtrotter.algebras import (
     sym_element,
 )
 from jbtrotter.axioms import COMMUTATIVITY_TOL, DEFAULT_TOL, run_axiom_suite
-from conftest import calls, rounded_digest
+from conftest import rounded_digest
 
 EXPECTED_CHECKS = (
     "jordan-identity",
@@ -46,23 +46,6 @@ def test_suite_is_deterministic(descriptor):
     a = run_axiom_suite(descriptor, trials=50, seed=9)
     b = run_axiom_suite(descriptor, trials=50, seed=9)
     assert a == b
-
-
-def test_suite_takes_one_spectrum_per_element():
-    # A pair's five checks take 17 norms of 10 elements (a and b, the two
-    # residuals, a.b, two squares of a, their sum with b.b, and each draw in
-    # random_element); each element keeps its spectrum.  random_element
-    # takes its draw's spectrum alone, one call per draw; the suite then
-    # takes the other 8 elements of every pair of a chunk of 8 pairs in one
-    # stacked call.  3 and 2 trials make one chunk each.
-    with calls(np.linalg.eigvalsh) as n:
-        run_axiom_suite(AlgebraDescriptor("sym", 2), trials=3, seed=0)
-    assert n[np.linalg.eigvalsh] == 2 * 3 + 1
-
-    eigvals = type(algebras._FAMILIES["albert"]).eigvals
-    with calls(eigvals) as n:
-        run_axiom_suite(AlgebraDescriptor("albert", 3), trials=2, seed=0)
-    assert n[eigvals] == 2 * 2 + 1
 
 
 def _one_pair_at_a_time(descriptor, trials: int, seed: int) -> list:
@@ -242,7 +225,7 @@ sym_entries = st.lists(
 
 
 @given(sym_entries, sym_entries)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_jordan_identity_sym_property(xs, ys):
     a = sym_element((lambda m: 0.5 * (m + m.T))(np.array(xs).reshape(3, 3)))
     b = sym_element((lambda m: 0.5 * (m + m.T))(np.array(ys).reshape(3, 3)))
@@ -258,7 +241,7 @@ spin_vec = st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=4, max_size=
 
 @given(st.floats(-2.0, 2.0, allow_nan=False), spin_vec,
        st.floats(-2.0, 2.0, allow_nan=False), spin_vec)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_jordan_identity_spin_property(s, v, t, w):
     a = spin_element(s, v)
     b = spin_element(t, w)

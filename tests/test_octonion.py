@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from jbtrotter import octonion
 from assoc_oracle import oct_mul_table
 
-RNG = np.random.default_rng(20260817)
 
-
-def rand_oct():
-    return RNG.standard_normal(8)
+def rand_oct(rng):
+    return rng.standard_normal(8)
 
 
 coeff = st.floats(-4.0, 4.0, allow_nan=False)
@@ -30,14 +28,16 @@ def test_structure_tensor_matches_hand_table_on_basis():
 
 
 def test_mul_matches_table_on_random_vectors():
+    rng = np.random.default_rng(1)
     for _ in range(200):
-        x, y = rand_oct(), rand_oct()
+        x, y = rand_oct(rng), rand_oct(rng)
         assert np.allclose(octonion.mul(x, y), oct_mul_table(x, y), atol=1e-12)
 
 
 def test_mul_broadcasts_over_leading_axes():
-    xs = RNG.standard_normal((5, 8))
-    ys = RNG.standard_normal((5, 8))
+    rng = np.random.default_rng(2)
+    xs = rng.standard_normal((5, 8))
+    ys = rng.standard_normal((5, 8))
     batched = octonion.mul(xs, ys)
     for k in range(5):
         assert np.allclose(batched[k], octonion.mul(xs[k], ys[k]))
@@ -45,7 +45,8 @@ def test_mul_broadcasts_over_leading_axes():
 
 @pytest.mark.parametrize("xshape, yshape", [((5, 8), (8,)), ((8,), (5, 8)), ((2, 1, 8), (3, 8))])
 def test_mul_broadcasts_mixed_leading_shapes_bit_for_bit(xshape, yshape):
-    xs, ys = RNG.standard_normal(xshape), RNG.standard_normal(yshape)
+    rng = np.random.default_rng(3)
+    xs, ys = rng.standard_normal(xshape), rng.standard_normal(yshape)
     batched = octonion.mul(xs, ys)
     bx, by = np.broadcast_arrays(xs, ys)
     assert batched.shape == bx.shape
@@ -56,8 +57,9 @@ def test_mul_broadcasts_mixed_leading_shapes_bit_for_bit(xshape, yshape):
 def test_matmul_matches_table_entry_by_entry():
     # Full (3, 3, 8) payloads: every coordinate filled, no Hermitian
     # structure, so each entry product goes through the whole table.
+    rng = np.random.default_rng(4)
     for _ in range(20):
-        a, b = RNG.standard_normal((2, 3, 3, 8))
+        a, b = rng.standard_normal((2, 3, 3, 8))
         got = octonion.matmul(a, b)
         for p in range(3):
             for q in range(3):
@@ -66,7 +68,7 @@ def test_matmul_matches_table_entry_by_entry():
 
 
 def test_conj_negates_the_imaginary_part_into_a_new_array():
-    x = RNG.standard_normal((4, 8))
+    x = np.random.default_rng(5).standard_normal((4, 8))
     x[0, :3] = [0.0, -0.0, 0.0]
     before = x.copy()
     want = x.copy()
@@ -78,7 +80,7 @@ def test_conj_negates_the_imaginary_part_into_a_new_array():
 
 
 def test_unit_element():
-    x = rand_oct()
+    x = rand_oct(np.random.default_rng(6))
     assert np.allclose(octonion.mul(octonion.ONE, x), x)
     assert np.allclose(octonion.mul(x, octonion.ONE), x)
 
@@ -90,7 +92,7 @@ def test_imaginary_units_square_to_minus_one():
 
 
 @given(oct_vec, oct_vec)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_composition_identity(x, y):
     # norm(xy) = norm(x) norm(y), the defining property of a composition algebra
     lhs = octonion.norm_form(octonion.mul(x, y))
@@ -99,7 +101,7 @@ def test_composition_identity(x, y):
 
 
 @given(oct_vec, oct_vec)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_alternativity(x, y):
     xx = octonion.mul(x, x)
     scale = 1.0 + float(np.abs(x).max()) ** 2 * float(np.abs(y).max())
@@ -111,8 +113,9 @@ def test_alternativity(x, y):
 
 def test_moufang_identity():
     # z(x(zy)) = ((zx)z)y, one of the Moufang laws
+    rng = np.random.default_rng(7)
     for _ in range(50):
-        x, y, z = rand_oct(), rand_oct(), rand_oct()
+        x, y, z = rand_oct(rng), rand_oct(rng), rand_oct(rng)
         lhs = octonion.mul(z, octonion.mul(x, octonion.mul(z, y)))
         rhs = octonion.mul(octonion.mul(octonion.mul(z, x), z), y)
         assert np.allclose(lhs, rhs, atol=1e-10)
@@ -126,21 +129,23 @@ def test_not_associative():
 
 
 def test_conj_is_an_antiautomorphism():
+    rng = np.random.default_rng(8)
     for _ in range(50):
-        x, y = rand_oct(), rand_oct()
+        x, y = rand_oct(rng), rand_oct(rng)
         lhs = octonion.conj(octonion.mul(x, y))
         rhs = octonion.mul(octonion.conj(y), octonion.conj(x))
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_norm_form_via_conjugate():
-    x = rand_oct()
+    x = rand_oct(np.random.default_rng(9))
     xxbar = octonion.mul(x, octonion.conj(x))
     assert np.allclose(xxbar, octonion.norm_form(x) * octonion.ONE, atol=1e-12)
 
 
 def test_real_part_symmetric_in_product():
-    x, y = rand_oct(), rand_oct()
+    rng = np.random.default_rng(10)
+    x, y = rand_oct(rng), rand_oct(rng)
     a = octonion.real_part(octonion.mul(x, y))
     b = octonion.real_part(octonion.mul(y, x))
     assert abs(float(a) - float(b)) < 1e-12

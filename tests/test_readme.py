@@ -1,6 +1,8 @@
 """README's examples run as written, so the documented API and instance
-file format cannot drift from the code."""
+file format cannot drift from the code, and the suite keeps the rules
+README's "Tests" states."""
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -12,7 +14,8 @@ from jbtrotter.instances import instance_from_dict
 from jbtrotter.trotter import SweepRecord
 from cli_corpus import error_commands, successful_commands, write_instances
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 
 
 def _block(section: str, language: str) -> str:
@@ -45,3 +48,38 @@ def test_corpus_count_is_the_corpus_length(tmp_path):
     stated = int(re.search(r"It runs (\d+) fixed\s+command lines", text).group(1))
     instances = write_instances(tmp_path)
     assert stated == len(successful_commands(instances)) + len(error_commands())
+
+
+def _run_at_import(tree: ast.AST):
+    """Every node of a module that runs when it is imported: all of it but
+    the bodies of functions and lambdas, whose defaults and decorators
+    do run."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            stack += [*getattr(node, "decorator_list", ()), *args.defaults,
+                      *(d for d in args.kw_defaults if d is not None)]
+        else:
+            stack += ast.iter_child_nodes(node)
+
+
+def _calls_named(nodes, name: str):
+    return [n for n in nodes if isinstance(n, ast.Call)
+            and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+
+
+def test_every_test_seeds_what_it_draws():
+    # No generator made at import, whose state would carry from one test to
+    # the next, and no Hypothesis setting beside the conftest profile's.
+    broken = []
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        broken += [f"{path.name}:{n.lineno} default_rng at import"
+                   for n in _calls_named(_run_at_import(tree), "default_rng")]
+        broken += [f"{path.name}:{n.lineno} settings({k.arg}=...)"
+                   for n in _calls_named(ast.walk(tree), "settings") for k in n.keywords
+                   if k.arg in ("derandomize", "database", "deadline")]
+    assert not broken, "\n".join(broken)
