@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jbtrotter import axioms, cli
+from jbtrotter import algebras, axioms, cli
 from jbtrotter.algebras import (
     AlgebraDescriptor,
     Element,
@@ -23,7 +23,7 @@ from jbtrotter.algebras import (
     sym_element,
 )
 from jbtrotter.axioms import COMMUTATIVITY_TOL, DEFAULT_TOL, run_axiom_suite
-from conftest import rounded_digest
+from conftest import calls, rounded_digest
 
 EXPECTED_CHECKS = (
     "jordan-identity",
@@ -46,6 +46,23 @@ def test_suite_is_deterministic(descriptor):
     a = run_axiom_suite(descriptor, trials=50, seed=9)
     b = run_axiom_suite(descriptor, trials=50, seed=9)
     assert a == b
+
+
+def test_suite_takes_one_spectrum_per_element():
+    # A pair's five checks take 17 norms of 10 elements (a and b, the two
+    # residuals, a.b, two squares of a, their sum with b.b, and each draw in
+    # random_element); each element keeps its spectrum.  random_element
+    # takes its draw's spectrum alone, one call per draw; the suite then
+    # takes the other 8 elements of every pair of a chunk of 8 pairs in one
+    # stacked call.  3 and 2 trials make one chunk each.
+    with calls(np.linalg.eigvalsh) as n:
+        run_axiom_suite(AlgebraDescriptor("sym", 2), trials=3, seed=0)
+    assert n[np.linalg.eigvalsh] == 2 * 3 + 1
+
+    eigvals = type(algebras._FAMILIES["albert"]).eigvals
+    with calls(eigvals) as n:
+        run_axiom_suite(AlgebraDescriptor("albert", 3), trials=2, seed=0)
+    assert n[eigvals] == 2 * 2 + 1
 
 
 def _one_pair_at_a_time(descriptor, trials: int, seed: int) -> list:
