@@ -845,8 +845,13 @@ def exp_series(a: Element) -> Element:
 # sampling
 
 
-def random_element(descriptor: AlgebraDescriptor, seed: int, target_norm: float = 1.0) -> Element:
+def random_element(descriptor: AlgebraDescriptor, seed: int | np.random.Generator,
+                   target_norm: float = 1.0) -> Element:
     """Seeded Gaussian element rescaled to the requested algebra norm.
+
+    ``seed`` is an int >= 0, which draws from a fresh
+    ``np.random.default_rng(seed)``, or a Generator, whose stream the draw
+    continues and advances.
 
     The rescale rounds, so the norm equals ``target_norm`` only to within a
     few ulps, and may exceed it."""

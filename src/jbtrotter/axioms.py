@@ -5,6 +5,12 @@ inequality, and reports the worst scaled residual.  Residuals divide out
 a natural magnitude factor so one tolerance works across norm scales;
 inequalities report a signed margin (negative means satisfied with room).
 
+The seed fixes every pair: one generator, ``np.random.default_rng(seed)``,
+draws the two target norms of every trial first, then a and b of each
+trial in turn, each from the same stream.  So the pairs do not depend on
+how the trials are chunked, and trial i is reproduced by rerunning with
+the same seed.
+
 ``run_axiom_suite`` accepts the product as a parameter so a corrupted
 multiplication can be injected to prove the checks have teeth.  It takes
 the pairs 8 at a time, a chunk: each pair is drawn and makes its products
@@ -99,6 +105,11 @@ def run_axiom_suite(
 ) -> list[AxiomResult]:
     """Evaluate every axiom check over seeded pairs; deterministic in seed.
 
+    ``np.random.default_rng(seed)`` draws the (trials, 2) target norms,
+    then continues as the generator of both ``random_element`` draws of
+    each trial, a then b.  Trial i's pair is reproduced by rerunning with
+    the same seed.
+
     ``tol`` must be finite and positive.  It is the limit of every check
     but commutativity, whose limit is ``tol / 1e4``.
     """
@@ -107,15 +118,14 @@ def run_axiom_suite(
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     rng = np.random.default_rng(seed)
     norms = rng.uniform(0.25, 2.0, size=(trials, 2))
-    seeds = rng.integers(0, 2**62, size=(trials, 2))
     checks = _suite_checks(product)
     # _CHUNK pairs at a time, so memory does not grow with the trial count.
     worst = None
     for start in range(0, trials, _CHUNK):
         normed, pairs = [], []
         for i in range(start, min(start + _CHUNK, trials)):
-            a = random_element(descriptor, int(seeds[i, 0]), float(norms[i, 0]))
-            b = random_element(descriptor, int(seeds[i, 1]), float(norms[i, 1]))
+            a = random_element(descriptor, rng, float(norms[i, 0]))
+            b = random_element(descriptor, rng, float(norms[i, 1]))
             made = [check(a, b) for _, check, _ in checks]
             normed += [a, b, *(e for elements, _ in made for e in elements)]
             pairs.append([residual for _, residual in made])

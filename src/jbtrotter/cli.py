@@ -10,7 +10,8 @@ not apply.
 Arguments are checked as they are parsed: --eps and --tol must be finite
 and positive, --seed (default 0) an integer >= 0, the step counts in --n
 strictly increasing and the schemes in --scheme distinct (plan takes
-one); no comma list holds an empty item.  An instance given with --input
+one); spaces around a comma-list item are dropped, and no comma list
+holds an empty item.  An instance given with --input
 fixes the norms and the algebra, so bounds and plan refuse --norms or
 --algebra next to it.
 --trials above 10^6, --degree above 32, a step count in --n above 2^30 and
@@ -146,8 +147,9 @@ def _positive(text: str) -> float:
 
 
 def _items(text: str, what: str) -> list[str]:
-    """The items of a comma-separated list, none of them empty."""
-    if "" in (items := text.split(",")):
+    """The items of a comma-separated list, each stripped of spaces, none
+    of them empty."""
+    if "" in (items := [item.strip() for item in text.split(",")]):
         raise argparse.ArgumentTypeError(f"empty item in the {what} list {text!r}")
     return items
 
@@ -189,10 +191,10 @@ def _parse_schemes(text: str) -> list[str]:
 
 
 def _parse_scheme(text: str) -> str:
-    _parse_schemes(text)
-    if text not in SCHEMES:
+    schemes = _parse_schemes(text)
+    if len(schemes) > 1:
         raise argparse.ArgumentTypeError(f"plan takes one scheme, got {text!r}")
-    return text
+    return schemes[0]
 
 
 def _parse_norms(text: str) -> list[float]:

@@ -7,14 +7,16 @@ Instances from fixed seeds are written to a temporary directory, which is
 also the working directory of every command, so paths print as
 basenames.  The corpus holds successful commands (every subcommand, all
 four families, csv/json/plotdata, --output files, bound and measured
-plan, a spin sweep over a spectrum 2000 wide, sweeps and measured plans
-of two instances whose evaluations leave the float range, bounds on a
-spectrum past the float range, every command on an albert instance whose
-first element is 1 plus an off-diagonal part of 1e-120) and the error
-paths: the instance files of the CLI error-contract test, the commands
-that need an exponential of a spectrum past the float range, and a herm
-sum holding an inf.  Each command prints one line: its argv, its exit
-code, and the sha256 of its stdout, its stderr and each file it wrote.
+plan, comma lists with spaces around their items, a spin sweep over a
+spectrum 2000 wide, sweeps and measured plans of two instances whose
+evaluations leave the float range, bounds on a spectrum past the float
+range, every command on an albert instance whose first element is 1
+plus an off-diagonal part of 1e-120) and the error paths: the instance
+files of the CLI error-contract test, the commands that need an
+exponential of a spectrum past the float range, a herm sum holding an
+inf, and a comma list with an item of spaces only.  Each command prints
+one line: its argv, its exit code, and the sha256 of its stdout, its
+stderr and each file it wrote.
 The output does not depend on PYTHONHASHSEED, and diffing the output of
 two checkouts shows which commands changed.  The whole list runs twice in
 the same process (which shares one parser and the library's memos), and
@@ -130,6 +132,9 @@ def successful_commands(instances: list[str]) -> list[list[str]]:
     cmds.append(["bounds", "--norms", "0.1,0.2", "--out", "plotdata", "--scheme", "f,g",
                  "--output", "bounds.dat"])
     cmds.append(["plan", "--norms", "1,1", "--eps", "1e-4"])
+    # Spaces around a comma-list item are dropped in every list.
+    cmds.append(["bounds", "--norms", " 1, 2", "--scheme", "g, f", "--n", "1, 2"])
+    cmds.append(["plan", "--norms", "1, 1", "--scheme", " f ", "--eps", "1e-4"])
     for name, (_, _, m, scale) in zip(instances, INSTANCES):
         # Scheme h needs an odd element count.
         schemes = "g,f,h" if m % 2 else "g,f"
@@ -187,6 +192,7 @@ def error_commands() -> list[list[str]]:
             ["jets", "--input", name],
         ]
     cmds += [
+        ["bounds", "--norms", "1, ,2"],
         ["sweep", "--input", "overflow-sum-herm.json", "--scheme", "g,f", "--n", "1,2"],
         ["plan", "--input", "overflow-sum-herm.json", "--mode", "measured", "--eps", "1e-3"],
     ]

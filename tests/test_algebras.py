@@ -968,6 +968,18 @@ def test_family_samplers_draw_the_pinned_payloads(descriptor):
     assert rounded_digest(payload) == SAMPLE_DIGESTS[str(descriptor)]
 
 
+def test_random_element_continues_a_generator_it_is_given(descriptor):
+    # An int seed draws as a fresh default_rng(seed) does, bit for bit; a
+    # generator given twice gives its stream's first draw, then its second.
+    rng = np.random.default_rng(12345)
+    first, second = random_element(descriptor, rng, 1.5), random_element(descriptor, rng, 1.5)
+    assert random_element(descriptor, 12345, 1.5).data.tobytes() == first.data.tobytes()
+    stream = np.random.default_rng(12345)
+    descriptor._family.sample(stream, descriptor)
+    assert random_element(descriptor, stream, 1.5).data.tobytes() == second.data.tobytes()
+    assert jb_norm(first - second) > 1e-6
+
+
 def test_random_element_seed_sensitivity(descriptor):
     a = random_element(descriptor, 1)
     b = random_element(descriptor, 2)

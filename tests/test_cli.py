@@ -463,6 +463,8 @@ FAILURES = [
     (("plan", "--eps", "1e-3", "--norms", "inf"), 2, NOT_FINITE),
     (("bounds", "--norms", "1,,2"), 2,
      "error[usage]: argument --norms: empty item in the norm list '1,,2'\n"),
+    (("bounds", "--norms", "1, ,2"), 2,
+     "error[usage]: argument --norms: empty item in the norm list '1, ,2'\n"),
     (("bounds", "--norms", "1,a"), 2,
      "error[usage]: argument --norms: not comma-separated numbers: '1,a'\n"),
     (("sweep", "--scheme", "x", "--input", "pair.json"), 2,
@@ -553,6 +555,19 @@ def test_failures_report_their_kind(contract_dir, monkeypatch, argv, code, start
     got, out, err = run_cli(*_in_dir(contract_dir, argv))
     assert (got, out) == (code, "") and keeps_the_contract(code, err) \
         and err.startswith(start), err
+
+
+@pytest.mark.parametrize("spaced, plain", [
+    (("bounds", "--norms", " 1, 2", "--scheme", "g, f", "--n", "1, 2"),
+     ("bounds", "--norms", "1,2", "--scheme", "g,f", "--n", "1,2")),
+    (("plan", "--scheme", " f ", "--eps", "1e-3", "--norms", "1, 1"),
+     ("plan", "--scheme", "f", "--eps", "1e-3", "--norms", "1,1")),
+], ids=["bounds", "plan"])
+def test_comma_list_items_drop_their_spaces(spaced, plain):
+    # Every comma list strips its items alike: a spaced scheme is accepted
+    # as a spaced number is.
+    got = run_cli(*spaced)
+    assert got == run_cli(*plain) and got.returncode == 0, got
 
 
 def test_overflowing_bounds_read_inf():

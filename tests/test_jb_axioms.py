@@ -71,11 +71,10 @@ def _one_pair_at_a_time(descriptor, trials: int, seed: int) -> list:
     own element as the residual needs it."""
     rng = np.random.default_rng(seed)
     norms = rng.uniform(0.25, 2.0, size=(trials, 2))
-    seeds = rng.integers(0, 2**62, size=(trials, 2))
     worst = [-math.inf] * 5
     for i in range(trials):
-        a = random_element(descriptor, int(seeds[i, 0]), float(norms[i, 0]))
-        b = random_element(descriptor, int(seeds[i, 1]), float(norms[i, 1]))
+        a = random_element(descriptor, rng, float(norms[i, 0]))
+        b = random_element(descriptor, rng, float(norms[i, 1]))
         na, nb = jb_norm(a), jb_norm(b)
         asq, ab, ba = jordan_mul(a, a), jordan_mul(a, b), jordan_mul(b, a)
         values = (
@@ -102,18 +101,24 @@ def test_suite_worst_values_equal_a_one_pair_at_a_time_loop(text):
 
 
 def test_suite_draws_the_pinned_pairs(monkeypatch):
-    # The (seed, target_norm) of every element of a 3-trial suite at seed 0:
-    # default_rng(0) draws the norms, two per pair, then the seeds.
+    # The payload and target norm of every element of a 3-trial suite at
+    # seed 0: default_rng(0) draws the norms, two per pair, then a and b of
+    # each pair from the same stream.  herm:2 pins the imaginary draw too.
+    digests = {"sym:2": "1bd98aa60bf00582", "herm:2": "a54bc4a2e6872ff8"}
     drawn = []
     draw = axioms.random_element
 
     def spy(descriptor, seed, target_norm):
-        drawn.append((seed, target_norm))
-        return draw(descriptor, seed, target_norm)
+        element = draw(descriptor, seed, target_norm)
+        drawn.append((*element.data.view(np.float64).ravel().tolist(), target_norm))
+        return element
 
     monkeypatch.setattr(axioms, "random_element", spy)
-    run_axiom_suite(AlgebraDescriptor("sym", 2), trials=3, seed=0)
-    assert rounded_digest(x for pair in drawn for x in pair) == "2f72d12d9f39806a"
+    for text, digest in digests.items():
+        drawn.clear()
+        run_axiom_suite(parse_descriptor(text), trials=3, seed=0)
+        assert len(drawn) == 6
+        assert rounded_digest(x for element in drawn for x in element) == digest, text
 
 
 def test_suite_memory_does_not_grow_with_trials():
