@@ -246,11 +246,11 @@ def _check_same(a: Element, b: Element) -> None:
         )
 
 
-def _check_elements(elements, minimum: int = 1) -> list[Element]:
-    """The elements as a list: at least ``minimum`` of them, one algebra."""
+def _check_elements(elements) -> list[Element]:
+    """The elements as a list: one or more of them (``_check_count`` on
+    their count), all of one algebra."""
     elems = list(elements)
-    if len(elems) < minimum:
-        raise ValueError(f"need {minimum} or more elements, got {len(elems)}")
+    _check_count(len(elems), "element count")
     for e in elems[1:]:
         _check_same(elems[0], e)
     return elems

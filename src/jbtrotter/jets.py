@@ -12,7 +12,9 @@ facts behind the second-order error bounds:
 * the one-step curves of schemes g (product), f (symmetrized) and h
   (triple-product chain) all agree with exp(t * sum A_j) through degree 2.
   ``step_jet`` evaluates each scheme's one step statement, ``trotter._step``,
-  on jets, so the jets and the approximants cannot drift apart;
+  on jets, under its one input rule, so the jets and the approximants
+  cannot drift apart: a step jet takes every element list that its
+  scheme's approximant takes, one element included;
 * pulling the exact exponential back through the inverted symmetrized
   wrappers cancels everything through degree 2, leaving a defect curve
   that starts at degree 3.  The pull-back is scheme f's step on
@@ -47,7 +49,7 @@ from .algebras import (
     unit,
     zero,
 )
-from .trotter import _check_scheme, _step
+from .trotter import _step
 
 DEFAULT_DEGREE = 3
 
@@ -133,11 +135,12 @@ def jet_triple(x: Jet, y: Jet, z: Jet) -> Jet:
 def step_jet(scheme: str, elements, degree: int = DEFAULT_DEGREE) -> Jet:
     """Jet of the single step of scheme g, f or h in t: the step statement
     of ``trotter._step`` with factor(A_j, d) the jet of exp(t A_j / d) at
-    d = 1, on two or more elements (h: an odd count >= 3).  A full-step
-    factor takes A_j itself, since A_j / 1 would be a copy of it."""
-    _check_scheme(scheme)
+    d = 1, on the element lists that ``approx_*`` take, under the same
+    checks (g and f: one or more elements; h: an odd count >= 3).  On one
+    element the g and f steps are ``jet_exp`` of it.  A full-step factor
+    takes A_j itself, since A_j / 1 would be a copy of it."""
     return _step(scheme, elements, 1, lambda a, d: jet_exp(a if d == 1 else a / d, degree),
-                 jet_jordan_mul, jet_quad_map, jet_triple, least=2)
+                 jet_jordan_mul, jet_quad_map, jet_triple)
 
 
 def product_step_jet(elements, degree: int = DEFAULT_DEGREE) -> Jet:

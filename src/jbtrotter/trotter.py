@@ -115,7 +115,7 @@ class SweepRecord:
     bound_special_ii: float | None = None
 
 
-def _step(scheme: str, elements, d: int, factor, mul, quad, triple, least: int = 1):
+def _step(scheme: str, elements, d: int, factor, mul, quad, triple):
     """The single step of a scheme, stated once for elements and jets alike.
 
     factor(A_j, d) is exp(A_j / d): d is the full step and 2d the half
@@ -123,9 +123,11 @@ def _step(scheme: str, elements, d: int, factor, mul, quad, triple, least: int =
     and triple are the Jordan product, the U map and the triple product.
     ``approx_*`` pass their factor source and the element operations at
     d = n; ``jets.step_jet`` passes jet exponentials and the jet operations
-    at d = 1.  Checks first that there are at least ``least`` elements of
-    one algebra, that d is a step count and, for h, the element count."""
-    elems = _check_elements(elements, least)
+    at d = 1.  One input rule serves both: the scheme is known, then one
+    or more elements of one algebra, d a step count and, for h, an odd
+    element count >= 3."""
+    _check_scheme(scheme)
+    elems = _check_elements(elements)
     _check_count(d, "step count n")
     factor = factor or exp_spectral
     if scheme == "g":

@@ -512,7 +512,6 @@ FAILURES = [
       for command in (("sweep",), ("jets",), ("bounds",), ("plan", "--eps", "1e-3"))],
     (("sweep", "--input", "pair.json", "--scheme", "h", "--n", "1,2"), 3,
      "error[input]: scheme h needs an odd element count >= 3, got 2\n"),
-    (("jets", "--input", "single.json"), 3, "error[input]: need 2 or more elements, got 1\n"),
     (("jets", "--input", "huge-sym.json"), 3, PAST_THE_FLOAT_RANGE),
     (("jets", "--input", "huge-spin.json"), 3, PAST_THE_FLOAT_RANGE),
     (("jets", "--input", "huge-albert.json"), 3, PAST_THE_FLOAT_RANGE),
@@ -983,6 +982,18 @@ def test_jets_checks_every_claim_through_degree_two(pauli_instance, monkeypatch)
     row = next(line for line in out.split("\n") if line.startswith("inverse-sandwich-defect"))
     assert row.endswith(" FAIL")
     assert out.endswith("result FAIL\n")
+
+
+def test_jets_checks_one_element_exactly(contract_dir):
+    # On one element A the g and f steps are the jet of exp(tA) itself and
+    # the defect is f's step on (A, -A) minus 1: every claim holds exactly.
+    code, out, err = run_cli("jets", "--input", str(contract_dir / "single.json"))
+    assert (code, err) == (0, "")
+    assert out.startswith("instance ") and " elements 1 degree 3\n" in out
+    rows = [line for line in out.split("\n") if " residual " in line]
+    assert len(rows) == 3 and all(" residual 0.0 " in row and row.endswith(" pass")
+                                  for row in rows)
+    assert out.endswith("result pass\n")
 
 
 def test_jets_tolerance_scales_as_the_cube_of_one_plus_s(tmp_path):

@@ -166,17 +166,17 @@ def test_jet_validation():
         Jet((a, c))  # mixed algebras
     with pytest.raises(ValueError):
         jet_jordan_mul(jet_exp(a, 2), jet_exp(b, 3))  # degree mismatch
-    with pytest.raises(ValueError):
-        product_step_jet([a])
-    # step_jet keeps approx_h's rule on h's count, after the two-element one
+    # step_jet applies approx_*'s input rule in its order: a known scheme
+    # before any element check, one or more elements, h's odd count.
+    for elems in ([a, b, a], [], [a, c]):
+        with pytest.raises(SchemeError, match="unknown scheme 'x'"):
+            step_jet("x", elems)
     for scheme in "gfh":
-        with pytest.raises(ValueError, match="need 2 or more elements, got 1"):
-            step_jet(scheme, [a])
-    for elems in ([a, b], [a, b, a, b]):
+        with pytest.raises(ValueError, match="element count must be a positive integer, got 0"):
+            step_jet(scheme, [])
+    for elems in ([a], [a, b], [a, b, a, b]):
         with pytest.raises(SchemeError, match=f"odd element count >= 3, got {len(elems)}"):
             step_jet("h", elems)
-    with pytest.raises(SchemeError, match="unknown scheme 'x'"):
-        step_jet("x", [a, b, a])
     with pytest.raises(ValueError):
         product_step_jet([a, c])
     with pytest.raises(ValueError):
@@ -195,7 +195,20 @@ def test_evaluate_jet_horner():
 # step-curve claims
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+def test_one_element_g_and_f_steps_are_its_exponential(descriptor):
+    # On one element g's step is its one factor and f's step the core with
+    # no wrapper: jet_exp of the element, bit for bit.
+    (a,) = seeded_elements(descriptor, 1, 43)
+    for degree in (3, 5):
+        want = jet_exp(a, degree)
+        for got in (step_jet("g", [a], degree), step_jet("f", [a], degree),
+                    product_step_jet([a], degree), symmetrized_step_jet([a], degree)):
+            assert got.degree == degree
+            for k, (x, y) in enumerate(zip(got.coefficients, want.coefficients)):
+                assert np.array_equal(x.data, y.data), (degree, k)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_product_step_matches_exp_through_degree_two(descriptor, m):
     elems = seeded_elements(descriptor, m, 47 + m)
     total = elems[0]
@@ -205,7 +218,7 @@ def test_product_step_matches_exp_through_degree_two(descriptor, m):
     assert residual(product_step_jet(elems, 3), ref, 2) <= scaled_tol(elems)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_symmetrized_step_matches_exp_through_degree_two(descriptor, m):
     elems = seeded_elements(descriptor, m, 53 + m)
     total = elems[0]
