@@ -65,6 +65,7 @@ the elements.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 
@@ -262,6 +263,19 @@ def _check_count(value, what: str, low: int = 1) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
         kind = "positive" if low else "nonnegative"
         raise ValueError(f"{what} must be a {kind} integer, got {value!r}")
+
+
+def _check_step(value, what: str, span: int = 1) -> None:
+    """The one check of a step count or a divisor: a positive integer
+    (``_check_count``) such that a float holds span times it, the largest
+    divisor that a factor takes from it; above that a ``CapacityError``,
+    raised before any exponential.  A divisor d of ``exp_spectral`` has
+    span 1 and a step count n span 2, for scheme f's half step 2n.  Seeds
+    go through ``_check_count`` too and have no such cap."""
+    _check_count(value, what)
+    if span * value > sys.float_info.max:
+        raise CapacityError(f"{what} is above the supported maximum "
+                            f"{sys.float_info.max / span!r}")
 
 
 def _finite(x: np.ndarray) -> bool:
@@ -612,6 +626,9 @@ class _AlbertFamily:
         # spectrum outside the axiom suite is, takes the same operations on
         # its bare payload with Python scalars, where numpy's per-call cost
         # is lower (29 against 35 us per spectrum on a 2-core Xeon VM).
+        # End to end, merging it into the stacked body cost the grid-albert
+        # benchmark 7.1 % of its ops_per_s (6 of 6 alternating 12 s pairs,
+        # seeds 901-906, bench/run.py), so this fork stays.
         if len(stack) == 1:
             m = stack[0]
             shift = math.frexp(float(np.abs(m).max()))[1]
@@ -794,9 +811,10 @@ def exp_spectral(a: Element, d: int = 1) -> Element:
     never raises ``OverflowError``.  Where e^l of the top eigenvalue l of
     a / d leaves the float range, the payload returned holds an inf or a
     NaN; where e^l and the spectrum of a / d lie inside it, the result is
-    accurate.
+    accurate.  A divisor above the largest float raises ``CapacityError``
+    (``_check_step``).
     """
-    _check_count(d, "divisor d")
+    _check_step(d, "divisor d")
     return a.descriptor._family.exp(a, d)
 
 
@@ -845,19 +863,30 @@ def exp_series(a: Element) -> Element:
 # sampling
 
 
+def _generator(seed) -> np.random.Generator:
+    """The one seed rule: a Generator is used as it is, and any other seed
+    must be an int >= 0 (``_check_count``), which makes a fresh
+    ``np.random.default_rng(seed)``.  So no seed draws from OS entropy
+    (None), and True, 1.5 and "3" are refused, not read as seeds."""
+    if not isinstance(seed, np.random.Generator):
+        _check_count(seed, "seed", 0)
+    return np.random.default_rng(seed)
+
+
 def random_element(descriptor: AlgebraDescriptor, seed: int | np.random.Generator,
                    target_norm: float = 1.0) -> Element:
     """Seeded Gaussian element rescaled to the requested algebra norm.
 
     ``seed`` is an int >= 0, which draws from a fresh
     ``np.random.default_rng(seed)``, or a Generator, whose stream the draw
-    continues and advances.
+    continues and advances (``_generator``).
 
     The rescale rounds, so the norm equals ``target_norm`` only to within a
     few ulps, and may exceed it."""
+    rng = _generator(seed)
     if not (math.isfinite(target_norm) and target_norm > 0.0):
         raise ValueError(f"target_norm must be finite and positive, got {target_norm!r}")
-    elem = descriptor._family.sample(np.random.default_rng(seed), descriptor)
+    elem = descriptor._family.sample(rng, descriptor)
     nrm = jb_norm(elem)
     if nrm == 0.0:
         raise RuntimeError("degenerate zero draw")

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import (AlgebraDescriptor, Element, _check_count, _keep_spectra, _nan_max,
-                       jb_norm, jordan_mul, random_element)
+from .algebras import (AlgebraDescriptor, Element, _check_count, _generator, _keep_spectra,
+                       _nan_max, jb_norm, jordan_mul, random_element)
 
 DEFAULT_TOL = 1e-10
 # Commutativity holds up to roundoff, so its limit is the tolerance / 1e4.
@@ -99,7 +99,7 @@ def _suite_checks(product):
 def run_axiom_suite(
     descriptor: AlgebraDescriptor,
     trials: int = 1000,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
     tol: float = DEFAULT_TOL,
     product=jordan_mul,
 ) -> list[AxiomResult]:
@@ -108,7 +108,9 @@ def run_axiom_suite(
     ``np.random.default_rng(seed)`` draws the (trials, 2) target norms,
     then continues as the generator of both ``random_element`` draws of
     each trial, a then b.  Trial i's pair is reproduced by rerunning with
-    the same seed.
+    the same seed.  The seed follows ``random_element``'s rule
+    (``algebras._generator``): an int >= 0, or a Generator, whose stream
+    the suite continues.
 
     ``tol`` must be finite and positive.  It is the limit of every check
     but commutativity, whose limit is ``tol / 1e4``.
@@ -116,7 +118,7 @@ def run_axiom_suite(
     _check_count(trials, "trials")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     norms = rng.uniform(0.25, 2.0, size=(trials, 2))
     checks = _suite_checks(product)
     # _CHUNK pairs at a time, so memory does not grow with the trial count.

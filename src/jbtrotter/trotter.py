@@ -66,8 +66,8 @@ import numpy as np
 from .algebras import (
     CapacityError,
     Element,
-    _check_count,
     _check_elements,
+    _check_step,
     _finite,
     _quiet,
     exp_spectral,
@@ -125,10 +125,11 @@ def _step(scheme: str, elements, d: int, factor, mul, quad, triple):
     d = n; ``jets.step_jet`` passes jet exponentials and the jet operations
     at d = 1.  One input rule serves both: the scheme is known, then one
     or more elements of one algebra, d a step count and, for h, an odd
-    element count >= 3."""
+    element count >= 3.  A step count above half the largest float raises
+    ``CapacityError`` (``_check_step``) before any factor is computed."""
     _check_scheme(scheme)
     elems = _check_elements(elements)
-    _check_count(d, "step count n")
+    _check_step(d, "step count n", 2)
     factor = factor or exp_spectral
     if scheme == "g":
         return reduce(mul, [factor(a, d) for a in elems])
@@ -211,7 +212,9 @@ def _measure(schemes, elements, ns=()):
     one-scheme measurement passes None and ``approx_*`` call
     ``exp_spectral`` directly: a table's upkeep alone cost the grid-matrix
     benchmark, all one-scheme sweeps, 3.7 % of its ops_per_s in ten 12 s
-    pairs at seeds 801-810 (``bench/run.py``, 2-core Xeon, Python 3.11).
+    pairs at seeds 801-810 (``bench/run.py``, 2-core Xeon, Python 3.11),
+    and again 2.8 % (9 of 10 pairs, seeds 911-920) when this fork was
+    re-measured end to end, so it stays.
 
     On sym and herm a measurement of m elements over any number of schemes
     and step counts makes m + 1 ``eigh`` calls (1 when m = 1, the sum
@@ -245,7 +248,7 @@ def _measure(schemes, elements, ns=()):
     if "h" in schemes:
         _check_h_count(len(elems))
     for n in ns:
-        _check_count(n, "step count n")
+        _check_step(n, "step count n", 2)
     target = exp_sum(elems)
     cache = {}  # (id of a copy, divisor) -> factor; elems keeps each id's copy alive
 
@@ -279,7 +282,7 @@ def measured_error(scheme: str, elements, n: int) -> float:
 
 def _bound(norms, n: int, formula) -> float:
     """formula(S, m) of the norms' sum S and count m, inf past the float range."""
-    _check_count(n, "step count n")
+    _check_step(n, "step count n", 2)
     try:
         vals = [float(v) for v in norms]
         if not all(v >= 0 for v in vals):
@@ -371,7 +374,10 @@ def plan_min_n(
     for the sharpened sym/herm bounds; it satisfies bound(n) <= eps <
     bound(n - 1).  Measured mode needs the elements themselves and uses
     doubling plus bisection on the measured error, which is assumed
-    monotone along the search; decompositions as in ``_measure``.
+    monotone along the search; decompositions as in ``_measure``.  Each
+    mode refuses what only the other reads (``ValueError``), rather than
+    drop it: bound mode the elements, measured mode the norms and
+    ``special``.
     """
     return _plan(scheme, eps, norms, elements, mode, special)[0]
 
@@ -391,11 +397,15 @@ def _plan(scheme: str, eps: float, norms, elements, mode: str, special: bool):
     if mode == "bound":
         if norms is None:
             raise ValueError("bound mode needs norms")
+        if elements is not None:
+            raise ValueError("bound mode reads norms, not elements")
         norms = list(norms)
         return _min_n(lambda n: tightest_bound(scheme, norms, n, special), eps)
     if mode == "measured":
         if elements is None:
             raise ValueError("measured mode needs elements")
+        if norms is not None or special:
+            raise ValueError("measured mode reads elements, not norms or special")
         with _quiet():
             _, error_at = _measure([scheme], elements)
             return _min_n(lambda n: error_at(scheme, n), eps)
@@ -488,7 +498,8 @@ def empirical_order(records) -> float:
     for a, b in zip(usable, usable[1:]):
         if b.n != 2 * a.n:
             raise ValueError("records must cover doubling n values")
-    xs = np.log([r.n for r in usable])
+    # Floats, since numpy takes the log of no int past int64.
+    xs = np.log([float(r.n) for r in usable])
     ys = np.log([r.error for r in usable])
     slope = np.polyfit(xs, ys, 1)[0]
     return float(-slope)

@@ -518,13 +518,17 @@ _JET = jet_unit(_A.descriptor, 3)
     pytest.param("degree", lambda v: jet_zero(_A.descriptor, v), 0, id="jet_zero"),
     pytest.param("degree", lambda v: product_step_jet([_A, _B], v), 0, id="product_step_jet"),
     pytest.param("through_degree", lambda v: residual(_JET, _JET, v), 0, id="residual"),
+    pytest.param("seed", lambda v: random_element(_A.descriptor, v), 0, id="random_element"),
+    pytest.param("seed", lambda v: run_axiom_suite(_A.descriptor, trials=1, seed=v), 0,
+                 id="run_axiom_suite-seed"),
 ])
 def test_every_count_argument_follows_the_one_count_rule(what, call, low):
     # One rule for every count: a Python int at or above the argument's
-    # least value.  Bools, floats, strings, numpy integers and one below the
-    # least value raise a ValueError that names the argument.
+    # least value.  None, bools, floats, strings, numpy integers and one
+    # below the least value raise a ValueError that names the argument: a
+    # seed of None would draw from OS entropy.
     kind = "positive" if low else "nonnegative"
-    for bad in (True, 2.5, "3", np.int64(2), low - 1):
+    for bad in (None, True, 1.5, 2.5, "3", np.int64(2), low - 1):
         message = f"{what} must be a {kind} integer, got {bad!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             call(bad)

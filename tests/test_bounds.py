@@ -307,6 +307,21 @@ def test_plan_returns_what_its_search_evaluated():
     assert len(reached_one) == 5
 
 
+def test_plan_refuses_what_its_mode_does_not_read():
+    # A measured plan reads no norms: given some next to the elements, it
+    # refuses them instead of dropping them, as bound mode refuses elements.
+    elems = list(pauli_pair())
+    for kwargs, message in (
+        ({"norms": [100.0, 100.0], "elements": elems, "mode": "measured"},
+         "measured mode reads elements, not norms or special"),
+        ({"elements": elems, "mode": "measured", "special": True},
+         "measured mode reads elements, not norms or special"),
+        ({"norms": [100.0, 100.0], "elements": elems}, "bound mode reads norms, not elements"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            plan_min_n("g", 1e-3, **kwargs)
+
+
 def test_plan_measured_needs_elements():
     with pytest.raises(ValueError):
         plan_min_n("g", 1e-3, norms=[1.0], mode="measured")

@@ -45,7 +45,9 @@ def test_suite_passes_every_family(descriptor):
 def test_suite_is_deterministic(descriptor):
     a = run_axiom_suite(descriptor, trials=50, seed=9)
     b = run_axiom_suite(descriptor, trials=50, seed=9)
-    assert a == b
+    # A Generator seed is taken as it is, an int one as default_rng(seed).
+    c = run_axiom_suite(descriptor, trials=50, seed=np.random.default_rng(9))
+    assert a == b == c
 
 
 def test_suite_takes_one_spectrum_per_element():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 
 from jbtrotter.algebras import (
     AlgebraDescriptor,
+    CapacityError,
+    exp_spectral,
     herm_element,
     jb_norm,
     random_element,
@@ -267,6 +270,29 @@ def test_arguments_are_checked_before_exp_of_the_sum():
         plan_min_n("h", 1e-3, elements=elems, mode="measured")
 
 
+def test_step_counts_past_the_float_range_are_capacity_errors(descriptor):
+    # A step count is refused where a float cannot hold its half step 2n,
+    # and a divisor where a float cannot hold it: by the check on it, so
+    # before any exponential and never as OverflowError.  The largest
+    # accepted values run.
+    elems = list(seeded_elements(descriptor, 3, 67))
+    family_exp = descriptor._family.exp
+    top = int(sys.float_info.max / 2)
+    cases = [("divisor d", lambda d: exp_spectral(elems[0], d), 2 * top)]
+    cases += [("step count n", call, top) for call in (
+        lambda n: approx_g(elems, n), lambda n: approx_f(elems, n),
+        lambda n: approx_h(elems, n), lambda n: measured_error("f", elems, n),
+        lambda n: sweep("g", elems, [1, n]), lambda n: bound_thm31([1.0], n))]
+    for what, call, largest in cases:
+        for past in (largest + 1, 2 * largest, 2**1024):
+            with calls(family_exp) as n, pytest.raises(CapacityError, match=what):
+                call(past)
+            assert n[family_exp] == 0
+        # The power of a factor next to the unit may overflow at this n.
+        with np.errstate(over="ignore", invalid="ignore"):
+            call(largest)
+
+
 def test_measured_error_unknown_scheme():
     a, b = pauli_pair()
     with pytest.raises(SchemeError):
@@ -462,8 +488,20 @@ def _fake_records(expo, ns=(32, 64, 128, 256, 512), c=0.7, scheme="g"):
 
 
 def test_empirical_order_recovers_synthetic_exponent():
-    for expo in (1.0, 2.0, 2.5):
-        assert empirical_order(_fake_records(expo)) == pytest.approx(expo, abs=1e-9)
+    # Step counts past int64 fit too.
+    for ns in ((32, 64, 128, 256, 512), tuple(2**k for k in range(62, 67))):
+        for expo in (1.0, 2.0, 2.5):
+            recs = _fake_records(expo, ns, c=0.7 * float(ns[0]) ** expo)
+            assert empirical_order(recs) == pytest.approx(expo, abs=1e-9)
+
+
+def test_empirical_order_of_a_sweep_moved_past_int64(descriptor):
+    # The fit reads n and the error alone, and moving every log n by one
+    # constant leaves its slope: a sweep's records with each n times 2^64
+    # fit the sweep's own order.
+    recs = sweep("g", seeded_elements(descriptor, 2, 29, 0.5), [32, 64, 128, 256])
+    moved = [dataclasses.replace(r, n=r.n * 2**64) for r in recs]
+    assert empirical_order(moved) == pytest.approx(empirical_order(recs), rel=1e-9)
 
 
 def test_empirical_order_real_g_sweep_is_second_order():
