@@ -627,8 +627,9 @@ class _AlbertFamily:
         # its bare payload with Python scalars, where numpy's per-call cost
         # is lower (29 against 35 us per spectrum on a 2-core Xeon VM).
         # End to end, merging it into the stacked body cost the grid-albert
-        # benchmark 7.1 % of its ops_per_s (6 of 6 alternating 12 s pairs,
-        # seeds 901-906, bench/run.py), so this fork stays.
+        # benchmark 7.9 % of its ops_per_s, the fork winning 6 of 6
+        # alternating 12 s pairs (seeds 901-906, bench/run.py, same VM), so
+        # it stays.
         if len(stack) == 1:
             m = stack[0]
             shift = math.frexp(float(np.abs(m).max()))[1]

@@ -213,8 +213,8 @@ def _measure(schemes, elements, ns=()):
     ``exp_spectral`` directly: a table's upkeep alone cost the grid-matrix
     benchmark, all one-scheme sweeps, 3.7 % of its ops_per_s in ten 12 s
     pairs at seeds 801-810 (``bench/run.py``, 2-core Xeon, Python 3.11),
-    and again 2.8 % (9 of 10 pairs, seeds 911-920) when this fork was
-    re-measured end to end, so it stays.
+    and 2.7 % again, the fork winning 9 of 10 pairs at seeds 911-920, when
+    it was re-measured end to end, so it stays.
 
     On sym and herm a measurement of m elements over any number of schemes
     and step counts makes m + 1 ``eigh`` calls (1 when m = 1, the sum

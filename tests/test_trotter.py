@@ -491,7 +491,7 @@ def test_empirical_order_recovers_synthetic_exponent():
     # Step counts past int64 fit too.
     for ns in ((32, 64, 128, 256, 512), tuple(2**k for k in range(62, 67))):
         for expo in (1.0, 2.0, 2.5):
-            recs = _fake_records(expo, ns, c=0.7 * float(ns[0]) ** expo)
+            recs = _fake_records(expo, ns, c=0.7 * (ns[0] / 32) ** expo)
             assert empirical_order(recs) == pytest.approx(expo, abs=1e-9)
 
 
