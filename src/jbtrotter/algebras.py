@@ -884,10 +884,9 @@ def random_element(descriptor: AlgebraDescriptor, seed: int | np.random.Generato
 
     The rescale rounds, so the norm equals ``target_norm`` only to within a
     few ulps, and may exceed it."""
-    rng = _generator(seed)
     if not (math.isfinite(target_norm) and target_norm > 0.0):
         raise ValueError(f"target_norm must be finite and positive, got {target_norm!r}")
-    elem = descriptor._family.sample(rng, descriptor)
+    elem = descriptor._family.sample(_generator(seed), descriptor)
     nrm = jb_norm(elem)
     if nrm == 0.0:
         raise RuntimeError("degenerate zero draw")
