@@ -15,7 +15,6 @@ import pytest
 from jbtrotter import jets
 from jbtrotter.algebras import (
     AlgebraDescriptor,
-    DescriptorMismatchError,
     exp_series,
     jb_norm,
     jordan_mul,
@@ -41,7 +40,7 @@ from jbtrotter.jets import (
     step_jet,
     symmetrized_step_jet,
 )
-from jbtrotter.trotter import SchemeError, approx_f, approx_g, approx_h
+from jbtrotter.trotter import approx_f, approx_g, approx_h
 from conftest import calls, pauli_pair, seeded_elements
 
 PAULI_D3_GAP = math.sqrt(2.0) / 3.0
@@ -155,32 +154,6 @@ def test_each_wrapper_makes_four_cauchy_products(monkeypatch, m):
         with calls(jet_jordan_mul) as n:
             jets.step_jet("h", elems, 3)
         assert n[jet_jordan_mul] == 3 * (m - 1)
-
-
-def test_jet_validation():
-    a, b = pauli_pair()
-    c = sym_element(np.eye(3))
-    with pytest.raises(ValueError, match="degree-0 coefficient"):
-        Jet(())
-    with pytest.raises(DescriptorMismatchError, match="cannot combine elements of sym:2 and sym:3"):
-        Jet((a, c))  # mixed algebras
-    with pytest.raises(ValueError):
-        jet_jordan_mul(jet_exp(a, 2), jet_exp(b, 3))  # degree mismatch
-    # step_jet applies approx_*'s input rule in its order: a known scheme
-    # before any element check, one or more elements, h's odd count.
-    for elems in ([a, b, a], [], [a, c]):
-        with pytest.raises(SchemeError, match="unknown scheme 'x'"):
-            step_jet("x", elems)
-    for scheme in "gfh":
-        with pytest.raises(ValueError, match="element count must be a positive integer, got 0"):
-            step_jet(scheme, [])
-    for elems in ([a], [a, b], [a, b, a, b]):
-        with pytest.raises(SchemeError, match=f"odd element count >= 3, got {len(elems)}"):
-            step_jet("h", elems)
-    with pytest.raises(ValueError):
-        product_step_jet([a, c])
-    with pytest.raises(ValueError):
-        residual(jet_exp(a, 2), jet_exp(b, 2), 5)
 
 
 def test_evaluate_jet_horner():

@@ -12,7 +12,6 @@ from jbtrotter.algebras import (
     AlgebraDescriptor,
     CapacityError,
     exp_spectral,
-    herm_element,
     jb_norm,
     random_element,
     spin_element,
@@ -21,9 +20,7 @@ from jbtrotter.algebras import (
 )
 from jbtrotter import trotter
 from jbtrotter.trotter import (
-    DegenerateDecayError,
     NonFiniteError,
-    SchemeError,
     SweepRecord,
     approx_f,
     approx_g,
@@ -50,7 +47,6 @@ from conftest import (
     rel_gap_mat,
     seeded_elements,
 )
-from cli_harness import spectrum_past_the_float_range
 
 
 def test_single_element_g_is_exact(descriptor):
@@ -100,32 +96,6 @@ def test_exp_sum_matches_matrix_oracle(matrix_descriptor):
     assert rel_gap_mat(to_matrix(exp_sum(elems)), oracle_exp_sum(mats)) < 1e-12
 
 
-def test_h_rejects_even_or_short_inputs():
-    a, b = pauli_pair()
-    with pytest.raises(SchemeError):
-        approx_h([a, b], 4)
-    with pytest.raises(SchemeError):
-        approx_h([a], 4)
-    with pytest.raises(SchemeError):
-        approx_h([a, b, a, b], 4)
-
-
-def test_step_count_validation():
-    a, b = pauli_pair()
-    for bad in (0, -1, 2.5, True):
-        with pytest.raises(ValueError, match="step count n"):
-            approx_g([a, b], bad)
-        with pytest.raises(ValueError, match="step count n"):
-            bound_thm31([1.0, 2.0], bad)
-
-
-def test_mixed_descriptors_rejected():
-    a, _ = pauli_pair()
-    b = sym_element(np.eye(3))
-    with pytest.raises(ValueError):
-        approx_g([a, b], 2)
-
-
 def test_measured_error_definition():
     a, b = pauli_pair()
     direct = jb_norm(exp_sum([a, b]) - approx_g([a, b], 4))
@@ -140,41 +110,16 @@ def test_measured_error_decreases():
 
 
 def test_overflowing_exp_sum_raises(descriptor):
-    # Every eigenvalue of the sum is near 800, past the float range of exp.
-    elems = [unit(descriptor) * 800.0, random_element(descriptor, 5, 1.0)]
-    with pytest.raises(NonFiniteError):
-        exp_sum(elems)
-    with pytest.raises(NonFiniteError):
-        measured_error("g", elems, 2)
-    with pytest.raises(NonFiniteError):
-        sweep("f", elems, [1, 2])
-    # The sum is finite, but exp of the single elements overflows at n = 1:
-    # the error there reads inf, as a bound past the float range does.
-    elems = [unit(descriptor) * 800.0, unit(descriptor) * -800.0 + elems[1]]
+    # exp of the sum past the float range raises (REFUSALS rows).  Here the
+    # sum is finite, but exp of the single elements overflows at n = 1: the
+    # error there reads inf, as a bound past the float range does.
+    elems = [unit(descriptor) * 800.0,
+             unit(descriptor) * -800.0 + random_element(descriptor, 5, 1.0)]
     assert np.isfinite(exp_sum(elems).data).all()
     assert measured_error("g", elems, 1) == math.inf
     first, last = sweep("f", elems, [1, 256])
     assert math.isinf(first.error) and math.isfinite(last.error)
     assert_plan_is_minimal("g", elems, 1e-3)
-    # Finite entries, but the spectrum itself is past the float range.
-    elems = [spectrum_past_the_float_range(descriptor)]
-    with pytest.raises(NonFiniteError, match="exp of the sum"):
-        exp_sum(elems)
-    with pytest.raises(NonFiniteError, match="exp of the sum"):
-        measured_error("g", elems, 1)
-
-
-@pytest.mark.parametrize("kind", ["sym", "herm"])
-@pytest.mark.parametrize("dim", range(2, 7))
-@pytest.mark.parametrize("entry", [1e308, -1e308])
-def test_sum_with_an_off_diagonal_inf_raises(kind, dim, entry):
-    # The element taken twice puts an inf at (0, 1) and (1, 0) of the sum,
-    # on which zheevd raised LinAlgError for herm at dim >= 3.
-    x = np.zeros((dim, dim))
-    x[0, 1] = x[1, 0] = entry
-    a = sym_element(x) if kind == "sym" else herm_element(x.astype(complex))
-    with pytest.raises(NonFiniteError, match="exp of the sum"):
-        exp_sum([a, a])
 
 
 def assert_plan_is_minimal(scheme, elems, eps):
@@ -250,26 +195,6 @@ def test_numpy_warning_state_is_restored(outer):
             assert np.geterr() == before
 
 
-def test_arguments_are_checked_before_exp_of_the_sum():
-    # exp of the sum 801 * 1 overflows, yet every measuring call reports a
-    # bad scheme or step count first.
-    elems = [unit(AlgebraDescriptor("sym", 2)) * 800.0, unit(AlgebraDescriptor("sym", 2))]
-    with pytest.raises(NonFiniteError, match="exp of the sum"):
-        exp_sum(elems)
-    for call in (lambda s, n: measured_error(s, elems, n), lambda s, n: sweep(s, elems, [1, n])):
-        with pytest.raises(SchemeError, match="unknown scheme 'q'"):
-            call("q", 1)
-        for bad in (0, True):
-            with pytest.raises(ValueError, match="step count n must be a positive integer"):
-                call("g", bad)
-        with pytest.raises(SchemeError, match="scheme h needs an odd element count >= 3, got 2"):
-            call("h", 1)
-    with pytest.raises(SchemeError, match="unknown scheme 'q'"):
-        plan_min_n("q", 1e-3, elements=elems, mode="measured")
-    with pytest.raises(SchemeError, match="scheme h needs an odd element count >= 3, got 2"):
-        plan_min_n("h", 1e-3, elements=elems, mode="measured")
-
-
 def test_step_counts_past_the_float_range_are_capacity_errors(descriptor):
     # A step count is refused where a float cannot hold its half step 2n,
     # and a divisor where a float cannot hold it: by the check on it, so
@@ -292,11 +217,6 @@ def test_step_counts_past_the_float_range_are_capacity_errors(descriptor):
         with np.errstate(over="ignore", invalid="ignore"):
             call(largest)
 
-
-def test_measured_error_unknown_scheme():
-    a, b = pauli_pair()
-    with pytest.raises(SchemeError):
-        measured_error("q", [a, b], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +286,6 @@ def test_measured_error_takes_one_norm_and_no_bounds():
         assert measured_error("f", [a, b], 4) == want
     assert n[trotter.jb_norm] == 1
     assert sum(n[bound] for bound in bounds) == 0
-
-
-def test_sweep_rejects_bad_scheme_and_n():
-    a, b = pauli_pair()
-    with pytest.raises(SchemeError):
-        sweep("x", [a, b], [1])
-    # Each step count is checked as given, as approx_* and bound_* check it.
-    for bad in (0, 2.5, True, "3", np.int64(4)):
-        with pytest.raises(ValueError, match="step count n must be a positive integer"):
-            sweep("g", [a, b], [bad])
 
 
 @pytest.mark.parametrize("scheme, m", [("g", 1), ("g", 3), ("f", 1), ("f", 3), ("h", 3)])
@@ -510,24 +420,6 @@ def test_empirical_order_real_g_sweep_is_second_order():
     assert 1.7 <= empirical_order(recs) <= 2.3
 
 
-def test_empirical_order_rejects_mixed_schemes():
-    recs = _fake_records(2.0)[:2] + _fake_records(2.0, scheme="f")[2:]
-    with pytest.raises(ValueError):
-        empirical_order(recs)
-
-
-def test_empirical_order_rejects_non_doubling():
-    recs = [SweepRecord(scheme="g", n=n, error=1.0 / n**2) for n in (32, 48, 64, 96, 128)]
-    with pytest.raises(ValueError):
-        empirical_order(recs)
-
-
-def test_empirical_order_flags_floor_level_errors():
-    recs = [SweepRecord(scheme="g", n=n, error=1e-16) for n in (32, 64, 128, 256)]
-    with pytest.raises(DegenerateDecayError):
-        empirical_order(recs)
-
-
 def test_empirical_order_leaves_infinite_errors_out():
     # Evaluations past the float range read inf; the fit runs on the rest,
     # since an inf in it makes the order nan.  The fit runs under numpy's
@@ -536,16 +428,3 @@ def test_empirical_order_leaves_infinite_errors_out():
     with np.errstate(over="raise", invalid="raise"):
         recs = inf_recs + _fake_records(2.0, ns=(4, 8, 16, 32, 64))
         assert empirical_order(recs) == pytest.approx(2.0, abs=1e-9)
-        # Too few finite records is not a commuting instance.
-        recs = inf_recs + _fake_records(2.0, ns=(4, 8, 16))
-        with pytest.raises(ValueError) as info:
-            empirical_order(recs)
-        assert not isinstance(info.value, DegenerateDecayError)
-
-
-def test_empirical_order_needs_four_records():
-    # errors far above the floor: too few records is not a commuting instance
-    recs = _fake_records(2.0, ns=(32, 64, 128))
-    with pytest.raises(ValueError) as info:
-        empirical_order(recs)
-    assert not isinstance(info.value, DegenerateDecayError)
