@@ -232,10 +232,32 @@ def _check_real(x) -> None:
         raise TypeError("scalars must be real, these are real algebras")
 
 
+def _real(value, what: str) -> float:
+    """The library's one real-number check, the twin of ``_check_count``:
+    value as a float.  A str, bytes or bool is refused with a
+    ``ValueError`` that names the argument, not read as a number, as
+    ``float("35")`` and ``float(True)`` would; a complex is refused by
+    ``_check_real``."""
+    if isinstance(value, (float, int)) and not isinstance(value, bool):
+        return float(value)  # the common real types skip numpy's check
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    _check_real(value)
+    return float(value)
+
+
+def _positive(value, what: str) -> float:
+    """A finite positive real number (``_real``), as every tolerance and
+    target norm must be."""
+    x = _real(value, what)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"{what} must be finite and positive, got {value!r}")
+    return x
+
+
 def _real_scalar(c) -> float:
-    if not isinstance(c, (float, int)):  # the common real types skip numpy's check
-        _check_real(c)
-    return float(c)
+    # A Python float or int, the common case, skips every check.
+    return float(c) if type(c) in (float, int) else _real(c, "scalar")
 
 
 def _check_same(a: Element, b: Element) -> None:
@@ -308,6 +330,8 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def _matrix_element(kind: str, dtype, symmetry: str, matrix, tol: float) -> Element:
+    # A NaN tol would pass every defect, as defect > NaN is False.
+    tol = _positive(tol, "tol")
     m = np.array(matrix, dtype=dtype)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -335,7 +359,7 @@ def herm_element(matrix, tol: float = CONSTRUCTION_TOL) -> Element:
 def spin_element(s: float, v) -> Element:
     _check_real(v)
     vec = np.array(v, dtype=float).reshape(-1)
-    data = np.concatenate([[_real_scalar(s)], vec])
+    data = np.concatenate([[_real(s, "s")], vec])
     _require_finite(data, "spin payload")
     return Element(AlgebraDescriptor("spin", vec.size), data)
 
@@ -883,9 +907,9 @@ def random_element(descriptor: AlgebraDescriptor, seed: int | np.random.Generato
     continues and advances (``_generator``).
 
     The rescale rounds, so the norm equals ``target_norm`` only to within a
-    few ulps, and may exceed it."""
-    if not (math.isfinite(target_norm) and target_norm > 0.0):
-        raise ValueError(f"target_norm must be finite and positive, got {target_norm!r}")
+    few ulps, and may exceed it.  ``target_norm`` must be finite and
+    positive (``_positive``)."""
+    target_norm = _positive(target_norm, "target_norm")
     elem = descriptor._family.sample(_generator(seed), descriptor)
     nrm = jb_norm(elem)
     if nrm == 0.0:

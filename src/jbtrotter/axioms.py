@@ -21,13 +21,12 @@ spectrum per element gives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebras import (AlgebraDescriptor, Element, _check_count, _generator, _keep_spectra,
-                       _nan_max, jb_norm, jordan_mul, random_element)
+                       _nan_max, _positive, jb_norm, jordan_mul, random_element)
 
 DEFAULT_TOL = 1e-10
 # Commutativity holds up to roundoff, so its limit is the tolerance / 1e4.
@@ -116,8 +115,7 @@ def run_axiom_suite(
     but commutativity, whose limit is ``tol / 1e4``.
     """
     _check_count(trials, "trials")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    tol = _positive(tol, "tol")
     rng = _generator(seed)
     norms = rng.uniform(0.25, 2.0, size=(trials, 2))
     checks = _suite_checks(product)

@@ -43,6 +43,7 @@ from .algebras import (
     _check_same,
     _exp_terms,
     _nan_max,
+    _real,
     _triple,
     jb_norm,
     jordan_mul,
@@ -171,10 +172,12 @@ def inverse_sandwich_defect_jet(elements, degree: int = DEFAULT_DEGREE) -> Jet:
 
 
 def evaluate_jet(p: Jet, t: float) -> Element:
-    """Horner evaluation of the jet at parameter value t."""
+    """Horner evaluation of the jet at parameter value t, a real number
+    (``algebras._real``)."""
+    t = _real(t, "t")
     acc = p.coefficients[-1]
     for coef in reversed(p.coefficients[:-1]):
-        acc = coef + float(t) * acc
+        acc = coef + t * acc
     return acc
 
 

@@ -70,6 +70,7 @@ from .algebras import (
     _check_step,
     _finite,
     _quiet,
+    _real,
     exp_spectral,
     jb_norm,
     jordan_mul,
@@ -271,7 +272,15 @@ def _measure(schemes, elements, ns=()):
 def measured_error(scheme: str, elements, n: int) -> float:
     """Algebra-norm distance between the scheme at n and exp of the sum,
     ``inf`` past the float range: the error_at of one ``_measure``, with
-    no norms of the elements and no bounds."""
+    no norms of the elements and no bounds.
+
+    Past the step count where the roundoff of the factors exp(A_j / n),
+    amplified by the n-th power, exceeds the scheme's truncation error,
+    the error measured is roundoff, not the scheme's.  For f on three
+    elements of unit norm the smallest error over n = 2^0 .. 2^22 was
+    6.8e-11 (spin:8) to 3.8e-10 (herm:4).  At n = 2^61 .. 2^65, g, f and
+    h on three seeded unit-norm elements read inf on sym:6 and herm:4,
+    and one constant error at every n on spin:8 and albert."""
     with _quiet():
         return _measure([scheme], elements, [n])[1](scheme, n)
 
@@ -281,10 +290,12 @@ def measured_error(scheme: str, elements, n: int) -> float:
 
 
 def _bound(norms, n: int, formula) -> float:
-    """formula(S, m) of the norms' sum S and count m, inf past the float range."""
+    """formula(S, m) of the norms' sum S and count m, inf past the float
+    range.  Each norm is a real number (``_real``); a Python float, which
+    every sweep and CLI norm is, skips the check."""
     _check_step(n, "step count n", 2)
     try:
-        vals = [float(v) for v in norms]
+        vals = [v if type(v) is float else _real(v, "norm") for v in norms]
         if not all(v >= 0 for v in vals):
             raise ValueError("norms must be nonnegative")
         return formula(sum(vals), len(vals))
@@ -392,7 +403,7 @@ def _plan(scheme: str, eps: float, norms, elements, mode: str, special: bool):
     computed once).  A report reads n_min and n_min - 1 from the values,
     so it evaluates nothing again."""
     _check_scheme(scheme)
-    if not eps > 0.0:
+    if not _real(eps, "eps") > 0.0:
         raise ValueError("eps must be positive")
     if mode == "bound":
         if norms is None:
@@ -469,7 +480,10 @@ def _sweep_schemes(schemes, elements, n_values) -> list[list[SweepRecord]]:
 
 def sweep(scheme: str, elements, n_values) -> list[SweepRecord]:
     """Measured error plus applicable bounds for each n, in given order;
-    the one-scheme case of ``_sweep_schemes``."""
+    the one-scheme case of ``_sweep_schemes``.  Past the step count where
+    the factors' roundoff exceeds the truncation error, a record's error
+    is roundoff (``measured_error``), and ``empirical_order`` of such
+    records fits no order of the scheme."""
     return _sweep_schemes([scheme], elements, n_values)[0]
 
 

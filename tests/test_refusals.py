@@ -90,7 +90,7 @@ def per_family(call, what, rule, bads):
 
 
 POSITIVE, NONNEGATIVE = "a positive integer", "a nonnegative integer"
-FINITE = "finite and positive"
+REAL, FINITE = "a real number", "finite and positive"
 CAP = "{} needs {} payload entries, more than 1048576"
 MISMATCH = "cannot combine elements of {} and {}"
 ODD_COUNT = "scheme h needs an odd element count >= 3, got {}"
@@ -221,6 +221,25 @@ REFUSALS = [
     *[(f"step_jet('h', {elems})", SchemeError, ODD_COUNT.format(k))
       for elems, k in (("[A]", 1), ("AB", 2), ("[A, B, A, B]", 4))],
     ("residual(jet_exp(A, 2), jet_exp(B, 2), 5)", ValueError, "degree 5 outside jet degree 2"),
+    # Every real number the library reads is checked: a str, bytes or bool
+    # is not read as one, and a tolerance or target norm is finite and
+    # positive (a NaN tol would pass any symmetry defect).
+    *refused("sym_element([[1, 5], [0, 1]], tol={})", "tol", FINITE, (nan, 0.0)),
+    *refused("herm_element([[1, 5], [0, 1]], tol={})", "tol", FINITE, (nan,)),
+    *refused("sym_element(np.eye(2), tol={})", "tol", REAL, (True, "1e-12")),
+    *refused("herm_element(np.eye(2), tol={})", "tol", REAL, (True, "1e-12")),
+    *rows(ValueError, "norm must be a real number, got '3'", "tightest_bound('g', '35', 1)",
+          "bounds_for('f', '35', 1, False)", "bound_thm31('35', 1)", "bound_thm33i('35', 1)",
+          "bound_thm33ii('35', 1)", "bound_special('35', 1)"),
+    *refused("bound_thm31([{}], 1)", "norm", REAL, (True,)),
+    *refused("A * {}", "scalar", REAL, ("2", True)),
+    *refused("A / {}", "scalar", REAL, ("2", b"2")),
+    *refused("{} * A", "scalar", REAL, ("2",)),
+    *refused("spin_element({}, [0.0])", "s", REAL, ("1",)),
+    *refused("random_element(SYM, 1, {})", "target_norm", REAL, (True, "1")),
+    *refused("run_axiom_suite(A.descriptor, trials=1, tol={})", "tol", REAL, (True, "1e-10")),
+    *refused("plan_min_n('g', {}, norms=[1.0])", "eps", REAL, (True, "1e-3")),
+    *refused("evaluate_jet(jet_exp(A, 2), {})", "t", REAL, ("0.5",)),
     # the axiom suite; as the command line's --tol, a NaN limit would fail
     # every check and an infinite one pass every check
     ("run_axiom_suite(AlgebraDescriptor('sym', 3), trials=0)", ValueError,
