@@ -393,8 +393,8 @@ def test_multi_scheme_sweep_over_unsorted_counts_is_each_schemes_sweep(descripto
 # decay-rate fitting
 
 
-def _fake_records(expo, ns=(32, 64, 128, 256, 512), c=0.7, scheme="g"):
-    return [SweepRecord(scheme=scheme, n=n, error=c * n ** (-expo)) for n in ns]
+def _fake_records(expo, ns=(32, 64, 128, 256, 512), c=0.7):
+    return [SweepRecord(scheme="g", n=n, error=c * n ** (-expo)) for n in ns]
 
 
 def test_empirical_order_recovers_synthetic_exponent():
