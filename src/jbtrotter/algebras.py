@@ -10,8 +10,14 @@ kind       payload (``Element.data``)                 Jordan product
 ``herm``   complex Hermitian ``(d, d)`` complex128    Hermitian part of ``AB``
                                                       (= ``(AB + BA) / 2``)
 ``spin``   ``(k + 1,)`` float64, entry 0 scalar part  ``(st + <v,w>, sw + tv)``
-``albert`` octonion Hermitian ``(3, 3, 8)`` float64   entrywise symmetrized
+``albert`` octonion Hermitian ``(3, 3, 8)`` float64   Hermitian part of ``AB``
+                                                      (octonion matmul)
 =========  =========================================  =========================
+
+For Hermitian ``A`` and ``B``, ``(AB)^H = B^H A^H = BA`` over the reals,
+the complex numbers and the octonions alike, since each conjugation
+reverses products (for octonions conj(ab) = conj(b) conj(a), though they
+do not associate), so every matrix family takes one matmul per product.
 
 ``herm`` is treated as a real algebra (scalars are real throughout).
 What a family is (payload shape and dtype, unit, Jordan product, ascending
@@ -65,6 +71,7 @@ the elements.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import reduce
@@ -234,16 +241,21 @@ def _check_real(x) -> None:
 
 def _real(value, what: str) -> float:
     """The library's one real-number check, the twin of ``_check_count``:
-    value as a float.  A str, bytes or bool is refused with a
-    ``ValueError`` that names the argument, not read as a number, as
-    ``float("35")`` and ``float(True)`` would; a complex is refused by
+    value as a float.  A real number is a ``numbers.Real`` (numpy's real
+    scalars included) or a 0-d array of one, and not a bool.  Anything
+    else, such as a str, bytes, bool, None, list or 1-d array, is refused
+    with a ``ValueError`` that names the argument, not read as a number
+    as ``float("35")`` and ``float(True)`` would; a complex is refused by
     ``_check_real``."""
     if isinstance(value, (float, int)) and not isinstance(value, bool):
-        return float(value)  # the common real types skip numpy's check
-    if isinstance(value, (str, bytes, bool, np.bool_)):
-        raise ValueError(f"{what} must be a real number, got {value!r}")
-    _check_real(value)
-    return float(value)
+        return float(value)  # the common real types skip the checks below
+    # A 0-d array is read as the numpy scalar it holds.
+    x = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        return float(x)
+    if isinstance(x, numbers.Complex):
+        _check_real(x)
+    raise ValueError(f"{what} must be a real number, got {value!r}")
 
 
 def _positive(value, what: str) -> float:
@@ -629,14 +641,18 @@ class _AlbertFamily:
 
     def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # Payloads, or stacks of them with the same leading axes (the stacked
-        # spectrum squares one).  The Hermitian part of (xy + yx) / 2 by the
-        # rule of _hermitian_part: each term is scaled before the first sum,
-        # so both sums are finite wherever the matmuls are.  The sum xy + yx,
-        # not xy Hermitized alone, keeps the product exactly commutative
-        # (swapping x and y gives the same bits); a square takes one
-        # octonion matmul.
-        mm = octonion.matmul
-        h = 0.5 * mm(x, x) if y is x else 0.25 * mm(x, y) + 0.25 * mm(y, x)
+        # spectrum squares one).  Octonion conjugation reverses products,
+        # conj(ab) = conj(b) conj(a), so for Hermitian x and y (xy)^H = yx
+        # and (xy + yx) / 2 is the Hermitian part of xy: one octonion
+        # matmul, by the rule of _hermitian_part (halved before the sum, so
+        # finite wherever the matmul is), as on sym and herm.  (xy)^H and
+        # yx differ in roundoff, so the operands go in one order fixed by
+        # their bytes, never by id(): x.y and y.x get the same bits in
+        # every process.  A square skips the comparison, so each row of a
+        # stacked square has the bits of a stack of one.
+        if y is not x and y.tobytes() < x.tobytes():
+            x, y = y, x
+        h = 0.5 * octonion.matmul(x, y)
         # h^H: swap matrix indices, conjugate each entry.
         return h + octonion.conj(h.swapaxes(-3, -2))
 

@@ -69,6 +69,7 @@ from .algebras import (
     _check_elements,
     _check_step,
     _finite,
+    _positive,
     _quiet,
     _real,
     exp_spectral,
@@ -379,7 +380,8 @@ def plan_min_n(
     special: bool = False,
 ) -> int:
     """Smallest step count with guaranteed (bound mode) or measured error
-    at most eps: the n_min of ``_plan``.
+    at most eps, a finite positive number (``algebras._positive``): the
+    n_min of ``_plan``.
 
     Bound mode needs ``norms``, the per-element norms, and ``special``
     for the sharpened sym/herm bounds; it satisfies bound(n) <= eps <
@@ -403,8 +405,7 @@ def _plan(scheme: str, eps: float, norms, elements, mode: str, special: bool):
     computed once).  A report reads n_min and n_min - 1 from the values,
     so it evaluates nothing again."""
     _check_scheme(scheme)
-    if not _real(eps, "eps") > 0.0:
-        raise ValueError("eps must be positive")
+    _positive(eps, "eps")
     if mode == "bound":
         if norms is None:
             raise ValueError("bound mode needs norms")

@@ -302,6 +302,28 @@ def test_albert_product_matches_entrywise_octonion_reference():
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
+def test_albert_product_is_the_hermitian_part_of_one_matmul():
+    # Octonion conjugation reverses products, so for Hermitian x and y
+    # (xy)^H = yx and (xy + yx) / 2 is the Hermitian part of xy: one matmul,
+    # with the operands in the order of their bytes, so that x.y and y.x
+    # have the same bits.  It agrees with the two-matmul form to roundoff at
+    # every scale whose products fit.
+    desc = AlgebraDescriptor("albert", 3)
+    exponents = np.random.default_rng(49).uniform(-150.0, 150.0, (200, 2))
+    for k, (ea, eb) in enumerate(exponents):
+        a = random_element(desc, 4900 + 2 * k, 10.0**ea)
+        b = random_element(desc, 4901 + 2 * k, 10.0**eb)
+        x, y = sorted((a.data, b.data), key=np.ndarray.tobytes)
+        xy = octonion.matmul(x, y)
+        h = 0.5 * xy
+        want = h + octonion.conj(h.swapaxes(0, 1))
+        got = jordan_mul(a, b).data
+        assert got.tobytes() == want.tobytes(), k
+        assert got.tobytes() == jordan_mul(b, a).data.tobytes(), k
+        two = 0.5 * (xy + octonion.matmul(y, x))
+        assert np.abs(got - two).max() <= 1e-15 * np.abs(two).max(), k
+
+
 def test_albert_kernel_stacks_bit_for_bit():
     # A stacked octonion matmul gives each pair's bits exactly.
     desc = AlgebraDescriptor("albert", 3)

@@ -128,13 +128,56 @@ def test_not_associative():
     assert float(np.abs(lhs - rhs).max()) > 1.0  # differ by a full basis flip
 
 
+def _table_conj(x):
+    return np.concatenate([x[:1], -x[1:]])
+
+
+def _table_matmul(a, b):
+    """3x3 octonion matrix product through the hand-derived table."""
+    return np.array([[sum(oct_mul_table(a[p, c], b[c, q]) for c in range(3))
+                      for q in range(3)] for p in range(3)])
+
+
+def _hermitian(rng):
+    """A 3x3 octonion Hermitian matrix: real diagonal, conjugates mirrored."""
+    m = rng.standard_normal((3, 3, 8))
+    m[[0, 1, 2], [0, 1, 2], 1:] = 0.0
+    for p, q in ((0, 1), (0, 2), (1, 2)):
+        m[q, p] = _table_conj(m[p, q])
+    return m
+
+
 def test_conj_is_an_antiautomorphism():
+    # conj(xy) = conj(y) conj(x), the identity behind the one-matmul albert
+    # product: through octonion.mul and through the hand-derived table,
+    # exactly on every pair of basis vectors.
+    for i in range(8):
+        for j in range(8):
+            ei, ej = octonion.BASIS[i], octonion.BASIS[j]
+            lhs = _table_conj(oct_mul_table(ei, ej))
+            assert np.array_equal(lhs, oct_mul_table(_table_conj(ej), _table_conj(ei))), (i, j)
     rng = np.random.default_rng(8)
     for _ in range(50):
         x, y = rand_oct(rng), rand_oct(rng)
         lhs = octonion.conj(octonion.mul(x, y))
         rhs = octonion.mul(octonion.conj(y), octonion.conj(x))
         assert np.allclose(lhs, rhs, atol=1e-12)
+        lhs = _table_conj(oct_mul_table(x, y))
+        rhs = oct_mul_table(_table_conj(y), _table_conj(x))
+        assert np.abs(lhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
+
+
+def test_matmul_of_hermitian_matrices_conjugates_to_the_swapped_product():
+    # (XY)^H = Y^H X^H over the octonions, so (XY)^H = YX for Hermitian X
+    # and Y: matmul against the table, then against matmul itself.
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        x, y = _hermitian(rng), _hermitian(rng)
+        xy_h = octonion.conj(octonion.matmul(x, y).swapaxes(0, 1))
+        want = _table_matmul(y, x)
+        assert np.abs(xy_h - want).max() <= 1e-14 * np.abs(want).max()
+        yx = octonion.matmul(y, x)
+        assert np.abs(xy_h - yx).max() <= 1e-14 * np.abs(yx).max()
 
 
 def test_norm_form_via_conjugate():

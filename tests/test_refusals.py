@@ -182,7 +182,7 @@ REFUSALS = [
     *rows(SchemeError, "no closed-form bound for scheme 'h', use measured mode",
           "tightest_bound('h', [0.5, 0.5], 5)", "tightest_bound('h', [1.0, 1.0, 1.0], 4, True)",
           "plan_min_n('h', 1e-3, norms=[1.0])"),
-    ("plan_min_n('g', 0.0, norms=[1.0])", ValueError, "eps must be positive"),
+    *refused("plan_min_n('g', {}, norms=[1.0])", "eps", FINITE, (0.0, inf, nan)),
     ("plan_min_n('g', 1e-3)", ValueError, "bound mode needs norms"),
     ("plan_min_n('g', 1e-3, norms=[1.0], mode='exact')", ValueError,
      "mode must be 'bound' or 'measured', got 'exact'"),
@@ -238,7 +238,14 @@ REFUSALS = [
     *refused("spin_element({}, [0.0])", "s", REAL, ("1",)),
     *refused("random_element(SYM, 1, {})", "target_norm", REAL, (True, "1")),
     *refused("run_axiom_suite(A.descriptor, trials=1, tol={})", "tol", REAL, (True, "1e-10")),
-    *refused("plan_min_n('g', {}, norms=[1.0])", "eps", REAL, (True, "1e-3")),
+    *refused("plan_min_n('g', {}, norms=[1.0])", "eps", REAL, (True, "1e-3", None)),
+    # None, a list, a dict or a 1-d array is not a real number either; a
+    # numpy scalar or a 0-d array is
+    *refused("tightest_bound('g', [{}], 1)", "norm", REAL, (None, [1.0])),
+    *refused("A * {}", "scalar", REAL, (None, [2.0], {})),
+    ("A * np.array([2.0])", ValueError, "scalar must be a real number, got array([2.])"),
+    ("A * np.array(True)", ValueError, "scalar must be a real number, got array(True)"),
+    *refused("random_element(SYM, 1, {})", "target_norm", REAL, (None,)),
     *refused("evaluate_jet(jet_exp(A, 2), {})", "t", REAL, ("0.5",)),
     # the axiom suite; as the command line's --tol, a NaN limit would fail
     # every check and an infinite one pass every check
@@ -255,6 +262,17 @@ def test_refusal(call, error, message):
     with pytest.raises(Exception) as info:
         eval(call, {**NAMES, **globals()})
     assert (type(info.value), str(info.value)) == (error, message)
+
+
+@pytest.mark.parametrize("number", [np.float64(2.0), np.float32(2.0), np.int64(2), np.uint8(2),
+                                    np.array(2.0), np.array(2)],
+                         ids=repr)
+def test_numpy_real_scalars_and_0d_arrays_are_read_as_numbers(number):
+    # The other side of the real-number rows above: what the rule reads.
+    assert np.array_equal((A * number).data, (A * 2.0).data)
+    assert trotter.tightest_bound("g", [number], 1) == trotter.tightest_bound("g", [2.0], 1)
+    assert (trotter.plan_min_n("g", number, norms=[1.0])
+            == trotter.plan_min_n("g", 2.0, norms=[1.0]))
 
 
 # Raised messages that no row pins, each with the reason.
