@@ -29,8 +29,10 @@ reader and writer (``instances``).  The algebra norm is the largest
 absolute eigenvalue of that same spectrum, for every family.  A family's
 ``eigvals`` takes a stack of payloads, ``(k, *shape)`` to ``(k, r)``, and
 gives each row the bits that a stack of that payload alone gets:
-``spectrum``, ``jb_norm`` and the albert exponential call it with a stack
-of one, and ``_keep_spectra`` (the axiom suite's) with many.
+``spectrum`` and ``jb_norm`` call it with a stack of one, and
+``_keep_spectra`` (the axiom suite's) with many.  An albert stack of one is
+``_albert_spectrum`` on the bare payload, which the albert exponential
+calls itself.
 
 Two exponentials are provided on purpose.  ``exp_spectral`` goes through
 eigenvalues (or a closed form), ``exp_series`` runs a scaled-and-squared
@@ -428,8 +430,8 @@ def albert_parts(a: Element) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 # through module names looked up at call time, so a wrapper installed on a
 # name (a profiler, a call counter) sees every call whichever family makes
 # it.  ``octonion.mul`` is the one traced octonion name;
-# ``octonion.matmul``, ``conj``, ``norm_form`` and ``real_part`` never call
-# it.
+# ``octonion.matmul_adjoint``, ``conj``, ``norm_form`` and ``real_part``
+# never call it.
 
 
 def _eigh(a: Element):
@@ -625,6 +627,22 @@ def _albert_roots(diag, squares, norms, cross: float, mu: float, shift: int) -> 
     return [_ldexp(x + mu, shift) for x in roots]
 
 
+def _albert_spectrum(m: np.ndarray) -> list:
+    """The ascending spectrum of one albert payload m, three Python floats:
+    m times 2^-shift, its largest entry in [1/2, 1), solved by
+    ``_albert_roots``.  One Jordan square (of b = m - mu 1) and two octonion
+    products (the cross term), each through its module name."""
+    shift = math.frexp(float(np.abs(m).max()))[1]
+    m = np.ldexp(m, -shift)
+    diag = m.ravel()[_DIAG].tolist()
+    mu = (diag[0] + diag[1] + diag[2]) / 3.0
+    b = Element(_ALBERT, m - _ALBERT_ONE * mu)
+    squares = jordan_mul(b, b).data.ravel()[_DIAG].tolist()
+    off = m.reshape(9, 8)[_XYZ_ROWS]
+    cross = float(octonion.real_part(octonion.mul(octonion.mul(off[0], off[1]), off[2])))
+    return _albert_roots(diag, squares, octonion.norm_form(off).tolist(), cross, mu, shift)
+
+
 class _AlbertFamily:
     """The exceptional family: 3x3 octonion Hermitian matrices, dim fixed at 3."""
 
@@ -645,14 +663,19 @@ class _AlbertFamily:
         # conj(ab) = conj(b) conj(a), so for Hermitian x and y (xy)^H = yx
         # and (xy + yx) / 2 is the Hermitian part of xy: one octonion
         # matmul, by the rule of _hermitian_part (halved before the sum, so
-        # finite wherever the matmul is), as on sym and herm.  (xy)^H and
-        # yx differ in roundoff, so the operands go in one order fixed by
-        # their bytes, never by id(): x.y and y.x get the same bits in
-        # every process.  A square skips the comparison, so each row of a
-        # stacked square has the bits of a stack of one.
+        # finite wherever the matmul is), as on sym and herm.  y^H = y, so
+        # xy is matmul_adjoint(x, y), which reads y's rows in place.  The
+        # mirror entries of every payload the library builds are exact
+        # conjugates, so its terms are those of x @ y up to the sign of a
+        # zero, and only a sum whose every term is zero (as where all
+        # underflow) can take the other sign of zero.  (xy)^H and yx differ
+        # in roundoff, so the operands go in one order fixed by their bytes,
+        # never by id(): x.y and y.x get the same bits in every process.  A
+        # square skips the comparison, so each row of a stacked square has
+        # the bits of a stack of one.
         if y is not x and y.tobytes() < x.tobytes():
             x, y = y, x
-        h = 0.5 * octonion.matmul(x, y)
+        h = 0.5 * octonion.matmul_adjoint(x, y)
         # h^H: swap matrix indices, conjugate each entry.
         return h + octonion.conj(h.swapaxes(-3, -2))
 
@@ -663,26 +686,14 @@ class _AlbertFamily:
         # range.  The array work (the shift, b's Jordan square, the norms
         # and the cross term of _albert_roots) runs on the whole stack, then
         # _albert_roots solves each payload.  A stack of one, which every
-        # spectrum outside the axiom suite is, takes the same operations on
-        # its bare payload with Python scalars, where numpy's per-call cost
-        # is lower (29 against 35 us per spectrum on a 2-core Xeon VM).
-        # End to end, merging it into the stacked body cost the grid-albert
-        # benchmark 7.9 % of its ops_per_s, the fork winning 6 of 6
-        # alternating 12 s pairs (seeds 901-906, bench/run.py, same VM), so
-        # it stays.
+        # spectrum outside the axiom suite is, goes to _albert_spectrum,
+        # which takes the same operations on the bare payload with Python
+        # scalars, where numpy's per-call cost is lower.  Merging it into
+        # the stacked body cost the grid-albert benchmark 7.9 % of its
+        # ops_per_s (6 of 6 alternating 12 s pairs, bench/run.py), so it
+        # stays.
         if len(stack) == 1:
-            m = stack[0]
-            shift = math.frexp(float(np.abs(m).max()))[1]
-            m = np.ldexp(m, -shift)
-            diag = m.ravel()[_DIAG].tolist()
-            mu = (diag[0] + diag[1] + diag[2]) / 3.0
-            b = Element(_ALBERT, m - _ALBERT_ONE * mu)
-            squares = jordan_mul(b, b).data.ravel()[_DIAG].tolist()
-            off = m.reshape(9, 8)[_XYZ_ROWS]
-            x, y, z = off
-            cross = float(octonion.real_part(octonion.mul(octonion.mul(x, y), z)))
-            norms = octonion.norm_form(off).tolist()
-            return np.array([_albert_roots(diag, squares, norms, cross, mu, shift)])
+            return np.array([_albert_spectrum(stack[0])])
         k = len(stack)
         shift = np.frexp(np.abs(stack.reshape(k, 72)).max(axis=1))[1]
         m = np.ldexp(stack, -shift[:, None, None, None])
@@ -698,23 +709,22 @@ class _AlbertFamily:
             diag, squares, norms, cross, means, shift.tolist())])
 
     def exp(self, a: Element, d: int) -> Element:
-        # Always on the new element a / d (exact at d = 1), whose spectrum
-        # is not kept: the caller's element neither reads nor gets a memo.
-        a = a / d
-        l0, l1, l2 = _eigvals(a).tolist()
+        # On x, the payload of a / d (exact at d = 1), as a new array: the
+        # caller's element neither reads nor gets a memo.
+        x = a.data / float(d)
+        l0, l1, l2 = _albert_spectrum(x)
         # The gap test is relative to the norm max(-l0, l2), so it makes the
         # same decision at every scale; "<=" sends the zero element and
         # multiples of the unit, whose gaps are exactly 0, to the series.
         if min(l1 - l0, l2 - l1) <= DEGENERATE_ROOT_GAP * max(-l0, l2):
-            return exp_series(a)
+            return exp_series(Element(a.descriptor, x))
         # Newton form of the quadratic interpolating exp at the three roots;
         # evaluating in this basis stays stable when a pair of roots sits just
         # above the fallback gap.  Built on payloads: the one Jordan product
         # is the only step that needs elements.
         d01 = _exp_divided(l0, l1)
         d012 = (_exp_divided(l1, l2) - d01) / (l2 - l0)
-        x0 = a.data - _ALBERT_ONE * l0
-        x1 = a.data - _ALBERT_ONE * l1
+        x0, x1 = x - _ALBERT_ONE * l0, x - _ALBERT_ONE * l1
         x01 = jordan_mul(Element(a.descriptor, x0), Element(a.descriptor, x1)).data
         return Element(a.descriptor, _ALBERT_ONE * _exp(l0) + x0 * d01 + x01 * d012)
 
@@ -894,7 +904,8 @@ def exp_series(a: Element) -> Element:
     if not math.isfinite(nrm):  # no halving brings it into the float range
         return Element(a.descriptor, np.full_like(a.data, nrm))
     s = 0 if nrm == 0.0 else max(0, math.ceil(math.log2(nrm)) + 2)
-    acc = reduce(Element.__add__, _exp_terms(a * math.ldexp(1.0, -s), 20))
+    terms = (t.data for t in _exp_terms(a * math.ldexp(1.0, -s), 20))
+    acc = Element(a.descriptor, reduce(np.add, terms))
     for _ in range(s):
         acc = jordan_mul(acc, acc)
     return acc

@@ -8,9 +8,10 @@ imaginary units.  Multiplication follows the Cayley-Dickson doubling
 applied twice above the complex numbers.  No multiplication table is
 typed in by hand; a dense structure tensor is derived once at import by
 running the doubling recursion on the basis vectors.  ``mul`` and
-``matmul`` apply left-multiplication matrices read from that tensor, so
-they accept stacked operands (any leading shape in front of the trailing
-octonion axis of length 8) and stay inside numpy; nothing else reads it.
+``matmul_adjoint`` apply left-multiplication matrices read from that
+tensor, so they accept stacked operands (any leading shape in front of the
+trailing octonion axis of length 8) and stay inside numpy; nothing else
+reads it.
 
 Conjugation multiplies by a sign vector that negates every coefficient
 except the real part, the norm form is the plain Euclidean square.
@@ -68,14 +69,24 @@ def mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (y[..., None, :] @ left)[..., 0, :]
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a @ b)[p, q] = sum_c a[p, c] b[c, q] for 3x3 octonion matrices,
-    payloads (..., 3, 3, 8) with the same leading axes: every a[p, c]
-    becomes its left-multiplication matrix, and one batched matmul applies
-    them to the columns of b, summing over (c, j)."""
-    lead = a.shape[:-3]
-    left = (a.reshape(-1, 8) @ _LEFT_MUL).reshape(lead + (3, 24, 8))
-    return b.swapaxes(-3, -2).reshape(lead + (1, 3, 24)) @ left
+# _LEFT_MUL with column 8 j + k times the sign of e_j in conj, so that an
+# octonion x times it is the matrix of y -> x conj(y); multiplying by +-1 is
+# exact.
+_LEFT_MUL_CONJ = (STRUCTURE * _CONJ_SIGN[:, None]).reshape(DIM, DIM * DIM)
+_LEFT_MUL_CONJ.setflags(write=False)
+
+
+def matmul_adjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a @ b^H)[p, q] = sum_c a[p, c] conj(b[q, c]) for 3x3 octonion
+    matrices, payloads (..., 3, 3, 8) with the same leading axes: every
+    a[p, c] becomes the matrix of y -> a[p, c] conj(y), and one batched
+    matmul applies them to the rows of b as they lie in memory, summing
+    over (c, j).  Where b's mirror entries are exact conjugates, b[c, q] =
+    conj(b[q, c]) up to the sign of a zero, as in a Hermitian payload, each
+    term is that of a @ b up to the sign of a zero, so each sum with a
+    nonzero term has the bits of a @ b."""
+    left = (a.reshape(-1, 8) @ _LEFT_MUL_CONJ).reshape(a.shape[:-3] + (3, 24, 8))
+    return b.reshape(a.shape[:-3] + (1, 3, 24)) @ left
 
 
 def conj(x: np.ndarray) -> np.ndarray:

@@ -302,6 +302,25 @@ def test_albert_product_matches_entrywise_octonion_reference():
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
+def _column_matmul(a, b):
+    """The column-reading octonion matmul a @ b that the albert product
+    took before it read the rows of b in place: every a[p, c] becomes its
+    left-multiplication matrix, applied to the columns of b as one batched
+    matmul over a transposed copy of b."""
+    lead = a.shape[:-3]
+    left = (a.reshape(-1, 8) @ octonion.STRUCTURE.reshape(8, 64)).reshape(lead + (3, 24, 8))
+    return b.swapaxes(-3, -2).reshape(lead + (1, 3, 24)) @ left
+
+
+def _column_product(x, y):
+    """The albert product from _column_matmul: the Hermitian part of
+    0.5 xy, the operands in the order of their bytes (a square unordered)."""
+    if y is not x and y.tobytes() < x.tobytes():
+        x, y = y, x
+    h = 0.5 * _column_matmul(x, y)
+    return h + octonion.conj(h.swapaxes(-3, -2))
+
+
 def test_albert_product_is_the_hermitian_part_of_one_matmul():
     # Octonion conjugation reverses products, so for Hermitian x and y
     # (xy)^H = yx and (xy + yx) / 2 is the Hermitian part of xy: one matmul,
@@ -314,14 +333,66 @@ def test_albert_product_is_the_hermitian_part_of_one_matmul():
         a = random_element(desc, 4900 + 2 * k, 10.0**ea)
         b = random_element(desc, 4901 + 2 * k, 10.0**eb)
         x, y = sorted((a.data, b.data), key=np.ndarray.tobytes)
-        xy = octonion.matmul(x, y)
+        xy = octonion.matmul_adjoint(x, y)
         h = 0.5 * xy
         want = h + octonion.conj(h.swapaxes(0, 1))
         got = jordan_mul(a, b).data
         assert got.tobytes() == want.tobytes(), k
         assert got.tobytes() == jordan_mul(b, a).data.tobytes(), k
-        two = 0.5 * (xy + octonion.matmul(y, x))
+        two = 0.5 * (xy + octonion.matmul_adjoint(y, x))
         assert np.abs(got - two).max() <= 1e-15 * np.abs(two).max(), k
+
+
+def test_albert_product_keeps_the_bits_of_the_column_kernel():
+    # The row-reading kernel sums the column kernel's terms in its order:
+    # y[q, c] times the conjugation signs is y[c, q] on every payload the
+    # library builds, the table's columns are the left-multiplication
+    # matrix's times +-1, and the 0.5 comes after the matmul, as before.
+    # Random pairs at scales 1e-150 to 1e150, the unit, zero, a near double
+    # root, entries of size 1e308 of either sign and 1 plus a part of
+    # 1e-120; every pair and every square.
+    desc = AlgebraDescriptor("albert", 3)
+    rng = np.random.default_rng(50)
+    payloads = [random_element(desc, 5100 + k, 10.0 ** rng.uniform(-150.0, 150.0)).data
+                for k in range(60)]
+    x = random_element(desc, 5000).data
+    big = x / np.abs(x).max() * 1e308
+    payloads += [unit(desc).data, algebras.zero(desc).data, big, -big,
+                 (unit(desc) + random_element(desc, 5001, 1e-120)).data,
+                 albert_with_roots(random_unitary(rng), [0.0, 1e-8, 0.5]).data]
+    product = algebras._FAMILIES["albert"].product
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, x in enumerate(payloads):
+            for y in payloads[: i + 1]:
+                assert product(x, y).tobytes() == _column_product(x, y).tobytes(), i
+            got = jordan_mul(Element(desc, x), Element(desc, x)).data
+            assert got.tobytes() == _column_product(x, x).tobytes(), i
+    # Subnormal entries.  Where every term of a sum underflows, the sum is a
+    # zero whose sign the signs of its terms fix: a diagonal entry's
+    # imaginary zeros are no exact conjugates of themselves, so there the
+    # two kernels may give zeros of opposite sign.  Every other entry keeps
+    # its bits.
+    x = random_element(desc, 5002).data * 1e-310
+    for y in payloads + [x]:
+        got, want = product(x, y), _column_product(x, y)
+        assert np.array_equal(got, want)
+        nonzero = want != 0.0
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 8, 56])
+def test_albert_stacked_product_keeps_the_bits_of_the_column_kernel(k):
+    # The stacked spectra square stacks (an axiom-suite chunk holds 56
+    # payloads); a stack of pairs works the same way.
+    desc = AlgebraDescriptor("albert", 3)
+    xs = np.stack([random_element(desc, 5200 + j, 0.5 + j).data for j in range(k)])
+    ys = np.stack([random_element(desc, 5300 + j, 2.0**-j).data for j in range(k)])
+    family = algebras._FAMILIES["albert"]
+    assert family.product(xs, xs).tobytes() == _column_product(xs, xs).tobytes()
+    h = 0.5 * _column_matmul(xs, ys)
+    want = h + octonion.conj(h.swapaxes(-3, -2))
+    h = 0.5 * octonion.matmul_adjoint(xs, ys)
+    assert (h + octonion.conj(h.swapaxes(-3, -2))).tobytes() == want.tobytes()
 
 
 def test_albert_kernel_stacks_bit_for_bit():
@@ -329,12 +400,13 @@ def test_albert_kernel_stacks_bit_for_bit():
     desc = AlgebraDescriptor("albert", 3)
     xs = np.stack([random_element(desc, 40 + k).data for k in range(5)])
     ys = np.stack([random_element(desc, 80 + k).data for k in range(5)])
-    stacked = octonion.matmul(xs, ys)
-    nested = octonion.matmul(np.stack([xs, ys]), np.stack([ys, xs]))
+    mm = octonion.matmul_adjoint
+    stacked = mm(xs, ys)
+    nested = mm(np.stack([xs, ys]), np.stack([ys, xs]))
     for k in range(5):
-        assert np.array_equal(stacked[k], octonion.matmul(xs[k], ys[k]))
+        assert np.array_equal(stacked[k], mm(xs[k], ys[k]))
         assert np.array_equal(nested[0, k], stacked[k])
-        assert np.array_equal(nested[1, k], octonion.matmul(ys[k], xs[k]))
+        assert np.array_equal(nested[1, k], mm(ys[k], xs[k]))
 
 
 def test_albert_square_takes_the_same_bits_as_a_product_of_copies():

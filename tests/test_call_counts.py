@@ -145,6 +145,20 @@ def test_albert_sweep_counts():
     assert n[octonion.mul] == 2 * (exps + norms) == 18
 
 
+@pytest.mark.parametrize("desc_text", ["albert", "sym:2", "herm:2", "spin:3"])
+def test_one_octonion_matmul_per_albert_product(desc_text):
+    # Every albert Jordan product, the squares of the spectra and of the
+    # power included, is one octonion.matmul_adjoint: 17 in this g sweep
+    # (test_albert_sweep_counts).  No other family calls the kernel.
+    elems = _pair(desc_text)
+    with calls(algebras.jordan_mul, octonion.matmul_adjoint) as n:
+        trotter.sweep("g", elems, [1, 2])
+    if desc_text == "albert":
+        assert n[octonion.matmul_adjoint] == n[algebras.jordan_mul] == 17
+    else:
+        assert n[octonion.matmul_adjoint] == 0 < n[algebras.jordan_mul]
+
+
 def test_near_degenerate_fallback_counts():
     near = albert_with_roots(random_unitary(np.random.default_rng(5)), [0.0, 1e-8, 0.5])
     squarings = max(0, int(np.ceil(np.log2(algebras.jb_norm(near)))) + 2)

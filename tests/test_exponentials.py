@@ -3,6 +3,7 @@
 import math
 import sys
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from jbtrotter.algebras import (
     albert_element,
     exp_series,
     exp_spectral,
+    jb_norm,
     jordan_mul,
     random_element,
     spectrum,
@@ -139,6 +141,54 @@ def test_wide_albert_spectrum_keeps_every_eigenvalue(diag):
     got = exp_spectral(albert_element(np.array(diag), z, z, z))
     want = albert_element(np.exp(np.array(diag)), z, z, z)
     np.testing.assert_allclose(got.data, want.data, rtol=1e-10, atol=0)
+
+
+def _series_summed_as_elements(a):
+    """exp_series with its Taylor terms summed as elements, one sum at a
+    time from the left."""
+    nrm = jb_norm(a)
+    s = 0 if nrm == 0.0 else max(0, math.ceil(math.log2(nrm)) + 2)
+    acc = reduce(Element.__add__, algebras._exp_terms(a * math.ldexp(1.0, -s), 20))
+    for _ in range(s):
+        acc = jordan_mul(acc, acc)
+    return acc
+
+
+def _albert_exp_on_elements(a, d):
+    """The albert exponential on the element a / d: the Newton form on
+    ``_eigvals(a / d)``, or the series below the root gap."""
+    a = a / d
+    l0, l1, l2 = algebras._eigvals(a).tolist()
+    if min(l1 - l0, l2 - l1) <= DEGENERATE_ROOT_GAP * max(-l0, l2):
+        return _series_summed_as_elements(a)
+    d01 = algebras._exp_divided(l0, l1)
+    d012 = (algebras._exp_divided(l1, l2) - d01) / (l2 - l0)
+    one = unit(a.descriptor)
+    x0, x1 = a - one * l0, a - one * l1
+    return one * algebras._exp(l0) + x0 * d01 + jordan_mul(x0, x1) * d012
+
+
+@pytest.mark.parametrize("d", [1, 3, 4, 256])
+def test_albert_exp_on_payloads_keeps_the_bits_of_the_element_form(d):
+    # exp works on the payload of a / d and solves its spectrum there; the
+    # series sums its terms as payloads.  Neither changes a bit, nor the
+    # spectrum of a, which the stacked eigvals gives each row of a stack.
+    desc = AlgebraDescriptor("albert", 3)
+    one = unit(desc)
+    elements = [random_element(desc, 600 + k, norm) for k, norm in enumerate((0.3, 1.0, 7.0, 40.0))]
+    elements += [albert_with_roots(_MIX, [0.0, 1e-8, 0.5]), one * 0.7, zero(desc)]
+    stacked = algebras._FAMILIES["albert"].eigvals
+    for k, a in enumerate(elements):
+        want = _albert_exp_on_elements(a, d)
+        assert exp_spectral(a, d).data.tobytes() == want.data.tobytes(), k
+        row = stacked(np.stack([a.data, one.data]))[0]
+        assert spectrum(a).tobytes() == row.tobytes(), k
+
+
+def test_exp_series_keeps_the_bits_of_summing_elements(descriptor):
+    for seed, norm in ((1, 0.2), (2, 3.0), (3, 60.0)):
+        a = random_element(descriptor, 700 + seed, norm)
+        assert exp_series(a).data.tobytes() == _series_summed_as_elements(a).data.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 256, 1000])

@@ -1,5 +1,5 @@
-"""Octonion layer: the kernels behind mul and matmul vs an independent
-hand-written table."""
+"""Octonion layer: the kernels behind mul and matmul_adjoint vs an
+independent hand-written table."""
 
 import numpy as np
 import pytest
@@ -57,13 +57,14 @@ def test_mul_broadcasts_mixed_leading_shapes_bit_for_bit(xshape, yshape):
 def test_matmul_matches_table_entry_by_entry():
     # Full (3, 3, 8) payloads: every coordinate filled, no Hermitian
     # structure, so each entry product goes through the whole table.
+    # matmul_adjoint(a, b) is a b^H: entry (p, q) sums a[p, c] conj(b[q, c]).
     rng = np.random.default_rng(4)
     for _ in range(20):
         a, b = rng.standard_normal((2, 3, 3, 8))
-        got = octonion.matmul(a, b)
+        got = octonion.matmul_adjoint(a, b)
         for p in range(3):
             for q in range(3):
-                want = sum(oct_mul_table(a[p, c], b[c, q]) for c in range(3))
+                want = sum(oct_mul_table(a[p, c], _table_conj(b[q, c])) for c in range(3))
                 assert np.abs(got[p, q] - want).max() <= 1e-14 * np.abs(want).max(), (p, q)
 
 
@@ -168,15 +169,19 @@ def test_conj_is_an_antiautomorphism():
 
 
 def test_matmul_of_hermitian_matrices_conjugates_to_the_swapped_product():
-    # (XY)^H = Y^H X^H over the octonions, so (XY)^H = YX for Hermitian X
-    # and Y: matmul against the table, then against matmul itself.
+    # For Hermitian Y, Y^H = Y and matmul_adjoint(X, Y) is XY, the table's
+    # product.  (XY)^H = Y^H X^H over the octonions, so (XY)^H = YX for
+    # Hermitian X and Y: against the table, then against the kernel itself.
     rng = np.random.default_rng(12)
     for _ in range(20):
         x, y = _hermitian(rng), _hermitian(rng)
-        xy_h = octonion.conj(octonion.matmul(x, y).swapaxes(0, 1))
+        xy = octonion.matmul_adjoint(x, y)
+        want = _table_matmul(x, y)
+        assert np.abs(xy - want).max() <= 1e-14 * np.abs(want).max()
+        xy_h = octonion.conj(xy.swapaxes(0, 1))
         want = _table_matmul(y, x)
         assert np.abs(xy_h - want).max() <= 1e-14 * np.abs(want).max()
-        yx = octonion.matmul(y, x)
+        yx = octonion.matmul_adjoint(y, x)
         assert np.abs(xy_h - yx).max() <= 1e-14 * np.abs(yx).max()
 
 
